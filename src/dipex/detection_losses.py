@@ -5,6 +5,10 @@ The box losses are reported for bookkeeping only; in this artifact the
 detector's localization comes from a non-differentiable noise model, so no
 box gradient ever flows back into prompt embeddings.  Focal loss is the one
 detection term that trains prompts.
+
+Every loss takes either single values (BBoxes, scalars) and returns a float,
+or arrays of them (xyxy boxes stacked as (..., 4)) and returns an array, so
+training evaluates each once per batch.
 """
 
 from __future__ import annotations
@@ -13,43 +17,83 @@ import logging
 
 import numpy as np
 
-from .boxes import BBox, hull_area, intersection_area
+from .boxes import BBox
 
 log = logging.getLogger(__name__)
 
+Boxes = BBox | np.ndarray
 
-def l1_box_loss(pred: BBox, target: BBox, image_width: float, image_height: float) -> float:
+
+def _xyxy(box: Boxes) -> np.ndarray:
+    """One box as a (4,) array, or a stack of them as (..., 4)."""
+    return np.asarray(box.as_tuple() if isinstance(box, BBox) else box, dtype=float)
+
+
+def _area(b: np.ndarray) -> np.ndarray:
+    return (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+
+
+def _out(value: np.ndarray) -> float | np.ndarray:
+    return float(value) if value.ndim == 0 else value
+
+
+def l1_box_loss(
+    pred: Boxes,
+    target: Boxes,
+    image_width: float | np.ndarray,
+    image_height: float | np.ndarray,
+) -> float | np.ndarray:
     """Mean absolute difference over (cx, cy, w, h), each normalized by the
-    image dimension along its axis (x-like by width, y-like by height)."""
-    if image_width <= 0.0 or image_height <= 0.0:
+    image dimension along its axis (x-like by width, y-like by height).
+
+    Takes two BBoxes (returns a float) or broadcastable (..., 4) xyxy arrays
+    with per-box image sizes (returns an array).
+    """
+    width = np.asarray(image_width, dtype=float)
+    height = np.asarray(image_height, dtype=float)
+    if np.any(width <= 0.0) or np.any(height <= 0.0):
         raise ValueError(f"image size must be positive: {image_width}x{image_height}")
-    if target.area == 0.0:
-        log.warning("l1_box_loss: degenerate zero-area target %s", target)
-    pcx, pcy, pw, ph = pred.to_cxcywh()
-    tcx, tcy, tw, th = target.to_cxcywh()
-    terms = (
-        abs(pcx - tcx) / image_width,
-        abs(pcy - tcy) / image_height,
-        abs(pw - tw) / image_width,
-        abs(ph - th) / image_height,
+    p, t = _xyxy(pred), _xyxy(target)
+    degenerate = _area(t) == 0.0
+    if np.any(degenerate):
+        log.warning(
+            "l1_box_loss: %d degenerate zero-area target(s), first %s",
+            int(np.sum(degenerate)), t[degenerate].reshape(-1, 4)[0].tolist(),
+        )
+    pcx, pcy = 0.5 * (p[..., 0] + p[..., 2]), 0.5 * (p[..., 1] + p[..., 3])
+    tcx, tcy = 0.5 * (t[..., 0] + t[..., 2]), 0.5 * (t[..., 1] + t[..., 3])
+    pw, ph = p[..., 2] - p[..., 0], p[..., 3] - p[..., 1]
+    tw, th = t[..., 2] - t[..., 0], t[..., 3] - t[..., 1]
+    total = (
+        np.abs(pcx - tcx) / width
+        + np.abs(pcy - tcy) / height
+        + np.abs(pw - tw) / width
+        + np.abs(ph - th) / height
     )
-    return sum(terms) / 4.0
+    return _out(total / 4.0)
 
 
-def giou(a: BBox, b: BBox) -> float:
+def giou(a: Boxes, b: Boxes) -> float | np.ndarray:
     """Generalized IoU in [-1, 1]: IoU minus the hull's excess area fraction.
 
-    Two zero-area boxes have no defined hull ratio; that degenerate case
-    returns 0 and is flagged on the module logger.
+    Takes two BBoxes (returns a float) or broadcastable (..., 4) xyxy arrays
+    (returns an array).  Two zero-area boxes have no defined hull ratio;
+    that degenerate case gives 0 and is flagged on the module logger.
     """
-    hull = hull_area(a, b)
-    if hull <= 0.0:
-        log.warning("giou: degenerate boxes with empty hull (%s, %s)", a, b)
-        return 0.0
-    inter = intersection_area(a, b)
-    union = a.area + b.area - inter
-    iou_val = inter / union if union > 0.0 else 0.0
-    return iou_val - (hull - union) / hull
+    a, b = _xyxy(a), _xyxy(b)
+    hull = (np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])) * (
+        np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
+    )
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    union = _area(a) + _area(b) - inter
+    iou_val = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+    degenerate = hull <= 0.0
+    if np.any(degenerate):
+        log.warning("giou: %d degenerate box pair(s) with empty hull", int(np.sum(degenerate)))
+    safe_hull = np.where(degenerate, 1.0, hull)
+    return _out(np.where(degenerate, 0.0, iou_val - (hull - union) / safe_hull))
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -88,6 +132,6 @@ def sigmoid_focal_loss(
     return loss, dloss
 
 
-def giou_loss(a: BBox, b: BBox) -> float:
+def giou_loss(a: Boxes, b: Boxes) -> float | np.ndarray:
     """Standard form used in detection training: 1 - giou, in [0, 2]."""
     return 1.0 - giou(a, b)

@@ -81,10 +81,14 @@ def overlap_penalty(prompts: Sequence[np.ndarray], params: DetectorParams) -> fl
     (cos angle - cos threshold)).  Equals 1 when no pair is that close."""
     if len(prompts) < 2:
         return 1.0
-    mat = np.stack([normalize(p) for p in prompts])
+    return _unit_overlap_penalty(np.stack([normalize(p) for p in prompts]), params)
+
+
+def _unit_overlap_penalty(mat: np.ndarray, params: DetectorParams) -> float:
+    """overlap_penalty of prompts already normalized into the rows of ``mat``."""
     cos = np.clip(mat @ mat.T, -1.0, 1.0)
     cos_ov = math.cos(params.overlap_threshold)
-    iu = np.triu_indices(len(prompts), k=1)
+    iu = np.triu_indices(mat.shape[0], k=1)
     excess = cos[iu] - cos_ov
     total = float(np.sum(excess[excess > 0.0]))
     return math.exp(-params.penalty_strength * total)
@@ -133,10 +137,17 @@ def pair_scores(
     modes share before merging policy and noise are applied.
     """
     ids, mat = _prompt_matrix(prompts)
+    return (ids, *_unit_pair_scores(scene, mat, params, world))
+
+
+def _unit_pair_scores(
+    scene: Scene, mat: np.ndarray, params: DetectorParams, world: World
+) -> tuple[np.ndarray, np.ndarray]:
+    """pair_scores' (logits, scores) for unit prompts in the rows of ``mat``."""
     emb = np.stack([o.embedding for o in world.scene_objects(scene)])
     cos = np.clip(mat @ emb.T, -1.0, 1.0)
     logits = params.logit_scale * cos + params.logit_bias
-    return ids, logits, sigmoid(logits)
+    return logits, sigmoid(logits)
 
 
 def candidate_detections(
@@ -185,12 +196,28 @@ def detect_scene(
     Gaussian soft-NMS.  Both modes then drop scores below the detection
     threshold and keep the top max_detections.
     """
-    ids, logits, scores = pair_scores(scene, prompts, params, world)
+    ids, mat = _prompt_matrix(prompts)
+    penalty = _unit_overlap_penalty(mat, params)
+    return _detect_unit_scene(scene, ids, mat, penalty, mode, params, world, seed)
+
+
+def _detect_unit_scene(
+    scene: Scene,
+    ids: list[int],
+    mat: np.ndarray,
+    penalty: float,
+    mode: QueryMode,
+    params: DetectorParams,
+    world: World,
+    seed: int,
+) -> list[Detection]:
+    """detect_scene for unit prompts in the rows of ``mat``, whose
+    query-merging ``penalty`` is already computed."""
+    _, scores = _unit_pair_scores(scene, mat, params, world)
     objects = world.scene_objects(scene)
     dets: list[Detection] = []
 
     if mode is QueryMode.QUERY_MERGING:
-        penalty = overlap_penalty([vec for _, vec in prompts], params)
         merged = scores * penalty
         for oi, obj in enumerate(objects):
             col = merged[:, oi]
@@ -221,9 +248,15 @@ def detect_world(
     params: DetectorParams,
     seed: int = 0,
 ) -> dict[int, list[Detection]]:
-    """detect_scene over every scene, keyed by scene id in scene order."""
+    """detect_scene over every scene, keyed by scene id in scene order.
+
+    The prompts are normalized, and their query-merging penalty computed,
+    once for the whole world.
+    """
+    ids, mat = _prompt_matrix(prompts)
+    penalty = _unit_overlap_penalty(mat, params)
     return {
-        scene.id: detect_scene(scene, prompts, mode, params, world, seed)
+        scene.id: _detect_unit_scene(scene, ids, mat, penalty, mode, params, world, seed)
         for scene in world.scenes
     }
 

@@ -13,6 +13,12 @@ supervised with focal classification loss against the pseudo-labels.  Box
 losses are tracked for reporting; the simulated detector's box noise is not
 differentiable with respect to the prompts, so they carry no gradient.
 
+Training works on a whole batch of scenes at once.  A round packs its scenes
+into dense (scene, object) and (scene, label) arrays, padded and masked where
+scenes differ in size; each batch then takes one pass over its
+(scene, prompt, object, label) grid for the candidate boxes, IoU,
+responsibility matching, focal loss and gradient, and box bookkeeping.
+
 Growth stops after the configured number of expansions, or earlier when the
 maximum pairwise angle either clears the coverage threshold or stalls between
 consecutive rounds.
@@ -28,9 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import BBox
 from .detection_losses import giou_loss, l1_box_loss, sigmoid_focal_loss
 from .detector import (
+    Detection,
     DetectorParams,
     QueryMode,
     VocabularyConfig,
@@ -43,7 +49,7 @@ from .dispersion import LossBreakdown, child_child_loss, combine, parent_child_l
 from .evaluation import DEFAULT_MAX_DETS, EvalSummary, GroundTruthSet, evaluate
 from .geometry import apply_rotation, mac, normalize, pairwise_angle_matrix, sample_child_rotations
 from .pseudo_labels import PseudoLabelSet, assign_responsibility, build_pseudo_labels
-from .world import Scene, World
+from .world import World
 
 
 class EmptyPseudoLabels(RuntimeError):
@@ -275,7 +281,7 @@ class MacReport:
 
     def record(self, round_index: int, embeddings: np.ndarray) -> float:
         matrix = pairwise_angle_matrix(embeddings)
-        value = mac(embeddings)
+        value = mac(embeddings, matrix)
         self.rounds.append(int(round_index))
         self.alpha_max.append(float(value))
         self.matrices.append(matrix)
@@ -301,71 +307,84 @@ class RoundStats:
     misses_final: int = 0
 
 
-@dataclass
-class _SceneData:
-    """Static per-scene tensors shared by every training step of a round."""
+@dataclass(frozen=True)
+class _RoundData:
+    """Static dense tensors of one round, one row per scene in id order.
 
-    scene: Scene
-    emb: np.ndarray        # (n_obj, dim) unit object embeddings
-    gt: np.ndarray         # (n_obj, 4) ground-truth xyxy
-    sqrt_area: np.ndarray  # (n_obj,)
-    dirs: np.ndarray       # (n_obj, 2) hashed unit shift directions
-    label_boxes: np.ndarray  # (n_lab, 4) xyxy
-    labels: list           # PseudoLabel in the same order
+    Scenes with fewer objects or labels than the widest one are padded with
+    all-zero boxes.  A zero box overlaps nothing, so padding never clears the
+    (positive) IoU floor of matching; ``label_mask`` marks the real labels
+    for counting misses.
+    """
+
+    emb: np.ndarray          # (S, O, dim) unit object embeddings
+    gt: np.ndarray           # (S, O, 4) ground-truth xyxy
+    sqrt_area: np.ndarray    # (S, O)
+    dirs: np.ndarray         # (S, O, 2) hashed unit shift directions
+    size: np.ndarray         # (S, 2) scene width, height
+    label_boxes: np.ndarray  # (S, L, 4) xyxy, in each scene's label order
+    label_mask: np.ndarray   # (S, L) bool
 
 
-def _scene_data(world: World, labels: PseudoLabelSet, seed: int) -> dict[int, _SceneData]:
-    out = {}
-    for scene in world.scenes:
-        objs = world.scene_objects(scene)
-        gt = np.array([o.bbox.as_tuple() for o in objs], dtype=float)
-        scene_labels = list(labels.labels(scene.id))
-        lab = (
-            np.array([l.bbox.as_tuple() for l in scene_labels], dtype=float)
-            if scene_labels
-            else np.zeros((0, 4))
-        )
-        out[scene.id] = _SceneData(
-            scene=scene,
-            emb=np.stack([o.embedding for o in objs]),
-            gt=gt,
-            sqrt_area=np.sqrt((gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])),
-            dirs=np.array([_noise_direction(seed, scene.id, o.id) for o in objs], dtype=float),
-            label_boxes=lab,
-            labels=scene_labels,
-        )
-    return out
+def _round_data(world: World, labels: PseudoLabelSet, seed: int) -> _RoundData:
+    scenes = sorted(world.scenes, key=lambda s: s.id)
+    objects = [world.scene_objects(scene) for scene in scenes]
+    scene_labels = [labels.labels(scene.id) for scene in scenes]
+    n_lab = np.array([len(labs) for labs in scene_labels])
+    shape = (len(scenes), max(len(objs) for objs in objects))
+    emb = np.zeros(shape + (world.config.dim,))
+    gt = np.zeros(shape + (4,))
+    dirs = np.zeros(shape + (2,))
+    label_boxes = np.zeros((len(scenes), int(n_lab.max()), 4))
+    for row, (scene, objs, labs) in enumerate(zip(scenes, objects, scene_labels)):
+        emb[row, : len(objs)] = [o.embedding for o in objs]
+        gt[row, : len(objs)] = [o.bbox.as_tuple() for o in objs]
+        dirs[row, : len(objs)] = [_noise_direction(seed, scene.id, o.id) for o in objs]
+        if labs:
+            label_boxes[row, : len(labs)] = [label.bbox.as_tuple() for label in labs]
+    return _RoundData(
+        emb=emb,
+        gt=gt,
+        sqrt_area=np.sqrt((gt[..., 2] - gt[..., 0]) * (gt[..., 3] - gt[..., 1])),
+        dirs=dirs,
+        size=np.array([(scene.width, scene.height) for scene in scenes], dtype=float),
+        label_boxes=label_boxes,
+        label_mask=np.arange(label_boxes.shape[1]) < n_lab[:, None],
+    )
 
 
 def _candidate_grid(
-    sd: _SceneData, prompts: np.ndarray, params: DetectorParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(logits, scores, boxes) for every (prompt, object) pair of one scene.
+    data: _RoundData, rows: np.ndarray, unit: np.ndarray, params: DetectorParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(cos, logits, scores, boxes) for every (scene, prompt, object) triple.
 
-    Vectorized twin of the detector's candidate path: same logit affine, same
-    score-dependent shift along the hashed direction, same clipping.  Boxes
-    come back as an (n_prompt, n_obj, 4) xyxy array.
+    ``unit`` holds the unit prompts, one per row.  Vectorized twin of the
+    detector's candidate path: same logit affine, same score-dependent shift
+    along the hashed direction, same clipping.  Arrays are shaped
+    (n_scene, n_prompt, n_obj), boxes with a trailing xyxy axis.
     """
-    norms = np.linalg.norm(prompts, axis=1, keepdims=True)
-    cos = np.clip((prompts / norms) @ sd.emb.T, -1.0, 1.0)
+    cos = np.clip(np.matmul(unit, data.emb[rows].transpose(0, 2, 1)), -1.0, 1.0)
     logits = params.logit_scale * cos + params.logit_bias
     scores = 1.0 / (1.0 + np.exp(-np.clip(logits, -60.0, 60.0)))
-    mag = params.box_noise * (1.0 - scores) * sd.sqrt_area[None, :]
-    dx = mag * sd.dirs[None, :, 0]
-    dy = mag * sd.dirs[None, :, 1]
-    w, h = float(sd.scene.width), float(sd.scene.height)
-    x0 = np.minimum(np.maximum(sd.gt[None, :, 0] + dx, 0.0), w)
-    y0 = np.minimum(np.maximum(sd.gt[None, :, 1] + dy, 0.0), h)
-    x1 = np.maximum(x0, np.minimum(np.maximum(sd.gt[None, :, 2] + dx, 0.0), w))
-    y1 = np.maximum(y0, np.minimum(np.maximum(sd.gt[None, :, 3] + dy, 0.0), h))
+    mag = params.box_noise * (1.0 - scores) * data.sqrt_area[rows][:, None, :]
+    dirs = data.dirs[rows][:, None]
+    dx, dy = mag * dirs[..., 0], mag * dirs[..., 1]
+    gt = data.gt[rows][:, None]
+    w = data.size[rows, 0][:, None, None]
+    h = data.size[rows, 1][:, None, None]
+    x0 = np.minimum(np.maximum(gt[..., 0] + dx, 0.0), w)
+    y0 = np.minimum(np.maximum(gt[..., 1] + dy, 0.0), h)
+    x1 = np.maximum(x0, np.minimum(np.maximum(gt[..., 2] + dx, 0.0), w))
+    y1 = np.maximum(y0, np.minimum(np.maximum(gt[..., 3] + dy, 0.0), h))
     boxes = np.stack([x0, y0, x1, y1], axis=-1)
-    return logits, scores, boxes
+    return cos, logits, scores, boxes
 
 
 def _iou_grid(boxes: np.ndarray, label_boxes: np.ndarray) -> np.ndarray:
-    """IoU between candidate boxes (n_p, n_o, 4) and labels (n_l, 4)."""
-    a = boxes[:, :, None, :]
-    b = label_boxes[None, None, :, :]
+    """IoU between candidates (n_s, n_p, n_o, 4) and labels (n_s, n_l, 4),
+    shaped (n_s, n_p, n_o, n_l)."""
+    a = boxes[..., None, :]
+    b = label_boxes[:, None, None]
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
@@ -373,6 +392,34 @@ def _iou_grid(boxes: np.ndarray, label_boxes: np.ndarray) -> np.ndarray:
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     union = area_a + area_b - inter
     return np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+
+
+@dataclass(frozen=True)
+class _Match:
+    """Responsibility matching of one batch, indexed (scene, prompt, label).
+
+    ``has[s, p, l]``: prompt p has a candidate over the IoU floor for label l;
+    ``best_obj`` is that prompt's best-scoring such object (ties to the
+    lowest object index); ``responsible[s, l]`` is the best-scoring prompt
+    (ties to the lowest row, i.e. the lowest id); ``assigned[s, l]``: label l
+    of scene s has at least one matching candidate.
+    """
+
+    has: np.ndarray
+    best_obj: np.ndarray
+    responsible: np.ndarray
+    assigned: np.ndarray
+
+
+def _match(
+    data: _RoundData, rows: np.ndarray, scores: np.ndarray, boxes: np.ndarray, iou_min: float
+) -> _Match:
+    matched = _iou_grid(boxes, data.label_boxes[rows]) >= iou_min
+    masked = np.where(matched, scores[..., None], -np.inf)
+    best_obj = np.argmax(masked, axis=2)
+    best = np.take_along_axis(masked, best_obj[:, :, None], axis=2)[:, :, 0]
+    has = matched.any(axis=2)
+    return _Match(has, best_obj, np.argmax(best, axis=1), has.any(axis=1))
 
 
 @dataclass
@@ -384,59 +431,81 @@ class _BatchTally:
     num_missed: int = 0
 
 
-def _accumulate_scene(
-    sd: _SceneData,
+def _in_order_sum(values: np.ndarray) -> float:
+    """Left-to-right sum; np.sum pairs terms up and would round differently."""
+    return float(np.add.accumulate(values)[-1])
+
+
+def _batch_step(
+    data: _RoundData,
+    rows: np.ndarray,
     V: np.ndarray,
     row_trainable: np.ndarray,
     params: DetectorParams,
     config: ExpansionConfig,
-    grad: np.ndarray,
-    tally: _BatchTally,
-) -> None:
-    """Match one scene's labels against current candidates; add focal terms.
+) -> tuple[_BatchTally, np.ndarray]:
+    """Focal loss, its gradient and the box bookkeeping of one batch of scenes.
 
-    Matching mirrors the public responsibility assignment: per label, every
-    candidate with IoU above the floor counts, per prompt only its best score
-    survives, and the best-scoring prompt (ties to the lowest id; rows are in
-    id order) is the responsible one with focal target 1, the rest target 0.
+    Every (label, matched prompt) pair of the batch is one focal term: target
+    1 for the label's responsible prompt, 0 for the others, on the logit of
+    the prompt's best matched object.  Labels with no matched candidate count
+    as misses.  The gradient of every trainable prompt is summed over its
+    terms; frozen rows stay zero.  Returns the unnormalized tally and
+    gradient.
+
+    The floating-point order is that of a scene-by-scene, label-by-label
+    loop (kept as the reference in tests/reference_train.py): gradient terms
+    are added in (scene, label, prompt) order, each label's focal terms are
+    summed on their own and the label totals in sequence, so training writes
+    the same bytes as that loop.
     """
-    if sd.label_boxes.shape[0] == 0:
-        return
-    logits, scores, boxes = _candidate_grid(sd, V, params)
-    ious = _iou_grid(boxes, sd.label_boxes)
     norms = np.linalg.norm(V, axis=1)
     unit = V / norms[:, None]
-    cos = np.clip(unit @ sd.emb.T, -1.0, 1.0)
+    cos, logits, scores, boxes = _candidate_grid(data, rows, unit, params)
+    m = _match(data, rows, scores, boxes, config.label_iou_min)
+    grad = np.zeros_like(V)
+    num_labels = int(np.count_nonzero(data.label_mask[rows]))
+    num_assigned = int(np.count_nonzero(m.assigned))
+    tally = _BatchTally(num_assigned=num_assigned, num_missed=num_labels - num_assigned)
+    if num_assigned == 0:
+        return tally, grad
 
-    for li, label in enumerate(sd.labels):
-        matched_mask = ious[:, :, li] >= config.label_iou_min
-        rows = np.flatnonzero(matched_mask.any(axis=1))
-        if rows.size == 0:
-            tally.num_missed += 1
-            continue
-        tally.num_assigned += 1
-        masked_scores = np.where(matched_mask[rows], scores[rows], -np.inf)
-        best_obj = np.argmax(masked_scores, axis=1)
-        best_scores = masked_scores[np.arange(rows.size), best_obj]
-        responsible_pos = int(np.argmax(best_scores))
+    s, l, p = np.nonzero(m.has.transpose(0, 2, 1))
+    o = m.best_obj[s, p, l]
+    losses, dlosses = sigmoid_focal_loss(
+        logits[s, p, o], (p == m.responsible[s, l]).astype(float)
+    )
+    # np.sum over a row of k terms pairs them up as np.sum over the label's
+    # own k-vector does, so labels are summed in groups of equal term count.
+    per_label = m.has.sum(axis=1)[m.assigned]
+    starts = np.cumsum(per_label) - per_label
+    label_losses = np.empty(per_label.size)
+    for k in np.unique(per_label):
+        same = per_label == k
+        label_losses[same] = losses[starts[same][:, None] + np.arange(k)].sum(axis=1)
+    tally.cls_sum = _in_order_sum(label_losses)
 
-        sel_logits = logits[rows, best_obj]
-        targets = np.zeros(rows.size)
-        targets[responsible_pos] = 1.0
-        losses, dlosses = sigmoid_focal_loss(sel_logits, targets)
-        tally.cls_sum += float(np.sum(losses))
+    keep = row_trainable[p]
+    s, p, o, coeff = s[keep], p[keep], o[keep], dlosses[keep] * params.logit_scale
+    # terms = coeff * (emb - cos * unit) / norm, built in place: one
+    # (pairs, dim) buffer instead of one per operation
+    terms = unit[p]
+    terms *= cos[s, p, o][:, None]
+    np.subtract(data.emb[rows[s], o], terms, out=terms)
+    terms *= coeff[:, None]
+    terms /= norms[p][:, None]
+    # Unbuffered, in term order; flat indices take numpy's fast 1-d path.
+    flat = (p[:, None] * V.shape[1] + np.arange(V.shape[1])).reshape(-1)
+    np.add.at(grad.reshape(-1), flat, terms.reshape(-1))
 
-        for k in np.flatnonzero(row_trainable[rows]):
-            r = rows[k]
-            o = best_obj[k]
-            coeff = float(dlosses[k]) * params.logit_scale
-            grad[r] += coeff * (sd.emb[o] - cos[r, o] * unit[r]) / norms[r]
-
-        r_row = rows[responsible_pos]
-        r_obj = best_obj[responsible_pos]
-        cand = BBox(*(float(v) for v in boxes[r_row, r_obj]))
-        tally.bbox_sum += l1_box_loss(cand, label.bbox, sd.scene.width, sd.scene.height)
-        tally.giou_sum += giou_loss(cand, label.bbox)
+    s, l = np.nonzero(m.assigned)
+    p = m.responsible[s, l]
+    cand = boxes[s, p, m.best_obj[s, p, l]]
+    target = data.label_boxes[rows[s], l]
+    size = data.size[rows[s]]
+    tally.bbox_sum = _in_order_sum(l1_box_loss(cand, target, size[:, 0], size[:, 1]))
+    tally.giou_sum = _in_order_sum(giou_loss(cand, target))
+    return tally, grad
 
 
 def train_round(
@@ -449,11 +518,16 @@ def train_round(
 ) -> RoundStats:
     """Optimize every trainable prompt for one round and write results back.
 
-    The newest cohort additionally feels attraction to its frozen parent and
-    log-sum-exp repulsion among siblings; in the root-only round both terms
-    are zero.  Updates are projected gradient steps: subtract, renormalize,
-    with an exact skip when the step is exactly zero so untouched prompts
-    keep their bytes.
+    Each epoch visits the scenes in a fresh random order, in batches of
+    ``batch_size``.  One ``_batch_step`` call per batch gives the focal loss
+    and its gradient over all of the batch's (label, matched prompt) pairs,
+    plus the L1 and GIoU box losses of each label's responsible candidate,
+    which are reported but carry no gradient.  The newest cohort
+    additionally feels attraction to its frozen parent and log-sum-exp
+    repulsion among siblings; in the root-only round both terms are zero.
+    Updates are projected gradient steps: subtract, renormalize, with an
+    exact skip when the step is exactly zero so untouched prompts keep
+    their bytes.
     """
     ids = tree.ids
     trainable = tree.trainable_ids
@@ -469,8 +543,8 @@ def train_round(
         tree.nodes[tree.parent_queue[-1]].embedding if use_dispersion else None
     )
 
-    scene_data = _scene_data(world, labels, config.seed)
-    scene_ids = np.array(sorted(scene_data), dtype=int)
+    data = _round_data(world, labels, config.seed)
+    num_scenes = data.emb.shape[0]
     stats = RoundStats(
         round_index=tree.round_index,
         epoch_losses=[],
@@ -479,18 +553,13 @@ def train_round(
     )
 
     for _ in range(config.epochs_per_round):
-        order = rng.permutation(scene_ids)
+        order = rng.permutation(num_scenes)
         batch_breakdowns: list[LossBreakdown] = []
         epoch_assigned = 0
         epoch_missed = 0
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
-            grad_cls = np.zeros_like(V)
-            tally = _BatchTally()
-            for sid in batch:
-                _accumulate_scene(
-                    scene_data[int(sid)], V, row_trainable, params, config, grad_cls, tally
-                )
+            tally, grad_cls = _batch_step(data, batch, V, row_trainable, params, config)
             denom = max(tally.num_assigned, 1)
             cls_value = tally.cls_sum / denom
             bbox_value = tally.bbox_sum / denom
@@ -683,6 +752,7 @@ class RunResult:
     label_counts: list[int]
     stopped_early: bool
     config: ExpansionConfig
+    final_detections: dict[int, list[Detection]]  # the last evaluation's, by scene
 
 
 def run(
@@ -718,7 +788,8 @@ def run(
     mac_report = MacReport()
     round_stats = [train_round(tree, labels, world, config, params, rng)]
     label_counts = [len(labels)]
-    summaries = [_evaluate_tree(tree, world, params, gts, config.seed, max_dets)]
+    summary, detections = _evaluate_tree(tree, world, params, gts, config.seed, max_dets)
+    summaries = [summary]
     activation_history: list[ActivationStats] = []
     stopped_early = False
 
@@ -739,7 +810,8 @@ def run(
         label_counts.append(len(labels))
         round_stats.append(train_round(tree, labels, world, config, params, rng))
         mac_report.record(tree.round_index, tree.embedding_matrix())
-        summaries.append(_evaluate_tree(tree, world, params, gts, config.seed, max_dets))
+        summary, detections = _evaluate_tree(tree, world, params, gts, config.seed, max_dets)
+        summaries.append(summary)
 
         if config.early_stop and mac_report.converged(
             config.mac_threshold, config.mac_tolerance
@@ -756,6 +828,7 @@ def run(
         label_counts=label_counts,
         stopped_early=stopped_early,
         config=config,
+        final_detections=detections,
     )
 
 
@@ -766,8 +839,8 @@ def _evaluate_tree(
     gts: GroundTruthSet,
     seed: int,
     max_dets: Sequence[int],
-) -> EvalSummary:
+) -> tuple[EvalSummary, dict[int, list[Detection]]]:
     dets = detect_world(
         world, tree.prompt_items(), QueryMode.PREDICTION_MERGING, params, seed
     )
-    return evaluate(dets, gts, max_dets)
+    return evaluate(dets, gts, max_dets), dets

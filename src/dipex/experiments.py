@@ -389,14 +389,7 @@ def _write_run_artifacts(
     )
     result.tree.save(out / "tree.json")
 
-    final_dets = detect_world(
-        world,
-        result.tree.prompt_items(),
-        QueryMode.PREDICTION_MERGING,
-        config.detector,
-        config.expansion.seed,
-    )
-    _write_json(out / "detections.json", detections_to_coco(final_dets))
+    _write_json(out / "detections.json", detections_to_coco(result.final_detections))
     gts = GroundTruthSet.from_world(world)
     _write_json(out / "ground_truth.json", gts.to_coco())
     labels = rebuild_labels(result.tree, world, config.expansion, config.detector)
@@ -582,6 +575,8 @@ def run_eval_only(
     Multiple detection files are concatenated per scene; with ``merge`` the
     union additionally goes through Gaussian soft-NMS, which is the sane
     setting when the files come from independently trained prompt sets.
+    The manifest identifies the inputs by content (sha256), not by path, so
+    rescoring the same files elsewhere writes the same bytes.
     """
     out = _prepare_out(out_dir, overwrite)
     gts = load_coco_ground_truth(gt_path)
@@ -601,4 +596,15 @@ def run_eval_only(
     summary = evaluate(by_scene, gts, max_dets)
     summary.write_json(out / "summary.json")
     summary.write_csv(out / "summary.csv")
+    settings = {
+        "merge": merge,
+        "nms_sigma": nms_sigma,
+        "nms_floor": nms_floor,
+        "max_dets": [int(c) for c in max_dets],
+    }
+    inputs = {
+        "ground_truth_sha256": _sha256(Path(gt_path)),
+        "detections_sha256": [_sha256(Path(p)) for p in det_paths],
+    }
+    _write_manifest(out, "eval", settings, inputs)
     return out, summary

@@ -138,13 +138,16 @@ def pairwise_angle_matrix(prompts: Sequence[np.ndarray]) -> AngleMatrix:
     return 0.5 * (angles + angles.T)
 
 
-def mac(prompts: Sequence[np.ndarray]) -> float:
+def mac(prompts: Sequence[np.ndarray], angles: AngleMatrix | None = None) -> float:
     """Maximum angular coverage: the largest pairwise angle in the set.
 
-    Requires at least two prompts; returns radians in [0, pi].
+    Requires at least two prompts; returns radians in [0, pi].  A caller
+    that already holds the prompts' ``pairwise_angle_matrix`` passes it as
+    ``angles`` instead of having it built again.
     """
     if len(prompts) < 2:
         raise ValueError("maximum angular coverage needs at least two prompts")
-    angles = pairwise_angle_matrix(prompts)
+    if angles is None:
+        angles = pairwise_angle_matrix(prompts)
     iu = np.triu_indices(angles.shape[0], k=1)
     return float(np.max(angles[iu]))

@@ -1,0 +1,170 @@
+"""Per-scene, per-label reference for the batched training kernel.
+
+This is the scalar training step that `expansion._batch_step` replaced: one
+scene at a time, one pseudo-label at a time, with the focal loss called per
+label and the scalar box-loss formulas per matched label on `BBox`
+objects.  It is kept here only to cross-check the kernel, which must
+reproduce its gradient bytes and its tally exactly.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from dipex.boxes import BBox, hull_area, intersection_area
+from dipex.detection_losses import sigmoid_focal_loss
+from dipex.detector import _noise_direction
+from dipex.expansion import _BatchTally
+
+
+def l1_box_loss(pred: BBox, target: BBox, image_width: float, image_height: float) -> float:
+    """Mean absolute (cx, cy, w, h) difference, normalized per image axis."""
+    pcx, pcy, pw, ph = pred.to_cxcywh()
+    tcx, tcy, tw, th = target.to_cxcywh()
+    terms = (
+        abs(pcx - tcx) / image_width,
+        abs(pcy - tcy) / image_height,
+        abs(pw - tw) / image_width,
+        abs(ph - th) / image_height,
+    )
+    return sum(terms) / 4.0
+
+
+def giou(a: BBox, b: BBox) -> float:
+    """Generalized IoU; 0 for two boxes whose hull has no area."""
+    hull = hull_area(a, b)
+    if hull <= 0.0:
+        return 0.0
+    inter = intersection_area(a, b)
+    union = a.area + b.area - inter
+    iou_val = inter / union if union > 0.0 else 0.0
+    return iou_val - (hull - union) / hull
+
+
+def giou_loss(a: BBox, b: BBox) -> float:
+    return 1.0 - giou(a, b)
+
+
+@dataclass
+class SceneData:
+    """Static per-scene tensors shared by every training step of a round."""
+
+    scene: object
+    emb: np.ndarray        # (n_obj, dim) unit object embeddings
+    gt: np.ndarray         # (n_obj, 4) ground-truth xyxy
+    sqrt_area: np.ndarray  # (n_obj,)
+    dirs: np.ndarray       # (n_obj, 2) hashed unit shift directions
+    label_boxes: np.ndarray  # (n_lab, 4) xyxy
+    labels: list           # PseudoLabel in the same order
+
+
+def scene_data(world, labels, seed: int) -> dict[int, SceneData]:
+    out = {}
+    for scene in world.scenes:
+        objs = world.scene_objects(scene)
+        gt = np.array([o.bbox.as_tuple() for o in objs], dtype=float)
+        scene_labels = list(labels.labels(scene.id))
+        lab = (
+            np.array([l.bbox.as_tuple() for l in scene_labels], dtype=float)
+            if scene_labels
+            else np.zeros((0, 4))
+        )
+        out[scene.id] = SceneData(
+            scene=scene,
+            emb=np.stack([o.embedding for o in objs]),
+            gt=gt,
+            sqrt_area=np.sqrt((gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])),
+            dirs=np.array([_noise_direction(seed, scene.id, o.id) for o in objs], dtype=float),
+            label_boxes=lab,
+            labels=scene_labels,
+        )
+    return out
+
+
+def candidate_grid(sd: SceneData, prompts: np.ndarray, params):
+    """(logits, scores, boxes) for every (prompt, object) pair of one scene."""
+    norms = np.linalg.norm(prompts, axis=1, keepdims=True)
+    cos = np.clip((prompts / norms) @ sd.emb.T, -1.0, 1.0)
+    logits = params.logit_scale * cos + params.logit_bias
+    scores = 1.0 / (1.0 + np.exp(-np.clip(logits, -60.0, 60.0)))
+    mag = params.box_noise * (1.0 - scores) * sd.sqrt_area[None, :]
+    dx = mag * sd.dirs[None, :, 0]
+    dy = mag * sd.dirs[None, :, 1]
+    w, h = float(sd.scene.width), float(sd.scene.height)
+    x0 = np.minimum(np.maximum(sd.gt[None, :, 0] + dx, 0.0), w)
+    y0 = np.minimum(np.maximum(sd.gt[None, :, 1] + dy, 0.0), h)
+    x1 = np.maximum(x0, np.minimum(np.maximum(sd.gt[None, :, 2] + dx, 0.0), w))
+    y1 = np.maximum(y0, np.minimum(np.maximum(sd.gt[None, :, 3] + dy, 0.0), h))
+    boxes = np.stack([x0, y0, x1, y1], axis=-1)
+    return logits, scores, boxes
+
+
+def iou_grid(boxes: np.ndarray, label_boxes: np.ndarray) -> np.ndarray:
+    """IoU between candidate boxes (n_p, n_o, 4) and labels (n_l, 4)."""
+    a = boxes[:, :, None, :]
+    b = label_boxes[None, None, :, :]
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
+    return np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+
+
+def accumulate_scene(sd: SceneData, V, row_trainable, params, config, grad, tally) -> None:
+    """Match one scene's labels against current candidates; add focal terms.
+
+    Per label, every candidate with IoU above the floor counts, per prompt
+    only its best score survives, and the best-scoring prompt (ties to the
+    lowest id; rows are in id order) is the responsible one with focal
+    target 1, the rest target 0.
+    """
+    if sd.label_boxes.shape[0] == 0:
+        return
+    logits, scores, boxes = candidate_grid(sd, V, params)
+    ious = iou_grid(boxes, sd.label_boxes)
+    norms = np.linalg.norm(V, axis=1)
+    unit = V / norms[:, None]
+    cos = np.clip(unit @ sd.emb.T, -1.0, 1.0)
+
+    for li, label in enumerate(sd.labels):
+        matched_mask = ious[:, :, li] >= config.label_iou_min
+        rows = np.flatnonzero(matched_mask.any(axis=1))
+        if rows.size == 0:
+            tally.num_missed += 1
+            continue
+        tally.num_assigned += 1
+        masked_scores = np.where(matched_mask[rows], scores[rows], -np.inf)
+        best_obj = np.argmax(masked_scores, axis=1)
+        best_scores = masked_scores[np.arange(rows.size), best_obj]
+        responsible_pos = int(np.argmax(best_scores))
+
+        sel_logits = logits[rows, best_obj]
+        targets = np.zeros(rows.size)
+        targets[responsible_pos] = 1.0
+        losses, dlosses = sigmoid_focal_loss(sel_logits, targets)
+        tally.cls_sum += float(np.sum(losses))
+
+        for k in np.flatnonzero(row_trainable[rows]):
+            r = rows[k]
+            o = best_obj[k]
+            coeff = float(dlosses[k]) * params.logit_scale
+            grad[r] += coeff * (sd.emb[o] - cos[r, o] * unit[r]) / norms[r]
+
+        r_row = rows[responsible_pos]
+        r_obj = best_obj[responsible_pos]
+        cand = BBox(*(float(v) for v in boxes[r_row, r_obj]))
+        tally.bbox_sum += l1_box_loss(cand, label.bbox, sd.scene.width, sd.scene.height)
+        tally.giou_sum += giou_loss(cand, label.bbox)
+
+
+def reference_batch(data, batch_ids, V, row_trainable, params, config):
+    """(tally, grad) of one batch of scene ids, scene by scene in batch order."""
+    grad = np.zeros_like(V)
+    tally = _BatchTally()
+    for sid in batch_ids:
+        accumulate_scene(data[int(sid)], V, row_trainable, params, config, grad, tally)
+    return tally, grad

@@ -204,6 +204,48 @@ def test_04_max_angular_coverage(capsys, default_runs):
     )
 
 
+# Final AR@1, AR@10, AR@100, AP, per-round label counts and final MAC (radians)
+# of the five default runs, seeds 0..4.  A change that moves any of these
+# changes what the method computes and has to say so.
+PINNED_DEFAULT_RUNS = {
+    0: (
+        0.24625, 0.9246874999999999, 0.9246874999999999, 0.9212763766951797,
+        [320, 222, 311, 320], 0.9602585918724503,
+    ),
+    1: (
+        0.2496875, 0.9518749999999999, 0.9518749999999999, 0.9508427539340106,
+        [320, 207, 306, 320], 0.9008410947021258,
+    ),
+    2: (
+        0.2453125, 0.9015624999999998, 0.9015624999999998, 0.8980939711421179,
+        [320, 179, 260, 320], 0.8418185541890101,
+    ),
+    3: (
+        0.24906250000000002, 0.9459375000000001, 0.9459375000000001, 0.944788022243466,
+        [320, 184, 303, 320], 0.9126006416783834,
+    ),
+    4: (
+        0.24937499999999999, 0.9546875, 0.9546875, 0.9532631273817562,
+        [320, 248, 318, 320], 0.9168199752865646,
+    ),
+}
+
+
+def test_default_runs_match_pinned_metrics(default_runs):
+    results, _ = default_runs
+    for seed, result in enumerate(results):
+        final = result.eval_summaries[-1]
+        got = (
+            final.ar_at[1],
+            final.ar_at[10],
+            final.ar_at[100],
+            final.ap,
+            list(result.label_counts),
+            result.mac_report.alpha_max[-1],
+        )
+        assert got == PINNED_DEFAULT_RUNS[seed], seed
+
+
 def _tables_to_types(dets, gts, scene_ids):
     gt_set = GroundTruthSet(
         by_scene={

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from dipex.boxes import BBox, iou
 from dipex.detection_losses import giou, giou_loss, l1_box_loss, sigmoid_focal_loss
 
+import reference_train
+
 
 def test_l1_identical_boxes_is_zero():
     b = BBox(10.0, 20.0, 50.0, 60.0)
@@ -123,3 +125,45 @@ def test_focal_vectorized_matches_scalar():
         want_l, want_d = sigmoid_focal_loss(float(logits[i]), float(targets[i]))
         assert losses[i] == pytest.approx(want_l, abs=1e-12)
         assert dlosses[i] == pytest.approx(want_d, abs=1e-12)
+
+
+@st.composite
+def boxes_maybe_degenerate(draw):
+    x = draw(box_coords)
+    y = draw(box_coords)
+    w = draw(st.sampled_from([0.0, 1.0, 7.5]) | box_extent)
+    h = draw(st.sampled_from([0.0, 2.0]) | box_extent)
+    return BBox(x, y, x + w, y + h)
+
+
+@given(
+    st.lists(
+        st.tuples(boxes_maybe_degenerate(), boxes_maybe_degenerate()), min_size=1, max_size=12
+    )
+)
+def test_box_losses_vectorized_match_scalar_formulas(pairs):
+    preds = np.array([p.as_tuple() for p, _ in pairs])
+    targets = np.array([t.as_tuple() for _, t in pairs])
+    widths = np.full(len(pairs), 640.0)
+    heights = np.full(len(pairs), 480.0)
+    l1 = l1_box_loss(preds, targets, widths, heights)
+    g = giou_loss(preds, targets)
+    assert l1.shape == g.shape == (len(pairs),)
+    for i, (p, t) in enumerate(pairs):
+        assert l1[i] == reference_train.l1_box_loss(p, t, 640.0, 480.0)
+        assert g[i] == reference_train.giou_loss(p, t)
+        assert type(l1_box_loss(p, t, 640.0, 480.0)) is float
+        assert type(giou_loss(p, t)) is float
+
+
+def test_box_losses_flag_degenerate_boxes(caplog):
+    point = np.array([[3.0, 3.0, 3.0, 3.0]])
+    box = np.array([[0.0, 0.0, 4.0, 4.0]])
+    with caplog.at_level("WARNING", logger="dipex.detection_losses"):
+        assert giou(point, point)[0] == 0.0
+        l1_box_loss(box, point, 100.0, 100.0)
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("giou" in m and "empty hull" in m for m in messages)
+    assert any("l1_box_loss" in m and "zero-area" in m for m in messages)
+    with pytest.raises(ValueError):
+        l1_box_loss(box, box, np.array([640.0]), np.array([0.0]))

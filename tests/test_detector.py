@@ -245,3 +245,16 @@ def test_vocabulary_without_noise_keeps_centers(small_world):
     assert len(vocab) == small_world.config.num_clusters
     for vec, center in zip(vocab, small_world.cluster_centers):
         assert np.allclose(vec, normalize(center), atol=1e-12)
+
+
+def test_detect_world_matches_detect_scene(small_world, default_params):
+    # close prompts, so query merging applies a penalty below 1
+    base = small_world.cluster_centers[0]
+    nearby = normalize(base + 0.3 * small_world.cluster_centers[1])
+    prompts = [(0, base), (3, nearby), (5, base * 2.0)]
+    for mode in QueryMode:
+        by_scene = detect_world(small_world, prompts, mode, default_params, seed=4)
+        for scene in small_world.scenes:
+            assert by_scene[scene.id] == detect_scene(
+                scene, prompts, mode, default_params, small_world, seed=4
+            )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dipex.detector import DetectorParams, candidate_detections
+from dipex.detector import DetectorParams, QueryMode, candidate_detections, detect_world
 from dipex.expansion import (
     ActivationStats,
     EmptyPseudoLabels,
@@ -12,7 +12,7 @@ from dipex.expansion import (
     PromptNode,
     PromptTree,
     _candidate_grid,
-    _scene_data,
+    _round_data,
     activation_frequency,
     bootstrap_labels,
     expand,
@@ -21,7 +21,7 @@ from dipex.expansion import (
     select_parent,
     train_round,
 )
-from dipex.geometry import angular_distance, normalize
+from dipex.geometry import angular_distance, mac, normalize
 from dipex.pseudo_labels import PseudoLabelSet
 
 FAST = ExpansionConfig(
@@ -166,21 +166,31 @@ def test_mac_report_convergence_rules():
     assert report.converged(math.pi, 1e-9)
 
 
+def test_mac_report_value_is_the_matrix_maximum():
+    rng = np.random.default_rng(3)
+    vecs = np.stack([normalize(rng.normal(size=16)) for _ in range(7)])
+    report = MacReport()
+    value = report.record(2, vecs)
+    assert value == mac(vecs)
+    assert value == report.alpha_max[-1] == np.max(report.matrices[-1])
+
+
 def test_candidate_grid_matches_public_detector(tiny_world, default_params):
     rng = np.random.default_rng(9)
     prompts = [(i, normalize(rng.normal(size=tiny_world.config.dim))) for i in range(3)]
     V = np.stack([vec for _, vec in prompts])
-    empty = PseudoLabelSet(by_scene={})
-    data = _scene_data(tiny_world, empty, seed=0)
-    for scene in tiny_world.scenes:
+    unit = V / np.linalg.norm(V, axis=1, keepdims=True)
+    data = _round_data(tiny_world, PseudoLabelSet(by_scene={}), seed=0)
+    scenes = sorted(tiny_world.scenes, key=lambda s: s.id)
+    _, _, scores, boxes = _candidate_grid(data, np.arange(len(scenes)), unit, default_params)
+    for row, scene in enumerate(scenes):
         dets = candidate_detections(scene, prompts, default_params, tiny_world, seed=0)
-        logits, scores, boxes = _candidate_grid(data[scene.id], V, default_params)
         n_obj = len(scene.object_ids)
         for pi in range(len(prompts)):
             for oi in range(n_obj):
                 det = dets[pi * n_obj + oi]
-                assert det.score == scores[pi, oi]
-                assert det.bbox.as_tuple() == tuple(boxes[pi, oi])
+                assert det.score == scores[row, pi, oi]
+                assert det.bbox.as_tuple() == tuple(boxes[row, pi, oi])
 
 
 def test_train_round_root_only(tiny_world, default_params):
@@ -246,6 +256,18 @@ def test_run_grows_expected_tree(tiny_world):
     assert len(result.activation_history) == FAST.num_expansions
     assert len(result.mac_report.rounds) == FAST.num_expansions
     assert result.mac_report.rounds == [2]
+
+
+def test_run_carries_the_final_trees_detections(tiny_world):
+    result = run(tiny_world, FAST)
+    fresh = detect_world(
+        tiny_world,
+        result.tree.prompt_items(),
+        QueryMode.PREDICTION_MERGING,
+        DetectorParams(),
+        FAST.seed,
+    )
+    assert result.final_detections == fresh
 
 
 def test_run_is_deterministic(tiny_world):

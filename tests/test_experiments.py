@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 
@@ -256,3 +257,21 @@ def test_eval_only_merges_duplicate_sources(tmp_path):
     assert merged.ar_at[100] == pytest.approx(plain.ar_at[100], abs=1e-9)
     gts = load_coco_ground_truth(out / "ground_truth.json")
     assert plain.num_scenes == gts.num_scenes
+
+
+def test_eval_only_manifest_hashes_inputs_and_outputs(tmp_path):
+    out, _ = run_dipex(FAST_CONFIG, tmp_path / "run")
+    gt, dets = out / "ground_truth.json", out / "detections.json"
+    first, _ = run_eval_only(gt, [dets, dets], tmp_path / "a", merge=True, nms_sigma=0.3)
+    again, _ = run_eval_only(gt, [dets, dets], tmp_path / "b", merge=True, nms_sigma=0.3)
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["experiment"] == "eval"
+    assert manifest["config"] == {
+        "merge": True, "nms_sigma": 0.3, "nms_floor": 0.001, "max_dets": [1, 10, 100]
+    }
+    assert manifest["ground_truth_sha256"] == sha256(gt)
+    assert manifest["detections_sha256"] == [sha256(dets), sha256(dets)]
+    on_disk = {p.name: sha256(p) for p in first.iterdir() if p.name != "manifest.json"}
+    assert manifest["artifacts"] == on_disk == {"summary.json": ANY, "summary.csv": ANY}
+    # nothing in it depends on where the output went
+    assert (first / "manifest.json").read_bytes() == (again / "manifest.json").read_bytes()

@@ -147,6 +147,7 @@ def test_mac_matches_brute_force():
             n = int(rng.integers(2, 11))
             vecs = [normalize(rng.normal(size=d)) for _ in range(n)]
             assert mac(vecs) == pytest.approx(brute_force_mac(vecs), abs=1e-9)
+            assert mac(vecs, pairwise_angle_matrix(vecs)) == mac(vecs)
 
 
 def test_mac_edge_cases():
