@@ -8,7 +8,6 @@ from .detector import (
     QueryMode,
     VocabularyConfig,
     build_vocabulary,
-    detect_scene,
     detect_world,
 )
 from .dispersion import LossBreakdown, child_child_loss, combine, parent_child_loss
@@ -25,7 +24,7 @@ from .expansion import (
     train_round,
 )
 from .geometry import GivensRotation, apply_rotation, mac, normalize, sample_child_rotations
-from .pseudo_labels import PseudoLabel, PseudoLabelSet, assign_responsibility, build_pseudo_labels, soft_nms
+from .pseudo_labels import PseudoLabel, PseudoLabelSet, build_pseudo_labels, soft_nms
 from .world import World, WorldConfig, generate_world
 
 __version__ = "0.1.0"
@@ -51,12 +50,10 @@ __all__ = [
     "WorldConfig",
     "__version__",
     "apply_rotation",
-    "assign_responsibility",
     "build_pseudo_labels",
     "build_vocabulary",
     "child_child_loss",
     "combine",
-    "detect_scene",
     "detect_world",
     "evaluate",
     "expand",

@@ -1,12 +1,19 @@
 """Deterministic simulated grounded detector.
 
-Scoring is a calibrated cosine head: raw_logit = a * cos(prompt, object) + b.
+Scoring is a calibrated cosine head: logit = a * cos(prompt, object) + b.
 Submitting several semantically close prompts in one query degrades the whole
 query via a multiplicative overlap penalty (the query-interference failure
 mode this package exists to study); submitting prompts one at a time and
 merging predictions afterwards avoids it.  Localization is the ground-truth
 box displaced along a direction hashed from (seed, scene, object) by an
 amount that shrinks as confidence grows.
+
+The detector works on a whole world at once.  ``pack_world`` lays its scenes
+out as dense (scene, object) arrays and ``candidate_detections`` scores every
+(scene, prompt, object) triple, with its box, in one pass.  Training,
+activation counting, the per-prompt label passes and both query modes all
+start from that grid; ``Detection`` objects are built only for what a call
+returns.
 """
 
 from __future__ import annotations
@@ -19,10 +26,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boxes import BBox
+from .boxes import BBox, box_iou
 from .geometry import apply_rotation, normalize, sample_child_rotations
 from .pseudo_labels import soft_nms
-from .world import Scene, World
+from .world import World
 
 
 class QueryMode(Enum):
@@ -64,14 +71,6 @@ class Detection:
     object_id: int  # provenance for diagnostics only; matching logic uses boxes
 
 
-def raw_logit(prompt: np.ndarray, embedding: np.ndarray, params: DetectorParams) -> float:
-    """a * cos(prompt, embedding) + b, cosine clamped to [-1, 1]."""
-    p = normalize(prompt)
-    e = normalize(embedding)
-    cos = float(np.clip(p @ e, -1.0, 1.0))
-    return params.logit_scale * cos + params.logit_bias
-
-
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
@@ -101,144 +100,169 @@ def _noise_direction(seed: int, scene_id: int, object_id: int) -> tuple[float, f
     return math.cos(phi), math.sin(phi)
 
 
-def noisy_box(
-    gt: BBox,
-    score: float,
-    scene: Scene,
-    object_id: int,
-    params: DetectorParams,
-    seed: int,
-) -> BBox:
-    """Ground-truth box translated by box_noise * (1 - score) * sqrt(area)
-    along the object's hashed direction, clipped to the scene."""
-    dx, dy = _noise_direction(seed, scene.id, object_id)
-    mag = params.box_noise * (1.0 - score) * math.sqrt(gt.area)
-    return gt.translate(mag * dx, mag * dy).clip(scene.width, scene.height)
-
-
-def _prompt_matrix(prompts: Sequence[tuple[int, np.ndarray]]) -> tuple[list[int], np.ndarray]:
+def unit_prompts(prompts: Sequence[tuple[int, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, unit rows) of (id, vector) prompts, in the given order."""
     ids = [int(pid) for pid, _ in prompts]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate prompt ids")
-    mat = np.stack([normalize(vec) for _, vec in prompts])
-    return ids, mat
+    return np.array(ids, dtype=int), np.stack([normalize(vec) for _, vec in prompts])
 
 
-def pair_scores(
-    scene: Scene,
-    prompts: Sequence[tuple[int, np.ndarray]],
-    params: DetectorParams,
-    world: World,
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Penalty-free logits and sigmoid scores for every (prompt, object) pair.
+@dataclass(frozen=True)
+class SceneArrays:
+    """A world's scenes as dense arrays, one row per scene in id order.
 
-    Returns (prompt_ids, logits, scores), arrays shaped (n_prompts, n_objects)
-    with object columns in scene order.  This is the raw material both query
-    modes share before merging policy and noise are applied.
+    Scenes with fewer objects than the widest one are padded with object id
+    -1, a zero embedding and an all-zero box, which overlaps nothing.
     """
-    ids, mat = _prompt_matrix(prompts)
-    return (ids, *_unit_pair_scores(scene, mat, params, world))
+
+    scene_ids: np.ndarray   # (S,)
+    object_ids: np.ndarray  # (S, O), -1 marks padding
+    emb: np.ndarray         # (S, O, dim) unit object embeddings
+    gt: np.ndarray          # (S, O, 4) ground-truth xyxy
+    sqrt_area: np.ndarray   # (S, O)
+    dirs: np.ndarray        # (S, O, 2) hashed unit shift directions
+    size: np.ndarray        # (S, 2) scene width, height
 
 
-def _unit_pair_scores(
-    scene: Scene, mat: np.ndarray, params: DetectorParams, world: World
-) -> tuple[np.ndarray, np.ndarray]:
-    """pair_scores' (logits, scores) for unit prompts in the rows of ``mat``."""
-    emb = np.stack([o.embedding for o in world.scene_objects(scene)])
-    cos = np.clip(mat @ emb.T, -1.0, 1.0)
-    logits = params.logit_scale * cos + params.logit_bias
-    return logits, sigmoid(logits)
-
-
-def candidate_detections(
-    scene: Scene,
-    prompts: Sequence[tuple[int, np.ndarray]],
-    params: DetectorParams,
-    world: World,
-    seed: int = 0,
-) -> list[Detection]:
-    """All (prompt, object) candidates with noisy boxes, no threshold, no cap.
-
-    Training consumes these directly: the score floor that governs reported
-    detections would otherwise silence the gradient signal for weak prompts.
-    """
-    ids, _, scores = pair_scores(scene, prompts, params, world)
-    objects = world.scene_objects(scene)
-    out = []
-    for pi, pid in enumerate(ids):
-        for oi, obj in enumerate(objects):
-            s = float(scores[pi, oi])
-            box = noisy_box(obj.bbox, s, scene, obj.id, params, seed)
-            out.append(Detection(scene.id, box, s, pid, obj.id))
-    return out
-
-
-def _canonical(dets: list[Detection]) -> list[Detection]:
-    return sorted(
-        dets, key=lambda d: (-d.score, d.prompt_id, d.bbox.as_tuple())
+def pack_world(world: World, seed: int) -> SceneArrays:
+    """The world's scenes as ``SceneArrays``, shift directions hashed with ``seed``."""
+    scenes = sorted(world.scenes, key=lambda s: s.id)
+    objects = [world.scene_objects(scene) for scene in scenes]
+    shape = (len(scenes), max(len(objs) for objs in objects))
+    object_ids = np.full(shape, -1)
+    emb = np.zeros(shape + (world.config.dim,))
+    gt = np.zeros(shape + (4,))
+    dirs = np.zeros(shape + (2,))
+    for row, (scene, objs) in enumerate(zip(scenes, objects)):
+        object_ids[row, : len(objs)] = [o.id for o in objs]
+        emb[row, : len(objs)] = [o.embedding for o in objs]
+        gt[row, : len(objs)] = [o.bbox.as_tuple() for o in objs]
+        dirs[row, : len(objs)] = [_noise_direction(seed, scene.id, o.id) for o in objs]
+    return SceneArrays(
+        scene_ids=np.array([scene.id for scene in scenes], dtype=int),
+        object_ids=object_ids,
+        emb=emb,
+        gt=gt,
+        sqrt_area=np.sqrt((gt[..., 2] - gt[..., 0]) * (gt[..., 3] - gt[..., 1])),
+        dirs=dirs,
+        size=np.array([(scene.width, scene.height) for scene in scenes], dtype=float),
     )
 
 
-def detect_scene(
-    scene: Scene,
-    prompts: Sequence[tuple[int, np.ndarray]],
-    mode: QueryMode,
+def candidate_detections(
+    scenes: SceneArrays,
+    unit: np.ndarray,
     params: DetectorParams,
-    world: World,
-    seed: int = 0,
-) -> list[Detection]:
-    """Run one scene through the detector under the given merging policy.
+    rows: np.ndarray | slice = slice(None),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(cos, logits, scores, boxes) of every (scene, prompt, object) triple.
 
-    Query merging submits the whole prompt set at once: every score is
-    sigmoid(logit) * overlap_penalty(set) and each object is reported once
-    under its best prompt (ties to the lowest prompt id).  Prediction merging
-    runs each prompt alone (penalty 1), unions the passes and applies
-    Gaussian soft-NMS.  Both modes then drop scores below the detection
-    threshold and keep the top max_detections.
+    ``unit`` holds unit prompts, one per row, and ``rows`` picks the scenes.
+    Arrays are shaped (n_scene, n_prompt, n_obj), boxes with a trailing xyxy
+    axis.  There is no threshold and no cap: training consumes every
+    candidate, because the score floor that governs reported detections
+    would silence the gradient signal of weak prompts.
     """
-    ids, mat = _prompt_matrix(prompts)
-    penalty = _unit_overlap_penalty(mat, params)
-    return _detect_unit_scene(scene, ids, mat, penalty, mode, params, world, seed)
+    cos = np.clip(np.matmul(unit, scenes.emb[rows].transpose(0, 2, 1)), -1.0, 1.0)
+    logits = params.logit_scale * cos + params.logit_bias
+    scores = sigmoid(logits)
+    return cos, logits, scores, _noisy_boxes(scenes, rows, scores, params)
 
 
-def _detect_unit_scene(
-    scene: Scene,
-    ids: list[int],
-    mat: np.ndarray,
-    penalty: float,
-    mode: QueryMode,
+def _noisy_boxes(
+    scenes: SceneArrays, rows: np.ndarray | slice, scores: np.ndarray, params: DetectorParams
+) -> np.ndarray:
+    """Ground-truth boxes translated by box_noise * (1 - score) * sqrt(area)
+    along each object's hashed direction and clipped to the scene; ``scores``
+    is shaped (n_scene, n_prompt, n_obj)."""
+    mag = params.box_noise * (1.0 - scores) * scenes.sqrt_area[rows][:, None, :]
+    dirs = scenes.dirs[rows][:, None]
+    dx, dy = mag * dirs[..., 0], mag * dirs[..., 1]
+    gt = scenes.gt[rows][:, None]
+    w = scenes.size[rows, 0][:, None, None]
+    h = scenes.size[rows, 1][:, None, None]
+    x0 = np.minimum(np.maximum(gt[..., 0] + dx, 0.0), w)
+    y0 = np.minimum(np.maximum(gt[..., 1] + dy, 0.0), h)
+    x1 = np.maximum(x0, np.minimum(np.maximum(gt[..., 2] + dx, 0.0), w))
+    y1 = np.maximum(y0, np.minimum(np.maximum(gt[..., 3] + dy, 0.0), h))
+    return np.stack([x0, y0, x1, y1], axis=-1)
+
+
+def _canonical(scores: np.ndarray, pids: np.ndarray, boxes: np.ndarray, *groups) -> np.ndarray:
+    """Stable order by (groups..., -score, prompt id, box): reporting order."""
+    keys = (boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], pids, -scores)
+    return np.lexsort(keys + groups[::-1])
+
+
+def _merge(
+    scores: np.ndarray, pids: np.ndarray, boxes: np.ndarray, params: DetectorParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prediction merging of one group of candidates in canonical order:
+    soft-NMS, canonical order of the suppressed scores, threshold and cap.
+    Returns the positions kept and their suppressed scores."""
+    kept = soft_nms(scores, params.nms_sigma, params.nms_floor, box_iou(boxes[:, None], boxes[None]))
+    pos = np.array([i for i, _ in kept])
+    final = np.array([score for _, score in kept])
+    order = _canonical(final, pids[pos], boxes[pos])
+    pos, final = pos[order], final[order]
+    keep = np.flatnonzero(final >= params.score_threshold)[: params.max_detections]
+    return pos[keep], final[keep]
+
+
+def _merge_groups(
+    groups: np.ndarray,
+    pids: np.ndarray,
+    scores: np.ndarray,
+    boxes: np.ndarray,
+    plain: np.ndarray,
     params: DetectorParams,
-    world: World,
-    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prediction merging of flat candidates, one group at a time (``_merge``).
+
+    A group whose candidates are all marked ``plain`` has no overlapping
+    pair.  Soft-NMS would rescale its scores by exactly 1, so it keeps the
+    first candidate and every later one over the floor, scores unchanged;
+    that is computed directly for all such groups at once.  Returns (indices
+    into the inputs, suppressed scores), ordered by group, then canonically.
+    """
+    order = _canonical(scores, pids, boxes, groups)
+    g, plain, ordered = groups[order], plain[order], scores[order]
+    first = np.searchsorted(g, g)
+    leads = np.arange(g.size) == first
+    keep = plain & (leads | (ordered >= params.nms_floor))
+    kept = np.cumsum(keep)
+    keep &= kept - (kept - keep)[first] <= params.max_detections
+    picks, finals = [order[keep]], [ordered[keep]]
+    for start in np.flatnonzero(leads & ~plain):
+        seg = order[start : np.searchsorted(g, g[start], side="right")]
+        pos, final = _merge(scores[seg], pids[seg], boxes[seg], params)
+        picks.append(seg[pos])
+        finals.append(final)
+    pick, final = np.concatenate(picks), np.concatenate(finals)
+    out = np.argsort(groups[pick], kind="stable")
+    return pick[out], final[out]
+
+
+def _detections(
+    scenes: SceneArrays,
+    ids: np.ndarray,
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray],
+    scores: np.ndarray,
+    boxes: np.ndarray,
 ) -> list[Detection]:
-    """detect_scene for unit prompts in the rows of ``mat``, whose
-    query-merging ``penalty`` is already computed."""
-    _, scores = _unit_pair_scores(scene, mat, params, world)
-    objects = world.scene_objects(scene)
-    dets: list[Detection] = []
-
-    if mode is QueryMode.QUERY_MERGING:
-        merged = scores * penalty
-        for oi, obj in enumerate(objects):
-            col = merged[:, oi]
-            best = min(range(len(ids)), key=lambda pi: (-col[pi], ids[pi]))
-            s = float(col[best])
-            box = noisy_box(obj.bbox, s, scene, obj.id, params, seed)
-            dets.append(Detection(scene.id, box, s, ids[best], obj.id))
-    elif mode is QueryMode.PREDICTION_MERGING:
-        for pi, pid in enumerate(ids):
-            for oi, obj in enumerate(objects):
-                s = float(scores[pi, oi])
-                if s < params.score_threshold:
-                    continue
-                box = noisy_box(obj.bbox, s, scene, obj.id, params, seed)
-                dets.append(Detection(scene.id, box, s, pid, obj.id))
-        dets = soft_nms(_canonical(dets), sigma=params.nms_sigma, score_floor=params.nms_floor)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown query mode: {mode}")
-
-    kept = [d for d in _canonical(dets) if d.score >= params.score_threshold]
-    return kept[: params.max_detections]
+    """Detection objects for flat (scene row, prompt row, object) cells."""
+    s, p, o = cells
+    return [
+        Detection(sid, BBox(x0, y0, x1, y1), score, pid, oid)
+        for sid, x0, y0, x1, y1, score, pid, oid in zip(
+            scenes.scene_ids[s].tolist(),
+            *boxes.T.tolist(),
+            scores.tolist(),
+            ids[p].tolist(),
+            scenes.object_ids[s, o].tolist(),
+        )
+    ]
 
 
 def detect_world(
@@ -248,17 +272,86 @@ def detect_world(
     params: DetectorParams,
     seed: int = 0,
 ) -> dict[int, list[Detection]]:
-    """detect_scene over every scene, keyed by scene id in scene order.
+    """Run every scene through the detector under the given merging policy,
+    keyed by scene id in scene order.
 
-    The prompts are normalized, and their query-merging penalty computed,
-    once for the whole world.
+    Query merging submits the whole prompt set at once: every score is
+    sigmoid(logit) * overlap_penalty(set) and each object is reported once
+    under its best prompt (ties to the lowest prompt id), its box placed by
+    that penalized score.  Prediction merging runs each prompt alone
+    (penalty 1), unions the passes and applies Gaussian soft-NMS per scene.
+    Both modes then order each scene by (-score, prompt id, box), drop
+    scores below the detection threshold and keep the top max_detections.
     """
-    ids, mat = _prompt_matrix(prompts)
-    penalty = _unit_overlap_penalty(mat, params)
-    return {
-        scene.id: _detect_unit_scene(scene, ids, mat, penalty, mode, params, world, seed)
-        for scene in world.scenes
-    }
+    ids, unit = unit_prompts(prompts)
+    scenes = pack_world(world, seed)
+    _, _, scores, boxes = candidate_detections(scenes, unit, params)
+    valid = (scenes.object_ids >= 0)[:, None, :]
+    if mode is QueryMode.QUERY_MERGING:
+        scores = scores * _unit_overlap_penalty(unit, params)
+        tied = scores == scores.max(axis=1, keepdims=True)
+        best = np.argmin(np.where(tied, ids[None, :, None], ids.max() + 1), axis=1)
+        scores = np.take_along_axis(scores, best[:, None], axis=1)
+        boxes = _noisy_boxes(scenes, slice(None), scores, params)
+        s, _, o = np.nonzero(valid & (scores >= params.score_threshold))
+        p = best[s, o]
+        scores, boxes = scores[s, 0, o], boxes[s, 0, o]
+        order = _canonical(scores, ids[p], boxes, s)
+        rank = np.arange(order.size) - np.searchsorted(s[order], s[order])
+        pick = order[rank < params.max_detections]
+        final = scores[pick]
+    elif mode is QueryMode.PREDICTION_MERGING:
+        s, p, o = np.nonzero(valid & (scores >= params.score_threshold))
+        scores, boxes = scores[s, p, o], boxes[s, p, o]
+        plain = np.zeros(s.size, dtype=bool)
+        pick, final = _merge_groups(s, ids[p], scores, boxes, plain, params)
+    else:  # pragma: no cover - enum is closed
+        raise ValueError(f"unknown query mode: {mode}")
+
+    out: dict[int, list[Detection]] = {scene.id: [] for scene in world.scenes}
+    for det in _detections(scenes, ids, (s[pick], p[pick], o[pick]), final, boxes[pick]):
+        out[det.scene_id].append(det)
+    return out
+
+
+def detect_each(
+    world: World,
+    prompts: Sequence[tuple[int, np.ndarray]],
+    params: DetectorParams,
+    seed: int = 0,
+) -> dict[int, list[Detection]]:
+    """Each prompt run through the detector alone, keyed by prompt id: what
+    one prediction-merging ``detect_world`` call per prompt returns, as one
+    list over the scenes in id order.
+
+    Each prompt's cosines come from its own one-row product, as in a
+    one-prompt ``detect_world`` call; one product over all prompts can round
+    differently.  Soft-NMS runs only for the (scene, prompt) pairs with an
+    overlapping pair of candidates.
+    """
+    ids, unit = unit_prompts(prompts)
+    scenes = pack_world(world, seed)
+    grids = [candidate_detections(scenes, unit[i : i + 1], params)[2:] for i in range(ids.size)]
+    scores = np.concatenate([grid[0] for grid in grids], axis=1)
+    boxes = np.concatenate([grid[1] for grid in grids], axis=1)
+    cand = (scenes.object_ids >= 0)[:, None, :] & (scores >= params.score_threshold)
+    overlapping = np.zeros(cand.shape[:2], dtype=bool)
+    for a, b in zip(*np.triu_indices(cand.shape[2], 1)):
+        overlapping |= cand[..., a] & cand[..., b] & (box_iou(boxes[..., a, :], boxes[..., b, :]) > 0.0)
+    s, p, o = np.nonzero(cand)
+    pick, final = _merge_groups(
+        p * scenes.scene_ids.size + s,
+        ids[p],
+        scores[s, p, o],
+        boxes[s, p, o],
+        ~overlapping[s, p],
+        params,
+    )
+    out: dict[int, list[Detection]] = {int(pid): [] for pid in ids}
+    cells = (s[pick], p[pick], o[pick])
+    for det in _detections(scenes, ids, cells, final, boxes[cells]):
+        out[det.prompt_id].append(det)
+    return out
 
 
 def detections_to_coco(dets_by_scene: Mapping[int, Sequence[Detection]]) -> list[dict]:

@@ -137,17 +137,8 @@ def combine(
     gamma_bbox: float = 5.0,
     gamma_giou: float = 2.0,
     gamma_cls: float = 1.0,
-    grad_parent_child: GradientSet | None = None,
-    grad_child_child: GradientSet | None = None,
-    grad_cls: GradientSet | None = None,
-) -> tuple[LossBreakdown, GradientSet | None]:
-    """Weighted total of the loss terms, plus the matching gradient sum.
-
-    Box terms never carry gradients here (the simulated detector's box noise
-    is not differentiable with respect to prompts); classification and
-    dispersion gradients are summed with the same weights as their values.
-    Gradient arrays must share one (K, d) shape.
-    """
+) -> LossBreakdown:
+    """Weighted total of the loss terms, with each term kept for reporting."""
     total = (
         parent_child
         + gamma * child_child
@@ -155,7 +146,7 @@ def combine(
         + gamma_giou * giou
         + gamma_cls * cls
     )
-    breakdown = LossBreakdown(
+    return LossBreakdown(
         parent_child=float(parent_child),
         child_child=float(child_child),
         bbox=float(bbox),
@@ -163,16 +154,3 @@ def combine(
         cls=float(cls),
         total=float(total),
     )
-    parts = []
-    if grad_parent_child is not None:
-        parts.append(np.asarray(grad_parent_child, dtype=float))
-    if grad_child_child is not None:
-        parts.append(gamma * np.asarray(grad_child_child, dtype=float))
-    if grad_cls is not None:
-        parts.append(gamma_cls * np.asarray(grad_cls, dtype=float))
-    if not parts:
-        return breakdown, None
-    shape = parts[0].shape
-    if any(p.shape != shape for p in parts):
-        raise ValueError("gradient sets must share one shape")
-    return breakdown, sum(parts)

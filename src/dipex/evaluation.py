@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -88,9 +89,13 @@ class GroundTruthSet:
         dims: dict[int, tuple[int, int]] = {}
         for i, image in enumerate(doc["images"]):
             try:
-                dims[int(image["id"])] = (int(image["width"]), int(image["height"]))
-            except (TypeError, KeyError) as exc:
+                sid = int(image["id"])
+                size = (int(image["width"]), int(image["height"]))
+            except (TypeError, KeyError, ValueError) as exc:
                 raise CocoFormatError(f"images[{i}] missing id/width/height") from exc
+            if sid in dims:
+                raise CocoFormatError(f"images[{i}] repeats image id {sid}")
+            dims[sid] = size
         by_scene: dict[int, list[GroundTruth]] = {sid: [] for sid in dims}
         for i, ann in enumerate(doc["annotations"]):
             try:
@@ -100,8 +105,11 @@ class GroundTruthSet:
                 raise CocoFormatError(f"annotations[{i}] missing image_id/bbox") from exc
             if sid not in dims:
                 raise CocoFormatError(f"annotations[{i}] references unknown image {sid}")
-            bbox = BBox.from_xywh(x, y, w, h)
-            area = float(ann.get("area", bbox.area))
+            try:
+                bbox = BBox.from_xywh(x, y, w, h)
+                area = float(ann.get("area", bbox.area))
+            except (TypeError, ValueError) as exc:
+                raise CocoFormatError(f"annotations[{i}]: {exc}") from exc
             by_scene[sid].append(
                 GroundTruth(sid, bbox, area, iscrowd=bool(ann.get("iscrowd", 0)))
             )
@@ -165,9 +173,13 @@ def load_coco_detections(path: str | Path) -> dict[int, list[DetectionRecord]]:
             raise CocoFormatError(
                 f"{path}: results[{i}] missing image_id/bbox/score"
             ) from exc
-        by_scene.setdefault(sid, []).append(
-            DetectionRecord(sid, BBox.from_xywh(x, y, w, h), score)
-        )
+        if not math.isfinite(score):
+            raise CocoFormatError(f"{path}: results[{i}] has non-finite score {score}")
+        try:
+            bbox = BBox.from_xywh(x, y, w, h)
+        except ValueError as exc:
+            raise CocoFormatError(f"{path}: results[{i}]: {exc}") from exc
+        by_scene.setdefault(sid, []).append(DetectionRecord(sid, bbox, score))
     return by_scene
 
 

@@ -14,10 +14,13 @@ losses are tracked for reporting; the simulated detector's box noise is not
 differentiable with respect to the prompts, so they carry no gradient.
 
 Training works on a whole batch of scenes at once.  A round packs its scenes
-into dense (scene, object) and (scene, label) arrays, padded and masked where
-scenes differ in size; each batch then takes one pass over its
+into the detector's dense (scene, object) arrays plus (scene, label) arrays,
+padded where scenes differ in size; each batch then takes one pass over its
 (scene, prompt, object, label) grid for the candidate boxes, IoU,
-responsibility matching, focal loss and gradient, and box bookkeeping.
+responsibility matching, focal loss and gradient, and box bookkeeping.  The
+same candidate grid and the same responsibility matcher count how many
+labels each prompt answers for when the next parent is picked, and the label
+passes run every prompt through the detector in one grid pass.
 
 Growth stops after the configured number of expansions, or earlier when the
 maximum pairwise angle either clears the coverage threshold or stalls between
@@ -34,21 +37,25 @@ from typing import Sequence
 
 import numpy as np
 
+from .boxes import box_iou
 from .detection_losses import giou_loss, l1_box_loss, sigmoid_focal_loss
 from .detector import (
     Detection,
     DetectorParams,
     QueryMode,
+    SceneArrays,
     VocabularyConfig,
-    _noise_direction,
     build_vocabulary,
     candidate_detections,
+    detect_each,
     detect_world,
+    pack_world,
+    unit_prompts,
 )
 from .dispersion import LossBreakdown, child_child_loss, combine, parent_child_loss
 from .evaluation import DEFAULT_MAX_DETS, EvalSummary, GroundTruthSet, evaluate
 from .geometry import apply_rotation, mac, normalize, pairwise_angle_matrix, sample_child_rotations
-from .pseudo_labels import PseudoLabelSet, assign_responsibility, build_pseudo_labels
+from .pseudo_labels import PseudoLabelSet, build_pseudo_labels
 from .world import World
 
 
@@ -309,94 +316,38 @@ class RoundStats:
 
 @dataclass(frozen=True)
 class _RoundData:
-    """Static dense tensors of one round, one row per scene in id order.
+    """The packed scenes of one round plus their pseudo-labels, one row per
+    scene in id order.
 
-    Scenes with fewer objects or labels than the widest one are padded with
-    all-zero boxes.  A zero box overlaps nothing, so padding never clears the
-    (positive) IoU floor of matching; ``label_mask`` marks the real labels
-    for counting misses.
+    Scenes with fewer labels than the widest one are padded with all-zero
+    boxes.  A zero box overlaps nothing, so padding (of labels or objects)
+    never clears the (positive) IoU floor of matching; ``label_mask`` marks
+    the real labels for counting misses.
     """
 
-    emb: np.ndarray          # (S, O, dim) unit object embeddings
-    gt: np.ndarray           # (S, O, 4) ground-truth xyxy
-    sqrt_area: np.ndarray    # (S, O)
-    dirs: np.ndarray         # (S, O, 2) hashed unit shift directions
-    size: np.ndarray         # (S, 2) scene width, height
+    scenes: SceneArrays
     label_boxes: np.ndarray  # (S, L, 4) xyxy, in each scene's label order
     label_mask: np.ndarray   # (S, L) bool
 
 
 def _round_data(world: World, labels: PseudoLabelSet, seed: int) -> _RoundData:
-    scenes = sorted(world.scenes, key=lambda s: s.id)
-    objects = [world.scene_objects(scene) for scene in scenes]
-    scene_labels = [labels.labels(scene.id) for scene in scenes]
+    scenes = pack_world(world, seed)
+    scene_labels = [labels.labels(int(sid)) for sid in scenes.scene_ids]
     n_lab = np.array([len(labs) for labs in scene_labels])
-    shape = (len(scenes), max(len(objs) for objs in objects))
-    emb = np.zeros(shape + (world.config.dim,))
-    gt = np.zeros(shape + (4,))
-    dirs = np.zeros(shape + (2,))
-    label_boxes = np.zeros((len(scenes), int(n_lab.max()), 4))
-    for row, (scene, objs, labs) in enumerate(zip(scenes, objects, scene_labels)):
-        emb[row, : len(objs)] = [o.embedding for o in objs]
-        gt[row, : len(objs)] = [o.bbox.as_tuple() for o in objs]
-        dirs[row, : len(objs)] = [_noise_direction(seed, scene.id, o.id) for o in objs]
+    label_boxes = np.zeros((len(scene_labels), int(n_lab.max()), 4))
+    for row, labs in enumerate(scene_labels):
         if labs:
             label_boxes[row, : len(labs)] = [label.bbox.as_tuple() for label in labs]
     return _RoundData(
-        emb=emb,
-        gt=gt,
-        sqrt_area=np.sqrt((gt[..., 2] - gt[..., 0]) * (gt[..., 3] - gt[..., 1])),
-        dirs=dirs,
-        size=np.array([(scene.width, scene.height) for scene in scenes], dtype=float),
+        scenes=scenes,
         label_boxes=label_boxes,
         label_mask=np.arange(label_boxes.shape[1]) < n_lab[:, None],
     )
 
 
-def _candidate_grid(
-    data: _RoundData, rows: np.ndarray, unit: np.ndarray, params: DetectorParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(cos, logits, scores, boxes) for every (scene, prompt, object) triple.
-
-    ``unit`` holds the unit prompts, one per row.  Vectorized twin of the
-    detector's candidate path: same logit affine, same score-dependent shift
-    along the hashed direction, same clipping.  Arrays are shaped
-    (n_scene, n_prompt, n_obj), boxes with a trailing xyxy axis.
-    """
-    cos = np.clip(np.matmul(unit, data.emb[rows].transpose(0, 2, 1)), -1.0, 1.0)
-    logits = params.logit_scale * cos + params.logit_bias
-    scores = 1.0 / (1.0 + np.exp(-np.clip(logits, -60.0, 60.0)))
-    mag = params.box_noise * (1.0 - scores) * data.sqrt_area[rows][:, None, :]
-    dirs = data.dirs[rows][:, None]
-    dx, dy = mag * dirs[..., 0], mag * dirs[..., 1]
-    gt = data.gt[rows][:, None]
-    w = data.size[rows, 0][:, None, None]
-    h = data.size[rows, 1][:, None, None]
-    x0 = np.minimum(np.maximum(gt[..., 0] + dx, 0.0), w)
-    y0 = np.minimum(np.maximum(gt[..., 1] + dy, 0.0), h)
-    x1 = np.maximum(x0, np.minimum(np.maximum(gt[..., 2] + dx, 0.0), w))
-    y1 = np.maximum(y0, np.minimum(np.maximum(gt[..., 3] + dy, 0.0), h))
-    boxes = np.stack([x0, y0, x1, y1], axis=-1)
-    return cos, logits, scores, boxes
-
-
-def _iou_grid(boxes: np.ndarray, label_boxes: np.ndarray) -> np.ndarray:
-    """IoU between candidates (n_s, n_p, n_o, 4) and labels (n_s, n_l, 4),
-    shaped (n_s, n_p, n_o, n_l)."""
-    a = boxes[..., None, :]
-    b = label_boxes[:, None, None]
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    union = area_a + area_b - inter
-    return np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
-
-
 @dataclass(frozen=True)
 class _Match:
-    """Responsibility matching of one batch, indexed (scene, prompt, label).
+    """Responsibility matching, indexed (scene, prompt, label).
 
     ``has[s, p, l]``: prompt p has a candidate over the IoU floor for label l;
     ``best_obj`` is that prompt's best-scoring such object (ties to the
@@ -411,14 +362,24 @@ class _Match:
     assigned: np.ndarray
 
 
-def _match(
-    data: _RoundData, rows: np.ndarray, scores: np.ndarray, boxes: np.ndarray, iou_min: float
+def assign_responsibility(
+    data: _RoundData,
+    rows: np.ndarray | slice,
+    scores: np.ndarray,
+    boxes: np.ndarray,
+    iou_min: float,
 ) -> _Match:
-    matched = _iou_grid(boxes, data.label_boxes[rows]) >= iou_min
-    masked = np.where(matched, scores[..., None], -np.inf)
+    """Match the labels of scenes ``rows`` to their candidate grid.
+
+    A candidate matches a label at IoU >= iou_min; per prompt only its
+    best-scoring match counts, and the prompt with the best such score is
+    responsible for the label.  Labels with no match at all are misses.
+    """
+    ious = box_iou(boxes[..., None, :], data.label_boxes[rows][:, None, None])
+    masked = np.where(ious >= iou_min, scores[..., None], -np.inf)
     best_obj = np.argmax(masked, axis=2)
     best = np.take_along_axis(masked, best_obj[:, :, None], axis=2)[:, :, 0]
-    has = matched.any(axis=2)
+    has = best > -np.inf
     return _Match(has, best_obj, np.argmax(best, axis=1), has.any(axis=1))
 
 
@@ -461,8 +422,8 @@ def _batch_step(
     """
     norms = np.linalg.norm(V, axis=1)
     unit = V / norms[:, None]
-    cos, logits, scores, boxes = _candidate_grid(data, rows, unit, params)
-    m = _match(data, rows, scores, boxes, config.label_iou_min)
+    cos, logits, scores, boxes = candidate_detections(data.scenes, unit, params, rows)
+    m = assign_responsibility(data, rows, scores, boxes, config.label_iou_min)
     grad = np.zeros_like(V)
     num_labels = int(np.count_nonzero(data.label_mask[rows]))
     num_assigned = int(np.count_nonzero(m.assigned))
@@ -491,7 +452,7 @@ def _batch_step(
     # (pairs, dim) buffer instead of one per operation
     terms = unit[p]
     terms *= cos[s, p, o][:, None]
-    np.subtract(data.emb[rows[s], o], terms, out=terms)
+    np.subtract(data.scenes.emb[rows[s], o], terms, out=terms)
     terms *= coeff[:, None]
     terms /= norms[p][:, None]
     # Unbuffered, in term order; flat indices take numpy's fast 1-d path.
@@ -502,7 +463,7 @@ def _batch_step(
     p = m.responsible[s, l]
     cand = boxes[s, p, m.best_obj[s, p, l]]
     target = data.label_boxes[rows[s], l]
-    size = data.size[rows[s]]
+    size = data.scenes.size[rows[s]]
     tally.bbox_sum = _in_order_sum(l1_box_loss(cand, target, size[:, 0], size[:, 1]))
     tally.giou_sum = _in_order_sum(giou_loss(cand, target))
     return tally, grad
@@ -544,7 +505,7 @@ def train_round(
     )
 
     data = _round_data(world, labels, config.seed)
-    num_scenes = data.emb.shape[0]
+    num_scenes = data.scenes.scene_ids.size
     stats = RoundStats(
         round_index=tree.round_index,
         epoch_losses=[],
@@ -576,7 +537,7 @@ def train_round(
             else:
                 pc_value, cc_value = 0.0, 0.0
 
-            breakdown, _ = combine(
+            breakdown = combine(
                 pc_value,
                 cc_value,
                 bbox_value,
@@ -633,16 +594,17 @@ def activation_frequency(
     iou_min: float = 0.5,
     seed: int = 0,
 ) -> ActivationStats:
-    """Share of pseudo-labels each prompt answers for, over the whole world."""
-    items = tree.prompt_items()
-    dets = []
-    for scene in world.scenes:
-        dets.extend(candidate_detections(scene, items, params, world, seed))
-    assignments, _ = assign_responsibility(dets, labels, iou_min)
-    counts = {nid: 0 for nid, _ in items}
-    for record in assignments:
-        counts[record.responsible_prompt_id] += 1
-    return ActivationStats(counts=counts, total=len(assignments))
+    """Share of pseudo-labels each prompt answers for, over the whole world:
+    training's responsibility matching over every candidate of every scene."""
+    ids, unit = unit_prompts(tree.prompt_items())
+    data = _round_data(world, labels, seed)
+    _, _, scores, boxes = candidate_detections(data.scenes, unit, params)
+    m = assign_responsibility(data, slice(None), scores, boxes, iou_min)
+    counts = np.bincount(m.responsible[m.assigned], minlength=ids.size)
+    return ActivationStats(
+        counts=dict(zip(ids.tolist(), counts.tolist())),
+        total=int(np.count_nonzero(m.assigned)),
+    )
 
 
 def select_parent(stats: ActivationStats, candidates: Sequence[int]) -> int:
@@ -705,19 +667,7 @@ def rebuild_labels(
     plain thresholding for a single prompt) so one prompt's weak scores never
     suppress another's; the label builder then unions and deduplicates.
     """
-    label_params = replace(params, score_threshold=config.label_threshold)
-    sources = {}
-    for nid, emb in tree.prompt_items():
-        per_scene = detect_world(
-            world, [(nid, emb)], QueryMode.PREDICTION_MERGING, label_params, config.seed
-        )
-        sources[f"prompt_{nid:03d}"] = [d for dets in per_scene.values() for d in dets]
-    return build_pseudo_labels(
-        sources,
-        threshold=config.label_threshold,
-        sigma=params.nms_sigma,
-        score_floor=params.nms_floor,
-    )
+    return _label_pass(tree.prompt_items(), "prompt_{:03d}", world, config, params)
 
 
 def bootstrap_labels(
@@ -727,15 +677,22 @@ def bootstrap_labels(
     params: DetectorParams,
 ) -> PseudoLabelSet:
     """Zero-shot pseudo-labels from a fixed query vocabulary."""
+    return _label_pass(list(enumerate(queries)), "vocab_{:02d}", world, config, params)
+
+
+def _label_pass(
+    prompts: Sequence[tuple[int, np.ndarray]],
+    tag: str,
+    world: World,
+    config: ExpansionConfig,
+    params: DetectorParams,
+) -> PseudoLabelSet:
+    """Pseudo-labels from every prompt's own detections, each prompt a source
+    named by ``tag``."""
     label_params = replace(params, score_threshold=config.label_threshold)
-    sources = {}
-    for qi, query in enumerate(queries):
-        per_scene = detect_world(
-            world, [(qi, query)], QueryMode.PREDICTION_MERGING, label_params, config.seed
-        )
-        sources[f"vocab_{qi:02d}"] = [d for dets in per_scene.values() for d in dets]
+    dets = detect_each(world, prompts, label_params, config.seed)
     return build_pseudo_labels(
-        sources,
+        {tag.format(pid): found for pid, found in dets.items()},
         threshold=config.label_threshold,
         sigma=params.nms_sigma,
         score_floor=params.nms_floor,

@@ -1,12 +1,12 @@
-"""Pseudo-label construction from detector output.
+"""Pseudo-label construction from detector output, and the Gaussian soft-NMS
+that the label builder, the detector's prediction merging and
+``eval --merge`` share.
 
 Predictions from one or more query sources are unioned per scene, run through
 Gaussian soft-NMS, and kept when their suppressed score clears the label
 threshold.  Surviving labels keep their original (pre-suppression) scores:
 suppression decides membership only, which makes the build a fixed point --
-rebuilding from its own output reproduces it exactly.  Responsibility
-assignment then matches labels back to per-prompt detections by IoU and
-declares the best-scoring prompt responsible for each label.
+rebuilding from its own output reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .boxes import BBox, iou
+import numpy as np
+
+from .boxes import BBox, box_iou, iou  # noqa: F401  (perfbench/tracing.py counts iou calls here)
 
 
 class ScoredBox(Protocol):
@@ -77,54 +79,46 @@ class PseudoLabelSet:
         }
 
 
-def soft_nms(dets: Sequence[ScoredBox], sigma: float = 0.5, score_floor: float = 0.001) -> list:
-    """Gaussian soft-NMS: repeatedly select the highest-scoring box (ties to
-    the earliest), rescale the rest by exp(-IoU^2 / sigma), and drop anything
-    whose running score falls below ``score_floor``.
+def soft_nms(
+    dets: Sequence[ScoredBox] | np.ndarray,
+    sigma: float = 0.5,
+    score_floor: float = 0.001,
+    ious: np.ndarray | None = None,
+) -> list:
+    """Gaussian soft-NMS (Bodla et al. 2017): repeatedly select the highest
+    running score (ties to the earliest), rescale the rest by
+    exp(-IoU^2 / sigma), and drop anything whose running score falls below
+    ``score_floor``.  No score ever increases and the first selection keeps
+    its score.
 
-    Returns rescored copies sorted by final score (the selection order).  No
-    score ever increases and the top-1 detection is untouched.
+    Takes scored boxes and returns rescored copies in selection order, or a
+    1-d array of scores with ``ious``, their IoU matrix, and returns the
+    selection as (index, score) pairs without building any object.  Each
+    selection rescales only the boxes that overlap it (a disjoint pair's
+    factor is exactly 1), with factors from math.exp, so the result is bit
+    for bit that of a one-box-at-a-time loop.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    remaining = [(float(d.score), idx, d) for idx, d in enumerate(dets)]
+    if ious is None:
+        boxes = np.array([d.bbox.as_tuple() for d in dets], dtype=float).reshape(-1, 4)
+        scores = np.array([float(d.score) for d in dets])
+        kept = soft_nms(scores, sigma, score_floor, box_iou(boxes[:, None], boxes[None]))
+        return [dataclasses.replace(dets[i], score=score) for i, score in kept]
+    alive = np.arange(len(dets))
+    running = np.array(dets, dtype=float)
     kept = []
-    while remaining:
-        best_pos = min(range(len(remaining)), key=lambda i: (-remaining[i][0], remaining[i][1]))
-        score, _, det = remaining.pop(best_pos)
-        kept.append(dataclasses.replace(det, score=score))
-        box = det.bbox
-        rescored = []
-        for s, idx, d in remaining:
-            s2 = s * math.exp(-iou(box, d.bbox) ** 2 / sigma)
-            if s2 >= score_floor:
-                rescored.append((s2, idx, d))
-        remaining = rescored
+    while alive.size:
+        pos = int(np.argmax(running))
+        best = alive[pos]
+        kept.append((int(best), float(running[pos])))
+        row = ious[best, alive]
+        hit = np.flatnonzero(row > 0.0)
+        running[hit] *= [math.exp(-v ** 2 / sigma) for v in row[hit].tolist()]
+        live = running >= score_floor
+        live[pos] = False
+        alive, running = alive[live], running[live]
     return kept
-
-
-def _suppression_survivors(
-    records: Sequence[tuple[float, int, BBox]], sigma: float, floor: float
-) -> list[int]:
-    """Indices of records kept by Gaussian suppression with a hard floor.
-
-    Same dynamics as soft_nms, but boxes dropped by the floor are removed
-    before they are ever selected, so survivors' trajectories depend only on
-    other survivors (this is what makes the label build idempotent).
-    """
-    remaining = [(score, idx, box) for score, idx, box in records]
-    survivors: list[int] = []
-    while remaining:
-        best_pos = min(range(len(remaining)), key=lambda i: (-remaining[i][0], remaining[i][1]))
-        score, idx, box = remaining.pop(best_pos)
-        survivors.append(idx)
-        rescored = []
-        for s, i, b in remaining:
-            s2 = s * math.exp(-iou(box, b) ** 2 / sigma)
-            if s2 >= floor:
-                rescored.append((s2, i, b))
-        remaining = rescored
-    return survivors
 
 
 def build_pseudo_labels(
@@ -163,11 +157,16 @@ def build_pseudo_labels(
         entries = sorted(
             per_scene[scene_id], key=lambda e: (-e[0], e[1].as_tuple(), e[2])
         )
-        records = [(score, idx, box) for idx, (score, box, _) in enumerate(entries)]
-        survivors = _suppression_survivors(records, sigma, floor)
+        boxes = np.array([box.as_tuple() for _, box, _ in entries])
+        kept = soft_nms(
+            np.array([score for score, _, _ in entries]),
+            sigma,
+            floor,
+            box_iou(boxes[:, None], boxes[None]),
+        )
         labels = [
             PseudoLabel(scene_id, entries[i][1], entries[i][0], entries[i][2])
-            for i in sorted(survivors)
+            for i in sorted(i for i, _ in kept)
         ]
         if labels:
             by_scene[scene_id] = tuple(labels)
@@ -178,69 +177,3 @@ def build_pseudo_labels(
         "sources": sorted(str(s) for s in detections_by_source),
     }
     return PseudoLabelSet(by_scene=by_scene, meta=meta)
-
-
-@dataclass(frozen=True)
-class ResponsibilityRecord:
-    """One pseudo-label matched to the prompt set.
-
-    ``targets`` holds the focal-loss target (0/1) for every prompt that had a
-    detection overlapping the label; exactly one prompt carries target 1.
-    ``matched`` keeps that best detection per prompt for box bookkeeping.
-    """
-
-    label: PseudoLabel
-    responsible_prompt_id: int
-    targets: dict[int, int]
-    matched: dict[int, object]
-
-
-def assign_responsibility(
-    dets: Sequence,
-    labels: PseudoLabelSet | Sequence[PseudoLabel],
-    iou_min: float = 0.5,
-) -> tuple[list[ResponsibilityRecord], list[PseudoLabel]]:
-    """Match labels to per-prompt detections and pick the responsible prompt.
-
-    For each label, every detection with IoU >= iou_min is a match; per
-    prompt only its best-scoring match counts.  The prompt with the highest
-    matched score (ties to the lowest prompt id) is responsible (target 1),
-    every other matched prompt gets target 0.  Labels with no match at all
-    are returned separately as misses.
-    """
-    if not (0.0 < iou_min <= 1.0):
-        raise ValueError(f"iou_min out of (0, 1]: {iou_min}")
-    label_list = (
-        list(labels.all_labels()) if isinstance(labels, PseudoLabelSet) else list(labels)
-    )
-    dets_by_scene: dict[int, list] = {}
-    for d in dets:
-        dets_by_scene.setdefault(int(d.scene_id), []).append(d)
-
-    assignments: list[ResponsibilityRecord] = []
-    misses: list[PseudoLabel] = []
-    for label in label_list:
-        best_by_prompt: dict[int, object] = {}
-        for det in dets_by_scene.get(label.scene_id, ()):
-            if iou(det.bbox, label.bbox) < iou_min:
-                continue
-            pid = int(det.prompt_id)
-            cur = best_by_prompt.get(pid)
-            if cur is None or det.score > cur.score:
-                best_by_prompt[pid] = det
-        if not best_by_prompt:
-            misses.append(label)
-            continue
-        responsible = min(
-            best_by_prompt, key=lambda pid: (-best_by_prompt[pid].score, pid)
-        )
-        targets = {pid: int(pid == responsible) for pid in sorted(best_by_prompt)}
-        assignments.append(
-            ResponsibilityRecord(
-                label=label,
-                responsible_prompt_id=responsible,
-                targets=targets,
-                matched={pid: best_by_prompt[pid] for pid in sorted(best_by_prompt)},
-            )
-        )
-    return assignments, misses

@@ -1,0 +1,195 @@
+"""Scalar reference for the array detector, soft-NMS and responsibility
+matcher.
+
+These are the one-pair-at-a-time versions that `dipex.detector`'s candidate
+grid, the array `soft_nms` and `expansion.assign_responsibility` replaced:
+a `BBox` and a `Detection` per (prompt, object) pair, Python loops for both
+merging policies, a Python soft-NMS and an object-based label matcher.  They
+are kept here only to cross-check the fast paths, which must reproduce them
+exactly.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from dipex.boxes import BBox, iou
+from dipex.detector import (
+    Detection,
+    DetectorParams,
+    QueryMode,
+    _noise_direction,
+    _unit_overlap_penalty,
+    sigmoid,
+)
+from dipex.geometry import normalize
+from dipex.pseudo_labels import PseudoLabel, PseudoLabelSet
+
+
+def raw_logit(prompt: np.ndarray, embedding: np.ndarray, params: DetectorParams) -> float:
+    """a * cos(prompt, embedding) + b, cosine clamped to [-1, 1]."""
+    cos = float(np.clip(normalize(prompt) @ normalize(embedding), -1.0, 1.0))
+    return params.logit_scale * cos + params.logit_bias
+
+
+def noisy_box(gt: BBox, score: float, scene, object_id: int, params: DetectorParams, seed: int) -> BBox:
+    """Ground-truth box translated by box_noise * (1 - score) * sqrt(area)
+    along the object's hashed direction, clipped to the scene."""
+    dx, dy = _noise_direction(seed, scene.id, object_id)
+    mag = params.box_noise * (1.0 - score) * math.sqrt(gt.area)
+    return gt.translate(mag * dx, mag * dy).clip(scene.width, scene.height)
+
+
+def _prompt_matrix(prompts) -> tuple[list[int], np.ndarray]:
+    ids = [int(pid) for pid, _ in prompts]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate prompt ids")
+    return ids, np.stack([normalize(vec) for _, vec in prompts])
+
+
+def pair_scores(scene, prompts, params: DetectorParams, world):
+    """(prompt_ids, logits, scores) of every (prompt, object) pair of one
+    scene, shaped (n_prompts, n_objects), without penalty or noise."""
+    ids, mat = _prompt_matrix(prompts)
+    emb = np.stack([o.embedding for o in world.scene_objects(scene)])
+    logits = params.logit_scale * np.clip(mat @ emb.T, -1.0, 1.0) + params.logit_bias
+    return ids, logits, sigmoid(logits)
+
+
+def candidate_detections(scene, prompts, params: DetectorParams, world, seed: int = 0) -> list[Detection]:
+    """All (prompt, object) candidates of one scene, prompt by prompt."""
+    ids, _, scores = pair_scores(scene, prompts, params, world)
+    out = []
+    for pi, pid in enumerate(ids):
+        for oi, obj in enumerate(world.scene_objects(scene)):
+            s = float(scores[pi, oi])
+            box = noisy_box(obj.bbox, s, scene, obj.id, params, seed)
+            out.append(Detection(scene.id, box, s, pid, obj.id))
+    return out
+
+
+def soft_nms(dets: Sequence, sigma: float = 0.5, score_floor: float = 0.001) -> list:
+    """Gaussian soft-NMS one box at a time: select the highest running score
+    (ties to the earliest), rescale the rest by exp(-IoU^2 / sigma), drop
+    those under the floor; rescored copies in selection order."""
+    remaining = [(float(d.score), idx, d) for idx, d in enumerate(dets)]
+    kept = []
+    while remaining:
+        best_pos = min(range(len(remaining)), key=lambda i: (-remaining[i][0], remaining[i][1]))
+        score, _, det = remaining.pop(best_pos)
+        kept.append(dataclasses.replace(det, score=score))
+        rescored = []
+        for s, idx, d in remaining:
+            s2 = s * math.exp(-iou(det.bbox, d.bbox) ** 2 / sigma)
+            if s2 >= score_floor:
+                rescored.append((s2, idx, d))
+        remaining = rescored
+    return kept
+
+
+def _canonical(dets: list[Detection]) -> list[Detection]:
+    return sorted(dets, key=lambda d: (-d.score, d.prompt_id, d.bbox.as_tuple()))
+
+
+def detect_scene(scene, prompts, mode: QueryMode, params: DetectorParams, world, seed: int = 0) -> list[Detection]:
+    """One scene through the detector, pair by pair, under either policy."""
+    ids, mat = _prompt_matrix(prompts)
+    _, _, scores = pair_scores(scene, prompts, params, world)
+    objects = world.scene_objects(scene)
+    dets: list[Detection] = []
+    if mode is QueryMode.QUERY_MERGING:
+        merged = scores * _unit_overlap_penalty(mat, params)
+        for oi, obj in enumerate(objects):
+            col = merged[:, oi]
+            best = min(range(len(ids)), key=lambda pi: (-col[pi], ids[pi]))
+            s = float(col[best])
+            box = noisy_box(obj.bbox, s, scene, obj.id, params, seed)
+            dets.append(Detection(scene.id, box, s, ids[best], obj.id))
+    else:
+        for pi, pid in enumerate(ids):
+            for oi, obj in enumerate(objects):
+                s = float(scores[pi, oi])
+                if s < params.score_threshold:
+                    continue
+                box = noisy_box(obj.bbox, s, scene, obj.id, params, seed)
+                dets.append(Detection(scene.id, box, s, pid, obj.id))
+        dets = soft_nms(_canonical(dets), sigma=params.nms_sigma, score_floor=params.nms_floor)
+    kept = [d for d in _canonical(dets) if d.score >= params.score_threshold]
+    return kept[: params.max_detections]
+
+
+def detect_world(world, prompts, mode: QueryMode, params: DetectorParams, seed: int = 0) -> dict[int, list[Detection]]:
+    return {scene.id: detect_scene(scene, prompts, mode, params, world, seed) for scene in world.scenes}
+
+
+@dataclass(frozen=True)
+class ResponsibilityRecord:
+    """One pseudo-label matched to the prompt set: its responsible prompt,
+    the focal target (0/1) of every matched prompt, and each matched
+    prompt's best detection."""
+
+    label: PseudoLabel
+    responsible_prompt_id: int
+    targets: dict[int, int]
+    matched: dict[int, object]
+
+
+def assign_responsibility(dets: Sequence, labels, iou_min: float = 0.5):
+    """Per label: every detection with IoU >= iou_min matches, per prompt only
+    its best-scoring match counts, and the best such prompt (ties to the
+    lowest id) is responsible.  Returns (records, missed labels)."""
+    if not (0.0 < iou_min <= 1.0):
+        raise ValueError(f"iou_min out of (0, 1]: {iou_min}")
+    label_list = list(labels.all_labels()) if isinstance(labels, PseudoLabelSet) else list(labels)
+    dets_by_scene: dict[int, list] = {}
+    for d in dets:
+        dets_by_scene.setdefault(int(d.scene_id), []).append(d)
+    assignments, misses = [], []
+    for label in label_list:
+        best_by_prompt: dict[int, object] = {}
+        for det in dets_by_scene.get(label.scene_id, ()):
+            if iou(det.bbox, label.bbox) < iou_min:
+                continue
+            pid = int(det.prompt_id)
+            cur = best_by_prompt.get(pid)
+            if cur is None or det.score > cur.score:
+                best_by_prompt[pid] = det
+        if not best_by_prompt:
+            misses.append(label)
+            continue
+        responsible = min(best_by_prompt, key=lambda pid: (-best_by_prompt[pid].score, pid))
+        assignments.append(
+            ResponsibilityRecord(
+                label=label,
+                responsible_prompt_id=responsible,
+                targets={pid: int(pid == responsible) for pid in sorted(best_by_prompt)},
+                matched={pid: best_by_prompt[pid] for pid in sorted(best_by_prompt)},
+            )
+        )
+    return assignments, misses
+
+
+def activation_counts(tree, labels, world, params: DetectorParams, iou_min: float = 0.5, seed: int = 0):
+    """(counts by prompt id, total) of responsibility over every candidate."""
+    items = tree.prompt_items()
+    dets = []
+    for scene in world.scenes:
+        dets.extend(candidate_detections(scene, items, params, world, seed))
+    assignments, _ = assign_responsibility(dets, labels, iou_min)
+    counts = {nid: 0 for nid, _ in items}
+    for record in assignments:
+        counts[record.responsible_prompt_id] += 1
+    return counts, len(assignments)
+
+
+def label_sources(prompts, world, params: DetectorParams, seed: int = 0) -> dict[int, list[Detection]]:
+    """Each prompt's own prediction-merging detections over the world."""
+    return {
+        int(pid): [d for dets in detect_world(world, [(pid, vec)], QueryMode.PREDICTION_MERGING, params, seed).values() for d in dets]
+        for pid, vec in prompts
+    }

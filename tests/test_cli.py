@@ -162,6 +162,53 @@ def test_malformed_detections_exit_code(tmp_path, capsys):
     assert captured.err.startswith("error[data]:")
 
 
+def _eval_exit(tmp_path, capsys, gt_path, det_path):
+    code = main(
+        ["eval", "--gt", str(gt_path), "--dets", str(det_path), "--out", str(tmp_path / "e")]
+    )
+    return code, capsys.readouterr().err
+
+
+def test_inverted_box_is_a_data_error(tmp_path, capsys):
+    gt_path, det_path = write_eval_fixture(tmp_path)
+    doc = json.loads(gt_path.read_text())
+    doc["annotations"][1]["bbox"] = [60.0, 60.0, -30.0, 30.0]
+    bad_gt = tmp_path / "bad_gt.json"
+    bad_gt.write_text(json.dumps(doc))
+    code, err = _eval_exit(tmp_path, capsys, bad_gt, det_path)
+    assert code == 3
+    assert err.startswith("error[data]:") and "annotations[1]" in err and "inverted" in err
+
+    dets = json.loads(det_path.read_text())
+    dets[2]["bbox"] = [5.0, 5.0, 50.0, -1.0]
+    bad_dets = tmp_path / "bad_dets.json"
+    bad_dets.write_text(json.dumps(dets))
+    code, err = _eval_exit(tmp_path, capsys, gt_path, bad_dets)
+    assert code == 3
+    assert err.startswith("error[data]:") and "results[2]" in err and "inverted" in err
+
+
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_score_is_a_data_error(tmp_path, capsys, score):
+    gt_path, det_path = write_eval_fixture(tmp_path)
+    dets = json.loads(det_path.read_text())
+    dets[0]["score"] = score
+    det_path.write_text(json.dumps(dets))  # NaN and Infinity literals
+    code, err = _eval_exit(tmp_path, capsys, gt_path, det_path)
+    assert code == 3
+    assert err.startswith("error[data]:") and "non-finite score" in err
+
+
+def test_duplicate_image_id_is_a_data_error(tmp_path, capsys):
+    gt_path, det_path = write_eval_fixture(tmp_path)
+    doc = json.loads(gt_path.read_text())
+    doc["images"].append({"id": 1, "width": 50, "height": 50})
+    gt_path.write_text(json.dumps(doc))
+    code, err = _eval_exit(tmp_path, capsys, gt_path, det_path)
+    assert code == 3
+    assert err.startswith("error[data]:") and "repeats image id 1" in err
+
+
 def test_schema_violation_exit_code(tmp_path, capsys):
     gt_path, det_path = write_eval_fixture(tmp_path)
     doc = json.loads(gt_path.read_text())

@@ -1,25 +1,34 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dipex.boxes import BBox
 from dipex.detector import (
-    Detection,
     DetectorParams,
     QueryMode,
     VocabularyConfig,
     build_vocabulary,
     candidate_detections,
-    detect_scene,
+    detect_each,
     detect_world,
     detections_to_coco,
-    noisy_box,
     overlap_penalty,
-    pair_scores,
-    raw_logit,
+    pack_world,
     sigmoid,
 )
 from dipex.geometry import angular_distance, normalize
+from dipex.world import Scene, World
+
+import reference_detector as ref
+from reference_detector import noisy_box, pair_scores, raw_logit
+
+
+def detect_scene(scene, prompts, mode, params, world, seed=0):
+    """The detector's output for one scene."""
+    return detect_world(world, prompts, mode, params, seed)[scene.id]
 
 
 def object_prompts(world, scene):
@@ -103,17 +112,23 @@ def test_candidate_detections_keep_every_pair(small_world, default_params):
     prompts = object_prompts(small_world, scene)
     # aim one prompt away from everything so some scores fall below threshold
     prompts.append((len(prompts), -small_world.scene_objects(scene)[0].embedding))
-    cands = candidate_detections(scene, prompts, default_params, small_world)
-    assert len(cands) == len(prompts) * len(scene.object_ids)
+    unit = np.stack([normalize(vec) for _, vec in prompts])
+    scenes = pack_world(small_world, seed=0)
+    _, _, scores, boxes = candidate_detections(scenes, unit, default_params)
+    shape = (len(small_world.scenes), len(prompts), len(scene.object_ids))
+    assert scores.shape == shape and boxes.shape == shape + (4,)
     # candidates ignore the score threshold on purpose
-    assert min(d.score for d in cands) < default_params.score_threshold
+    assert scores[0].min() < default_params.score_threshold
 
 
 def test_duplicate_prompt_ids_rejected(small_world, default_params):
     scene = small_world.scenes[0]
     vec = small_world.objects[0].embedding
+    for mode in QueryMode:
+        with pytest.raises(ValueError):
+            detect_world(small_world, [(1, vec), (1, vec)], mode, default_params)
     with pytest.raises(ValueError):
-        pair_scores(scene, [(1, vec), (1, vec)], default_params, small_world)
+        detect_each(small_world, [(1, vec), (1, vec)], default_params)
 
 
 def test_single_prompt_modes_agree(small_world, default_params):
@@ -254,7 +269,92 @@ def test_detect_world_matches_detect_scene(small_world, default_params):
     prompts = [(0, base), (3, nearby), (5, base * 2.0)]
     for mode in QueryMode:
         by_scene = detect_world(small_world, prompts, mode, default_params, seed=4)
-        for scene in small_world.scenes:
-            assert by_scene[scene.id] == detect_scene(
-                scene, prompts, mode, default_params, small_world, seed=4
-            )
+        assert by_scene == ref.detect_world(small_world, prompts, mode, default_params, seed=4)
+
+
+def _prompt_set(world, rng, n, ties):
+    """n prompts near the cluster centres in shuffled id order; with ``ties``,
+    some are exact copies, which forces score ties."""
+    centers = world.cluster_centers[rng.integers(0, len(world.cluster_centers), size=n)]
+    vecs = centers + rng.normal(scale=rng.uniform(0.0, 0.8), size=centers.shape)
+    for k in range(1, n):
+        if ties and rng.random() < 0.2:
+            vecs[k] = vecs[int(rng.integers(0, k))]
+    ids = rng.permutation(3 * n)[:n]
+    return [(int(pid), vec) for pid, vec in zip(ids, vecs)]
+
+
+def _random_params(rng):
+    return DetectorParams(
+        score_threshold=float(rng.choice([0.0, 0.05, 0.25, 0.5])),
+        max_detections=int(rng.choice([1, 3, 100])),
+        nms_sigma=float(rng.choice([0.1, 0.5, 2.0])),
+        nms_floor=float(rng.choice([0.001, 0.3])),
+        box_noise=float(rng.choice([0.15, 3.0, 8.0])),
+    )
+
+
+def _detector_runs(world, prompts, params, seed):
+    """(ours, reference) for both query modes and for detect_each."""
+    pairs = [
+        (detect_world(world, prompts, mode, params, seed), ref.detect_world(world, prompts, mode, params, seed))
+        for mode in QueryMode
+    ]
+    pairs.append((detect_each(world, prompts, params, seed), ref.label_sources(prompts, world, params, seed)))
+    return pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.sampled_from(["tiny", "small"]))
+def test_detector_matches_scalar_reference(tiny_world, small_world, seed, which):
+    """detect_world in both modes, and detect_each, equal the pair-by-pair
+    detector, under random thresholds, floors, caps and exact score ties."""
+    rng = np.random.default_rng(seed)
+    world = tiny_world if which == "tiny" else small_world
+    if rng.random() < 0.5:
+        world = _crowded(world, rng)
+    prompts = _prompt_set(world, rng, int(rng.integers(1, 12)), ties=True)
+    for ours, want in _detector_runs(world, prompts, _random_params(rng), int(rng.integers(0, 100))):
+        assert ours == want
+
+
+def _crowded(world, rng):
+    """The same world with every box moved into one corner, so that one
+    prompt's candidates overlap each other and soft-NMS has work to do."""
+    objects = []
+    for obj in world.objects:
+        x, y = rng.uniform(0.0, 60.0, size=2)
+        w, h = rng.uniform(10.0, 80.0, size=2)
+        objects.append(dataclasses.replace(obj, bbox=BBox(x, y, x + w, y + h)))
+    return World(world.config, world.cluster_centers, objects, world.scenes)
+
+
+def _ragged(world, rng):
+    """The same world with objects dropped from some scenes."""
+    scenes = [
+        Scene(s.id, s.width, s.height, s.object_ids[: int(rng.integers(1, len(s.object_ids) + 1))])
+        for s in world.scenes
+    ]
+    return World(world.config, world.cluster_centers, world.objects, scenes)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_detector_masks_padded_objects(small_world, seed):
+    """On scenes of unequal size the detector reports the reference's
+    detections, none for padding.  The reference multiplies each scene's
+    narrower object matrix, which BLAS may round differently, so scores and
+    boxes agree to 1e-12 rather than bit for bit (and no ties are forced)."""
+    rng = np.random.default_rng(seed)
+    world = _ragged(small_world, rng)
+    prompts = _prompt_set(world, rng, int(rng.integers(1, 12)), ties=False)
+    for ours, want in _detector_runs(world, prompts, _random_params(rng), 0):
+        assert ours.keys() == want.keys()
+        for key in ours:
+            got, ref_dets = ours[key], want[key]
+            assert [(d.scene_id, d.prompt_id, d.object_id) for d in got] == [
+                (d.scene_id, d.prompt_id, d.object_id) for d in ref_dets
+            ]
+            for a, b in zip(got, ref_dets):
+                assert a.score == pytest.approx(b.score, rel=1e-12, abs=1e-12)
+                assert a.bbox.as_tuple() == pytest.approx(b.bbox.as_tuple(), rel=1e-12)

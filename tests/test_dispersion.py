@@ -117,31 +117,28 @@ def test_gradients_defined_off_sphere():
     assert rel_err(grads, numeric) < 1e-4
 
 
-def test_combine_weights_and_gradients():
-    breakdown, grad = combine(
+def test_combine_weights_every_term():
+    breakdown = combine(
         1.0, 2.0, 3.0, 4.0, 5.0,
         gamma=0.1, gamma_bbox=5.0, gamma_giou=2.0, gamma_cls=1.0,
-        grad_parent_child=np.ones((2, 3)),
-        grad_child_child=np.full((2, 3), 2.0),
-        grad_cls=np.full((2, 3), 3.0),
     )
     assert breakdown.total == pytest.approx(1.0 + 0.2 + 15.0 + 8.0 + 5.0)
-    assert breakdown.as_dict()["child_child"] == 2.0
-    # 1*1 + 0.1*2 + 1*3
-    assert np.allclose(grad, 4.2)
+    assert breakdown.as_dict() == {
+        "parent_child": 1.0,
+        "child_child": 2.0,
+        "bbox": 3.0,
+        "giou": 4.0,
+        "cls": 5.0,
+        "total": breakdown.total,
+    }
+    # each weight scales its own term only
+    assert combine(0.0, 0.0, 0.0, 0.0, 5.0, gamma=0.1, gamma_cls=0.5).total == 2.5
+    assert combine(0.0, 2.0, 0.0, 0.0, 0.0, gamma=3.0).total == 6.0
 
 
 def test_combine_without_gradients():
-    breakdown, grad = combine(0.0, 0.0, 1.0, 0.5, 0.0, gamma=1.0)
-    assert grad is None
+    breakdown = combine(0.0, 0.0, 1.0, 0.5, 0.0, gamma=1.0)
     assert breakdown.total == pytest.approx(5.0 + 1.0)
-
-
-def test_combine_rejects_mismatched_gradient_shapes():
-    with pytest.raises(ValueError):
-        combine(
-            0.0, 0.0, 0.0, 0.0, 0.0,
-            gamma=1.0,
-            grad_parent_child=np.ones((2, 3)),
-            grad_child_child=np.ones((3, 3)),
-        )
+    # the value path takes no gradient arguments any more
+    with pytest.raises(TypeError):
+        combine(0.0, 0.0, 0.0, 0.0, 0.0, gamma=1.0, grad_cls=np.ones((2, 3)))

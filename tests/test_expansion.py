@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dipex.detector import DetectorParams, QueryMode, candidate_detections, detect_world
+from dipex.detector import DetectorParams, QueryMode, candidate_detections, detect_world, pack_world
 from dipex.expansion import (
     ActivationStats,
     EmptyPseudoLabels,
@@ -11,8 +12,6 @@ from dipex.expansion import (
     MacReport,
     PromptNode,
     PromptTree,
-    _candidate_grid,
-    _round_data,
     activation_frequency,
     bootstrap_labels,
     expand,
@@ -22,7 +21,9 @@ from dipex.expansion import (
     train_round,
 )
 from dipex.geometry import angular_distance, mac, normalize
-from dipex.pseudo_labels import PseudoLabelSet
+from dipex.pseudo_labels import PseudoLabelSet, build_pseudo_labels
+
+import reference_detector as ref
 
 FAST = ExpansionConfig(
     num_children=2,
@@ -180,11 +181,11 @@ def test_candidate_grid_matches_public_detector(tiny_world, default_params):
     prompts = [(i, normalize(rng.normal(size=tiny_world.config.dim))) for i in range(3)]
     V = np.stack([vec for _, vec in prompts])
     unit = V / np.linalg.norm(V, axis=1, keepdims=True)
-    data = _round_data(tiny_world, PseudoLabelSet(by_scene={}), seed=0)
+    packed = pack_world(tiny_world, seed=0)
     scenes = sorted(tiny_world.scenes, key=lambda s: s.id)
-    _, _, scores, boxes = _candidate_grid(data, np.arange(len(scenes)), unit, default_params)
+    _, _, scores, boxes = candidate_detections(packed, unit, default_params)
     for row, scene in enumerate(scenes):
-        dets = candidate_detections(scene, prompts, default_params, tiny_world, seed=0)
+        dets = ref.candidate_detections(scene, prompts, default_params, tiny_world, seed=0)
         n_obj = len(scene.object_ids)
         for pi in range(len(prompts)):
             for oi in range(n_obj):
@@ -244,6 +245,67 @@ def test_activation_frequency_sums_to_total(tiny_world, default_params):
     stats = activation_frequency(tree, labels, tiny_world, default_params)
     assert stats.total == len(labels)  # single prompt answers for everything
     assert stats.counts[0] == stats.total
+
+
+def _grown_tree(world, rng):
+    """A root plus one or two expansions of random children, some frozen,
+    and sometimes an exact copy of one prompt (forcing responsibility ties)."""
+    tree = PromptTree.from_root(normalize(world.cluster_centers[0] + rng.normal(scale=0.5, size=world.config.dim)))
+    config = ExpansionConfig(num_children=int(rng.integers(2, 6)), max_angle=math.radians(60.0))
+    expand(tree, 0, config, rng)
+    if rng.random() < 0.5:
+        expand(tree, int(tree.cohort[0]), config, rng)
+    if rng.random() < 0.5:
+        twin = tree.nodes[int(rng.choice(tree.ids))]
+        new_id = max(tree.ids) + 1
+        tree.nodes[new_id] = PromptNode(new_id, twin.embedding, twin.depth + 1, twin.id)
+    return tree
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.sampled_from(["tiny", "small"]))
+def test_activation_frequency_matches_object_matcher(tiny_world, small_world, seed, which):
+    """Responsibility counts from the candidate grid and training's matcher
+    equal those of the object-by-object matcher over scalar candidates."""
+    rng = np.random.default_rng(seed)
+    world = tiny_world if which == "tiny" else small_world
+    tree = _grown_tree(world, rng)
+    config = ExpansionConfig(label_threshold=float(rng.choice([0.05, 0.2])), seed=int(rng.integers(0, 9)))
+    params = DetectorParams(box_noise=float(rng.choice([0.15, 1.0])))
+    labels = bootstrap_labels(list(world.cluster_centers), world, config, params)
+    iou_min = float(rng.choice([0.3, 0.5, 0.9]))
+    stats = activation_frequency(tree, labels, world, params, iou_min, config.seed)
+    counts, total = ref.activation_counts(tree, labels, world, params, iou_min, config.seed)
+    assert (stats.counts, stats.total) == (counts, total)
+    assert list(stats.counts) == tree.ids
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.sampled_from(["tiny", "small"]))
+def test_label_passes_match_per_prompt_detection(tiny_world, small_world, seed, which):
+    """rebuild_labels and bootstrap_labels equal the label builder over one
+    scalar prediction-merging detection per prompt."""
+    rng = np.random.default_rng(seed)
+    world = tiny_world if which == "tiny" else small_world
+    tree = _grown_tree(world, rng)
+    config = ExpansionConfig(label_threshold=float(rng.choice([0.05, 0.2, 0.4])), seed=int(rng.integers(0, 9)))
+    params = DetectorParams(nms_floor=float(rng.choice([0.001, 0.3])))
+    label_params = DetectorParams(nms_floor=params.nms_floor, score_threshold=config.label_threshold)
+    vocab = list(world.cluster_centers)
+    cases = [
+        (rebuild_labels(tree, world, config, params), tree.prompt_items(), "prompt_{:03d}"),
+        (bootstrap_labels(vocab, world, config, params), list(enumerate(vocab)), "vocab_{:02d}"),
+    ]
+    for labels, prompts, tag in cases:
+        sources = ref.label_sources(prompts, world, label_params, config.seed)
+        want = build_pseudo_labels(
+            {tag.format(pid): dets for pid, dets in sources.items()},
+            threshold=config.label_threshold,
+            sigma=params.nms_sigma,
+            score_floor=params.nms_floor,
+        )
+        assert labels.by_scene == want.by_scene
+        assert labels.meta == want.meta
 
 
 def test_run_grows_expected_tree(tiny_world):

@@ -1,17 +1,20 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from dipex.boxes import BBox
+from dipex.boxes import BBox, box_iou
 from dipex.pseudo_labels import (
     PseudoLabel,
     PseudoLabelSet,
-    assign_responsibility,
     build_pseudo_labels,
     soft_nms,
 )
+
+import reference_detector as ref
+from reference_detector import assign_responsibility
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,45 @@ def test_soft_nms_never_raises_scores():
     for d in out:
         assert d.score <= originals[d.bbox.as_tuple()] + 1e-15
     assert out[0].score == 0.9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(0, 40), st.integers(0, 400)),
+    floor=st.sampled_from([0.001, 0.2, 0.5]),
+    sigma=st.sampled_from([0.1, 0.5, 3.0]),
+)
+@example(seed=1, n=400, floor=0.001, sigma=0.5)
+@example(seed=2, n=400, floor=0.2, sigma=0.5)
+def test_soft_nms_matches_scalar_reference(seed, n, floor, sigma):
+    """Array soft-NMS equals the one-box-at-a-time loop: the same survivors
+    in the same order, with the same score bytes.  Boxes cluster around a
+    few objects, with exact duplicates, zero-area boxes and exact score
+    ties; a floor of 0.2 is the default label threshold."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 200.0, size=(int(rng.integers(1, 8)), 2))
+    dets = []
+    for k in range(n):
+        cx, cy = centres[int(rng.integers(0, len(centres)))] + rng.normal(scale=6.0, size=2)
+        w, h = rng.uniform(0.0, 60.0, size=2) * (rng.random(2) > 0.1)  # some zero sides
+        score = float(rng.uniform(0.0, 1.0))
+        if rng.random() < 0.3:
+            score = round(score, 1)
+        if dets and rng.random() < 0.1:
+            dets.append(dets[int(rng.integers(0, len(dets)))])
+        else:
+            dets.append(Det(0, BBox(cx, cy, cx + w, cy + h), score))
+    want = ref.soft_nms(dets, sigma, floor)
+    got = soft_nms(dets, sigma, floor)
+    assert [(d.bbox, d.score) for d in got] == [(d.bbox, d.score) for d in want]
+    assert np.array([d.score for d in got]).tobytes() == np.array([d.score for d in want]).tobytes()
+    boxes = np.array([d.bbox.as_tuple() for d in dets]).reshape(-1, 4)
+    pairs = soft_nms(
+        np.array([d.score for d in dets]), sigma, floor, box_iou(boxes[:, None], boxes[None])
+    )
+    assert [dets[i].bbox for i, _ in pairs] == [d.bbox for d in want]
+    assert [score for _, score in pairs] == [d.score for d in got]
 
 
 def test_build_keeps_original_scores_and_threshold():

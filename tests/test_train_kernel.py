@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dipex.boxes import BBox
-from dipex.detector import DetectorParams
+from dipex.detector import DetectorParams, candidate_detections
 from dipex.expansion import (
     ExpansionConfig,
     _batch_step,
-    _candidate_grid,
-    _match,
     _round_data,
+    assign_responsibility,
 )
 from dipex.pseudo_labels import PseudoLabel, PseudoLabelSet
 from dipex.world import Scene, World
@@ -104,8 +103,8 @@ def test_batch_step_matches_per_label_reference(tiny_world, small_world, seed, w
 
 def _matching(data, rows, V):
     unit = V / np.linalg.norm(V, axis=1, keepdims=True)
-    _, _, scores, boxes = _candidate_grid(data, rows, unit, PARAMS)
-    m = _match(data, rows, scores, boxes, CONFIG.label_iou_min)
+    _, _, scores, boxes = candidate_detections(data.scenes, unit, PARAMS, rows)
+    m = assign_responsibility(data, rows, scores, boxes, CONFIG.label_iou_min)
     return m.has, m.best_obj, m.responsible
 
 
@@ -120,7 +119,7 @@ def test_batch_gradient_matches_finite_differences(small_world):
     for _ in range(6):
         V = random_prompts(small_world, rng)
         trainable = np.ones(V.shape[0], dtype=bool)
-        rows = rng.permutation(data.emb.shape[0])[:8]
+        rows = rng.permutation(data.scenes.scene_ids.size)[:8]
 
         def loss(W):
             tally, _ = _batch_step(data, rows, W, trainable, PARAMS, CONFIG)
