@@ -9,6 +9,12 @@ highest-IoU unmatched ground truth with ties to the lowest index.  A
 detection that only overlaps ignored ground truth (crowd regions, or boxes
 outside the active size class) is set aside rather than counted as a false
 positive, mirroring the usual COCO treatment.
+
+``evaluate`` packs every scene into padded arrays, computes one
+(scene, detection, ground truth) IoU matrix, and matches all size buckets,
+scenes and IoU thresholds together in one pass over detection ranks.  Its
+sums run in the order of a scalar loop, so it reports the same floats as
+the independent scorer in ``tests/reference_eval.py``, not close ones.
 """
 
 from __future__ import annotations
@@ -16,11 +22,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .boxes import BBox, iou, size_class_from_area
+import numpy as np
+
+from .boxes import MEDIUM_MAX_AREA, SIZE_CLASSES, SMALL_MAX_AREA, BBox
+from .boxes import box_iou as iou  # perfbench/tracing.py counts calls under this name
 from .world import World
 
 IOU_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
@@ -38,6 +47,10 @@ class GroundTruth:
     bbox: BBox
     area: float
     iscrowd: bool = False
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.area) and self.area >= 0.0):
+            raise ValueError(f"area must be finite and non-negative, got {self.area}")
 
 
 @dataclass(frozen=True)
@@ -108,11 +121,10 @@ class GroundTruthSet:
             try:
                 bbox = BBox.from_xywh(x, y, w, h)
                 area = float(ann.get("area", bbox.area))
+                gt = GroundTruth(sid, bbox, area, iscrowd=bool(ann.get("iscrowd", 0)))
             except (TypeError, ValueError) as exc:
                 raise CocoFormatError(f"annotations[{i}]: {exc}") from exc
-            by_scene[sid].append(
-                GroundTruth(sid, bbox, area, iscrowd=bool(ann.get("iscrowd", 0)))
-            )
+            by_scene[sid].append(gt)
         return cls(by_scene={k: tuple(v) for k, v in by_scene.items()}, scene_dims=dims)
 
     def to_coco(self) -> dict:
@@ -259,130 +271,53 @@ class EvalSummary:
             writer.writerow(row)
 
 
-@dataclass
-class _SceneMatch:
-    """Greedy matching of one scene's capped detections at one threshold."""
-
-    flags: list[str] = field(default_factory=list)  # "tp" | "fp" | "ign" per det
-    num_matched: int = 0
+# Outcome of one ranked detection in one (bucket, scene, threshold) cell.
+# IGN marks set-aside detections and the padding past a scene's last one.
+_IGN, _TP, _FP = 0, 1, 2
 
 
-def _match_scene(
-    det_entries: Sequence[tuple[float, int, BBox]],
-    ious: Sequence[Sequence[float]],
-    gt_ignored: Sequence[bool],
-    threshold: float,
-    size_cls: str | None,
-) -> _SceneMatch:
-    out = _SceneMatch()
-    consumed = [False] * len(gt_ignored)
-    for di, (_, _, box) in enumerate(det_entries):
-        best_gi = -1
-        best_iou = 0.0
-        for gi in range(len(gt_ignored)):
-            if gt_ignored[gi] or consumed[gi]:
-                continue
-            v = ious[di][gi]
-            if v >= threshold and v > best_iou:
-                best_gi, best_iou = gi, v
-        if best_gi >= 0:
-            consumed[best_gi] = True
-            out.flags.append("tp")
-            out.num_matched += 1
-            continue
-        hits_ignored = any(
-            gt_ignored[gi] and ious[di][gi] >= threshold for gi in range(len(gt_ignored))
-        )
-        if hits_ignored:
-            out.flags.append("ign")
-        elif size_cls is not None and size_class_from_area(box.area) != size_cls:
-            out.flags.append("ign")
-        else:
-            out.flags.append("fp")
-    return out
+def _pack(
+    lists: Sequence[Sequence], rows: list[tuple], width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of ``width`` numbers, listed scene after scene as in ``lists``, as
+    one array, plus each row's scene index and its index within its scene."""
+    counts = np.array([len(items) for items in lists], dtype=np.int64)
+    scene = np.repeat(np.arange(len(lists)), counts)
+    index = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.array(rows, dtype=float).reshape(len(rows), width), scene, index
 
 
-def _average_precision(
-    ranked_flags: Sequence[str], total_gt: int
-) -> float:
-    """101-point interpolated AP from globally ranked detection flags."""
-    precisions: list[float] = []
-    recalls: list[float] = []
-    tp = 0
-    fp = 0
-    for flag in ranked_flags:
-        if flag == "ign":
-            continue
-        if flag == "tp":
-            tp += 1
-        else:
-            fp += 1
-        precisions.append(tp / (tp + fp))
-        recalls.append(tp / total_gt)
-    for i in range(len(precisions) - 2, -1, -1):
-        if precisions[i + 1] > precisions[i]:
-            precisions[i] = precisions[i + 1]
-    ap = 0.0
-    pos = 0
-    for r in RECALL_GRID:
-        while pos < len(recalls) and recalls[pos] < r:
-            pos += 1
-        if pos < len(recalls):
-            ap += precisions[pos]
-    return ap / len(RECALL_GRID)
+def _size_class(area: np.ndarray) -> np.ndarray:
+    """Index into ``SIZE_CLASSES`` of each area, as ``size_class_from_area``."""
+    return np.searchsorted(np.array([SMALL_MAX_AREA, MEDIUM_MAX_AREA]), area, side="right")
 
 
-def _bucket_metrics(
-    scenes: Sequence[int],
-    dets_sorted: Mapping[int, list[tuple[float, int, BBox]]],
-    iou_cache: Mapping[int, list[list[float]]],
-    gts: GroundTruthSet,
-    size_cls: str | None,
-    caps: Sequence[int],
-    thresholds: Sequence[float],
-) -> tuple[dict[int, float | None], float | None]:
-    """(AR per cap, AP) for one size bucket, averaged over IoU thresholds."""
-    gt_ignored: dict[int, list[bool]] = {}
-    total_gt = 0
-    for sid in scenes:
-        flags = [
-            gt.iscrowd
-            or (size_cls is not None and size_class_from_area(gt.area) != size_cls)
-            for gt in gts.by_scene.get(sid, ())
-        ]
-        gt_ignored[sid] = flags
-        total_gt += sum(1 for f in flags if not f)
-    if total_gt == 0:
-        return {cap: None for cap in caps}, None
+def _average_precision(outcomes: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """101-point interpolated AP of each (bucket, threshold) row of
+    ``outcomes``, a (bucket, threshold, detection) table in global rank order.
 
-    max_cap = max(caps)
-    recall_sum = {cap: 0.0 for cap in caps}
-    ap_sum = 0.0
-    for t in thresholds:
-        matched = {cap: 0 for cap in caps}
-        ranked: list[tuple[float, int, int, str]] = []
-        for sid in scenes:
-            entries = dets_sorted[sid][:max_cap]
-            result = _match_scene(entries, iou_cache[sid], gt_ignored[sid], t, size_cls)
-            for cap in caps:
-                matched[cap] += sum(
-                    1 for flag in result.flags[:cap] if flag == "tp"
-                )
-            for di, (score, order, _) in enumerate(entries):
-                ranked.append((score, sid, order, result.flags[di]))
-        ranked.sort(key=lambda r: (-r[0], r[1], r[2]))
-        for cap in caps:
-            recall_sum[cap] += matched[cap] / total_gt
-        ap_sum += _average_precision([r[3] for r in ranked], total_gt)
-    n = len(thresholds)
-    return {cap: recall_sum[cap] / n for cap in caps}, ap_sum / n
+    A set-aside detection keeps the recall before it and gets precision 0,
+    so the first rank reaching a grid recall is a counted detection, or a
+    leading set-aside one whose envelope equals the first counted one's.
+    """
+    tp = np.cumsum(outcomes == _TP, axis=-1)
+    counted = outcomes != _IGN
+    precision = np.where(counted, tp / np.maximum(np.cumsum(counted, axis=-1), 1), 0.0)
+    # best precision at this rank or any later one, then 0 past the last rank
+    envelope = np.maximum.accumulate(precision[..., ::-1], axis=-1)[..., ::-1]
+    envelope = np.concatenate([envelope, np.zeros(envelope.shape[:-1] + (1,))], axis=-1)
+    recall = tp / np.maximum(totals, 1)[:, None, None]
+    grid = np.array(RECALL_GRID)
+    first = np.array([[np.searchsorted(row, grid) for row in rows] for rows in recall])
+    picked = np.take_along_axis(envelope, first, axis=-1)
+    # cumsum adds left to right, as a scalar loop over the grid would
+    return np.cumsum(picked, axis=-1)[..., -1] / len(RECALL_GRID)
 
 
 def evaluate(
     dets_by_scene: Mapping[int, Sequence],
     gts: GroundTruthSet,
     max_dets: Sequence[int] = DEFAULT_MAX_DETS,
-    iou_thresholds: Sequence[float] = IOU_THRESHOLDS,
 ) -> EvalSummary:
     """Score detections against ground truth.
 
@@ -396,45 +331,90 @@ def evaluate(
     unknown = set(dets_by_scene) - set(gts.scene_dims)
     if unknown:
         raise CocoFormatError(f"detections reference unknown scenes: {sorted(unknown)}")
-
     scenes = sorted(gts.scene_dims)
-    dets_sorted: dict[int, list[tuple[float, int, BBox]]] = {}
-    iou_cache: dict[int, list[list[float]]] = {}
-    num_dets = 0
-    for sid in scenes:
-        entries = [
-            (float(d.score), order, d.bbox)
-            for order, d in enumerate(dets_by_scene.get(sid, ()))
-        ]
-        entries.sort(key=lambda e: (-e[0], e[1]))
-        num_dets += len(entries)
-        dets_sorted[sid] = entries
-        scene_gts = gts.by_scene.get(sid, ())
-        iou_cache[sid] = [
-            [iou(box, gt.bbox) for gt in scene_gts]
-            for _, _, box in entries[: max(caps)]
-        ]
+    num_scenes = len(scenes)
+    num_thresholds = len(IOU_THRESHOLDS)
 
-    ar_all, ap_all = _bucket_metrics(
-        scenes, dets_sorted, iou_cache, gts, None, caps, iou_thresholds
+    det_lists = [dets_by_scene.get(sid, ()) for sid in scenes]
+    det, det_scene, det_order = _pack(
+        det_lists, [(*d.bbox.as_tuple(), float(d.score)) for ds in det_lists for d in ds], 5
     )
-    split: dict[str, tuple[float | None, float | None]] = {}
-    for cls in ("S", "M", "L"):
-        ar_cls, ap_cls = _bucket_metrics(
-            scenes, dets_sorted, iou_cache, gts, cls, [max(caps)], iou_thresholds
-        )
-        split[cls] = (ar_cls[max(caps)], ap_cls)
+    # Rank each scene's detections by score (lexsort is stable, so input
+    # order breaks ties) and keep the first max(caps) of each.
+    ranked = np.lexsort((-det[:, 4], det_scene))
+    rank = np.arange(len(det)) - np.searchsorted(det_scene[ranked], det_scene[ranked])
+    keep = rank < caps[-1]
+    kept = ranked[keep]
+    n_idx, d_idx = det_scene[kept], rank[keep]
+    depth = int(d_idx.max(initial=-1)) + 1
+    det_box = np.zeros((num_scenes, depth, 4))
+    det_box[n_idx, d_idx] = det[kept, :4]
+    det_area = (det_box[..., 2] - det_box[..., 0]) * (det_box[..., 3] - det_box[..., 1])
+
+    gt_lists = [gts.by_scene.get(sid, ()) for sid in scenes]
+    gt, gt_scene, gt_index = _pack(
+        gt_lists, [(*g.bbox.as_tuple(), g.area, g.iscrowd) for gl in gt_lists for g in gl], 6
+    )
+    width = int(gt_index.max(initial=0)) + 1  # one padded column if there is no ground truth
+    gt_box = np.zeros((num_scenes, width, 4))
+    gt_box[gt_scene, gt_index] = gt[:, :4]
+    gt_class = np.full((num_scenes, width), -1)
+    gt_class[gt_scene, gt_index] = _size_class(gt[:, 4])
+    gt_crowd = np.zeros((num_scenes, width), dtype=bool)
+    gt_crowd[gt_scene, gt_index] = gt[:, 5] != 0.0
+
+    # Buckets: 0 is every size, 1-3 the size classes.  A ground truth outside
+    # a bucket is ignored there like a crowd region; a detection outside it
+    # is set aside when it matches nothing.
+    classes = np.arange(len(SIZE_CLASSES))[:, None, None]
+    gt_valid = gt_class >= 0
+    eligible = np.concatenate([gt_valid[None], gt_class == classes]) & ~gt_crowd
+    ignored = gt_valid & ~eligible
+    det_outside = np.concatenate(
+        [np.zeros((1, num_scenes, depth), dtype=bool), _size_class(det_area) != classes]
+    )
+    totals = eligible.sum(axis=(1, 2))
+
+    ious = iou(det_box[:, :, None, :], gt_box[:, None, :, :])  # (scene, det, gt)
+    thresholds = np.array(IOU_THRESHOLDS)[:, None]
+    open_gt = np.repeat(eligible[:, :, None, :], num_thresholds, axis=2)
+    gt_ids = np.arange(width)
+    # (rank, bucket, scene, threshold) outcomes of greedy matching in rank order
+    outcomes = np.empty((depth, len(totals), num_scenes, num_thresholds), dtype=np.int8)
+    for d in range(depth):
+        v = ious[:, d, None, :]  # (scene, 1, gt)
+        hit = v >= thresholds  # (scene, threshold, gt)
+        candidate = hit & open_gt  # (bucket, scene, threshold, gt)
+        # the highest-IoU open ground truth, ties to the lowest index
+        best = np.where(candidate, v, -1.0).argmax(axis=-1)
+        matched = candidate.any(axis=-1)
+        open_gt &= ~((gt_ids == best[..., None]) & matched[..., None])
+        set_aside = (hit & ignored[:, :, None, :]).any(axis=-1) | det_outside[:, :, d, None]
+        outcomes[d] = np.where(matched, _TP, np.where(set_aside, _IGN, _FP))
+
+    # Averages over thresholds add them in order, as a scalar loop would.
+    # hits: (cap, bucket, threshold) true positives in each scene's first cap ranks
+    hits = np.stack([(outcomes[:cap] == _TP).sum(axis=(0, 2)) for cap in caps])
+    recall = np.cumsum(hits / np.maximum(totals, 1)[:, None], axis=-1)[..., -1] / num_thresholds
+    # one global rank order, (-score, scene, input order), for every row
+    order = np.lexsort((det_order[kept], n_idx, -det[kept, 4]))
+    ranked_outcomes = np.moveaxis(outcomes[d_idx[order], :, n_idx[order], :], 0, -1)
+    ap_rows = _average_precision(ranked_outcomes, totals)
+    ap = np.cumsum(ap_rows, axis=-1)[:, -1] / num_thresholds
+
+    def value(table: np.ndarray, bucket: int) -> float | None:
+        return float(table[bucket]) if totals[bucket] else None
 
     return EvalSummary(
-        ar_at=ar_all,
-        ar_small=split["S"][0],
-        ar_medium=split["M"][0],
-        ar_large=split["L"][0],
-        ap=ap_all,
-        ap_small=split["S"][1],
-        ap_medium=split["M"][1],
-        ap_large=split["L"][1],
-        num_scenes=len(scenes),
+        ar_at={cap: value(recall[i], 0) for i, cap in enumerate(caps)},
+        ar_small=value(recall[-1], 1),
+        ar_medium=value(recall[-1], 2),
+        ar_large=value(recall[-1], 3),
+        ap=value(ap, 0),
+        ap_small=value(ap, 1),
+        ap_medium=value(ap, 2),
+        ap_large=value(ap, 3),
+        num_scenes=num_scenes,
         num_ground_truths=gts.num_annotations,
-        num_detections=num_dets,
+        num_detections=len(det),
     )

@@ -241,22 +241,23 @@ def run_pilot_merging(
 ) -> Path:
     """Contrast the two query-merging policies on both vocabulary styles.
 
-    For each seed, a fresh world is scored with the zero-shot vocabulary under
-    query merging (joint submission, overlap penalty) and prediction merging
-    (independent passes, soft-NMS union).  The relative recall drop of query
-    merging is the quantity of interest: near zero for a dispersed vocabulary,
-    catastrophic for an overlapping one.
+    Each seed's world is built once and scored with both zero-shot
+    vocabularies under query merging (joint submission, overlap penalty) and
+    prediction merging (independent passes, soft-NMS union).  The relative
+    recall drop of query merging is the quantity of interest: near zero for a
+    dispersed vocabulary, catastrophic for an overlapping one.
     """
     out = _prepare_out(out_dir, overwrite)
     cap = max(config.max_dets)
-    rows = []
-    for style in ("dispersed", "overlapping"):
-        for seed in seeds:
-            world = generate_world(replace(config.world, seed=seed))
+    # rows grouped by style, then seed; one world is alive at a time
+    rows_by_style: dict[str, list[dict]] = {"dispersed": [], "overlapping": []}
+    for seed in seeds:
+        world = generate_world(replace(config.world, seed=seed))
+        gts = GroundTruthSet.from_world(world)
+        for style, rows in rows_by_style.items():
             vocab_cfg = replace(config.vocabulary, style=style, seed=seed)
             vocab = build_vocabulary(world, vocab_cfg)
             prompts = [(i, v) for i, v in enumerate(vocab)]
-            gts = GroundTruthSet.from_world(world)
             summaries = {}
             for mode in (QueryMode.QUERY_MERGING, QueryMode.PREDICTION_MERGING):
                 dets = detect_world(world, prompts, mode, config.detector, seed)
@@ -288,7 +289,7 @@ def run_pilot_merging(
         f"ar_{cap}_qm",
         "delta_ar_pct",
     ]
-    _write_csv(out / "pilot.csv", fieldnames, rows)
+    _write_csv(out / "pilot.csv", fieldnames, [r for rows in rows_by_style.values() for r in rows])
     _write_manifest(out, "pilot", config.as_dict(), {"seeds": list(seeds)})
     return out
 

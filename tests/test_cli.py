@@ -188,6 +188,17 @@ def test_inverted_box_is_a_data_error(tmp_path, capsys):
     assert err.startswith("error[data]:") and "results[2]" in err and "inverted" in err
 
 
+@pytest.mark.parametrize("area", [-1.0, float("nan"), float("inf")])
+def test_bad_ground_truth_area_is_a_data_error(tmp_path, capsys, area):
+    gt_path, det_path = write_eval_fixture(tmp_path)
+    doc = json.loads(gt_path.read_text())
+    doc["annotations"][2]["area"] = area
+    gt_path.write_text(json.dumps(doc))  # NaN and Infinity literals
+    code, err = _eval_exit(tmp_path, capsys, gt_path, det_path)
+    assert code == 3
+    assert err.startswith("error[data]:") and "annotations[2]" in err and "area" in err
+
+
 @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_score_is_a_data_error(tmp_path, capsys, score):
     gt_path, det_path = write_eval_fixture(tmp_path)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dipex.boxes import BBox
 from dipex.evaluation import (
@@ -39,6 +40,28 @@ def make_dets(rows):
 
 def square(x, y, side):
     return BBox(x, y, x + side, y + side)
+
+
+def to_package(dets, gts, scene_ids):
+    """Oracle tables -> (detections by scene, GroundTruthSet)."""
+    gt_set = GroundTruthSet(
+        by_scene={
+            sid: tuple(GroundTruth(sid, BBox(*r[:4]), r[4], iscrowd=r[5]) for r in rows)
+            for sid, rows in gts.items()
+        },
+        scene_dims={sid: (640, 480) for sid in scene_ids},
+    )
+    det_map = {
+        sid: [DetectionRecord(sid, BBox(*r[:4]), r[4]) for r in rows]
+        for sid, rows in dets.items()
+    }
+    return det_map, gt_set
+
+
+def assert_equals_reference(dets, gts, scene_ids, max_dets=(1, 10, 100)):
+    det_map, gt_set = to_package(dets, gts, scene_ids)
+    summary = evaluate(det_map, gt_set, max_dets)
+    assert_matches_reference(summary, reference_evaluate(dets, gts, scene_ids, max_dets), tol=0.0)
 
 
 def test_thresholds_follow_coco_ladder():
@@ -140,24 +163,114 @@ def test_no_ground_truth_gives_none_everywhere():
 def test_matches_reference_on_random_instances():
     rng = np.random.default_rng(2024)
     for _ in range(20):
-        dets, gts, scene_ids = random_eval_instance(rng)
-        gt_set = GroundTruthSet(
-            by_scene={
-                sid: tuple(
-                    GroundTruth(sid, BBox(*row[:4]), row[4], iscrowd=row[5])
-                    for row in rows
-                )
-                for sid, rows in gts.items()
-            },
-            scene_dims={sid: (640, 480) for sid in scene_ids},
-        )
-        det_map = {
-            sid: [DetectionRecord(sid, BBox(*row[:4]), row[4]) for row in rows]
-            for sid, rows in dets.items()
-        }
-        summary = evaluate(det_map, gt_set)
-        ref = reference_evaluate(dets, gts, scene_ids)
-        assert_matches_reference(summary, ref)
+        assert_equals_reference(*random_eval_instance(rng))
+
+
+# integer side ranges of the small, medium and large buckets (areas 16-900,
+# 1,089-9,025 and 9,409-40,000)
+SIDES = ((4, 30), (33, 95), (97, 200))
+
+
+@st.composite
+def integer_boxes(draw):
+    lo, hi = draw(st.sampled_from(SIDES))
+    w, h = draw(st.integers(lo, hi)), draw(st.integers(lo, hi))
+    x, y = draw(st.integers(0, 640 - w)), draw(st.integers(0, 480 - h))
+    return (float(x), float(y), float(x + w), float(y + h))
+
+
+@st.composite
+def eval_problems(draw):
+    """Oracle tables with crowd regions, every size bucket, annotated areas
+    that disagree with the box, exact score ties, ground truths tied at
+    equal IoU, and scenes without detections or without ground truth."""
+    scores = st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(0.01, 1.0))
+    crowd = st.sampled_from([False, False, False, True])
+    scene_ids = list(range(draw(st.integers(1, 4))))
+    gts, dets = {}, {}
+    for sid in scene_ids:
+        rows = []
+        for _ in range(draw(st.integers(0, 4))):
+            box = draw(integer_boxes())
+            area = (box[2] - box[0]) * (box[3] - box[1])
+            if draw(st.integers(0, 2)) == 0:
+                area = float(draw(st.integers(0, 40000)))
+            rows.append(box + (area, draw(crowd)))
+        drows = []
+        if draw(st.booleans()):
+            # a square detection at equal IoU with two mirrored ground truths
+            # (the lower index must win), then a copy of the first of them
+            side, grow = draw(st.integers(10, 120)), draw(st.integers(1, 60))
+            x = float(draw(st.integers(0, 300)))
+            first = (x, x, x + side, x + side + grow)
+            second = (x, x, x + side + grow, x + side)
+            for box in (first, second):
+                rows.append(box + (float(side * (side + grow)), draw(crowd)))
+            drows.append((x, x, x + side, x + side, draw(scores)))
+            drows.append(first + (draw(scores),))
+        for _ in range(draw(st.integers(0, 6))):
+            if rows and draw(st.booleans()):
+                x0, y0, x1, y1 = draw(st.sampled_from(rows))[:4]
+                dx, dy = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+                box = (x0 + dx, y0 + dy, x1 + dx, y1 + dy)
+            else:
+                box = draw(integer_boxes())
+            drows.append(box + (draw(scores),))
+        gts[sid] = draw(st.sampled_from([rows, rows[::-1]]))
+        dets[sid] = draw(st.permutations(drows))
+    return dets, gts, scene_ids
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    problem=eval_problems(),
+    max_dets=st.sampled_from([(1, 10, 100), (1, 2, 100), (1, 2, 3), (2,)]),
+)
+def test_evaluate_equals_reference(problem, max_dets):
+    assert_equals_reference(*problem, max_dets=max_dets)
+
+
+def test_evaluate_equals_reference_past_the_cap():
+    # one scene holds 130 detections, more than the largest cap
+    rng = np.random.default_rng(130)
+    dets, gts, scene_ids = random_eval_instance(rng, max_scenes=3, max_boxes=6)
+    crowded = []
+    for k in range(130):
+        x, y = float(rng.integers(0, 500)), float(rng.integers(0, 380))
+        w, h = float(rng.integers(4, 120)), float(rng.integers(4, 90))
+        crowded.append((x, y, x + w, y + h, round(float(rng.random()), 1)))
+    dets[scene_ids[0]] = crowded
+    gts[scene_ids[0]] = [
+        r[:4] + ((r[2] - r[0]) * (r[3] - r[1]), k % 5 == 0) for k, r in enumerate(crowded[::13])
+    ]
+    assert_equals_reference(dets, gts, scene_ids, max_dets=(1, 2, 100))
+
+
+def pilot_like_instance(rng, num_scenes):
+    """Scenes shaped like a pilot world's: 4 objects of mixed sizes, up to 8
+    jittered detections with scores on a 0.01 grid (so ties occur)."""
+    gts, dets = {}, {}
+    for sid in range(num_scenes):
+        rows = []
+        for _ in range(4):
+            side = float(rng.choice([rng.uniform(8, 31), rng.uniform(33, 95), rng.uniform(97, 200)]))
+            w = side * float(rng.uniform(0.7, 1.4))
+            h = side * side / w
+            x, y = float(rng.uniform(0, 640 - w)), float(rng.uniform(0, 480 - h))
+            rows.append((x, y, x + w, y + h, w * h, bool(rng.random() < 0.05)))
+        gts[sid] = rows
+        drows = []
+        for _ in range(min(int(rng.poisson(3.0)), 8)):
+            g = rows[int(rng.integers(0, 4))]
+            dx, dy = rng.normal(0.0, 0.08 * (g[2] - g[0]), 2)
+            score = round(float(rng.uniform(0.1, 1.0)), 2)
+            drows.append((g[0] + dx, g[1] + dy, g[2] + dx, g[3] + dy, score))
+        dets[sid] = drows
+    return dets, gts, list(range(num_scenes))
+
+
+def test_evaluate_equals_reference_at_800_scenes():
+    assert_equals_reference(*pilot_like_instance(np.random.default_rng(800), 800))
 
 
 def test_summary_accessors_and_monotonic_guard():

@@ -156,6 +156,25 @@ def test_pilot_contrasts_vocabulary_styles(tmp_path):
     assert manifest["artifacts"]["pilot.csv"] == sha256(out / "pilot.csv")
 
 
+def test_pilot_builds_each_world_once(tmp_path, monkeypatch):
+    import dipex.experiments as experiments
+
+    built = []
+    real = experiments.generate_world
+
+    def counting(config):
+        built.append(config.seed)
+        return real(config)
+
+    monkeypatch.setattr(experiments, "generate_world", counting)
+    out = run_pilot_merging(FAST_CONFIG, [0, 1], tmp_path / "pilot")
+    assert built == [0, 1]
+    rows = read_csv_rows(out / "pilot.csv")
+    assert [(r["vocabulary"], r["seed"]) for r in rows] == [
+        ("dispersed", "0"), ("dispersed", "1"), ("overlapping", "0"), ("overlapping", "1"),
+    ]
+
+
 def test_run_writes_expected_artifacts(tmp_path):
     out, result = run_dipex(FAST_CONFIG, tmp_path / "run")
     expected = {
