@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boxes import BBox, box_iou
+from .boxes import BBox
 from .geometry import apply_rotation, normalize, sample_child_rotations
 from .pseudo_labels import soft_nms
 from .world import World
@@ -195,53 +195,30 @@ def _canonical(scores: np.ndarray, pids: np.ndarray, boxes: np.ndarray, *groups)
     return np.lexsort(keys + groups[::-1])
 
 
-def _merge(
-    scores: np.ndarray, pids: np.ndarray, boxes: np.ndarray, params: DetectorParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Prediction merging of one group of candidates in canonical order:
-    soft-NMS, canonical order of the suppressed scores, threshold and cap.
-    Returns the positions kept and their suppressed scores."""
-    kept = soft_nms(scores, params.nms_sigma, params.nms_floor, box_iou(boxes[:, None], boxes[None]))
-    pos = np.array([i for i, _ in kept])
-    final = np.array([score for _, score in kept])
-    order = _canonical(final, pids[pos], boxes[pos])
-    pos, final = pos[order], final[order]
-    keep = np.flatnonzero(final >= params.score_threshold)[: params.max_detections]
-    return pos[keep], final[keep]
-
-
 def _merge_groups(
     groups: np.ndarray,
     pids: np.ndarray,
     scores: np.ndarray,
     boxes: np.ndarray,
-    plain: np.ndarray,
     params: DetectorParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Prediction merging of flat candidates, one group at a time (``_merge``).
-
-    A group whose candidates are all marked ``plain`` has no overlapping
-    pair.  Soft-NMS would rescale its scores by exactly 1, so it keeps the
-    first candidate and every later one over the floor, scores unchanged;
-    that is computed directly for all such groups at once.  Returns (indices
-    into the inputs, suppressed scores), ordered by group, then canonically.
+    """Prediction merging of flat candidates, every group at once: one
+    grouped soft-NMS call over the candidates in canonical order, then the
+    survivors in canonical order of their suppressed scores, thresholded and
+    capped per group.  Returns (indices into the inputs, suppressed scores),
+    ordered by group, then canonically.
     """
     order = _canonical(scores, pids, boxes, groups)
-    g, plain, ordered = groups[order], plain[order], scores[order]
-    first = np.searchsorted(g, g)
-    leads = np.arange(g.size) == first
-    keep = plain & (leads | (ordered >= params.nms_floor))
-    kept = np.cumsum(keep)
-    keep &= kept - (kept - keep)[first] <= params.max_detections
-    picks, finals = [order[keep]], [ordered[keep]]
-    for start in np.flatnonzero(leads & ~plain):
-        seg = order[start : np.searchsorted(g, g[start], side="right")]
-        pos, final = _merge(scores[seg], pids[seg], boxes[seg], params)
-        picks.append(seg[pos])
-        finals.append(final)
-    pick, final = np.concatenate(picks), np.concatenate(finals)
-    out = np.argsort(groups[pick], kind="stable")
-    return pick[out], final[out]
+    kept = soft_nms(scores[order], params.nms_sigma, params.nms_floor, boxes[order], groups[order])
+    pick = order[np.array([i for i, _ in kept], dtype=int)]
+    final = np.array([score for _, score in kept])
+    out = _canonical(final, pids[pick], boxes[pick], groups[pick])
+    pick, final = pick[out], final[out]
+    g = groups[pick]
+    # canonical order ranks by -score within a group, so scores over the threshold lead it
+    rank = np.arange(g.size) - np.searchsorted(g, g)
+    keep = (final >= params.score_threshold) & (rank < params.max_detections)
+    return pick[keep], final[keep]
 
 
 def _detections(
@@ -303,8 +280,7 @@ def detect_world(
     elif mode is QueryMode.PREDICTION_MERGING:
         s, p, o = np.nonzero(valid & (scores >= params.score_threshold))
         scores, boxes = scores[s, p, o], boxes[s, p, o]
-        plain = np.zeros(s.size, dtype=bool)
-        pick, final = _merge_groups(s, ids[p], scores, boxes, plain, params)
+        pick, final = _merge_groups(s, ids[p], scores, boxes, params)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown query mode: {mode}")
 
@@ -326,8 +302,8 @@ def detect_each(
 
     Each prompt's cosines come from its own one-row product, as in a
     one-prompt ``detect_world`` call; one product over all prompts can round
-    differently.  Soft-NMS runs only for the (scene, prompt) pairs with an
-    overlapping pair of candidates.
+    differently.  One grouped soft-NMS call suppresses every (prompt, scene)
+    group.
     """
     ids, unit = unit_prompts(prompts)
     scenes = pack_world(world, seed)
@@ -335,17 +311,9 @@ def detect_each(
     scores = np.concatenate([grid[0] for grid in grids], axis=1)
     boxes = np.concatenate([grid[1] for grid in grids], axis=1)
     cand = (scenes.object_ids >= 0)[:, None, :] & (scores >= params.score_threshold)
-    overlapping = np.zeros(cand.shape[:2], dtype=bool)
-    for a, b in zip(*np.triu_indices(cand.shape[2], 1)):
-        overlapping |= cand[..., a] & cand[..., b] & (box_iou(boxes[..., a, :], boxes[..., b, :]) > 0.0)
     s, p, o = np.nonzero(cand)
     pick, final = _merge_groups(
-        p * scenes.scene_ids.size + s,
-        ids[p],
-        scores[s, p, o],
-        boxes[s, p, o],
-        ~overlapping[s, p],
-        params,
+        p * scenes.scene_ids.size + s, ids[p], scores[s, p, o], boxes[s, p, o], params
     )
     out: dict[int, list[Detection]] = {int(pid): [] for pid in ids}
     cells = (s[pick], p[pick], o[pick])

@@ -573,9 +573,10 @@ def run_eval_only(
 ) -> tuple[Path, EvalSummary]:
     """Score COCO-format detection files against COCO-format ground truth.
 
-    Multiple detection files are concatenated per scene; with ``merge`` the
-    union additionally goes through Gaussian soft-NMS, which is the sane
-    setting when the files come from independently trained prompt sets.
+    Multiple detection files are concatenated per scene; with ``merge`` each
+    scene's union additionally goes through Gaussian soft-NMS, all scenes in
+    one grouped call, which is the sane setting when the files come from
+    independently trained prompt sets.
     The manifest identifies the inputs by content (sha256), not by path, so
     rescoring the same files elsewhere writes the same bytes.
     """
@@ -586,14 +587,14 @@ def run_eval_only(
         for sid, recs in load_coco_detections(path).items():
             by_scene.setdefault(sid, []).extend(recs)
     if merge:
-        by_scene = {
-            sid: soft_nms(
-                sorted(recs, key=lambda r: (-r.score, r.bbox.as_tuple())),
-                sigma=nms_sigma,
-                score_floor=nms_floor,
-            )
-            for sid, recs in by_scene.items()
-        }
+        ranked = [
+            sorted(recs, key=lambda r: (-r.score, r.bbox.as_tuple())) for recs in by_scene.values()
+        ]
+        group = np.repeat(np.arange(len(ranked)), [len(recs) for recs in ranked])
+        merged = soft_nms([r for recs in ranked for r in recs], nms_sigma, nms_floor, groups=group)
+        by_scene = {sid: [] for sid in by_scene}
+        for rec in merged:
+            by_scene[rec.scene_id].append(rec)
     summary = evaluate(by_scene, gts, max_dets)
     summary.write_json(out / "summary.json")
     summary.write_csv(out / "summary.csv")

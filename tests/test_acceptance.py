@@ -7,10 +7,12 @@ default-configuration growth runs through a module fixture so the wall-clock
 budgets hold on a laptop-class machine.
 """
 
+import hashlib
 import json
 import math
+import sys
 import time
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,17 +30,18 @@ from dipex.expansion import (
     bootstrap_labels,
     expand,
     rebuild_labels,
-    run,
     select_parent,
     train_round,
 )
-from dipex.experiments import ExperimentConfig, run_dipex, run_pilot_merging
+from dipex.experiments import ExperimentConfig, run_dipex, run_pilot_merging, with_seed
 from dipex.geometry import GivensRotation, apply_rotation, mac, normalize
 from dipex.pseudo_labels import PseudoLabel, soft_nms
 from dipex.world import WorldConfig, generate_world
 
 from conftest import assert_matches_reference, random_eval_instance
 from reference_eval import reference_evaluate
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _verdict(capsys, num, desc, ok):
@@ -48,15 +51,18 @@ def _verdict(capsys, num, desc, ok):
 
 
 @pytest.fixture(scope="module")
-def default_runs():
-    """Five full growth runs at default settings, seeds 0..4, with timing."""
-    results = []
+def default_runs(tmp_path_factory):
+    """Five full growth runs at default settings, seeds 0..4, as
+    ``dipex run --seed S`` writes them: results, timing and output dirs."""
+    results, outs = [], []
+    root = tmp_path_factory.mktemp("default_runs")
     start = time.perf_counter()
     for seed in range(5):
-        world = generate_world(replace(WorldConfig(), seed=seed))
-        results.append(run(world, replace(ExpansionConfig(), seed=seed)))
+        out, result = run_dipex(with_seed(ExperimentConfig(), seed), root / f"run{seed}")
+        results.append(result)
+        outs.append(out)
     elapsed = time.perf_counter() - start
-    return results, elapsed
+    return results, elapsed, outs
 
 
 def _dense_rotation(dim, rot):
@@ -177,7 +183,7 @@ def test_03_closed_form_values(capsys):
 
 
 def test_04_max_angular_coverage(capsys, default_runs):
-    results, run_elapsed = default_runs
+    results, run_elapsed, _ = default_runs
     start = time.perf_counter()
     rng = np.random.default_rng(44)
     worst = 0.0
@@ -232,7 +238,7 @@ PINNED_DEFAULT_RUNS = {
 
 
 def test_default_runs_match_pinned_metrics(default_runs):
-    results, _ = default_runs
+    results, _, _ = default_runs
     for seed, result in enumerate(results):
         final = result.eval_summaries[-1]
         got = (
@@ -244,6 +250,56 @@ def test_default_runs_match_pinned_metrics(default_runs):
             result.mac_report.alpha_max[-1],
         )
         assert got == PINNED_DEFAULT_RUNS[seed], seed
+
+
+# sha256 of manifest.json, which hashes every other artifact, for
+# `dipex run --seed S` (S = 0, 1, 2), `dipex pilot --seed 0 ... --seed 4` and
+# `dipex eval` with and without --merge on the two-scene benchmark inputs of
+# seed 0.  Float drift in any kernel shows up here, not only as a
+# rerun-versus-rerun pass in check 08.
+PINNED_MANIFESTS = {
+    "run0": "e791c9201cc7e990f73ed00cd962a51a9d68f858d4e1dd9600d62439251b768e",
+    "run1": "9ade0a570e1624c39035b5d672c6ec9fb642ca13fb485a340eace2fff9ed248d",
+    "run2": "1ac3ee3b634c98ff03808462c15afedd40bfb91dd469ce3e4bf97f66d5c91b04",
+    "pilot": "e13966afb5457b051a93668eed4b7a9cc83abf4b20358faaaa82c43f80ac2213",
+    "eval_merge": "14e94d0b9f234b18887b77bf3888e9f44cd45102c7694af47a64cdfabfc3c98e",
+    "eval": "97707ec886410cae927366f66cfa3d98c1ff8422cafc260dc82256038b7ba082",
+}
+
+
+def _manifest_sha256(out):
+    """sha256 of out/manifest.json, after checking that it lists exactly the
+    files on disk with their hashes."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    on_disk = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.iterdir()
+        if p.name != "manifest.json"
+    }
+    assert manifest["artifacts"] == on_disk, out
+    return hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+
+
+def test_default_artifacts_match_pinned_sha256(default_runs, tmp_path, capsys):
+    _, _, outs = default_runs
+    got = {f"run{seed}": _manifest_sha256(outs[seed]) for seed in range(3)}
+    pilot = ["pilot"] + [arg for seed in range(5) for arg in ("--seed", str(seed))]
+    assert cli_main(pilot + ["--out", str(tmp_path / "pilot")]) == 0
+    got["pilot"] = _manifest_sha256(tmp_path / "pilot")
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    gt, dets = workloads.write_eval_inputs(0, tmp_path / "inputs", num_scenes=2, det_files=2)
+    for name, flags in (("eval_merge", ["--merge"]), ("eval", [])):
+        args = ["eval", "--gt", str(gt), *flags]
+        for path in dets:
+            args += ["--dets", str(path)]
+        assert cli_main(args + ["--out", str(tmp_path / name)]) == 0
+        got[name] = _manifest_sha256(tmp_path / name)
+    capsys.readouterr()
+    assert got == PINNED_MANIFESTS
 
 
 def _tables_to_types(dets, gts, scene_ids):
@@ -326,7 +382,7 @@ def test_06_prediction_merging_protects_overlapping_vocabularies(capsys, tmp_pat
 
 
 def test_07_growth_beats_single_prompt_baseline(capsys, default_runs):
-    results, elapsed = default_runs
+    results, elapsed, _ = default_runs
     gains = [
         r.eval_summaries[-1].ar_at[100] - r.eval_summaries[0].ar_at[100]
         for r in results
