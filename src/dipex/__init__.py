@@ -24,7 +24,7 @@ from .expansion import (
     train_round,
 )
 from .geometry import GivensRotation, apply_rotation, mac, normalize, sample_child_rotations
-from .pseudo_labels import PseudoLabel, PseudoLabelSet, build_pseudo_labels, soft_nms
+from .pseudo_labels import PseudoLabel, PseudoLabelSet, ScoredBoxes, build_pseudo_labels, soft_nms
 from .world import World, WorldConfig, generate_world
 
 __version__ = "0.1.0"
@@ -45,6 +45,7 @@ __all__ = [
     "PseudoLabelSet",
     "QueryMode",
     "RunResult",
+    "ScoredBoxes",
     "VocabularyConfig",
     "World",
     "WorldConfig",

@@ -1,5 +1,5 @@
 """Axis-aligned boxes in pixel coordinates plus the handful of geometric
-primitives (IoU, hulls, size buckets) shared by the detector, the label
+primitives (IoU, size buckets) shared by the detector, the label
 builder and the evaluator."""
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class BBox:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
-
     def to_xywh(self) -> tuple[float, float, float, float]:
         """COCO convention: top-left corner plus width/height."""
         return (self.x_min, self.y_min, self.width, self.height)
@@ -58,21 +54,6 @@ class BBox:
     def from_xywh(x: float, y: float, w: float, h: float) -> "BBox":
         return BBox(x, y, x + w, y + h)
 
-    def to_cxcywh(self) -> tuple[float, float, float, float]:
-        cx, cy = self.center
-        return (cx, cy, self.width, self.height)
-
-    def clip(self, width: float, height: float) -> "BBox":
-        """Clip to an image of the given size; may produce a degenerate box."""
-        x0 = min(max(self.x_min, 0.0), width)
-        y0 = min(max(self.y_min, 0.0), height)
-        x1 = min(max(self.x_max, 0.0), width)
-        y1 = min(max(self.y_max, 0.0), height)
-        return BBox(x0, y0, max(x0, x1), max(y0, y1))
-
-    def translate(self, dx: float, dy: float) -> "BBox":
-        return BBox(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy)
-
 
 def intersection_area(a: BBox, b: BBox) -> float:
     iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
@@ -80,17 +61,6 @@ def intersection_area(a: BBox, b: BBox) -> float:
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     return iw * ih
-
-
-def union_area(a: BBox, b: BBox) -> float:
-    return a.area + b.area - intersection_area(a, b)
-
-
-def hull_area(a: BBox, b: BBox) -> float:
-    """Area of the smallest box enclosing both inputs."""
-    return (max(a.x_max, b.x_max) - min(a.x_min, b.x_min)) * (
-        max(a.y_max, b.y_max) - min(a.y_min, b.y_min)
-    )
 
 
 def iou(a: BBox, b: BBox) -> float:

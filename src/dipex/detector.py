@@ -12,8 +12,8 @@ The detector works on a whole world at once.  ``pack_world`` lays its scenes
 out as dense (scene, object) arrays and ``candidate_detections`` scores every
 (scene, prompt, object) triple, with its box, in one pass.  Training,
 activation counting, the per-prompt label passes and both query modes all
-start from that grid; ``Detection`` objects are built only for what a call
-returns.
+start from that grid.  ``detect_each`` returns arrays; ``Detection`` objects
+are built only for what ``detect_world`` returns.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .boxes import BBox
 from .geometry import apply_rotation, normalize, sample_child_rotations
-from .pseudo_labels import soft_nms
+from .pseudo_labels import ScoredBoxes, soft_nms
 from .world import World
 
 
@@ -295,15 +295,15 @@ def detect_each(
     prompts: Sequence[tuple[int, np.ndarray]],
     params: DetectorParams,
     seed: int = 0,
-) -> dict[int, list[Detection]]:
+) -> dict[int, ScoredBoxes]:
     """Each prompt run through the detector alone, keyed by prompt id: what
     one prediction-merging ``detect_world`` call per prompt returns, as one
-    list over the scenes in id order.
+    ``ScoredBoxes`` over the scenes in id order, canonical within a scene.
 
     Each prompt's cosines come from its own one-row product, as in a
     one-prompt ``detect_world`` call; one product over all prompts can round
     differently.  One grouped soft-NMS call suppresses every (prompt, scene)
-    group.
+    group; the group id ``p * S + s`` makes each prompt's rows one slice.
     """
     ids, unit = unit_prompts(prompts)
     scenes = pack_world(world, seed)
@@ -315,11 +315,10 @@ def detect_each(
     pick, final = _merge_groups(
         p * scenes.scene_ids.size + s, ids[p], scores[s, p, o], boxes[s, p, o], params
     )
-    out: dict[int, list[Detection]] = {int(pid): [] for pid in ids}
-    cells = (s[pick], p[pick], o[pick])
-    for det in _detections(scenes, ids, cells, final, boxes[cells]):
-        out[det.prompt_id].append(det)
-    return out
+    cols = (scenes.scene_ids[s[pick]], final, boxes[s[pick], p[pick], o[pick]])
+    ends = np.searchsorted(p[pick], np.arange(ids.size + 1)).tolist()
+    spans = zip(ids.tolist(), ends, ends[1:])
+    return {pid: ScoredBoxes(*(col[a:b] for col in cols)) for pid, a, b in spans}
 
 
 def detections_to_coco(dets_by_scene: Mapping[int, Sequence[Detection]]) -> list[dict]:

@@ -223,10 +223,6 @@ class EvalSummary:
     def ar(self, cap: int) -> float | None:
         return self.ar_at[cap]
 
-    @property
-    def max_cap(self) -> int:
-        return max(self.ar_at)
-
     def to_dict(self) -> dict:
         return {
             "ar": {str(cap): self.ar_at[cap] for cap in sorted(self.ar_at)},

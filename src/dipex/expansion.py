@@ -14,13 +14,14 @@ losses are tracked for reporting; the simulated detector's box noise is not
 differentiable with respect to the prompts, so they carry no gradient.
 
 Training works on a whole batch of scenes at once.  A round packs its scenes
-into the detector's dense (scene, object) arrays plus (scene, label) arrays,
-padded where scenes differ in size; each batch then takes one pass over its
-(scene, prompt, object, label) grid for the candidate boxes, IoU,
-responsibility matching, focal loss and gradient, and box bookkeeping.  The
-same candidate grid and the same responsibility matcher count how many
-labels each prompt answers for when the next parent is picked, and the label
-passes run every prompt through the detector in one grid pass.
+into the detector's dense (scene, object) arrays and scatters the label
+boxes into (scene, label) arrays, padded where scenes differ in size; each
+batch then takes one pass over its (scene, prompt, object, label) grid for
+the candidate boxes, IoU, responsibility matching, focal loss and gradient,
+and box bookkeeping.  The same grid and matcher count how many labels each
+prompt answers for when the next parent is picked.  The label passes run
+every prompt through the detector in one grid pass; labels stay arrays from
+detector to trainer.
 
 Growth stops after the configured number of expansions, or earlier when the
 maximum pairwise angle either clears the coverage threshold or stalls between
@@ -332,12 +333,14 @@ class _RoundData:
 
 def _round_data(world: World, labels: PseudoLabelSet, seed: int) -> _RoundData:
     scenes = pack_world(world, seed)
-    scene_labels = [labels.labels(int(sid)) for sid in scenes.scene_ids]
-    n_lab = np.array([len(labs) for labs in scene_labels])
-    label_boxes = np.zeros((len(scene_labels), int(n_lab.max()), 4))
-    for row, labs in enumerate(scene_labels):
-        if labs:
-            label_boxes[row, : len(labs)] = [label.bbox.as_tuple() for label in labs]
+    if not np.isin(labels.scene_ids, scenes.scene_ids).all():
+        raise ValueError("pseudo-labels reference scenes outside the world")
+    order = np.argsort(labels.scene_ids, kind="stable")  # by scene, each in label order
+    row = np.searchsorted(scenes.scene_ids, labels.scene_ids[order])
+    rank = np.arange(row.size) - np.searchsorted(row, row)
+    n_lab = np.bincount(row, minlength=scenes.scene_ids.size)
+    label_boxes = np.zeros((scenes.scene_ids.size, int(n_lab.max()), 4))
+    label_boxes[row, rank] = labels.boxes[order]
     return _RoundData(
         scenes=scenes,
         label_boxes=label_boxes,

@@ -150,13 +150,16 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
         {"noise_angle_degrees", "duplicate_angle_degrees", "min_separation_degrees"},
     )
     max_dets = doc.get("max_dets", list(DEFAULT_MAX_DETS))
-    if not isinstance(max_dets, (list, tuple)) or not max_dets:
-        raise ConfigError("max_dets must be a non-empty list of integers")
-    try:
-        caps = tuple(sorted(int(v) for v in max_dets))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"max_dets: {exc}") from exc
+    if not isinstance(max_dets, (list, tuple)) or not max_dets or not all(map(_is_cap, max_dets)):
+        raise ConfigError(f"max_dets must be a non-empty list of integers >= 1, got {max_dets!r}")
+    caps = tuple(sorted(int(v) for v in max_dets))
     return ExperimentConfig(world, detector, expansion, vocabulary, caps)
+
+
+def _is_cap(value) -> bool:
+    """A detection cap: a whole number (int, or integral float) of at least 1."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    return whole and not isinstance(value, bool) and value >= 1
 
 
 def load_experiment_config(path: str | Path | None) -> ExperimentConfig:

@@ -2,11 +2,12 @@
 that the label builder, the detector's prediction merging and
 ``eval --merge`` share.
 
-Predictions from one or more query sources are unioned per scene, run through
-Gaussian soft-NMS, and kept when their suppressed score clears the label
-threshold.  Surviving labels keep their original (pre-suppression) scores:
-suppression decides membership only, which makes the build a fixed point --
-rebuilding from its own output reproduces it exactly.
+Predictions from query sources, as ``ScoredBoxes`` arrays, are unioned, run
+through Gaussian soft-NMS, and kept when their suppressed score clears the
+label threshold.  Surviving labels keep their original (pre-suppression)
+scores: suppression decides membership only, which makes the build a fixed
+point -- rebuilding from its own output reproduces it exactly.  Labels stay
+arrays; ``PseudoLabelSet.all_labels`` is their one object view.
 """
 
 from __future__ import annotations
@@ -14,16 +15,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .boxes import BBox, box_iou, iou  # noqa: F401  (perfbench/tracing.py counts iou calls here)
-
-
-class ScoredBox(Protocol):
-    bbox: BBox
-    score: float
 
 
 @dataclass(frozen=True)
@@ -34,28 +30,38 @@ class PseudoLabel:
     source: str
 
 
-@dataclass
-class PseudoLabelSet:
-    """Per-scene pseudo ground truth plus the recipe that produced it."""
+@dataclass(frozen=True, eq=False)
+class ScoredBoxes:
+    """Scored boxes as parallel arrays, one row per box."""
 
-    by_scene: dict[int, tuple[PseudoLabel, ...]]
-    meta: dict = field(default_factory=dict)
+    scene_ids: np.ndarray  # (n,) int
+    scores: np.ndarray     # (n,)
+    boxes: np.ndarray      # (n, 4) xyxy
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self.by_scene.values())
+        return self.scores.size
 
-    def labels(self, scene_id: int) -> tuple[PseudoLabel, ...]:
-        return self.by_scene.get(scene_id, ())
 
-    def all_labels(self) -> Iterable[PseudoLabel]:
-        for scene_id in sorted(self.by_scene):
-            yield from self.by_scene[scene_id]
+@dataclass(frozen=True, eq=False)
+class PseudoLabelSet(ScoredBoxes):
+    """Pseudo ground truth, each label's source name, and the recipe that
+    produced it; ``build_pseudo_labels`` orders labels by (scene, -score,
+    box, source)."""
+
+    sources: np.ndarray    # (n,) str
+    meta: dict = field(default_factory=dict)
+
+    def all_labels(self) -> Iterator[PseudoLabel]:
+        rows = (self.scene_ids, self.boxes, self.scores, self.sources)
+        for sid, box, score, source in zip(*(column.tolist() for column in rows)):
+            yield PseudoLabel(sid, BBox(*box), score, source)
 
     def to_coco(self, scene_dims: Mapping[int, tuple[int, int]]) -> dict:
-        """COCO annotations document; scene_dims maps scene id -> (w, h)."""
+        """COCO annotations document listing every scene of ``scene_dims``
+        (scene id -> (w, h)), labelled or not."""
         images = [
             {"id": int(sid), "width": int(scene_dims[sid][0]), "height": int(scene_dims[sid][1])}
-            for sid in sorted(self.by_scene)
+            for sid in sorted(scene_dims)
         ]
         annotations = []
         for label in self.all_labels():
@@ -80,7 +86,7 @@ class PseudoLabelSet:
 
 
 def soft_nms(
-    dets: Sequence[ScoredBox] | np.ndarray,
+    dets: Sequence | np.ndarray,
     sigma: float = 0.5,
     score_floor: float = 0.001,
     boxes: np.ndarray | None = None,
@@ -139,45 +145,36 @@ def soft_nms(
 
 
 def build_pseudo_labels(
-    detections_by_source: Mapping[str, Sequence],
+    sources: Mapping[str, ScoredBoxes],
     threshold: float = 0.2,
     sigma: float = 0.5,
     score_floor: float = 0.001,
 ) -> PseudoLabelSet:
-    """Union detections across sources, suppress duplicates, keep confident ones.
+    """Union scored boxes across sources, suppress duplicates, keep confident ones.
 
-    Inputs are any objects with scene_id/bbox/score attributes, grouped under
-    a source tag.  All candidates are sorted at once by (scene, -score, box,
-    source); exact duplicates (same scene, box and score) collapse to the
-    first in that order, so listing a source twice changes nothing.  One
+    The sources, in sorted-name order, are sorted at once by (scene, -score,
+    box, source); exact duplicates (same scene, box and score) collapse to
+    the first in that order, so listing a source twice changes nothing.  One
     grouped soft-NMS call then suppresses every scene.  The label threshold
     acts as the suppression floor: a candidate whose suppressed score dips
     below it is discarded before it can suppress anyone else, and survivors
     are recorded with their original scores, in sorted order.
-    Idempotent: feeding the output back as a single source returns it.
+    Idempotent: feeding the output, itself a source, back returns it.
     """
     if not (0.0 <= threshold < 1.0):
         raise ValueError(f"threshold out of [0, 1): {threshold}")
-    sources = sorted(detections_by_source)
-    dets = [det for source in sources for det in detections_by_source[source]]
-    src = np.repeat(np.arange(len(sources)), [len(detections_by_source[s]) for s in sources])
-    scene = np.array([int(d.scene_id) for d in dets], dtype=int)
-    score = np.array([float(d.score) for d in dets])
-    boxes = np.array([d.bbox.as_tuple() for d in dets], dtype=float).reshape(-1, 4)
+    names = sorted(sources)
+    parts = [sources[name] for name in names]
+    src = np.repeat(np.arange(len(names)), [len(part) for part in parts])
+    scene = np.concatenate([np.zeros(0, dtype=int)] + [part.scene_ids for part in parts])
+    score = np.concatenate([np.zeros(0)] + [part.scores for part in parts])
+    boxes = np.concatenate([np.zeros((0, 4))] + [part.boxes for part in parts])
     order = np.lexsort((src, *boxes.T[::-1], -score, scene))
     key = np.column_stack([scene, score, boxes])[order]
     order = order[np.r_[True, np.any(key[1:] != key[:-1], axis=1)][: order.size]]
 
     kept = soft_nms(score[order], sigma, max(score_floor, threshold), boxes[order], scene[order])
-    by_scene: dict[int, list[PseudoLabel]] = {}
-    for j in order[sorted(i for i, _ in kept)].tolist():
-        sid = int(scene[j])
-        label = PseudoLabel(sid, dets[j].bbox, float(score[j]), str(sources[src[j]]))
-        by_scene.setdefault(sid, []).append(label)
-    meta = {
-        "threshold": threshold,
-        "sigma": sigma,
-        "score_floor": score_floor,
-        "sources": sorted(str(s) for s in detections_by_source),
-    }
-    return PseudoLabelSet(by_scene={sid: tuple(v) for sid, v in by_scene.items()}, meta=meta)
+    keep = order[np.sort(np.array([i for i, _ in kept], dtype=int))]
+    meta = {"threshold": threshold, "sigma": sigma, "score_floor": score_floor, "sources": names}
+    label_sources = np.array(names, dtype=str)[src[keep]]
+    return PseudoLabelSet(scene[keep], score[keep], boxes[keep], label_sources, meta)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import BBox, size_class_from_area
+from .boxes import BBox
 from .geometry import normalize
 
 # sqrt-area sampling ranges per size class; L is additionally capped so a box
@@ -175,11 +175,6 @@ class World:
     @staticmethod
     def load(path: str | Path) -> "World":
         return World.from_dict(json.loads(Path(path).read_text()))
-
-
-def size_class_of(bbox: BBox) -> str:
-    """COCO-style bucket of a box by area: S < 32^2 <= M < 96^2 <= L."""
-    return size_class_from_area(bbox.area)
 
 
 def _size_counts(config: WorldConfig, total: int) -> list[str]:

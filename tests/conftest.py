@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dipex import DetectorParams, WorldConfig, generate_world
+from dipex.pseudo_labels import PseudoLabelSet, ScoredBoxes
 
 SMALL_WORLD = WorldConfig(
     dim=16,
@@ -37,6 +38,17 @@ def tiny_world():
 @pytest.fixture
 def default_params():
     return DetectorParams()
+
+
+def as_arrays(items, labels=False):
+    """ScoredBoxes of objects with scene_id/bbox/score attributes, in the
+    given order; with ``labels``, the PseudoLabelSet of PseudoLabel objects."""
+    scene_ids = np.array([int(d.scene_id) for d in items], dtype=int)
+    scores = np.array([float(d.score) for d in items])
+    boxes = np.array([d.bbox.as_tuple() for d in items], dtype=float).reshape(-1, 4)
+    if labels:
+        return PseudoLabelSet(scene_ids, scores, boxes, np.array([d.source for d in items], dtype=str))
+    return ScoredBoxes(scene_ids, scores, boxes)
 
 
 def plain_dets(dets_by_scene):

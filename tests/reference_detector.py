@@ -1,12 +1,13 @@
-"""Scalar reference for the array detector, soft-NMS and responsibility
-matcher.
+"""Scalar reference for the array detector, soft-NMS, label builder and
+responsibility matcher.
 
 These are the one-pair-at-a-time versions that `dipex.detector`'s candidate
-grid, the array `soft_nms` and `expansion.assign_responsibility` replaced:
-a `BBox` and a `Detection` per (prompt, object) pair, Python loops for both
-merging policies, a Python soft-NMS and an object-based label matcher.  They
-are kept here only to cross-check the fast paths, which must reproduce them
-exactly.
+grid, the array `soft_nms`, the array `build_pseudo_labels` and
+`expansion.assign_responsibility` replaced: a `BBox` and a `Detection` per
+(prompt, object) pair, Python loops for both merging policies, a Python
+soft-NMS, a scene-by-scene label builder over objects and an object-based
+label matcher.  They are kept here only to cross-check the fast paths, which
+must reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,12 +38,25 @@ def raw_logit(prompt: np.ndarray, embedding: np.ndarray, params: DetectorParams)
     return params.logit_scale * cos + params.logit_bias
 
 
+def translate(box: BBox, dx: float, dy: float) -> BBox:
+    return BBox(box.x_min + dx, box.y_min + dy, box.x_max + dx, box.y_max + dy)
+
+
+def clip(box: BBox, width: float, height: float) -> BBox:
+    """Clip to an image of the given size; may produce a degenerate box."""
+    x0 = min(max(box.x_min, 0.0), width)
+    y0 = min(max(box.y_min, 0.0), height)
+    x1 = min(max(box.x_max, 0.0), width)
+    y1 = min(max(box.y_max, 0.0), height)
+    return BBox(x0, y0, max(x0, x1), max(y0, y1))
+
+
 def noisy_box(gt: BBox, score: float, scene, object_id: int, params: DetectorParams, seed: int) -> BBox:
     """Ground-truth box translated by box_noise * (1 - score) * sqrt(area)
     along the object's hashed direction, clipped to the scene."""
     dx, dy = _noise_direction(seed, scene.id, object_id)
     mag = params.box_noise * (1.0 - score) * math.sqrt(gt.area)
-    return gt.translate(mag * dx, mag * dy).clip(scene.width, scene.height)
+    return clip(translate(gt, mag * dx, mag * dy), scene.width, scene.height)
 
 
 def _prompt_matrix(prompts) -> tuple[list[int], np.ndarray]:
@@ -90,6 +104,33 @@ def soft_nms(dets: Sequence, sigma: float = 0.5, score_floor: float = 0.001) -> 
                 rescored.append((s2, idx, d))
         remaining = rescored
     return kept
+
+
+def build_pseudo_labels(
+    sources: Mapping[str, Sequence],
+    threshold: float = 0.2,
+    sigma: float = 0.5,
+    score_floor: float = 0.001,
+) -> list[PseudoLabel]:
+    """Scene-by-scene label builder over objects with scene_id/bbox/score:
+    the sources unioned in sorted-name order and sorted by (scene, -score,
+    box, source), exact (scene, score, box) duplicates dropped after the
+    first, the one-box-at-a-time soft-NMS run per scene with floor
+    max(score_floor, threshold), and the survivors listed in sorted order
+    with their original scores."""
+    rows = sorted(
+        (int(d.scene_id), -float(d.score), d.bbox.as_tuple(), name)
+        for name in sorted(sources)
+        for d in sources[name]
+    )
+    rows = [row for i, row in enumerate(rows) if i == 0 or row[:3] != rows[i - 1][:3]]
+    labels = []
+    for sid in sorted({row[0] for row in rows}):
+        # each candidate carries its row number as prompt_id through soft-NMS
+        cands = [Detection(sid, BBox(*row[2]), -row[1], k, -1) for k, row in enumerate(rows) if row[0] == sid]
+        kept = sorted(d.prompt_id for d in soft_nms(cands, sigma, max(score_floor, threshold)))
+        labels += [PseudoLabel(sid, BBox(*rows[k][2]), -rows[k][1], rows[k][3]) for k in kept]
+    return labels
 
 
 def _canonical(dets: list[Detection]) -> list[Detection]:

@@ -13,16 +13,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dipex.boxes import BBox, hull_area, intersection_area
+from dipex.boxes import BBox, intersection_area
 from dipex.detection_losses import sigmoid_focal_loss
 from dipex.detector import _noise_direction
 from dipex.expansion import _BatchTally
 
 
+def cxcywh(box: BBox) -> tuple[float, float, float, float]:
+    cx, cy = 0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)
+    return (cx, cy, box.width, box.height)
+
+
+def hull_area(a: BBox, b: BBox) -> float:
+    """Area of the smallest box enclosing both inputs."""
+    return (max(a.x_max, b.x_max) - min(a.x_min, b.x_min)) * (
+        max(a.y_max, b.y_max) - min(a.y_min, b.y_min)
+    )
+
+
 def l1_box_loss(pred: BBox, target: BBox, image_width: float, image_height: float) -> float:
     """Mean absolute (cx, cy, w, h) difference, normalized per image axis."""
-    pcx, pcy, pw, ph = pred.to_cxcywh()
-    tcx, tcy, tw, th = target.to_cxcywh()
+    pcx, pcy, pw, ph = cxcywh(pred)
+    tcx, tcy, tw, th = cxcywh(target)
     terms = (
         abs(pcx - tcx) / image_width,
         abs(pcy - tcy) / image_height,
@@ -65,7 +77,7 @@ def scene_data(world, labels, seed: int) -> dict[int, SceneData]:
     for scene in world.scenes:
         objs = world.scene_objects(scene)
         gt = np.array([o.bbox.as_tuple() for o in objs], dtype=float)
-        scene_labels = list(labels.labels(scene.id))
+        scene_labels = [l for l in labels.all_labels() if l.scene_id == scene.id]
         lab = (
             np.array([l.bbox.as_tuple() for l in scene_labels], dtype=float)
             if scene_labels

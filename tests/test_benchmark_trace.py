@@ -1,7 +1,10 @@
 """The benchmark's traced run (perfbench/tracing.py) on one small command per
 workload: every name it wraps must still exist, and every per-layer metric
 the workload requires must read non-zero.  A refactor that drops or stops
-calling a traced name fails here rather than in a benchmark run."""
+calling a traced name fails here rather than in a benchmark run.  The work
+counts of `run --seed 0` are pinned, so a tally that silently counts
+something else (say, once `len()` reads a record instead of a list) fails
+too."""
 
 import json
 import os
@@ -13,6 +16,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+PINNED_COUNTS = {
+    "grow": {
+        "pseudo_labels.build_pseudo_labels.candidates_in": 14317,
+        "pseudo_labels.build_pseudo_labels.labels_out": 1493,
+        "pseudo_labels.soft_nms.boxes_in": 20377,
+        "pseudo_labels.soft_nms.boxes_kept": 16944,
+        "expansion.labels_assigned": 1173,
+        "detector.detections": 1085,
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +69,5 @@ def test_traced_workload_counts_every_required_layer(workload, perfbench, tmp_pa
     metrics = json.loads(metrics_file.read_text())
     zero = [name for name, _, required in tracing.PER_LAYER if workload in required and not metrics[name]]
     assert zero == []
+    pinned = PINNED_COUNTS.get(workload, {})
+    assert {name: metrics[name] for name in pinned} == pinned

@@ -233,6 +233,23 @@ def test_schema_violation_exit_code(tmp_path, capsys):
     assert "missing 'images'" in captured.err
 
 
+def test_run_labels_score_the_run_detections(tmp_path, capsys):
+    """labels.json lists every scene, labelled or not, so ``dipex eval`` can
+    score the run's detections against it.  At label threshold 0.6 only a
+    few of the 80 default scenes get labels."""
+    path = tmp_path / "config.yaml"
+    path.write_text("expansion:\n  label_threshold: 0.6\n  num_expansions: 1\n  epochs_per_round: 2\n")
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(path), "--out", str(run)]) == 0
+    doc = json.loads((run / "labels.json").read_text())
+    assert [image["id"] for image in doc["images"]] == list(range(80))
+    assert len({ann["image_id"] for ann in doc["annotations"]}) < 10
+    eval_args = ["--gt", str(run / "labels.json"), "--dets", str(run / "detections.json")]
+    code = main(["eval", *eval_args, "--out", str(tmp_path / "eval")])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "config.yaml"
     path.write_text("expansion:\n  num_childs: 4\n")
@@ -241,6 +258,13 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("error[config]:")
     assert "num_childs" in captured.err
+    # caps are checked when the config loads, before any world is generated
+    path.write_text("max_dets: [0, 10]\n")
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error[config]: max_dets")
+    assert not (tmp_path / "out").exists()
 
 
 def test_occupied_output_dir_exit_code(config_path, tmp_path, capsys):

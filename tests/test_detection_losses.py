@@ -8,6 +8,7 @@ from dipex.boxes import BBox, iou
 from dipex.detection_losses import giou, giou_loss, l1_box_loss, sigmoid_focal_loss
 
 import reference_train
+from reference_detector import translate
 
 
 def test_l1_identical_boxes_is_zero():
@@ -27,7 +28,7 @@ def test_l1_symmetric_and_axis_normalized():
     b = BBox(4.0, 6.0, 18.0, 30.0)
     assert l1_box_loss(a, b, 200.0, 50.0) == l1_box_loss(b, a, 200.0, 50.0)
     # pure vertical shift scales with image height only
-    shifted = a.translate(0.0, 10.0)
+    shifted = translate(a, 0.0, 10.0)
     assert l1_box_loss(shifted, a, 100.0, 50.0) == pytest.approx(
         (10.0 / 50.0) / 4.0
     )

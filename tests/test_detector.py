@@ -20,10 +20,12 @@ from dipex.detector import (
     sigmoid,
 )
 from dipex.geometry import angular_distance, normalize
+from dipex.pseudo_labels import ScoredBoxes
 from dipex.world import Scene, World
 
 import reference_detector as ref
-from reference_detector import noisy_box, pair_scores, raw_logit
+from conftest import as_arrays
+from reference_detector import clip, noisy_box, pair_scores, raw_logit
 
 
 def detect_scene(scene, prompts, mode, params, world, seed=0):
@@ -79,7 +81,7 @@ def test_noisy_box_magnitude_and_determinism(small_world, default_params):
     scene = small_world.scenes[0]
     obj = small_world.scene_objects(scene)[0]
     exact = noisy_box(obj.bbox, 1.0, scene, obj.id, default_params, seed=0)
-    assert exact == obj.bbox.clip(scene.width, scene.height)
+    assert exact == clip(obj.bbox, scene.width, scene.height)
     moved = noisy_box(obj.bbox, 0.5, scene, obj.id, default_params, seed=0)
     again = noisy_box(obj.bbox, 0.5, scene, obj.id, default_params, seed=0)
     assert moved == again
@@ -294,14 +296,28 @@ def _random_params(rng):
     )
 
 
+def _rows(by_key):
+    """Detections keyed by scene or prompt as (scene, box, score, *ids) rows;
+    the ids are (prompt, object) for Detection lists, none for ScoredBoxes."""
+    out = {}
+    for key, dets in by_key.items():
+        if isinstance(dets, ScoredBoxes):
+            boxes = map(tuple, dets.boxes.tolist())
+            out[key] = list(zip(dets.scene_ids.tolist(), boxes, dets.scores.tolist()))
+        else:
+            out[key] = [(d.scene_id, d.bbox.as_tuple(), d.score, d.prompt_id, d.object_id) for d in dets]
+    return out
+
+
 def _detector_runs(world, prompts, params, seed):
-    """(ours, reference) for both query modes and for detect_each."""
+    """(ours, reference) rows for both query modes and for detect_each."""
     pairs = [
         (detect_world(world, prompts, mode, params, seed), ref.detect_world(world, prompts, mode, params, seed))
         for mode in QueryMode
     ]
-    pairs.append((detect_each(world, prompts, params, seed), ref.label_sources(prompts, world, params, seed)))
-    return pairs
+    each = ref.label_sources(prompts, world, params, seed)
+    pairs.append((detect_each(world, prompts, params, seed), {pid: as_arrays(d) for pid, d in each.items()}))
+    return [(_rows(ours), _rows(want)) for ours, want in pairs]
 
 
 @settings(max_examples=40, deadline=None)
@@ -351,10 +367,8 @@ def test_detector_masks_padded_objects(small_world, seed):
     for ours, want in _detector_runs(world, prompts, _random_params(rng), 0):
         assert ours.keys() == want.keys()
         for key in ours:
-            got, ref_dets = ours[key], want[key]
-            assert [(d.scene_id, d.prompt_id, d.object_id) for d in got] == [
-                (d.scene_id, d.prompt_id, d.object_id) for d in ref_dets
-            ]
-            for a, b in zip(got, ref_dets):
-                assert a.score == pytest.approx(b.score, rel=1e-12, abs=1e-12)
-                assert a.bbox.as_tuple() == pytest.approx(b.bbox.as_tuple(), rel=1e-12)
+            got, ref_rows = ours[key], want[key]
+            assert [(r[0], *r[3:]) for r in got] == [(r[0], *r[3:]) for r in ref_rows]
+            for (_, box, score, *_), (_, ref_box, ref_score, *_) in zip(got, ref_rows):
+                assert score == pytest.approx(ref_score, rel=1e-12, abs=1e-12)
+                assert box == pytest.approx(ref_box, rel=1e-12)

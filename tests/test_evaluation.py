@@ -277,7 +277,6 @@ def test_summary_accessors_and_monotonic_guard():
     gts = make_gts({0: [(square(0, 0, 100), False)]})
     summary = evaluate(make_dets({0: [(square(0, 0, 100), 0.9)]}), gts)
     assert summary.ar(100) == summary.ar_at[100]
-    assert summary.max_cap == 100
     d = summary.to_dict()
     assert d["ar"]["100"] == 1.0
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dipex.boxes import BBox
 from dipex.detector import DetectorParams, QueryMode, candidate_detections, detect_world, pack_world
 from dipex.expansion import (
     ActivationStats,
@@ -21,9 +22,10 @@ from dipex.expansion import (
     train_round,
 )
 from dipex.geometry import angular_distance, mac, normalize
-from dipex.pseudo_labels import PseudoLabelSet, build_pseudo_labels
+from dipex.pseudo_labels import PseudoLabel, build_pseudo_labels
 
 import reference_detector as ref
+from conftest import as_arrays
 
 FAST = ExpansionConfig(
     num_children=2,
@@ -233,9 +235,16 @@ def test_train_round_freezes_parent_bytes(tiny_world, default_params):
 def test_train_round_requires_trainable_prompts(tiny_world, default_params):
     root = PromptNode(0, unit(tiny_world.config.dim), 0, None, frozen=True)
     tree = PromptTree(nodes={0: root}, parent_queue=[0])
-    labels = PseudoLabelSet(by_scene={})
+    labels = as_arrays([], labels=True)
     with pytest.raises(ValueError):
         train_round(tree, labels, tiny_world, FAST, default_params, np.random.default_rng(0))
+
+
+def test_labels_outside_the_world_rejected(tiny_world, default_params):
+    tree = PromptTree.from_root(unit(tiny_world.config.dim))
+    labels = as_arrays([PseudoLabel(999, BBox(0.0, 0.0, 5.0, 5.0), 0.9, "x")], labels=True)
+    with pytest.raises(ValueError, match="outside the world"):
+        activation_frequency(tree, labels, tiny_world, default_params)
 
 
 def test_activation_frequency_sums_to_total(tiny_world, default_params):
@@ -299,12 +308,12 @@ def test_label_passes_match_per_prompt_detection(tiny_world, small_world, seed, 
     for labels, prompts, tag in cases:
         sources = ref.label_sources(prompts, world, label_params, config.seed)
         want = build_pseudo_labels(
-            {tag.format(pid): dets for pid, dets in sources.items()},
+            {tag.format(pid): as_arrays(dets) for pid, dets in sources.items()},
             threshold=config.label_threshold,
             sigma=params.nms_sigma,
             score_floor=params.nms_floor,
         )
-        assert labels.by_scene == want.by_scene
+        assert list(labels.all_labels()) == list(want.all_labels())
         assert labels.meta == want.meta
 
 

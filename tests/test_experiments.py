@@ -77,8 +77,10 @@ def test_config_rejects_unknown_and_invalid():
         experiment_config_from_dict([])
     with pytest.raises(ConfigError, match="max_dets"):
         experiment_config_from_dict({"max_dets": []})
-    with pytest.raises(ConfigError, match="max_dets"):
-        experiment_config_from_dict({"max_dets": ["ten"]})
+    for caps in (["ten"], [1.9, -3, 10], [0, 10], [True, 10], [math.inf], "10"):
+        with pytest.raises(ConfigError, match="max_dets"):
+            experiment_config_from_dict({"max_dets": caps})
+    assert experiment_config_from_dict({"max_dets": [10.0, 1]}).max_dets == (1, 10)
     # radian-valued field names are reserved for their *_degrees forms
     with pytest.raises(ConfigError, match="unknown key"):
         experiment_config_from_dict({"expansion": {"max_angle": 0.2}})

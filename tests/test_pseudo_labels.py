@@ -7,14 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dipex.boxes import BBox
-from dipex.pseudo_labels import (
-    PseudoLabel,
-    PseudoLabelSet,
-    build_pseudo_labels,
-    soft_nms,
-)
+from dipex.pseudo_labels import PseudoLabel, build_pseudo_labels, soft_nms
 
 import reference_detector as ref
+from conftest import as_arrays
 from reference_detector import assign_responsibility
 
 
@@ -28,6 +24,15 @@ class Det:
 
 def unit_box(x, y, side=10.0):
     return BBox(x, y, x + side, y + side)
+
+
+def build(dets_by_source, **kwargs):
+    """build_pseudo_labels over object lists, one ScoredBoxes per source."""
+    return build_pseudo_labels({name: as_arrays(dets) for name, dets in dets_by_source.items()}, **kwargs)
+
+
+def scene_labels(labels, scene_id):
+    return [label for label in labels.all_labels() if label.scene_id == scene_id]
 
 
 def test_soft_nms_identical_pair_frozen_value():
@@ -154,8 +159,8 @@ def test_build_keeps_original_scores_and_threshold():
         Det(0, unit_box(50, 50), 0.3),
         Det(0, unit_box(100, 100), 0.1),  # below threshold outright
     ]
-    labels = build_pseudo_labels({"src": dets}, threshold=0.2)
-    got = [(l.bbox.as_tuple(), l.score) for l in labels.labels(0)]
+    labels = build({"src": dets}, threshold=0.2)
+    got = [(l.bbox.as_tuple(), l.score) for l in scene_labels(labels, 0)]
     assert (unit_box(0, 0).as_tuple(), 0.9) in got
     assert (unit_box(50, 50).as_tuple(), 0.3) in got
     assert all(box != unit_box(100, 100).as_tuple() for box, _ in got)
@@ -166,15 +171,15 @@ def test_build_keeps_original_scores_and_threshold():
 def test_build_unions_sources_and_collapses_exact_duplicates():
     a = [Det(0, unit_box(0, 0), 0.9)]
     b = [Det(0, unit_box(0, 0), 0.9), Det(1, unit_box(5, 5), 0.8)]
-    labels = build_pseudo_labels({"a": a, "b": b}, threshold=0.2)
-    assert len(labels.labels(0)) == 1
-    assert len(labels.labels(1)) == 1
+    labels = build({"a": a, "b": b}, threshold=0.2)
+    assert len(scene_labels(labels, 0)) == 1
+    assert len(scene_labels(labels, 1)) == 1
     assert labels.meta["sources"] == ["a", "b"]
     # a wide sigma barely suppresses, so only the dedupe removes the copy
-    wide = build_pseudo_labels({"b": b, "a": a}, threshold=0.2, sigma=100.0)
-    assert [label.source for label in wide.labels(0)] == ["a"]
+    wide = build({"b": b, "a": a}, threshold=0.2, sigma=100.0)
+    assert [label.source for label in scene_labels(wide, 0)] == ["a"]
     with pytest.raises(ValueError):
-        build_pseudo_labels({"a": a}, threshold=1.0)
+        build({"a": a}, threshold=1.0)
 
 
 def test_build_is_idempotent_on_hand_case():
@@ -184,8 +189,8 @@ def test_build_is_idempotent_on_hand_case():
         Det(0, unit_box(3, 3), 0.5),
         Det(0, unit_box(40, 40), 0.21),
     ]
-    first = build_pseudo_labels({"x": dets}, threshold=0.2)
-    again = build_pseudo_labels({"y": list(first.all_labels())}, threshold=0.2)
+    first = build({"x": dets}, threshold=0.2)
+    again = build_pseudo_labels({"y": first}, threshold=0.2)
     assert [
         (l.scene_id, l.bbox.as_tuple(), l.score) for l in first.all_labels()
     ] == [(l.scene_id, l.bbox.as_tuple(), l.score) for l in again.all_labels()]
@@ -203,20 +208,70 @@ def test_build_is_idempotent_on_hand_case():
 @settings(max_examples=60, deadline=None)
 def test_build_idempotent_property(rows):
     dets = [Det(0, unit_box(x, y), round(s, 6)) for x, y, s in rows]
-    first = build_pseudo_labels({"p": dets}, threshold=0.2)
-    again = build_pseudo_labels({"p": list(first.all_labels())}, threshold=0.2)
+    first = build({"p": dets}, threshold=0.2)
+    again = build_pseudo_labels({"p": first}, threshold=0.2)
     assert [
         (l.bbox.as_tuple(), l.score) for l in first.all_labels()
     ] == [(l.bbox.as_tuple(), l.score) for l in again.all_labels()]
 
 
+def _label_sources(rng, num_sources):
+    """1-6 object lists under shuffled names: empty sources, one list under
+    two names, exact cross-source duplicates, score ties, and scene ids
+    with gaps (scenes without candidates), boxes crowded enough to
+    suppress each other."""
+    scenes = rng.choice(10, size=int(rng.integers(1, 5)), replace=False)
+    sources, pool = {}, []
+    for name in rng.permutation([f"src_{k}" for k in range(num_sources)]).tolist():
+        if sources and rng.random() < 0.2:
+            sources[name] = sources[rng.choice(sorted(sources))]
+            continue
+        dets = []
+        for _ in range(int(rng.integers(0, 15)) * (rng.random() > 0.15)):
+            if pool and rng.random() < 0.2:
+                dets.append(pool[int(rng.integers(0, len(pool)))])
+                continue
+            x, y = rng.uniform(0.0, 60.0, size=2)
+            w, h = rng.uniform(1.0, 40.0, size=2)
+            score = float(rng.uniform(0.0, 1.0))
+            if rng.random() < 0.3:
+                score = round(score, 1)
+            dets.append(Det(int(rng.choice(scenes)), BBox(x, y, x + w, y + h), score))
+            pool.append(dets[-1])
+        sources[name] = dets
+    return sources
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_sources=st.integers(1, 6),
+    threshold=st.sampled_from([0.0, 0.2, 0.5]),
+)
+@example(seed=0, num_sources=6, threshold=0.2)
+def test_build_matches_scalar_reference(seed, num_sources, threshold):
+    """The array label builder equals the scene-by-scene oracle over objects:
+    the same scene ids, box and score bytes and sources, in the same order,
+    and rebuilding from its own output returns it."""
+    sources = _label_sources(np.random.default_rng(seed), num_sources)
+    want = ref.build_pseudo_labels(sources, threshold)
+    got = build(sources, threshold=threshold)
+    assert got.scene_ids.tolist() == [label.scene_id for label in want]
+    assert got.boxes.tobytes() == np.array([l.bbox.as_tuple() for l in want]).reshape(-1, 4).tobytes()
+    assert got.scores.tobytes() == np.array([label.score for label in want]).tobytes()
+    assert got.sources.tolist() == [label.source for label in want]
+    again = build_pseudo_labels({"again": got}, threshold=threshold)
+    for column in ("scene_ids", "scores", "boxes"):
+        assert getattr(again, column).tobytes() == getattr(got, column).tobytes()
+
+
 def test_label_set_len_and_coco():
-    labels = build_pseudo_labels(
-        {"s": [Det(0, unit_box(0, 0), 0.9), Det(2, unit_box(5, 5), 0.5)]}
-    )
+    labels = build({"s": [Det(0, unit_box(0, 0), 0.9), Det(2, unit_box(5, 5), 0.5)]})
     assert len(labels) == 2
-    doc = labels.to_coco({0: (640, 480), 2: (640, 480)})
-    assert [img["id"] for img in doc["images"]] == [0, 2]
+    # every scene is listed, scene 1 without labels too
+    doc = labels.to_coco({2: (640, 480), 0: (640, 480), 1: (320, 240)})
+    assert [img["id"] for img in doc["images"]] == [0, 1, 2]
+    assert doc["images"][1] == {"id": 1, "width": 320, "height": 240}
     assert len(doc["annotations"]) == 2
     ann = doc["annotations"][0]
     assert ann["iscrowd"] == 0
@@ -266,9 +321,7 @@ def test_responsibility_misses_and_scene_isolation():
 
 
 def test_responsibility_accepts_label_set():
-    label_set = PseudoLabelSet(
-        by_scene={0: (PseudoLabel(0, unit_box(0, 0), 0.9, "x"),)}
-    )
+    label_set = as_arrays([PseudoLabel(0, unit_box(0, 0), 0.9, "x")], labels=True)
     dets = [Det(0, unit_box(0, 0), 0.8, prompt_id=3)]
     assignments, misses = assign_responsibility(dets, label_set)
     assert assignments[0].responsible_prompt_id == 3

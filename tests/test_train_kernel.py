@@ -16,6 +16,8 @@ from dipex.expansion import (
 from dipex.pseudo_labels import PseudoLabel, PseudoLabelSet
 from dipex.world import Scene, World
 
+from conftest import as_arrays
+from reference_detector import clip
 from reference_train import reference_batch, scene_data
 
 PARAMS = DetectorParams()
@@ -33,23 +35,19 @@ def ragged(world: World, rng: np.random.Generator) -> World:
 
 def random_labels(world: World, rng: np.random.Generator) -> PseudoLabelSet:
     """Labels near objects, plus one 2x2 box per labelled scene that no
-    candidate can match.  The lowest scene id gets no labels at all."""
-    by_scene = {}
+    candidate can match, shuffled across scenes.  The lowest scene id gets
+    no labels at all."""
+    out = []
     for scene in sorted(world.scenes, key=lambda s: s.id)[1:]:
-        labels = []
         for obj in world.scene_objects(scene):
             if rng.random() < 0.7:
                 x0, y0, x1, y1 = obj.bbox.as_tuple()
                 dx, dy = rng.uniform(-0.1, 0.1, size=2) * (x1 - x0)
-                box = BBox(x0 + dx, y0 + dy, x1 + dx, y1 + dy).clip(scene.width, scene.height)
-                labels.append(PseudoLabel(scene.id, box, float(rng.uniform(0.2, 1.0)), "near"))
+                box = clip(BBox(x0 + dx, y0 + dy, x1 + dx, y1 + dy), scene.width, scene.height)
+                out.append(PseudoLabel(scene.id, box, float(rng.uniform(0.2, 1.0)), "near"))
         x, y = rng.uniform(0.0, 400.0, size=2)
-        labels.insert(
-            int(rng.integers(0, len(labels) + 1)),
-            PseudoLabel(scene.id, BBox(x, y, x + 2.0, y + 2.0), 0.5, "stray"),
-        )
-        by_scene[scene.id] = tuple(labels)
-    return PseudoLabelSet(by_scene=by_scene)
+        out.append(PseudoLabel(scene.id, BBox(x, y, x + 2.0, y + 2.0), 0.5, "stray"))
+    return as_arrays([out[i] for i in rng.permutation(len(out))], labels=True)
 
 
 def random_prompts(world: World, rng: np.random.Generator, tie: bool = False) -> np.ndarray:

@@ -3,13 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dipex.boxes import intersection_area
-from dipex.world import (
-    World,
-    WorldConfig,
-    generate_world,
-    size_class_of,
-)
+from dipex.boxes import intersection_area, size_class_from_area
+from dipex.world import World, WorldConfig, generate_world
 
 from conftest import SMALL_WORLD
 
@@ -75,7 +70,7 @@ def test_embeddings_unit_norm_and_clustered(small_world):
 
 def test_size_classes_follow_mix(small_world):
     labels = [o.size_class for o in small_world.objects]
-    assert all(size_class_of(o.bbox) == o.size_class for o in small_world.objects)
+    assert all(size_class_from_area(o.bbox.area) == o.size_class for o in small_world.objects)
     total = len(labels)
     counts = {cls: labels.count(cls) for cls in ("S", "M", "L")}
     for cls, frac in zip(("S", "M", "L"), small_world.config.size_mix):
