@@ -15,9 +15,8 @@ from dipex.cli import DEFAULT_GAMMA_VALUES, DEFAULT_K_VALUES
 from dipex.experiments import (
     load_experiment_config,
     run_dipex,
-    run_gamma_sweep,
     run_pilot_merging,
-    run_prompt_count_sweep,
+    run_sweep,
     with_seed,
 )
 
@@ -55,13 +54,9 @@ def main() -> None:
     print(f"mean final ar_{cap}: {sum(finals) / len(finals):.3f}")
 
     if not args.skip_sweeps:
-        run_prompt_count_sweep(
-            config, list(DEFAULT_K_VALUES), args.out / "sweep_k", overwrite=args.overwrite
-        )
-        run_gamma_sweep(
-            config, list(DEFAULT_GAMMA_VALUES), args.out / "sweep_gamma",
-            overwrite=args.overwrite,
-        )
+        for sweep, values in (("sweep-k", DEFAULT_K_VALUES), ("sweep-gamma", DEFAULT_GAMMA_VALUES)):
+            out = args.out / sweep.replace("-", "_")
+            run_sweep(config, sweep, list(values), out, overwrite=args.overwrite)
         print(f"sweeps written to {args.out / 'sweep_k'} and {args.out / 'sweep_gamma'}")
 
 

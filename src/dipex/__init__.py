@@ -3,7 +3,6 @@ grounded detector for end-to-end validation."""
 
 from .boxes import BBox, iou
 from .detector import (
-    Detection,
     DetectorParams,
     QueryMode,
     VocabularyConfig,
@@ -31,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BBox",
-    "Detection",
     "DetectorParams",
     "EvalSummary",
     "ExpansionConfig",

@@ -19,9 +19,8 @@ from .experiments import (
     load_experiment_config,
     run_dipex,
     run_eval_only,
-    run_gamma_sweep,
     run_pilot_merging,
-    run_prompt_count_sweep,
+    run_sweep,
     with_seed,
 )
 
@@ -132,13 +131,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         print(f"wrote {out / 'rounds.csv'}")
         return 0
-    if args.command == "sweep-k":
-        out = run_prompt_count_sweep(config, args.k, args.out, overwrite=args.overwrite)
-        print(f"wrote {out / 'sweep_k.csv'}")
-        return 0
-    if args.command == "sweep-gamma":
-        out = run_gamma_sweep(config, args.gamma, args.out, overwrite=args.overwrite)
-        print(f"wrote {out / 'sweep_gamma.csv'}")
+    if args.command in ("sweep-k", "sweep-gamma"):
+        values = args.k if args.command == "sweep-k" else args.gamma
+        out = run_sweep(config, args.command, values, args.out, overwrite=args.overwrite)
+        print(f"wrote {out / args.command.replace('-', '_')}.csv")
         return 0
     raise RuntimeError(f"unhandled command {args.command}")  # pragma: no cover
 

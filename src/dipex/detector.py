@@ -12,8 +12,9 @@ The detector works on a whole world at once.  ``pack_world`` lays its scenes
 out as dense (scene, object) arrays and ``candidate_detections`` scores every
 (scene, prompt, object) triple, with its box, in one pass.  Training,
 activation counting, the per-prompt label passes and both query modes all
-start from that grid.  ``detect_each`` returns arrays; ``Detection`` objects
-are built only for what ``detect_world`` returns.
+start from that grid.  Detections stay arrays: ``detect_world`` returns one
+``ScoredBoxes`` per scene and ``detect_each`` one per prompt, and
+``detections_to_coco`` writes their rows.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boxes import BBox
 from .geometry import apply_rotation, normalize, sample_child_rotations
 from .pseudo_labels import ScoredBoxes, soft_nms
 from .world import World
@@ -60,15 +60,6 @@ class DetectorParams:
             raise ValueError(f"score_threshold out of [0, 1): {self.score_threshold}")
         if self.max_detections < 1:
             raise ValueError(f"max_detections must be >= 1, got {self.max_detections}")
-
-
-@dataclass(frozen=True)
-class Detection:
-    scene_id: int
-    bbox: BBox
-    score: float
-    prompt_id: int
-    object_id: int  # provenance for diagnostics only; matching logic uses boxes
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
@@ -221,36 +212,16 @@ def _merge_groups(
     return pick[keep], final[keep]
 
 
-def _detections(
-    scenes: SceneArrays,
-    ids: np.ndarray,
-    cells: tuple[np.ndarray, np.ndarray, np.ndarray],
-    scores: np.ndarray,
-    boxes: np.ndarray,
-) -> list[Detection]:
-    """Detection objects for flat (scene row, prompt row, object) cells."""
-    s, p, o = cells
-    return [
-        Detection(sid, BBox(x0, y0, x1, y1), score, pid, oid)
-        for sid, x0, y0, x1, y1, score, pid, oid in zip(
-            scenes.scene_ids[s].tolist(),
-            *boxes.T.tolist(),
-            scores.tolist(),
-            ids[p].tolist(),
-            scenes.object_ids[s, o].tolist(),
-        )
-    ]
-
-
 def detect_world(
     world: World,
     prompts: Sequence[tuple[int, np.ndarray]],
     mode: QueryMode,
     params: DetectorParams,
     seed: int = 0,
-) -> dict[int, list[Detection]]:
-    """Run every scene through the detector under the given merging policy,
-    keyed by scene id in scene order.
+) -> dict[int, ScoredBoxes]:
+    """Run every scene through the detector under the given merging policy:
+    one ``ScoredBoxes`` per scene, empty or not, keyed by scene id in id
+    order.
 
     Query merging submits the whole prompt set at once: every score is
     sigmoid(logit) * overlap_penalty(set) and each object is reported once
@@ -284,10 +255,8 @@ def detect_world(
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown query mode: {mode}")
 
-    out: dict[int, list[Detection]] = {scene.id: [] for scene in world.scenes}
-    for det in _detections(scenes, ids, (s[pick], p[pick], o[pick]), final, boxes[pick]):
-        out[det.scene_id].append(det)
-    return out
+    # both modes order the picks by scene row, and rows follow scene ids
+    return ScoredBoxes(scenes.scene_ids[s[pick]], final, boxes[pick]).split(scenes.scene_ids)
 
 
 def detect_each(
@@ -315,26 +284,22 @@ def detect_each(
     pick, final = _merge_groups(
         p * scenes.scene_ids.size + s, ids[p], scores[s, p, o], boxes[s, p, o], params
     )
-    cols = (scenes.scene_ids[s[pick]], final, boxes[s[pick], p[pick], o[pick]])
+    rows = ScoredBoxes(scenes.scene_ids[s[pick]], final, boxes[s[pick], p[pick], o[pick]])
     ends = np.searchsorted(p[pick], np.arange(ids.size + 1)).tolist()
-    spans = zip(ids.tolist(), ends, ends[1:])
-    return {pid: ScoredBoxes(*(col[a:b] for col in cols)) for pid, a, b in spans}
+    return {pid: rows.take(slice(a, b)) for pid, a, b in zip(ids.tolist(), ends, ends[1:])}
 
 
-def detections_to_coco(dets_by_scene: Mapping[int, Sequence[Detection]]) -> list[dict]:
-    """COCO results format: one record per detection, category collapsed to 1."""
+def detections_to_coco(dets_by_scene: Mapping[int, ScoredBoxes]) -> list[dict]:
+    """COCO results format: one record per detection, scenes in id order,
+    category collapsed to 1."""
     records = []
     for scene_id in sorted(dets_by_scene):
-        for d in dets_by_scene[scene_id]:
-            x, y, w, h = d.bbox.to_xywh()
-            records.append(
-                {
-                    "image_id": int(scene_id),
-                    "category_id": 1,
-                    "bbox": [float(x), float(y), float(w), float(h)],
-                    "score": float(d.score),
-                }
-            )
+        dets = dets_by_scene[scene_id]
+        xywh = np.concatenate([dets.boxes[:, :2], dets.boxes[:, 2:] - dets.boxes[:, :2]], axis=1)
+        records += [
+            {"image_id": int(scene_id), "category_id": 1, "bbox": bbox, "score": score}
+            for bbox, score in zip(xywh.tolist(), dets.scores.tolist())
+        ]
     return records
 
 

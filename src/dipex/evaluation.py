@@ -10,11 +10,13 @@ detection that only overlaps ignored ground truth (crowd regions, or boxes
 outside the active size class) is set aside rather than counted as a false
 positive, mirroring the usual COCO treatment.
 
-``evaluate`` packs every scene into padded arrays, computes one
-(scene, detection, ground truth) IoU matrix, and matches all size buckets,
-scenes and IoU thresholds together in one pass over detection ranks.  Its
-sums run in the order of a scalar loop, so it reports the same floats as
-the independent scorer in ``tests/reference_eval.py``, not close ones.
+Detections arrive as one ``ScoredBoxes`` per scene, from the detector or
+from ``load_coco_detections``, and stay arrays.  ``evaluate`` packs every
+scene into padded arrays, computes one (scene, detection, ground truth) IoU
+matrix, and matches all size buckets, scenes and IoU thresholds together in
+one pass over detection ranks.  Its sums run in the order of a scalar loop,
+so it reports the same floats as the independent scorer in
+``tests/reference_eval.py``, not close ones.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from .boxes import MEDIUM_MAX_AREA, SIZE_CLASSES, SMALL_MAX_AREA, BBox
 from .boxes import box_iou as iou  # perfbench/tracing.py counts calls under this name
+from .pseudo_labels import ScoredBoxes
 from .world import World
 
 IOU_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
@@ -55,7 +58,7 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    """Minimal detection for evaluation; anything score/bbox-shaped works."""
+    """One scored box as an object, the input of ``soft_nms``'s object API."""
 
     scene_id: int
     bbox: BBox
@@ -164,8 +167,13 @@ def load_coco_ground_truth(path: str | Path) -> GroundTruthSet:
     return GroundTruthSet.from_coco(doc)
 
 
-def load_coco_detections(path: str | Path) -> dict[int, list[DetectionRecord]]:
-    """Parse a COCO results array into per-scene detection lists."""
+def load_coco_detections(path: str | Path) -> dict[int, ScoredBoxes]:
+    """Parse a COCO results array into one ``ScoredBoxes`` per scene that
+    has detections, keyed in id order, each scene's rows in file order.
+
+    The first bad record fails the load: a missing field, a non-finite
+    score, a non-finite corner (``x + w`` can overflow) or an inverted box.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -175,24 +183,33 @@ def load_coco_detections(path: str | Path) -> dict[int, list[DetectionRecord]]:
         raise CocoFormatError(f"{path}: {exc.strerror}") from exc
     if not isinstance(doc, list):
         raise CocoFormatError(f"{path}: detection results must be a JSON array")
-    by_scene: dict[int, list[DetectionRecord]] = {}
-    for i, rec in enumerate(doc):
+    sids, rows, missing = [], [], None
+    for rec in doc:
         try:
             sid = int(rec["image_id"])
             x, y, w, h = (float(v) for v in rec["bbox"])
-            score = float(rec["score"])
+            rows.append((float(rec["score"]), x, y, x + w, y + h))
         except (TypeError, KeyError, ValueError) as exc:
-            raise CocoFormatError(
-                f"{path}: results[{i}] missing image_id/bbox/score"
-            ) from exc
-        if not math.isfinite(score):
-            raise CocoFormatError(f"{path}: results[{i}] has non-finite score {score}")
-        try:
-            bbox = BBox.from_xywh(x, y, w, h)
-        except ValueError as exc:
-            raise CocoFormatError(f"{path}: results[{i}]: {exc}") from exc
-        by_scene.setdefault(sid, []).append(DetectionRecord(sid, bbox, score))
-    return by_scene
+            missing = exc  # reported after any bad record before it
+            break
+        sids.append(sid)
+    table = np.array(rows, dtype=float).reshape(-1, 5)
+    scores, boxes = table[:, 0], table[:, 1:]
+    problems = (
+        (~np.isfinite(scores), " has non-finite score {score}"),
+        (~np.isfinite(boxes).all(axis=1), ": non-finite box coordinates: {box}"),
+        ((boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1]), ": inverted box: {box}"),
+    )
+    bad = np.flatnonzero(np.logical_or.reduce([flags for flags, _ in problems]))
+    if bad.size:
+        i = int(bad[0])
+        problem = next(message for flags, message in problems if flags[i])
+        detail = problem.format(score=scores[i].item(), box=tuple(boxes[i].tolist()))
+        raise CocoFormatError(f"{path}: results[{i}]{detail}")
+    if missing is not None:
+        raise CocoFormatError(f"{path}: results[{len(rows)}] missing image_id/bbox/score") from missing
+    dets = ScoredBoxes(np.array(sids, dtype=int), scores, boxes)
+    return dets.take(np.argsort(dets.scene_ids, kind="stable")).split()
 
 
 @dataclass(frozen=True)
@@ -272,15 +289,12 @@ class EvalSummary:
 _IGN, _TP, _FP = 0, 1, 2
 
 
-def _pack(
-    lists: Sequence[Sequence], rows: list[tuple], width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of ``width`` numbers, listed scene after scene as in ``lists``, as
-    one array, plus each row's scene index and its index within its scene."""
-    counts = np.array([len(items) for items in lists], dtype=np.int64)
-    scene = np.repeat(np.arange(len(lists)), counts)
-    index = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.array(rows, dtype=float).reshape(len(rows), width), scene, index
+def _layout(counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Scene index and index within the scene of rows listed scene after
+    scene, ``counts[k]`` of them for scene k."""
+    counts = np.array(counts, dtype=np.int64)
+    scene = np.repeat(np.arange(counts.size), counts)
+    return scene, np.arange(scene.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _size_class(area: np.ndarray) -> np.ndarray:
@@ -311,15 +325,15 @@ def _average_precision(outcomes: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
 
 def evaluate(
-    dets_by_scene: Mapping[int, Sequence],
+    dets_by_scene: Mapping[int, ScoredBoxes],
     gts: GroundTruthSet,
     max_dets: Sequence[int] = DEFAULT_MAX_DETS,
 ) -> EvalSummary:
     """Score detections against ground truth.
 
-    ``dets_by_scene`` maps scene id to objects with bbox/score attributes.
-    Scene ids must exist in the ground truth set; scenes without detections
-    simply contribute misses.
+    ``dets_by_scene`` maps scene id to that scene's ``ScoredBoxes``, whose
+    row order breaks score ties.  Scene ids must exist in the ground truth
+    set; scenes without detections simply contribute misses.
     """
     caps = sorted(set(int(c) for c in max_dets))
     if not caps or caps[0] < 1:
@@ -331,26 +345,26 @@ def evaluate(
     num_scenes = len(scenes)
     num_thresholds = len(IOU_THRESHOLDS)
 
-    det_lists = [dets_by_scene.get(sid, ()) for sid in scenes]
-    det, det_scene, det_order = _pack(
-        det_lists, [(*d.bbox.as_tuple(), float(d.score)) for ds in det_lists for d in ds], 5
-    )
+    parts = [dets_by_scene[sid] for sid in scenes if sid in dets_by_scene]
+    dets = ScoredBoxes.concat(parts)
+    det_scene, det_order = _layout([len(dets_by_scene.get(sid, ())) for sid in scenes])
     # Rank each scene's detections by score (lexsort is stable, so input
     # order breaks ties) and keep the first max(caps) of each.
-    ranked = np.lexsort((-det[:, 4], det_scene))
-    rank = np.arange(len(det)) - np.searchsorted(det_scene[ranked], det_scene[ranked])
+    ranked = np.lexsort((-dets.scores, det_scene))
+    rank = np.arange(len(dets)) - np.searchsorted(det_scene[ranked], det_scene[ranked])
     keep = rank < caps[-1]
     kept = ranked[keep]
     n_idx, d_idx = det_scene[kept], rank[keep]
     depth = int(d_idx.max(initial=-1)) + 1
     det_box = np.zeros((num_scenes, depth, 4))
-    det_box[n_idx, d_idx] = det[kept, :4]
+    det_box[n_idx, d_idx] = dets.boxes[kept]
     det_area = (det_box[..., 2] - det_box[..., 0]) * (det_box[..., 3] - det_box[..., 1])
 
     gt_lists = [gts.by_scene.get(sid, ()) for sid in scenes]
-    gt, gt_scene, gt_index = _pack(
-        gt_lists, [(*g.bbox.as_tuple(), g.area, g.iscrowd) for gl in gt_lists for g in gl], 6
-    )
+    gt = np.array(
+        [(*g.bbox.as_tuple(), g.area, g.iscrowd) for gl in gt_lists for g in gl], dtype=float
+    ).reshape(-1, 6)
+    gt_scene, gt_index = _layout([len(gl) for gl in gt_lists])
     width = int(gt_index.max(initial=0)) + 1  # one padded column if there is no ground truth
     gt_box = np.zeros((num_scenes, width, 4))
     gt_box[gt_scene, gt_index] = gt[:, :4]
@@ -393,7 +407,7 @@ def evaluate(
     hits = np.stack([(outcomes[:cap] == _TP).sum(axis=(0, 2)) for cap in caps])
     recall = np.cumsum(hits / np.maximum(totals, 1)[:, None], axis=-1)[..., -1] / num_thresholds
     # one global rank order, (-score, scene, input order), for every row
-    order = np.lexsort((det_order[kept], n_idx, -det[kept, 4]))
+    order = np.lexsort((det_order[kept], n_idx, -dets.scores[kept]))
     ranked_outcomes = np.moveaxis(outcomes[d_idx[order], :, n_idx[order], :], 0, -1)
     ap_rows = _average_precision(ranked_outcomes, totals)
     ap = np.cumsum(ap_rows, axis=-1)[:, -1] / num_thresholds
@@ -412,5 +426,5 @@ def evaluate(
         ap_large=value(ap, 3),
         num_scenes=num_scenes,
         num_ground_truths=gts.num_annotations,
-        num_detections=len(det),
+        num_detections=len(dets),
     )

@@ -41,7 +41,6 @@ import numpy as np
 from .boxes import box_iou
 from .detection_losses import giou_loss, l1_box_loss, sigmoid_focal_loss
 from .detector import (
-    Detection,
     DetectorParams,
     QueryMode,
     SceneArrays,
@@ -56,7 +55,7 @@ from .detector import (
 from .dispersion import LossBreakdown, child_child_loss, combine, parent_child_loss
 from .evaluation import DEFAULT_MAX_DETS, EvalSummary, GroundTruthSet, evaluate
 from .geometry import apply_rotation, mac, normalize, pairwise_angle_matrix, sample_child_rotations
-from .pseudo_labels import PseudoLabelSet, build_pseudo_labels
+from .pseudo_labels import PseudoLabelSet, ScoredBoxes, build_pseudo_labels
 from .world import World
 
 
@@ -444,7 +443,8 @@ def _batch_step(
     per_label = m.has.sum(axis=1)[m.assigned]
     starts = np.cumsum(per_label) - per_label
     label_losses = np.empty(per_label.size)
-    for k in np.unique(per_label):
+    # the term counts present, ascending; np.unique would import numpy.ma
+    for k in np.flatnonzero(np.bincount(per_label)).tolist():
         same = per_label == k
         label_losses[same] = losses[starts[same][:, None] + np.arange(k)].sum(axis=1)
     tally.cls_sum = _in_order_sum(label_losses)
@@ -712,7 +712,7 @@ class RunResult:
     label_counts: list[int]
     stopped_early: bool
     config: ExpansionConfig
-    final_detections: dict[int, list[Detection]]  # the last evaluation's, by scene
+    final_detections: dict[int, ScoredBoxes]  # the last evaluation's, by scene
 
 
 def run(
@@ -799,7 +799,7 @@ def _evaluate_tree(
     gts: GroundTruthSet,
     seed: int,
     max_dets: Sequence[int],
-) -> tuple[EvalSummary, dict[int, list[Detection]]]:
+) -> tuple[EvalSummary, dict[int, ScoredBoxes]]:
     dets = detect_world(
         world, tree.prompt_items(), QueryMode.PREDICTION_MERGING, params, seed
     )

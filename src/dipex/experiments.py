@@ -38,7 +38,7 @@ from .evaluation import (
     load_coco_ground_truth,
 )
 from .expansion import ExpansionConfig, RunResult, rebuild_labels, run
-from .pseudo_labels import soft_nms
+from .pseudo_labels import ScoredBoxes, soft_nms
 from .world import World, WorldConfig, generate_world
 
 
@@ -428,56 +428,6 @@ def run_dipex(
     return out, result
 
 
-def run_prompt_count_sweep(
-    config: ExperimentConfig,
-    k_values: Sequence[int],
-    out_dir: str | Path,
-    overwrite: bool = False,
-) -> Path:
-    """Grow with different branching factors, holding everything else fixed."""
-    out = _prepare_out(out_dir, overwrite)
-    cap = max(config.max_dets)
-    world = generate_world(config.world)
-    vocab = build_vocabulary(world, config.vocabulary)
-    rows = []
-    for k in k_values:
-        expansion = replace(config.expansion, num_children=int(k))
-        result = run(world, expansion, config.detector, vocab, config.max_dets)
-        final = result.eval_summaries[-1]
-        rows.append(
-            {
-                "num_children": int(k),
-                "num_prompts": len(result.tree.nodes),
-                "rounds_trained": len(result.eval_summaries),
-                "stopped_early": int(result.stopped_early),
-                f"ar_{cap}": _fmt(final.ar(cap)),
-                "ap": _fmt(final.ap),
-                "alpha_max_degrees": (
-                    _fmt(math.degrees(result.mac_report.alpha_max[-1]))
-                    if result.mac_report.alpha_max
-                    else ""
-                ),
-            }
-        )
-    _write_csv(
-        out / "sweep_k.csv",
-        [
-            "num_children",
-            "num_prompts",
-            "rounds_trained",
-            "stopped_early",
-            f"ar_{cap}",
-            "ap",
-            "alpha_max_degrees",
-        ],
-        rows,
-    )
-    _write_manifest(
-        out, "sweep-k", config.as_dict(), {"k_values": [int(k) for k in k_values]}
-    )
-    return out
-
-
 def _mean(values: Sequence[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
@@ -504,63 +454,60 @@ def _tree_angle_stats(tree) -> tuple[float | None, float | None]:
     return _mean(parent_angles), _mean(sibling_angles)
 
 
-def run_gamma_sweep(
+# sweep name -> (expansion field varied, value type, manifest key, columns
+# before and after the results every sweep reports)
+_SWEEPS = {
+    "sweep-k": ("num_children", int, "k_values", ["num_children", "num_prompts"], []),
+    "sweep-gamma": (
+        "gamma",
+        float,
+        "gamma_values",
+        ["gamma"],
+        ["mean_parent_child_degrees", "mean_sibling_degrees"],
+    ),
+}
+
+
+def run_sweep(
     config: ExperimentConfig,
-    gamma_values: Sequence[float],
+    sweep: str,
+    values: Sequence[float],
     out_dir: str | Path,
     overwrite: bool = False,
 ) -> Path:
-    """Vary the sibling-repulsion weight; report coverage and tree geometry."""
+    """Grow once per value of one expansion field, holding everything else
+    fixed: ``sweep-k`` varies the children per expansion, ``sweep-gamma``
+    the sibling-repulsion weight and also reports the tree's geometry.
+    Writes ``sweep_k.csv`` or ``sweep_gamma.csv``, one row per value."""
+    field, cast, key, head, tail = _SWEEPS[sweep]
     out = _prepare_out(out_dir, overwrite)
     cap = max(config.max_dets)
     world = generate_world(config.world)
     vocab = build_vocabulary(world, config.vocabulary)
+    columns = head + ["rounds_trained", "stopped_early", f"ar_{cap}", "ap", "alpha_max_degrees"] + tail
     rows = []
-    for gamma in gamma_values:
-        expansion = replace(config.expansion, gamma=float(gamma))
+    for value in map(cast, values):
+        expansion = replace(config.expansion, **{field: value})
         result = run(world, expansion, config.detector, vocab, config.max_dets)
         final = result.eval_summaries[-1]
+        alpha = result.mac_report.alpha_max
         mean_pc, mean_sib = _tree_angle_stats(result.tree)
-        rows.append(
-            {
-                "gamma": f"{float(gamma):g}",
-                "rounds_trained": len(result.eval_summaries),
-                "stopped_early": int(result.stopped_early),
-                f"ar_{cap}": _fmt(final.ar(cap)),
-                "ap": _fmt(final.ap),
-                "alpha_max_degrees": (
-                    _fmt(math.degrees(result.mac_report.alpha_max[-1]))
-                    if result.mac_report.alpha_max
-                    else ""
-                ),
-                "mean_parent_child_degrees": _fmt(
-                    math.degrees(mean_pc) if mean_pc is not None else None
-                ),
-                "mean_sibling_degrees": _fmt(
-                    math.degrees(mean_sib) if mean_sib is not None else None
-                ),
-            }
-        )
-    _write_csv(
-        out / "sweep_gamma.csv",
-        [
-            "gamma",
-            "rounds_trained",
-            "stopped_early",
-            f"ar_{cap}",
-            "ap",
-            "alpha_max_degrees",
-            "mean_parent_child_degrees",
-            "mean_sibling_degrees",
-        ],
-        rows,
-    )
-    _write_manifest(
-        out,
-        "sweep-gamma",
-        config.as_dict(),
-        {"gamma_values": [float(g) for g in gamma_values]},
-    )
+        # every column some sweep reports; this sweep writes its own
+        row = {
+            "num_children": value,
+            "num_prompts": len(result.tree.nodes),
+            "gamma": f"{value:g}",
+            "rounds_trained": len(result.eval_summaries),
+            "stopped_early": int(result.stopped_early),
+            f"ar_{cap}": _fmt(final.ar(cap)),
+            "ap": _fmt(final.ap),
+            "alpha_max_degrees": _fmt(math.degrees(alpha[-1])) if alpha else "",
+            "mean_parent_child_degrees": _fmt(None if mean_pc is None else math.degrees(mean_pc)),
+            "mean_sibling_degrees": _fmt(None if mean_sib is None else math.degrees(mean_sib)),
+        }
+        rows.append({column: row[column] for column in columns})
+    _write_csv(out / f"{sweep.replace('-', '_')}.csv", columns, rows)
+    _write_manifest(out, sweep, config.as_dict(), {key: [cast(v) for v in values]})
     return out
 
 
@@ -576,28 +523,28 @@ def run_eval_only(
 ) -> tuple[Path, EvalSummary]:
     """Score COCO-format detection files against COCO-format ground truth.
 
-    Multiple detection files are concatenated per scene; with ``merge`` each
-    scene's union additionally goes through Gaussian soft-NMS, all scenes in
-    one grouped call, which is the sane setting when the files come from
-    independently trained prompt sets.
+    The files' rows are concatenated in file order and grouped by scene,
+    keeping that order within a scene.  With ``merge`` each scene's union,
+    ranked by (-score, box), additionally goes through Gaussian soft-NMS,
+    all scenes in one grouped call, which is the sane setting when the
+    files come from independently trained prompt sets.
     The manifest identifies the inputs by content (sha256), not by path, so
     rescoring the same files elsewhere writes the same bytes.
     """
     out = _prepare_out(out_dir, overwrite)
     gts = load_coco_ground_truth(gt_path)
-    by_scene: dict[int, list] = {}
-    for path in det_paths:
-        for sid, recs in load_coco_detections(path).items():
-            by_scene.setdefault(sid, []).extend(recs)
+    dets = ScoredBoxes.concat(
+        [rows for path in det_paths for rows in load_coco_detections(path).values()]
+    )
     if merge:
-        ranked = [
-            sorted(recs, key=lambda r: (-r.score, r.bbox.as_tuple())) for recs in by_scene.values()
-        ]
-        group = np.repeat(np.arange(len(ranked)), [len(recs) for recs in ranked])
-        merged = soft_nms([r for recs in ranked for r in recs], nms_sigma, nms_floor, groups=group)
-        by_scene = {sid: [] for sid in by_scene}
-        for rec in merged:
-            by_scene[rec.scene_id].append(rec)
+        # each scene ranked by (-score, box), ties in file order
+        dets = dets.take(np.lexsort((*dets.boxes.T[::-1], -dets.scores, dets.scene_ids)))
+        kept = soft_nms(dets.scores, nms_sigma, nms_floor, dets.boxes, dets.scene_ids)
+        pick = np.array([i for i, _ in kept], dtype=int)
+        dets = replace(dets.take(pick), scores=np.array([score for _, score in kept]))
+    else:
+        dets = dets.take(np.argsort(dets.scene_ids, kind="stable"))
+    by_scene = dets.split()
     summary = evaluate(by_scene, gts, max_dets)
     summary.write_json(out / "summary.json")
     summary.write_csv(out / "summary.csv")

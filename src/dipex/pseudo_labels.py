@@ -32,7 +32,8 @@ class PseudoLabel:
 
 @dataclass(frozen=True, eq=False)
 class ScoredBoxes:
-    """Scored boxes as parallel arrays, one row per box."""
+    """Scored boxes as parallel arrays, one row per box: the one form of
+    detections, labels and label sources."""
 
     scene_ids: np.ndarray  # (n,) int
     scores: np.ndarray     # (n,)
@@ -40,6 +41,33 @@ class ScoredBoxes:
 
     def __len__(self) -> int:
         return self.scores.size
+
+    @staticmethod
+    def concat(parts: Sequence["ScoredBoxes"]) -> "ScoredBoxes":
+        """The rows of ``parts``, one part after another."""
+        return ScoredBoxes(
+            np.concatenate([np.zeros(0, dtype=int)] + [part.scene_ids for part in parts]),
+            np.concatenate([np.zeros(0)] + [part.scores for part in parts]),
+            np.concatenate([np.zeros((0, 4))] + [part.boxes for part in parts]),
+        )
+
+    def take(self, index: np.ndarray | slice) -> "ScoredBoxes":
+        """The rows at ``index`` (integers, a boolean mask or a slice), in its
+        order."""
+        return ScoredBoxes(self.scene_ids[index], self.scores[index], self.boxes[index])
+
+    def split(self, scene_ids: Sequence[int] | None = None) -> dict[int, "ScoredBoxes"]:
+        """One record per scene of the ascending ``scene_ids`` (by default,
+        the scenes that have rows), empty or not, from rows already ordered
+        by scene; the rows keep their order."""
+        if scene_ids is None:
+            scene_ids = sorted(set(self.scene_ids.tolist()))
+        starts = np.searchsorted(self.scene_ids, scene_ids).tolist()
+        ends = np.searchsorted(self.scene_ids, scene_ids, side="right").tolist()
+        return {
+            sid: self.take(slice(a, b))
+            for sid, a, b in zip(np.asarray(scene_ids).tolist(), starts, ends)
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,23 +180,27 @@ def build_pseudo_labels(
 ) -> PseudoLabelSet:
     """Union scored boxes across sources, suppress duplicates, keep confident ones.
 
-    The sources, in sorted-name order, are sorted at once by (scene, -score,
-    box, source); exact duplicates (same scene, box and score) collapse to
-    the first in that order, so listing a source twice changes nothing.  One
-    grouped soft-NMS call then suppresses every scene.  The label threshold
-    acts as the suppression floor: a candidate whose suppressed score dips
-    below it is discarded before it can suppress anyone else, and survivors
-    are recorded with their original scores, in sorted order.
-    Idempotent: feeding the output, itself a source, back returns it.
+    Candidates scored under the label threshold are dropped first.  The
+    rest, in sorted-name order of their sources, are sorted at once by
+    (scene, -score, box, source); exact duplicates (same scene, box and
+    score) collapse to the first in that order, so listing a source twice
+    changes nothing.  One grouped soft-NMS call then suppresses every scene.
+    The label threshold also acts as the suppression floor: a candidate
+    whose suppressed score dips below it is discarded before it can
+    suppress anyone else, and survivors are recorded with their original
+    scores, in sorted order.  Every label thus scores at least the
+    threshold.  Idempotent: feeding the output, itself a source, back
+    returns it.
     """
     if not (0.0 <= threshold < 1.0):
         raise ValueError(f"threshold out of [0, 1): {threshold}")
     names = sorted(sources)
     parts = [sources[name] for name in names]
     src = np.repeat(np.arange(len(names)), [len(part) for part in parts])
-    scene = np.concatenate([np.zeros(0, dtype=int)] + [part.scene_ids for part in parts])
-    score = np.concatenate([np.zeros(0)] + [part.scores for part in parts])
-    boxes = np.concatenate([np.zeros((0, 4))] + [part.boxes for part in parts])
+    union = ScoredBoxes.concat(parts)
+    confident = union.scores >= threshold
+    scene, score, boxes = union.scene_ids[confident], union.scores[confident], union.boxes[confident]
+    src = src[confident]
     order = np.lexsort((src, *boxes.T[::-1], -score, scene))
     key = np.column_stack([scene, score, boxes])[order]
     order = order[np.r_[True, np.any(key[1:] != key[:-1], axis=1)][: order.size]]

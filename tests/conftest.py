@@ -51,28 +51,23 @@ def as_arrays(items, labels=False):
     return ScoredBoxes(scene_ids, scores, boxes)
 
 
-def plain_dets(dets_by_scene):
-    """Package detections -> {sid: [(x0, y0, x1, y1, score), ...]} for the oracle."""
+def rows_of(by_key):
+    """{key: ScoredBoxes} -> {key: [(scene, xyxy tuple, score), ...]}, for
+    exact comparisons."""
     return {
-        sid: [
-            (d.bbox.x_min, d.bbox.y_min, d.bbox.x_max, d.bbox.y_max, float(d.score))
-            for d in ds
-        ]
-        for sid, ds in dets_by_scene.items()
+        key: list(zip(d.scene_ids.tolist(), map(tuple, d.boxes.tolist()), d.scores.tolist()))
+        for key, d in by_key.items()
     }
 
 
-def plain_gts(gts):
-    """GroundTruthSet -> ({sid: [(x0, y0, x1, y1, area, crowd), ...]}, scene ids)."""
-    table = {
-        sid: [
-            (g.bbox.x_min, g.bbox.y_min, g.bbox.x_max, g.bbox.y_max,
-             float(g.area), bool(g.iscrowd))
-            for g in rows
-        ]
-        for sid, rows in gts.by_scene.items()
-    }
-    return table, sorted(gts.scene_dims)
+def det_arrays(table):
+    """Oracle detections {sid: [(x0, y0, x1, y1, score), ...]} -> the
+    package's {sid: ScoredBoxes}, rows in the listed order."""
+    out = {}
+    for sid, rows in table.items():
+        rows = np.array(rows, dtype=float).reshape(-1, 5)
+        out[sid] = ScoredBoxes(np.full(len(rows), sid, dtype=int), rows[:, 4], rows[:, :4])
+    return out
 
 
 def assert_matches_reference(summary, ref, tol=1e-9):

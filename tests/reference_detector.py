@@ -21,7 +21,6 @@ import numpy as np
 
 from dipex.boxes import BBox, iou
 from dipex.detector import (
-    Detection,
     DetectorParams,
     QueryMode,
     _noise_direction,
@@ -30,6 +29,17 @@ from dipex.detector import (
 )
 from dipex.geometry import normalize
 from dipex.pseudo_labels import PseudoLabel, PseudoLabelSet
+
+
+@dataclass(frozen=True)
+class Detection:
+    """One detection as an object; the package reports detections as arrays."""
+
+    scene_id: int
+    bbox: BBox
+    score: float
+    prompt_id: int
+    object_id: int  # provenance for diagnostics only; matching logic uses boxes
 
 
 def raw_logit(prompt: np.ndarray, embedding: np.ndarray, params: DetectorParams) -> float:
@@ -113,15 +123,17 @@ def build_pseudo_labels(
     score_floor: float = 0.001,
 ) -> list[PseudoLabel]:
     """Scene-by-scene label builder over objects with scene_id/bbox/score:
-    the sources unioned in sorted-name order and sorted by (scene, -score,
-    box, source), exact (scene, score, box) duplicates dropped after the
-    first, the one-box-at-a-time soft-NMS run per scene with floor
+    candidates under the threshold dropped, the rest unioned in sorted-name
+    order of their sources and sorted by (scene, -score, box, source), exact
+    (scene, score, box) duplicates dropped after the first, the
+    one-box-at-a-time soft-NMS run per scene with floor
     max(score_floor, threshold), and the survivors listed in sorted order
     with their original scores."""
     rows = sorted(
         (int(d.scene_id), -float(d.score), d.bbox.as_tuple(), name)
         for name in sorted(sources)
         for d in sources[name]
+        if float(d.score) >= threshold
     )
     rows = [row for i, row in enumerate(rows) if i == 0 or row[:3] != rows[i - 1][:3]]
     labels = []

@@ -22,7 +22,7 @@ from dipex.cli import main as cli_main
 from dipex.detection_losses import giou, sigmoid_focal_loss
 from dipex.detector import DetectorParams, VocabularyConfig, build_vocabulary
 from dipex.dispersion import child_child_loss, parent_child_loss
-from dipex.evaluation import DetectionRecord, GroundTruth, GroundTruthSet, evaluate
+from dipex.evaluation import GroundTruth, GroundTruthSet, evaluate
 from dipex.expansion import (
     ExpansionConfig,
     PromptTree,
@@ -38,7 +38,7 @@ from dipex.geometry import GivensRotation, apply_rotation, mac, normalize
 from dipex.pseudo_labels import PseudoLabel, soft_nms
 from dipex.world import WorldConfig, generate_world
 
-from conftest import assert_matches_reference, random_eval_instance
+from conftest import assert_matches_reference, det_arrays, random_eval_instance
 from reference_eval import reference_evaluate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -312,11 +312,7 @@ def _tables_to_types(dets, gts, scene_ids):
         },
         scene_dims={sid: (640, 480) for sid in scene_ids},
     )
-    det_map = {
-        sid: [DetectionRecord(sid, BBox(*row[:4]), row[4]) for row in rows]
-        for sid, rows in dets.items()
-    }
-    return det_map, gt_set
+    return det_arrays(dets), gt_set
 
 
 def test_05_evaluator_matches_independent_reference(capsys):

@@ -20,11 +20,10 @@ from dipex.detector import (
     sigmoid,
 )
 from dipex.geometry import angular_distance, normalize
-from dipex.pseudo_labels import ScoredBoxes
 from dipex.world import Scene, World
 
 import reference_detector as ref
-from conftest import as_arrays
+from conftest import as_arrays, rows_of
 from reference_detector import clip, noisy_box, pair_scores, raw_logit
 
 
@@ -140,9 +139,8 @@ def test_single_prompt_modes_agree(small_world, default_params):
     pm = detect_scene(
         scene, prompts, QueryMode.PREDICTION_MERGING, default_params, small_world
     )
-    assert [d.bbox for d in qm] == [d.bbox for d in pm]
-    for a, b in zip(qm, pm):
-        assert a.score == pytest.approx(b.score, abs=1e-12)
+    assert np.array_equal(qm.boxes, pm.boxes)
+    assert qm.scores == pytest.approx(pm.scores, abs=1e-12)
 
 
 def test_query_merging_applies_penalty_uniformly(small_world, default_params):
@@ -155,12 +153,9 @@ def test_query_merging_applies_penalty_uniformly(small_world, default_params):
         scene, [(0, vec), (1, vec)], QueryMode.QUERY_MERGING, default_params, small_world
     )
     penalty = overlap_penalty([vec, vec], default_params)
-    solo_scores = {d.object_id: d.score for d in solo}
-    for d in twin:
-        if d.object_id in solo_scores:
-            assert d.score == pytest.approx(solo_scores[d.object_id] * penalty, abs=1e-12)
-    # each object reported at most once under query merging
-    assert len({d.object_id for d in twin}) == len(twin)
+    # each object is reported once, its solo score scaled by the penalty
+    scaled = solo.scores * penalty
+    assert twin.scores == pytest.approx(scaled[scaled >= default_params.score_threshold], abs=1e-12)
 
 
 def test_prediction_merging_suppresses_duplicates(small_world, default_params):
@@ -171,10 +166,10 @@ def test_prediction_merging_suppresses_duplicates(small_world, default_params):
         default_params, small_world,
     )
     # the duplicate prompt yields an identical box; soft-NMS decays it by e^-2
-    per_object = {}
-    for d in dets:
-        per_object.setdefault(d.object_id, []).append(d.score)
-    for scores in per_object.values():
+    per_box = {}
+    for _, box, score in rows_of({0: dets})[0]:
+        per_box.setdefault(box, []).append(score)
+    for scores in per_box.values():
         if len(scores) == 2:
             assert scores[1] == pytest.approx(scores[0] * math.exp(-2.0), rel=1e-9)
 
@@ -184,7 +179,7 @@ def test_detections_sorted_thresholded_capped(small_world, default_params):
     prompts = object_prompts(small_world, scene)
     for mode in QueryMode:
         dets = detect_scene(scene, prompts, mode, default_params, small_world)
-        scores = [d.score for d in dets]
+        scores = dets.scores.tolist()
         assert scores == sorted(scores, reverse=True)
         assert all(s >= default_params.score_threshold for s in scores)
         assert len(dets) <= default_params.max_detections
@@ -196,10 +191,11 @@ def test_detect_world_covers_every_scene(small_world, default_params):
         small_world, prompts, QueryMode.PREDICTION_MERGING, default_params
     )
     assert sorted(by_scene) == [s.id for s in small_world.scenes]
+    assert all((d.scene_ids == sid).all() for sid, d in by_scene.items())
     rerun = detect_world(
         small_world, prompts, QueryMode.PREDICTION_MERGING, default_params
     )
-    assert by_scene == rerun
+    assert rows_of(by_scene) == rows_of(rerun)
 
 
 def test_detections_to_coco_shape(small_world, default_params):
@@ -271,7 +267,8 @@ def test_detect_world_matches_detect_scene(small_world, default_params):
     prompts = [(0, base), (3, nearby), (5, base * 2.0)]
     for mode in QueryMode:
         by_scene = detect_world(small_world, prompts, mode, default_params, seed=4)
-        assert by_scene == ref.detect_world(small_world, prompts, mode, default_params, seed=4)
+        want = ref.detect_world(small_world, prompts, mode, default_params, seed=4)
+        assert rows_of(by_scene) == rows_of({sid: as_arrays(d) for sid, d in want.items()})
 
 
 def _prompt_set(world, rng, n, ties):
@@ -296,28 +293,14 @@ def _random_params(rng):
     )
 
 
-def _rows(by_key):
-    """Detections keyed by scene or prompt as (scene, box, score, *ids) rows;
-    the ids are (prompt, object) for Detection lists, none for ScoredBoxes."""
-    out = {}
-    for key, dets in by_key.items():
-        if isinstance(dets, ScoredBoxes):
-            boxes = map(tuple, dets.boxes.tolist())
-            out[key] = list(zip(dets.scene_ids.tolist(), boxes, dets.scores.tolist()))
-        else:
-            out[key] = [(d.scene_id, d.bbox.as_tuple(), d.score, d.prompt_id, d.object_id) for d in dets]
-    return out
-
-
 def _detector_runs(world, prompts, params, seed):
     """(ours, reference) rows for both query modes and for detect_each."""
     pairs = [
         (detect_world(world, prompts, mode, params, seed), ref.detect_world(world, prompts, mode, params, seed))
         for mode in QueryMode
     ]
-    each = ref.label_sources(prompts, world, params, seed)
-    pairs.append((detect_each(world, prompts, params, seed), {pid: as_arrays(d) for pid, d in each.items()}))
-    return [(_rows(ours), _rows(want)) for ours, want in pairs]
+    pairs.append((detect_each(world, prompts, params, seed), ref.label_sources(prompts, world, params, seed)))
+    return [(rows_of(ours), rows_of({key: as_arrays(d) for key, d in want.items()})) for ours, want in pairs]
 
 
 @settings(max_examples=40, deadline=None)
@@ -368,7 +351,7 @@ def test_detector_masks_padded_objects(small_world, seed):
         assert ours.keys() == want.keys()
         for key in ours:
             got, ref_rows = ours[key], want[key]
-            assert [(r[0], *r[3:]) for r in got] == [(r[0], *r[3:]) for r in ref_rows]
-            for (_, box, score, *_), (_, ref_box, ref_score, *_) in zip(got, ref_rows):
+            assert [r[0] for r in got] == [r[0] for r in ref_rows]
+            for (_, box, score), (_, ref_box, ref_score) in zip(got, ref_rows):
                 assert score == pytest.approx(ref_score, rel=1e-12, abs=1e-12)
                 assert box == pytest.approx(ref_box, rel=1e-12)

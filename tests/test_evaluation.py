@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from dipex.boxes import BBox
 from dipex.evaluation import (
     CocoFormatError,
-    DetectionRecord,
     EvalSummary,
     GroundTruth,
     GroundTruthSet,
@@ -17,7 +16,7 @@ from dipex.evaluation import (
     load_coco_ground_truth,
 )
 
-from conftest import assert_matches_reference, plain_dets, plain_gts, random_eval_instance
+from conftest import assert_matches_reference, det_arrays, random_eval_instance, rows_of
 from reference_eval import reference_evaluate
 
 
@@ -32,10 +31,10 @@ def make_gts(rows, dims=None):
 
 
 def make_dets(rows):
-    return {
-        sid: [DetectionRecord(sid, box, score) for box, score in items]
-        for sid, items in rows.items()
-    }
+    """rows: {sid: [(bbox, score), ...]} -> {sid: ScoredBoxes}."""
+    return det_arrays(
+        {sid: [(*box.as_tuple(), score) for box, score in items] for sid, items in rows.items()}
+    )
 
 
 def square(x, y, side):
@@ -51,11 +50,7 @@ def to_package(dets, gts, scene_ids):
         },
         scene_dims={sid: (640, 480) for sid in scene_ids},
     )
-    det_map = {
-        sid: [DetectionRecord(sid, BBox(*r[:4]), r[4]) for r in rows]
-        for sid, rows in dets.items()
-    }
-    return det_map, gt_set
+    return det_arrays(dets), gt_set
 
 
 def assert_equals_reference(dets, gts, scene_ids, max_dets=(1, 10, 100)):
@@ -357,6 +352,10 @@ def test_load_detections_groups_by_scene(tmp_path):
         {"image_id": 1, "category_id": 1, "bbox": [20, 0, 10, 10], "score": 0.6},
     ]))
     by_scene = load_coco_detections(path)
-    assert sorted(by_scene) == [0, 1]
-    assert len(by_scene[1]) == 2
-    assert by_scene[0][0].bbox == BBox(5.0, 5.0, 15.0, 15.0)
+    assert list(by_scene) == [0, 1]
+    assert by_scene[1].scene_ids.dtype.kind == "i"
+    # xywh becomes xyxy, and each scene keeps its rows in file order
+    assert rows_of(by_scene) == {
+        0: [(0, (5.0, 5.0, 15.0, 15.0), 0.7)],
+        1: [(1, (0.0, 0.0, 10.0, 10.0), 0.5), (1, (20.0, 0.0, 30.0, 10.0), 0.6)],
+    }

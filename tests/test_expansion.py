@@ -25,7 +25,7 @@ from dipex.geometry import angular_distance, mac, normalize
 from dipex.pseudo_labels import PseudoLabel, build_pseudo_labels
 
 import reference_detector as ref
-from conftest import as_arrays
+from conftest import as_arrays, rows_of
 
 FAST = ExpansionConfig(
     num_children=2,
@@ -338,7 +338,7 @@ def test_run_carries_the_final_trees_detections(tiny_world):
         DetectorParams(),
         FAST.seed,
     )
-    assert result.final_detections == fresh
+    assert rows_of(result.final_detections) == rows_of(fresh)
 
 
 def test_run_is_deterministic(tiny_world):

@@ -15,9 +15,8 @@ from dipex.experiments import (
     load_experiment_config,
     run_dipex,
     run_eval_only,
-    run_gamma_sweep,
     run_pilot_merging,
-    run_prompt_count_sweep,
+    run_sweep,
     with_seed,
 )
 
@@ -229,7 +228,7 @@ def test_output_directory_protection(tmp_path):
 
 
 def test_prompt_count_sweep(tmp_path):
-    out = run_prompt_count_sweep(FAST_CONFIG, [2, 3], tmp_path / "k")
+    out = run_sweep(FAST_CONFIG, "sweep-k", [2, 3], tmp_path / "k")
     rows = read_csv_rows(out / "sweep_k.csv")
     assert [r["num_children"] for r in rows] == ["2", "3"]
     assert [r["num_prompts"] for r in rows] == ["3", "4"]
@@ -237,12 +236,27 @@ def test_prompt_count_sweep(tmp_path):
 
 
 def test_gamma_sweep_reports_geometry(tmp_path):
-    out = run_gamma_sweep(FAST_CONFIG, [0.1], tmp_path / "g")
+    out = run_sweep(FAST_CONFIG, "sweep-gamma", [0.1], tmp_path / "g")
     rows = read_csv_rows(out / "sweep_gamma.csv")
     assert len(rows) == 1
     assert rows[0]["gamma"] == "0.1"
     assert rows[0]["mean_parent_child_degrees"] != ""
     assert rows[0]["mean_sibling_degrees"] != ""
+
+
+# sha256 of the sweep CSVs on FAST_CONFIG, captured when sweep-k and
+# sweep-gamma still had a driver each
+PINNED_SWEEP_CSVS = {
+    "sweep_k.csv": "da7a30aede6c7be0dce47fcedfe28528fdda9a969b4a82bd43248812985d7e4d",
+    "sweep_gamma.csv": "d53218f204037297ebda168ba9c44bff74b4903401377838ed1552cc27e826b3",
+}
+
+
+def test_sweep_csvs_match_pinned_sha256(tmp_path):
+    k = run_sweep(FAST_CONFIG, "sweep-k", [2, 3], tmp_path / "k")
+    gamma = run_sweep(FAST_CONFIG, "sweep-gamma", [0.1, 1.0], tmp_path / "g")
+    got = {path.name: sha256(path) for path in (k / "sweep_k.csv", gamma / "sweep_gamma.csv")}
+    assert got == PINNED_SWEEP_CSVS
 
 
 def test_eval_only_round_trips_run_output(tmp_path):

@@ -252,10 +252,12 @@ def _label_sources(rng, num_sources):
 def test_build_matches_scalar_reference(seed, num_sources, threshold):
     """The array label builder equals the scene-by-scene oracle over objects:
     the same scene ids, box and score bytes and sources, in the same order,
-    and rebuilding from its own output returns it."""
+    and rebuilding from its own output returns it.  No label scores under
+    the threshold, not even a scene's top candidate."""
     sources = _label_sources(np.random.default_rng(seed), num_sources)
     want = ref.build_pseudo_labels(sources, threshold)
     got = build(sources, threshold=threshold)
+    assert (got.scores >= threshold).all()
     assert got.scene_ids.tolist() == [label.scene_id for label in want]
     assert got.boxes.tobytes() == np.array([l.bbox.as_tuple() for l in want]).reshape(-1, 4).tobytes()
     assert got.scores.tobytes() == np.array([label.score for label in want]).tobytes()
