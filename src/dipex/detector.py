@@ -9,19 +9,21 @@ box displaced along a direction hashed from (seed, scene, object) by an
 amount that shrinks as confidence grows.
 
 The detector works on a whole world at once.  ``pack_world`` lays its scenes
-out as dense (scene, object) arrays and ``candidate_detections`` scores every
-(scene, prompt, object) triple, with its box, in one pass.  Training,
-activation counting, the per-prompt label passes and both query modes all
-start from that grid.  Detections stay arrays: ``detect_world`` returns one
-``ScoredBoxes`` per scene and ``detect_each`` one per prompt, and
-``detections_to_coco`` writes their rows.
+out as dense (scene, object) arrays, once per world and seed: the read-only
+pack is cached on the world and shared by every later call.
+``candidate_detections`` scores every (scene, prompt, object) triple, with
+its box, in one pass.  Training, activation counting, the per-prompt label
+passes and both query modes all start from that grid.  Detections stay
+arrays: ``detect_world`` returns one ``ScoredBoxes`` per scene and
+``detect_each`` one per prompt, and ``detections_to_coco`` writes their
+rows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -117,21 +119,34 @@ class SceneArrays:
 
 
 def pack_world(world: World, seed: int) -> SceneArrays:
-    """The world's scenes as ``SceneArrays``, shift directions hashed with ``seed``."""
+    """The world's scenes as read-only ``SceneArrays``, shift directions
+    hashed with ``seed``.  The first call for a seed builds them and caches
+    them on the world; later calls return the same record."""
+    packed = world._packs.get(seed)
+    if packed is None:
+        packed = world._packs[seed] = _pack(world, seed)
+    return packed
+
+
+def _pack(world: World, seed: int) -> SceneArrays:
     scenes = sorted(world.scenes, key=lambda s: s.id)
-    objects = [world.scene_objects(scene) for scene in scenes]
-    shape = (len(scenes), max(len(objs) for objs in objects))
-    object_ids = np.full(shape, -1)
-    emb = np.zeros(shape + (world.config.dim,))
-    gt = np.zeros(shape + (4,))
-    dirs = np.zeros(shape + (2,))
-    for row, (scene, objs) in enumerate(zip(scenes, objects)):
-        object_ids[row, : len(objs)] = [o.id for o in objs]
-        emb[row, : len(objs)] = [o.embedding for o in objs]
-        gt[row, : len(objs)] = [o.bbox.as_tuple() for o in objs]
-        dirs[row, : len(objs)] = [_noise_direction(seed, scene.id, o.id) for o in objs]
-    return SceneArrays(
-        scene_ids=np.array([scene.id for scene in scenes], dtype=int),
+    object_ids = np.full((len(scenes), max(len(s.object_ids) for s in scenes)), -1)
+    for row, scene in enumerate(scenes):
+        object_ids[row, : len(scene.object_ids)] = scene.object_ids
+    real = object_ids >= 0
+    ids = object_ids[real]
+    emb = np.zeros(object_ids.shape + (world.config.dim,))
+    emb[real] = world.embeddings[ids]
+    gt = np.zeros(object_ids.shape + (4,))
+    gt[real] = [world.objects[i].bbox.as_tuple() for i in ids.tolist()]
+    dirs = np.zeros(object_ids.shape + (2,))
+    scene_ids = np.array([scene.id for scene in scenes], dtype=int)
+    dirs[real] = [
+        _noise_direction(seed, sid, oid)
+        for sid, oid in zip(scene_ids[np.nonzero(real)[0]].tolist(), ids.tolist())
+    ]
+    packed = SceneArrays(
+        scene_ids=scene_ids,
         object_ids=object_ids,
         emb=emb,
         gt=gt,
@@ -139,6 +154,9 @@ def pack_world(world: World, seed: int) -> SceneArrays:
         dirs=dirs,
         size=np.array([(scene.width, scene.height) for scene in scenes], dtype=float),
     )
+    for f in fields(packed):
+        getattr(packed, f.name).setflags(write=False)
+    return packed
 
 
 def candidate_detections(

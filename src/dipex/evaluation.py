@@ -12,11 +12,12 @@ positive, mirroring the usual COCO treatment.
 
 Detections arrive as one ``ScoredBoxes`` per scene, from the detector or
 from ``load_coco_detections``, and stay arrays.  ``evaluate`` packs every
-scene into padded arrays, computes one (scene, detection, ground truth) IoU
-matrix, and matches all size buckets, scenes and IoU thresholds together in
-one pass over detection ranks.  Its sums run in the order of a scalar loop,
-so it reports the same floats as the independent scorer in
-``tests/reference_eval.py``, not close ones.
+scene's detections into padded arrays, takes the ground truth's from
+``GroundTruthSet.arrays`` (built once per set), computes one (scene,
+detection, ground truth) IoU matrix, and matches all size buckets, scenes
+and IoU thresholds together in one pass over detection ranks.  Its sums
+run in the order of a scalar loop, so it reports the same floats as the
+independent scorer in ``tests/reference_eval.py``, not close ones.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -75,6 +77,29 @@ class GroundTruthSet:
         if missing:
             raise ValueError(f"ground truth for unknown scenes: {sorted(missing)}")
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The set as padded read-only arrays, one row per scene in id order,
+        built on first use and kept: (S, W, 4) xyxy boxes, (S, W) size
+        classes (indices into ``SIZE_CLASSES``, -1 for padding) and (S, W)
+        crowd flags.  There is at least one column, padding if no scene has
+        ground truth."""
+        gt_lists = [self.by_scene.get(sid, ()) for sid in sorted(self.scene_dims)]
+        gt = np.array(
+            [(*g.bbox.as_tuple(), g.area, g.iscrowd) for gl in gt_lists for g in gl], dtype=float
+        ).reshape(-1, 6)
+        scene, index = _layout([len(gl) for gl in gt_lists])
+        shape = (len(gt_lists), int(index.max(initial=0)) + 1)
+        box = np.zeros(shape + (4,))
+        box[scene, index] = gt[:, :4]
+        size_class = np.full(shape, -1)
+        size_class[scene, index] = _size_class(gt[:, 4])
+        crowd = np.zeros(shape, dtype=bool)
+        crowd[scene, index] = gt[:, 5] != 0.0
+        for array in (box, size_class, crowd):
+            array.setflags(write=False)
+        return box, size_class, crowd
+
     @property
     def num_scenes(self) -> int:
         return len(self.scene_dims)
@@ -105,9 +130,11 @@ class GroundTruthSet:
         dims: dict[int, tuple[int, int]] = {}
         for i, image in enumerate(doc["images"]):
             try:
-                sid = int(image["id"])
-                size = (int(image["width"]), int(image["height"]))
-            except (TypeError, KeyError, ValueError) as exc:
+                sid = _whole(image["id"], "id")
+                size = (_whole(image["width"], "width"), _whole(image["height"], "height"))
+            except CocoFormatError as exc:
+                raise CocoFormatError(f"images[{i}]: {exc}") from exc
+            except (TypeError, KeyError) as exc:
                 raise CocoFormatError(f"images[{i}] missing id/width/height") from exc
             if sid in dims:
                 raise CocoFormatError(f"images[{i}] repeats image id {sid}")
@@ -115,17 +142,22 @@ class GroundTruthSet:
         by_scene: dict[int, list[GroundTruth]] = {sid: [] for sid in dims}
         for i, ann in enumerate(doc["annotations"]):
             try:
-                sid = int(ann["image_id"])
-                x, y, w, h = (float(v) for v in ann["bbox"])
-            except (TypeError, KeyError, ValueError) as exc:
+                sid = _whole(ann["image_id"], "image_id")
+                x, y, w, h = _xywh(ann["bbox"])
+            except CocoFormatError as exc:
+                raise CocoFormatError(f"annotations[{i}]: {exc}") from exc
+            except (TypeError, KeyError) as exc:
                 raise CocoFormatError(f"annotations[{i}] missing image_id/bbox") from exc
             if sid not in dims:
                 raise CocoFormatError(f"annotations[{i}] references unknown image {sid}")
             try:
                 bbox = BBox.from_xywh(x, y, w, h)
-                area = float(ann.get("area", bbox.area))
-                gt = GroundTruth(sid, bbox, area, iscrowd=bool(ann.get("iscrowd", 0)))
-            except (TypeError, ValueError) as exc:
+                area = _number(ann["area"], "area") if "area" in ann else bbox.area
+                iscrowd = ann.get("iscrowd", 0)
+                if iscrowd not in (0, 1):
+                    raise CocoFormatError(f"iscrowd must be 0 or 1, got {iscrowd!r}")
+                gt = GroundTruth(sid, bbox, area, iscrowd=bool(iscrowd))
+            except ValueError as exc:
                 raise CocoFormatError(f"annotations[{i}]: {exc}") from exc
             by_scene[sid].append(gt)
         return cls(by_scene={k: tuple(v) for k, v in by_scene.items()}, scene_dims=dims)
@@ -156,6 +188,36 @@ class GroundTruthSet:
         }
 
 
+_FLOAT = {float}
+
+
+def _whole(value, name: str) -> int:
+    """A COCO id or size: a JSON integer, or a float with no fraction; not a bool."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise CocoFormatError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float; not a bool, a string or an integer past float range."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:
+        pass
+    raise CocoFormatError(f"{name} must be a number, got {value!r}")
+
+
+def _xywh(value) -> tuple[float, float, float, float]:
+    """A COCO bbox: a list of four numbers."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 4):
+        raise CocoFormatError(f"bbox must be a list of 4 numbers, got {value!r}")
+    x, y, w, h = (_number(v, "bbox") for v in value)
+    return x, y, w, h
+
+
 def load_coco_ground_truth(path: str | Path) -> GroundTruthSet:
     try:
         with open(path) as fh:
@@ -171,8 +233,10 @@ def load_coco_detections(path: str | Path) -> dict[int, ScoredBoxes]:
     """Parse a COCO results array into one ``ScoredBoxes`` per scene that
     has detections, keyed in id order, each scene's rows in file order.
 
-    The first bad record fails the load: a missing field, a non-finite
-    score, a non-finite corner (``x + w`` can overflow) or an inverted box.
+    The first bad record fails the load: a missing field, an image id that
+    is not an integer, a bbox or score that is not made of numbers, a
+    non-finite score, a non-finite corner (``x + w`` can overflow) or an
+    inverted box.
     """
     try:
         with open(path) as fh:
@@ -183,15 +247,23 @@ def load_coco_detections(path: str | Path) -> dict[int, ScoredBoxes]:
         raise CocoFormatError(f"{path}: {exc.strerror}") from exc
     if not isinstance(doc, list):
         raise CocoFormatError(f"{path}: detection results must be a JSON array")
-    sids, rows, missing = [], [], None
+    sids, rows, unread = [], [], None
     for rec in doc:
         try:
-            sid = int(rec["image_id"])
-            x, y, w, h = (float(v) for v in rec["bbox"])
-            rows.append((float(rec["score"]), x, y, x + w, y + h))
-        except (TypeError, KeyError, ValueError) as exc:
-            missing = exc  # reported after any bad record before it
+            sid, bbox, score = rec["image_id"], rec["bbox"], rec["score"]
+            # the usual record, an integer id and five floats, skips the checkers
+            if type(sid) is not int or type(bbox) is not list or len(bbox) != 4 or (
+                {*map(type, bbox), type(score)} != _FLOAT
+            ):
+                sid, bbox, score = _whole(sid, "image_id"), _xywh(bbox), _number(score, "score")
+        except CocoFormatError as exc:
+            unread = (f": {exc}", exc)  # reported after any bad record before it
             break
+        except (TypeError, KeyError) as exc:
+            unread = (" missing image_id/bbox/score", exc)
+            break
+        x, y, w, h = bbox
+        rows.append((score, x, y, x + w, y + h))
         sids.append(sid)
     table = np.array(rows, dtype=float).reshape(-1, 5)
     scores, boxes = table[:, 0], table[:, 1:]
@@ -206,8 +278,9 @@ def load_coco_detections(path: str | Path) -> dict[int, ScoredBoxes]:
         problem = next(message for flags, message in problems if flags[i])
         detail = problem.format(score=scores[i].item(), box=tuple(boxes[i].tolist()))
         raise CocoFormatError(f"{path}: results[{i}]{detail}")
-    if missing is not None:
-        raise CocoFormatError(f"{path}: results[{len(rows)}] missing image_id/bbox/score") from missing
+    if unread is not None:
+        detail, exc = unread
+        raise CocoFormatError(f"{path}: results[{len(rows)}]{detail}") from exc
     dets = ScoredBoxes(np.array(sids, dtype=int), scores, boxes)
     return dets.take(np.argsort(dets.scene_ids, kind="stable")).split()
 
@@ -360,18 +433,8 @@ def evaluate(
     det_box[n_idx, d_idx] = dets.boxes[kept]
     det_area = (det_box[..., 2] - det_box[..., 0]) * (det_box[..., 3] - det_box[..., 1])
 
-    gt_lists = [gts.by_scene.get(sid, ()) for sid in scenes]
-    gt = np.array(
-        [(*g.bbox.as_tuple(), g.area, g.iscrowd) for gl in gt_lists for g in gl], dtype=float
-    ).reshape(-1, 6)
-    gt_scene, gt_index = _layout([len(gl) for gl in gt_lists])
-    width = int(gt_index.max(initial=0)) + 1  # one padded column if there is no ground truth
-    gt_box = np.zeros((num_scenes, width, 4))
-    gt_box[gt_scene, gt_index] = gt[:, :4]
-    gt_class = np.full((num_scenes, width), -1)
-    gt_class[gt_scene, gt_index] = _size_class(gt[:, 4])
-    gt_crowd = np.zeros((num_scenes, width), dtype=bool)
-    gt_crowd[gt_scene, gt_index] = gt[:, 5] != 0.0
+    gt_box, gt_class, gt_crowd = gts.arrays
+    width = gt_box.shape[1]
 
     # Buckets: 0 is every size, 1-3 the size classes.  A ground truth outside
     # a bucket is ignored there like a crowd region; a detection outside it

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-import yaml
 
 from .detector import (
     DetectorParams,
@@ -165,6 +164,8 @@ def _is_cap(value) -> bool:
 def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
+    import yaml  # here, not at the top: only --config needs it, and it is slow to import
+
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)

@@ -2,6 +2,11 @@
 sphere plus scenes of non-overlapping boxes in a COCO-like small/medium/large
 mix.  Everything is drawn from one seeded generator so a config reproduces
 the world bit for bit, and the whole thing round-trips through JSON.
+
+``generate_world`` draws and computes in arrays, in the float order of a
+per-object loop (kept as the reference in tests/reference_world.py), so
+both build the same bytes.  A world's embedding matrix and its packed
+scenes (``detector.pack_world``) are derived once and cached on it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import BBox
-from .geometry import normalize
+# unused here; kept because perfbench/tracing.py wraps world.normalize
+from .geometry import normalize  # noqa: F401
 
 # sqrt-area sampling ranges per size class; L is additionally capped so a box
 # always fits its scene cell at the worst-case 2:1 aspect ratio.
@@ -107,6 +113,8 @@ class World:
     objects: list[WorldObject]
     scenes: list[Scene]
     _embeddings: np.ndarray | None = field(default=None, repr=False)
+    # detector.pack_world's SceneArrays, one per shift-direction seed
+    _packs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def embeddings(self) -> np.ndarray:
@@ -193,78 +201,60 @@ def _size_counts(config: WorldConfig, total: int) -> list[str]:
     return labels
 
 
-def _sample_box(
-    rng: np.random.Generator, size_class: str, cell: tuple[float, float, float, float]
-) -> BBox:
-    """One box of the given class placed uniformly inside a grid cell."""
-    cx0, cy0, cw, ch = cell
-    lo, hi = _SIDE_RANGES[size_class]
-    limit = min(cw, ch) / math.sqrt(_ASPECT_HI)
-    side = rng.uniform(lo + _EDGE_EPS, min(hi, limit) - _EDGE_EPS)
-    aspect = math.exp(rng.uniform(math.log(_ASPECT_LO), math.log(_ASPECT_HI)))
-    w = side * math.sqrt(aspect)
-    h = side / math.sqrt(aspect)
-    x0 = cx0 + rng.uniform(0.0, cw - w)
-    y0 = cy0 + rng.uniform(0.0, ch - h)
-    return BBox(x0, y0, x0 + w, y0 + h)
-
-
 def generate_world(config: WorldConfig) -> World:
     """Deterministically build the world described by ``config``.
 
     Cluster centers are uniform on the sphere (normalized Gaussians); each
     object embedding is its center plus isotropic Gaussian noise scaled by
     1/concentration, re-normalized.  Objects are permuted into scenes and
-    laid out on a per-scene grid so boxes never overlap.
+    laid out on a per-scene grid so boxes never overlap: each draws a side
+    length from its size class, a log-uniform aspect ratio and an offset
+    inside its grid cell.
     """
     rng = np.random.default_rng(config.seed)
     total = config.num_clusters * config.objects_per_cluster
 
     centers = rng.standard_normal((config.num_clusters, config.dim))
     centers /= np.linalg.norm(centers, axis=1)[:, None]
+    cluster_ids = np.repeat(np.arange(config.num_clusters), config.objects_per_cluster)
+    raw = centers[cluster_ids] + rng.standard_normal((total, config.dim)) / config.concentration
+    embeddings = raw / np.linalg.norm(raw, axis=1)[:, None]
+    # normalize() of each row once more: one dot per row, then sqrt, then a
+    # divide (a batched sum of squares would round differently)
+    embeddings /= np.sqrt([row.dot(row) for row in embeddings])[:, None]
+    embeddings.setflags(write=False)
 
-    embeddings = np.empty((total, config.dim))
-    cluster_ids = np.empty(total, dtype=int)
-    for c in range(config.num_clusters):
-        start = c * config.objects_per_cluster
-        noise = rng.standard_normal((config.objects_per_cluster, config.dim))
-        raw = centers[c][None, :] + noise / config.concentration
-        embeddings[start : start + config.objects_per_cluster] = raw / np.linalg.norm(
-            raw, axis=1
-        )[:, None]
-        cluster_ids[start : start + config.objects_per_cluster] = c
+    size_class = np.empty(total, dtype="<U1")
+    size_class[rng.permutation(total)] = _size_counts(config, total)
 
-    size_labels = _size_counts(config, total)
-    assigned = [""] * total
-    for pos, obj_id in enumerate(rng.permutation(total)):
-        assigned[int(obj_id)] = size_labels[pos]
-
-    scene_of = rng.permutation(total)
-    rows, cols = config.grid_shape()
+    # Box parameters in placement order (scene by scene, slot by slot), each
+    # as Generator.uniform computes it, low + (high - low) * u, from the
+    # stream that four uniform() calls per object would read.
+    placed = rng.permutation(total)
+    u = rng.random((total, 4))
     cell_w, cell_h = config.cell_size()
+    limit = min(cell_w, cell_h) / math.sqrt(_ASPECT_HI)
+    sides = {
+        cls: (lo + _EDGE_EPS, min(hi, limit) - _EDGE_EPS) for cls, (lo, hi) in _SIDE_RANGES.items()
+    }
+    low, high = np.array([sides[cls] for cls in size_class[placed].tolist()]).T
+    side = low + (high - low) * u[:, 0]
+    log_lo, log_hi = math.log(_ASPECT_LO), math.log(_ASPECT_HI)
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    aspect = [math.exp(a) for a in (log_lo + (log_hi - log_lo) * u[:, 1]).tolist()]
+    root = np.sqrt(aspect)
+    w, h = side * root, side / root
+    row, col = np.divmod(np.arange(total) % config.objects_per_scene, config.grid_shape()[1])
+    x0 = col * cell_w + (cell_w - w) * u[:, 2]
+    y0 = row * cell_h + (cell_h - h) * u[:, 3]
+    boxes = np.empty((total, 4))
+    boxes[placed] = np.stack([x0, y0, x0 + w, y0 + h], axis=1)
 
-    boxes: dict[int, BBox] = {}
-    scenes: list[Scene] = []
-    for s in range(config.num_scenes):
-        members = scene_of[
-            s * config.objects_per_scene : (s + 1) * config.objects_per_scene
-        ]
-        for slot, obj_id in enumerate(members):
-            r, c = divmod(slot, cols)
-            cell = (c * cell_w, r * cell_h, cell_w, cell_h)
-            boxes[int(obj_id)] = _sample_box(rng, assigned[int(obj_id)], cell)
-        scenes.append(
-            Scene(s, config.width, config.height, tuple(int(i) for i in members))
-        )
-
+    attributes = zip(cluster_ids.tolist(), boxes.tolist(), size_class.tolist())
     objects = [
-        WorldObject(
-            id=i,
-            cluster_id=int(cluster_ids[i]),
-            embedding=normalize(embeddings[i]),
-            bbox=boxes[i],
-            size_class=assigned[i],
-        )
-        for i in range(total)
+        WorldObject(id=i, cluster_id=cid, embedding=embeddings[i], bbox=BBox(*box), size_class=cls)
+        for i, (cid, box, cls) in enumerate(attributes)
     ]
-    return World(config=config, cluster_centers=centers, objects=objects, scenes=scenes)
+    members = placed.reshape(config.num_scenes, config.objects_per_scene).tolist()
+    scenes = [Scene(s, config.width, config.height, tuple(ids)) for s, ids in enumerate(members)]
+    return World(config, centers, objects, scenes, _embeddings=embeddings)

@@ -96,6 +96,21 @@ def test_run_does_not_import_numpy_ma(config_path, tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_importing_the_cli_does_not_import_yaml():
+    """yaml takes about 18 ms to import (2 vCPUs) and only --config needs it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dipex.cli; print('yaml' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_run_seed_flag_reseeds_everything(config_path, tmp_path, capsys):
     code = main(
         ["run", "--config", str(config_path), "--out", str(tmp_path / "r3"), "--seed", "3"]
@@ -273,6 +288,68 @@ def test_missing_field_before_a_bad_box_is_reported_first(tmp_path, capsys):
     code, err = _eval_exit(tmp_path, capsys, gt_path, det_path)
     assert code == 3
     assert err.startswith("error[data]:") and "results[1] missing image_id/bbox/score" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("image_id", 1.9, "image_id must be an integer"),
+        ("image_id", True, "image_id must be an integer"),
+        ("image_id", "1", "image_id must be an integer"),
+        ("bbox", "1234", "bbox must be a list of 4 numbers"),
+        ("bbox", [5.0, "5", 10.0, 10.0], "bbox must be a number"),
+        ("bbox", [5.0, 5.0, 10.0, False], "bbox must be a number"),
+        ("score", "0.5", "score must be a number"),
+        ("score", None, "score must be a number"),
+    ],
+)
+def test_detection_field_of_the_wrong_type_is_a_data_error(tmp_path, capsys, field, value, problem):
+    gt_path, det_path = write_eval_fixture(tmp_path)
+    dets = json.loads(det_path.read_text())
+    dets[2][field] = value
+    det_path.write_text(json.dumps(dets))
+    code, err = _eval_exit(tmp_path, capsys, gt_path, det_path)
+    assert code == 3
+    assert err.startswith("error[data]:") and "results[2]: " + problem in err
+    assert not (tmp_path / "e" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "section, index, field, value, problem",
+    [
+        ("annotations", 1, "image_id", 1.5, "image_id must be an integer"),
+        ("annotations", 1, "image_id", True, "image_id must be an integer"),
+        ("annotations", 2, "bbox", "5555", "bbox must be a list of 4 numbers"),
+        ("annotations", 2, "bbox", [5.0, 5.0, "50", 50.0], "bbox must be a number"),
+        ("annotations", 0, "area", "1600", "area must be a number"),
+        ("annotations", 0, "iscrowd", "0", "iscrowd must be 0 or 1"),
+        ("images", 1, "id", 2.5, "id must be an integer"),
+        ("images", 0, "width", "100", "width must be an integer"),
+    ],
+)
+def test_ground_truth_field_of_the_wrong_type_is_a_data_error(
+    tmp_path, capsys, section, index, field, value, problem
+):
+    gt_path, det_path = write_eval_fixture(tmp_path)
+    doc = json.loads(gt_path.read_text())
+    doc[section][index][field] = value
+    gt_path.write_text(json.dumps(doc))
+    code, err = _eval_exit(tmp_path, capsys, gt_path, det_path)
+    assert code == 3
+    assert err.startswith("error[data]:") and f"{section}[{index}]: {problem}" in err
+    assert not (tmp_path / "e" / "summary.json").exists()
+
+
+def test_whole_number_float_ids_still_load(tmp_path, capsys):
+    gt_path, det_path = write_eval_fixture(tmp_path)
+    expected = _eval_exit(tmp_path, capsys, gt_path, det_path)
+    summary = json.loads((tmp_path / "e" / "summary.json").read_text())
+    dets = json.loads(det_path.read_text())
+    dets[2]["image_id"] = 2.0
+    det_path.write_text(json.dumps(dets))
+    code = main(["eval", "--gt", str(gt_path), "--dets", str(det_path), "--out", str(tmp_path / "f")])
+    assert (code, capsys.readouterr().err) == expected
+    assert json.loads((tmp_path / "f" / "summary.json").read_text()) == summary
 
 
 def _ar_1(tmp_path, capsys, files, merge=False):

@@ -122,6 +122,18 @@ def test_candidate_detections_keep_every_pair(small_world, default_params):
     assert scores[0].min() < default_params.score_threshold
 
 
+def test_pack_is_built_once_per_seed_and_read_only(small_world):
+    scenes = pack_world(small_world, seed=0)
+    assert pack_world(small_world, seed=0) is scenes
+    other = pack_world(small_world, seed=1)
+    assert other is not scenes and not np.array_equal(other.dirs, scenes.dirs)
+    for field in dataclasses.fields(scenes):
+        array = getattr(scenes, field.name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+
+
 def test_duplicate_prompt_ids_rejected(small_world, default_params):
     scene = small_world.scenes[0]
     vec = small_world.objects[0].embedding
@@ -161,17 +173,21 @@ def test_query_merging_applies_penalty_uniformly(small_world, default_params):
 def test_prediction_merging_suppresses_duplicates(small_world, default_params):
     scene = small_world.scenes[0]
     vec = small_world.scene_objects(scene)[0].embedding
+    # the decayed duplicate scores at most e^-2, under the default threshold
+    params = dataclasses.replace(default_params, score_threshold=0.01)
     dets = detect_scene(
-        scene, [(0, vec), (1, vec)], QueryMode.PREDICTION_MERGING,
-        default_params, small_world,
+        scene, [(0, vec), (1, vec)], QueryMode.PREDICTION_MERGING, params, small_world,
     )
-    # the duplicate prompt yields an identical box; soft-NMS decays it by e^-2
+    # the duplicate prompt yields an identical box; soft-NMS decays it by
+    # exp(-IoU^2 / sigma), e^-2 at IoU 1
     per_box = {}
     for _, box, score in rows_of({0: dets})[0]:
         per_box.setdefault(box, []).append(score)
-    for scores in per_box.values():
-        if len(scores) == 2:
-            assert scores[1] == pytest.approx(scores[0] * math.exp(-2.0), rel=1e-9)
+    twice = [scores for scores in per_box.values() if len(scores) == 2]
+    assert twice
+    assert params.nms_sigma == 0.5
+    for first, second in twice:
+        assert second == first * math.exp(-2.0)
 
 
 def test_detections_sorted_thresholded_capped(small_world, default_params):

@@ -359,3 +359,19 @@ def test_load_detections_groups_by_scene(tmp_path):
         0: [(0, (5.0, 5.0, 15.0, 15.0), 0.7)],
         1: [(1, (0.0, 0.0, 10.0, 10.0), 0.5), (1, (20.0, 0.0, 30.0, 10.0), 0.6)],
     }
+
+
+def test_ground_truth_arrays_are_built_once_and_read_only(small_world):
+    gts = GroundTruthSet.from_world(small_world)
+    arrays = gts.arrays
+    assert gts.arrays is arrays
+    box = arrays[0]
+    assert box.shape == (small_world.config.num_scenes, small_world.config.objects_per_scene, 4)
+    for array in arrays:
+        assert not array.flags.writeable
+    # one hit per scene: its first object's box
+    dets = det_arrays({s.id: [box[i, 0].tolist() + [0.9]] for i, s in enumerate(small_world.scenes)})
+    first = evaluate(dets, gts)
+    assert gts.arrays is arrays
+    assert evaluate(dets, gts) == first
+    assert first.ar(100) == 0.5

@@ -6,6 +6,7 @@ from unittest.mock import ANY
 
 import pytest
 
+from dipex.cli import main
 from dipex.evaluation import load_coco_ground_truth
 from dipex.expansion import ExpansionConfig
 from dipex.experiments import (
@@ -19,6 +20,7 @@ from dipex.experiments import (
     run_sweep,
     with_seed,
 )
+from dipex.world import WorldConfig
 
 from conftest import TINY_WORLD
 
@@ -174,6 +176,40 @@ def test_pilot_builds_each_world_once(tmp_path, monkeypatch):
     assert [(r["vocabulary"], r["seed"]) for r in rows] == [
         ("dispersed", "0"), ("dispersed", "1"), ("overlapping", "0"), ("overlapping", "1"),
     ]
+
+
+def _count_noise_directions(monkeypatch):
+    """The (seed, scene, object) of every shift direction the detector hashes."""
+    import dipex.detector as detector
+
+    calls = []
+    real = detector._noise_direction
+
+    def counting(seed, scene_id, object_id):
+        calls.append((seed, scene_id, object_id))
+        return real(seed, scene_id, object_id)
+
+    monkeypatch.setattr(detector, "_noise_direction", counting)
+    return calls
+
+
+def test_pilot_packs_each_world_once(tmp_path, monkeypatch):
+    """Both vocabularies in both query modes share one pack of the world, so
+    each object's shift direction is hashed once."""
+    calls = _count_noise_directions(monkeypatch)
+    assert main(["pilot", "--seed", "0", "--out", str(tmp_path / "pilot")]) == 0
+    config = WorldConfig()
+    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) == config.num_clusters * config.objects_per_cluster
+
+
+def test_run_packs_the_world_once(tmp_path, monkeypatch):
+    """Training, activation counting, label passes, evaluation and the
+    artifact writer share one pack of the world."""
+    calls = _count_noise_directions(monkeypatch)
+    run_dipex(FAST_CONFIG, tmp_path / "run")
+    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) == TINY_WORLD.num_clusters * TINY_WORLD.objects_per_cluster
 
 
 def test_run_writes_expected_artifacts(tmp_path):

@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dipex.boxes import intersection_area, size_class_from_area
 from dipex.world import World, WorldConfig, generate_world
 
+import reference_world
 from conftest import SMALL_WORLD
 
 
@@ -96,3 +98,52 @@ def test_scene_objects_preserve_order(small_world):
     scene = small_world.scenes[0]
     objs = small_world.scene_objects(scene)
     assert tuple(o.id for o in objs) == scene.object_ids
+
+
+def _world_arrays(world):
+    return (
+        world.cluster_centers.tobytes(),
+        np.stack([o.embedding for o in world.objects]).tobytes(),
+        world.embeddings.tobytes(),
+        np.array([o.bbox.as_tuple() for o in world.objects]).tobytes(),
+        [o.size_class for o in world.objects],
+        [o.cluster_id for o in world.objects],
+        world.scenes,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 48),
+    num_clusters=st.integers(1, 4),
+    scenes_per_cluster=st.integers(1, 4),
+    objects_per_scene=st.integers(1, 12),
+    concentration=st.sampled_from([0.5, 5.0, 20.0]),
+    weights=st.tuples(*[st.integers(0, 5)] * 3).filter(any),
+)
+def test_generate_world_matches_scalar_reference(
+    seed, dim, num_clusters, scenes_per_cluster, objects_per_scene, concentration, weights
+):
+    """The array generator reproduces the per-object loop byte for byte:
+    embeddings, boxes, size classes and scene membership."""
+    try:
+        config = WorldConfig(
+            dim=dim,
+            num_clusters=num_clusters,
+            objects_per_cluster=scenes_per_cluster * objects_per_scene,
+            concentration=concentration,
+            num_scenes=num_clusters * scenes_per_cluster,
+            objects_per_scene=objects_per_scene,
+            size_mix=tuple(w / sum(weights) for w in weights),
+            seed=seed,
+        )
+    except ValueError:  # the mix's boxes do not fit the cells
+        assume(False)
+    assert _world_arrays(generate_world(config)) == _world_arrays(reference_world.generate_world(config))
+
+
+def test_generated_embeddings_are_shared_and_read_only(small_world):
+    assert all(np.shares_memory(o.embedding, small_world.embeddings) for o in small_world.objects)
+    with pytest.raises(ValueError):
+        small_world.embeddings[0, 0] = 0.0
