@@ -13,13 +13,9 @@ training evaluates each once per batch.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .boxes import BBox
-
-log = logging.getLogger(__name__)
 
 Boxes = BBox | np.ndarray
 
@@ -31,6 +27,14 @@ def _xyxy(box: Boxes) -> np.ndarray:
 
 def _area(b: np.ndarray) -> np.ndarray:
     return (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+
+
+def _warn(message: str, *args) -> None:
+    # logging is imported here, not at the top: only degenerate boxes need it,
+    # and every dipex process would pay for its import
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def _out(value: np.ndarray) -> float | np.ndarray:
@@ -56,7 +60,7 @@ def l1_box_loss(
     p, t = _xyxy(pred), _xyxy(target)
     degenerate = _area(t) == 0.0
     if np.any(degenerate):
-        log.warning(
+        _warn(
             "l1_box_loss: %d degenerate zero-area target(s), first %s",
             int(np.sum(degenerate)), t[degenerate].reshape(-1, 4)[0].tolist(),
         )
@@ -91,7 +95,7 @@ def giou(a: Boxes, b: Boxes) -> float | np.ndarray:
     iou_val = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
     degenerate = hull <= 0.0
     if np.any(degenerate):
-        log.warning("giou: %d degenerate box pair(s) with empty hull", int(np.sum(degenerate)))
+        _warn("giou: %d degenerate box pair(s) with empty hull", int(np.sum(degenerate)))
     safe_hull = np.where(degenerate, 1.0, hull)
     return _out(np.where(degenerate, 0.0, iou_val - (hull - union) / safe_hull))
 

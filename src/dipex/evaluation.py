@@ -11,11 +11,15 @@ outside the active size class) is set aside rather than counted as a false
 positive, mirroring the usual COCO treatment.
 
 Detections arrive as one ``ScoredBoxes`` per scene, from the detector or
-from ``load_coco_detections``, and stay arrays.  ``evaluate`` packs every
-scene's detections into padded arrays, takes the ground truth's from
-``GroundTruthSet.arrays`` (built once per set), computes one (scene,
-detection, ground truth) IoU matrix, and matches all size buckets, scenes
-and IoU thresholds together in one pass over detection ranks.  Its sums
+from ``load_coco_detections``, and stay arrays.  Ground truth is a
+``GroundTruthSet`` of parallel arrays (scene, xyxy box, area, crowd flag),
+built from a world or read from a COCO file, and written back through
+``pseudo_labels.annotations_to_coco``, the one COCO annotations writer.
+``evaluate`` packs every scene's detections into padded arrays, takes the
+ground truth's from ``GroundTruthSet.arrays`` (scattered once per set),
+computes one (scene, detection, ground truth) IoU matrix, and matches all
+size buckets, scenes and IoU thresholds together in one pass over
+detection ranks.  Its sums
 run in the order of a scalar loop, so it reports the same floats as the
 independent scorer in ``tests/reference_eval.py``, not close ones.
 """
@@ -34,7 +38,7 @@ import numpy as np
 
 from .boxes import MEDIUM_MAX_AREA, SIZE_CLASSES, SMALL_MAX_AREA, BBox
 from .boxes import box_iou as iou  # perfbench/tracing.py counts calls under this name
-from .pseudo_labels import ScoredBoxes
+from .pseudo_labels import ScoredBoxes, annotations_to_coco
 from .world import World
 
 IOU_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
@@ -47,18 +51,6 @@ class CocoFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    scene_id: int
-    bbox: BBox
-    area: float
-    iscrowd: bool = False
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.area) and self.area >= 0.0):
-            raise ValueError(f"area must be finite and non-negative, got {self.area}")
-
-
-@dataclass(frozen=True)
 class DetectionRecord:
     """One scored box as an object, the input of ``soft_nms``'s object API."""
 
@@ -67,35 +59,50 @@ class DetectionRecord:
     score: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GroundTruthSet:
-    by_scene: dict[int, tuple[GroundTruth, ...]]
+    """Ground truth as read-only parallel arrays, one row per box, sorted by
+    scene; each scene keeps its world or file order.  ``scene_dims`` (scene
+    id -> (w, h)) lists every scene, with boxes or without."""
+
     scene_dims: dict[int, tuple[int, int]]
+    scene_ids: np.ndarray  # (n,) int
+    boxes: np.ndarray      # (n, 4) xyxy
+    areas: np.ndarray      # (n,)
+    crowd: np.ndarray      # (n,) bool
 
     def __post_init__(self) -> None:
-        missing = set(self.by_scene) - set(self.scene_dims)
+        for name, dtype, shape in (
+            ("scene_ids", int, -1), ("boxes", float, (-1, 4)), ("areas", float, -1), ("crowd", bool, -1)
+        ):
+            array = np.array(getattr(self, name), dtype=dtype).reshape(shape)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        missing = set(self.scene_ids.tolist()) - set(self.scene_dims)
         if missing:
             raise ValueError(f"ground truth for unknown scenes: {sorted(missing)}")
+        if np.any(np.diff(self.scene_ids) < 0):
+            raise ValueError("ground truth rows must be sorted by scene")
+        bad = ~(np.isfinite(self.areas) & (self.areas >= 0.0))
+        if bad.any():
+            raise ValueError(f"area must be finite and non-negative, got {self.areas[bad][0]}")
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The set as padded read-only arrays, one row per scene in id order,
-        built on first use and kept: (S, W, 4) xyxy boxes, (S, W) size
-        classes (indices into ``SIZE_CLASSES``, -1 for padding) and (S, W)
-        crowd flags.  There is at least one column, padding if no scene has
-        ground truth."""
-        gt_lists = [self.by_scene.get(sid, ()) for sid in sorted(self.scene_dims)]
-        gt = np.array(
-            [(*g.bbox.as_tuple(), g.area, g.iscrowd) for gl in gt_lists for g in gl], dtype=float
-        ).reshape(-1, 6)
-        scene, index = _layout([len(gl) for gl in gt_lists])
-        shape = (len(gt_lists), int(index.max(initial=0)) + 1)
+        """The rows scattered into padded read-only arrays, one row per scene
+        in id order, built on first use and kept: (S, W, 4) xyxy boxes,
+        (S, W) size classes (indices into ``SIZE_CLASSES``, -1 for padding)
+        and (S, W) crowd flags.  There is at least one column, padding if no
+        scene has ground truth."""
+        scene = np.searchsorted(sorted(self.scene_dims), self.scene_ids)
+        index = np.arange(self.scene_ids.size) - np.searchsorted(self.scene_ids, self.scene_ids)
+        shape = (len(self.scene_dims), int(index.max(initial=0)) + 1)
         box = np.zeros(shape + (4,))
-        box[scene, index] = gt[:, :4]
+        box[scene, index] = self.boxes
         size_class = np.full(shape, -1)
-        size_class[scene, index] = _size_class(gt[:, 4])
+        size_class[scene, index] = _size_class(self.areas)
         crowd = np.zeros(shape, dtype=bool)
-        crowd[scene, index] = gt[:, 5] != 0.0
+        crowd[scene, index] = self.crowd
         for array in (box, size_class, crowd):
             array.setflags(write=False)
         return box, size_class, crowd
@@ -106,19 +113,22 @@ class GroundTruthSet:
 
     @property
     def num_annotations(self) -> int:
-        return sum(len(v) for v in self.by_scene.values())
+        return self.scene_ids.size
 
     @classmethod
     def from_world(cls, world: World) -> "GroundTruthSet":
-        by_scene = {}
-        dims = {}
-        for scene in world.scenes:
-            dims[scene.id] = (scene.width, scene.height)
-            by_scene[scene.id] = tuple(
-                GroundTruth(scene.id, obj.bbox, obj.bbox.area)
-                for obj in world.scene_objects(scene)
-            )
-        return cls(by_scene=by_scene, scene_dims=dims)
+        scenes = sorted(world.scenes, key=lambda scene: scene.id)
+        boxes = np.array(
+            [world.objects[i].bbox.as_tuple() for scene in scenes for i in scene.object_ids]
+        ).reshape(-1, 4)
+        counts = [len(scene.object_ids) for scene in scenes]
+        return cls(
+            scene_dims={scene.id: (scene.width, scene.height) for scene in scenes},
+            scene_ids=np.repeat([scene.id for scene in scenes], counts),
+            boxes=boxes,
+            areas=(boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]),
+            crowd=np.zeros(len(boxes), dtype=bool),
+        )
 
     @classmethod
     def from_coco(cls, doc: dict) -> "GroundTruthSet":
@@ -139,7 +149,7 @@ class GroundTruthSet:
             if sid in dims:
                 raise CocoFormatError(f"images[{i}] repeats image id {sid}")
             dims[sid] = size
-        by_scene: dict[int, list[GroundTruth]] = {sid: [] for sid in dims}
+        sids, rows = [], []  # rows of (x0, y0, x1, y1, area, iscrowd)
         for i, ann in enumerate(doc["annotations"]):
             try:
                 sid = _whole(ann["image_id"], "image_id")
@@ -156,36 +166,21 @@ class GroundTruthSet:
                 iscrowd = ann.get("iscrowd", 0)
                 if iscrowd not in (0, 1):
                     raise CocoFormatError(f"iscrowd must be 0 or 1, got {iscrowd!r}")
-                gt = GroundTruth(sid, bbox, area, iscrowd=bool(iscrowd))
+                if not (math.isfinite(area) and area >= 0.0):
+                    raise CocoFormatError(f"area must be finite and non-negative, got {area}")
             except ValueError as exc:
                 raise CocoFormatError(f"annotations[{i}]: {exc}") from exc
-            by_scene[sid].append(gt)
-        return cls(by_scene={k: tuple(v) for k, v in by_scene.items()}, scene_dims=dims)
+            sids.append(sid)
+            rows.append((*bbox.as_tuple(), area, iscrowd))
+        sids = np.array(sids, dtype=int)
+        order = np.argsort(sids, kind="stable")
+        table = np.array(rows, dtype=float).reshape(-1, 6)[order]
+        return cls(dims, sids[order], table[:, :4], table[:, 4], table[:, 5] != 0.0)
 
     def to_coco(self) -> dict:
-        images = [
-            {"id": int(sid), "width": int(w), "height": int(h)}
-            for sid, (w, h) in sorted(self.scene_dims.items())
-        ]
-        annotations = []
-        for sid in sorted(self.scene_dims):
-            for gt in self.by_scene.get(sid, ()):
-                x, y, w, h = gt.bbox.to_xywh()
-                annotations.append(
-                    {
-                        "id": len(annotations) + 1,
-                        "image_id": int(sid),
-                        "category_id": 1,
-                        "bbox": [float(x), float(y), float(w), float(h)],
-                        "area": float(gt.area),
-                        "iscrowd": int(gt.iscrowd),
-                    }
-                )
-        return {
-            "images": images,
-            "annotations": annotations,
-            "categories": [{"id": 1, "name": "object"}],
-        }
+        return annotations_to_coco(
+            self.scene_dims, self.scene_ids, self.boxes, self.areas, self.crowd
+        )
 
 
 _FLOAT = {float}
@@ -218,15 +213,18 @@ def _xywh(value) -> tuple[float, float, float, float]:
     return x, y, w, h
 
 
-def load_coco_ground_truth(path: str | Path) -> GroundTruthSet:
+def _read_json(path: str | Path):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise CocoFormatError(f"{path}: not valid JSON ({exc})") from exc
     except OSError as exc:
         raise CocoFormatError(f"{path}: {exc.strerror}") from exc
-    return GroundTruthSet.from_coco(doc)
+
+
+def load_coco_ground_truth(path: str | Path) -> GroundTruthSet:
+    return GroundTruthSet.from_coco(_read_json(path))
 
 
 def load_coco_detections(path: str | Path) -> dict[int, ScoredBoxes]:
@@ -238,13 +236,7 @@ def load_coco_detections(path: str | Path) -> dict[int, ScoredBoxes]:
     non-finite score, a non-finite corner (``x + w`` can overflow) or an
     inverted box.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CocoFormatError(f"{path}: not valid JSON ({exc})") from exc
-    except OSError as exc:
-        raise CocoFormatError(f"{path}: {exc.strerror}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, list):
         raise CocoFormatError(f"{path}: detection results must be a JSON array")
     sids, rows, unread = [], [], None

@@ -242,28 +242,6 @@ class ExpansionConfig:
         if not (0.0 < self.label_iou_min <= 1.0):
             raise ValueError(f"label_iou_min out of (0, 1]: {self.label_iou_min}")
 
-    def as_dict(self) -> dict:
-        return {
-            "num_children": self.num_children,
-            "num_expansions": self.num_expansions,
-            "max_angle_degrees": math.degrees(self.max_angle),
-            "tau_parent": self.tau_parent,
-            "tau_child": self.tau_child,
-            "gamma": self.gamma,
-            "gamma_bbox": self.gamma_bbox,
-            "gamma_giou": self.gamma_giou,
-            "gamma_cls": self.gamma_cls,
-            "mac_threshold_degrees": math.degrees(self.mac_threshold),
-            "mac_tolerance_degrees": math.degrees(self.mac_tolerance),
-            "learning_rate": self.learning_rate,
-            "epochs_per_round": self.epochs_per_round,
-            "batch_size": self.batch_size,
-            "label_threshold": self.label_threshold,
-            "label_iou_min": self.label_iou_min,
-            "early_stop": self.early_stop,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class ActivationStats:

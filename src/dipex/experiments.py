@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .evaluation import (
     load_coco_ground_truth,
 )
 from .expansion import ExpansionConfig, RunResult, rebuild_labels, run
+from .geometry import pairwise_angle_matrix
 from .pseudo_labels import ScoredBoxes, soft_nms
 from .world import World, WorldConfig, generate_world
 
@@ -54,18 +55,21 @@ class ExperimentConfig:
     max_dets: tuple[int, ...] = DEFAULT_MAX_DETS
 
     def as_dict(self) -> dict:
-        return {
-            "world": dataclasses.asdict(self.world),
-            "detector": _degrees_out(
-                dataclasses.asdict(self.detector), ("overlap_threshold",)
-            ),
-            "expansion": self.expansion.as_dict(),
-            "vocabulary": _degrees_out(
-                dataclasses.asdict(self.vocabulary),
-                ("noise_angle", "duplicate_angle", "min_separation"),
-            ),
-            "max_dets": list(self.max_dets),
+        doc = {
+            name: _degrees_out(dataclasses.asdict(getattr(self, name)), angles)
+            for name, (_, angles) in _SECTIONS.items()
         }
+        return {**doc, "max_dets": list(self.max_dets)}
+
+
+# config section -> (its dataclass, its angle fields: radians in the
+# dataclass, "<field>_degrees" in config files and manifests)
+_SECTIONS = {
+    "world": (WorldConfig, ()),
+    "detector": (DetectorParams, ("overlap_threshold",)),
+    "expansion": (ExpansionConfig, ("max_angle", "mac_threshold", "mac_tolerance")),
+    "vocabulary": (VocabularyConfig, ("noise_angle", "duplicate_angle", "min_separation")),
+}
 
 
 def _degrees_out(data: dict, angle_keys: Sequence[str]) -> dict:
@@ -74,85 +78,40 @@ def _degrees_out(data: dict, angle_keys: Sequence[str]) -> dict:
     return data
 
 
-def _build_section(
-    name: str, data: dict, factory: Callable, fields: set[str], angle_keys: set[str]
-):
+def _build_section(name: str, data: dict):
     if not isinstance(data, dict):
         raise ConfigError(f"section '{name}' must be a mapping")
+    cls, angles = _SECTIONS[name]
+    fields = {f.name for f in dataclasses.fields(cls)} - set(angles)
     kwargs = {}
     for key, value in data.items():
-        if key in angle_keys:
+        if key.endswith("_degrees") and key.removesuffix("_degrees") in angles:
             kwargs[key.removesuffix("_degrees")] = math.radians(float(value))
         elif key in fields:
             kwargs[key] = value
         else:
             raise ConfigError(f"unknown key '{key}' in section '{name}'")
     try:
-        return factory(**kwargs)
+        if "size_mix" in kwargs:  # the world's; YAML may give integers
+            kwargs["size_mix"] = tuple(float(v) for v in kwargs["size_mix"])
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"section '{name}': {exc}") from exc
-
-
-_WORLD_FIELDS = {f.name for f in dataclasses.fields(WorldConfig)}
-_DETECTOR_FIELDS = {f.name for f in dataclasses.fields(DetectorParams)} - {
-    "overlap_threshold"
-}
-_EXPANSION_FIELDS = {f.name for f in dataclasses.fields(ExpansionConfig)} - {
-    "max_angle",
-    "mac_threshold",
-    "mac_tolerance",
-}
-_VOCAB_FIELDS = {f.name for f in dataclasses.fields(VocabularyConfig)} - {
-    "noise_angle",
-    "duplicate_angle",
-    "min_separation",
-}
-
-
-def _world_section(data: dict) -> WorldConfig:
-    def factory(**kw):
-        if "size_mix" in kw:
-            kw["size_mix"] = tuple(float(v) for v in kw["size_mix"])
-        return WorldConfig(**kw)
-
-    return _build_section("world", data, factory, _WORLD_FIELDS, set())
 
 
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a full configuration from a parsed YAML/JSON document."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a mapping")
-    known = {"world", "detector", "expansion", "vocabulary", "max_dets"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {*_SECTIONS, "max_dets"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    world = _world_section(doc.get("world", {}))
-    detector = _build_section(
-        "detector",
-        doc.get("detector", {}),
-        DetectorParams,
-        _DETECTOR_FIELDS,
-        {"overlap_threshold_degrees"},
-    )
-    expansion = _build_section(
-        "expansion",
-        doc.get("expansion", {}),
-        ExpansionConfig,
-        _EXPANSION_FIELDS,
-        {"max_angle_degrees", "mac_threshold_degrees", "mac_tolerance_degrees"},
-    )
-    vocabulary = _build_section(
-        "vocabulary",
-        doc.get("vocabulary", {}),
-        VocabularyConfig,
-        _VOCAB_FIELDS,
-        {"noise_angle_degrees", "duplicate_angle_degrees", "min_separation_degrees"},
-    )
+    sections = {name: _build_section(name, doc.get(name, {})) for name in _SECTIONS}
     max_dets = doc.get("max_dets", list(DEFAULT_MAX_DETS))
     if not isinstance(max_dets, (list, tuple)) or not max_dets or not all(map(_is_cap, max_dets)):
         raise ConfigError(f"max_dets must be a non-empty list of integers >= 1, got {max_dets!r}")
     caps = tuple(sorted(int(v) for v in max_dets))
-    return ExperimentConfig(world, detector, expansion, vocabulary, caps)
+    return ExperimentConfig(**sections, max_dets=caps)
 
 
 def _is_cap(value) -> bool:
@@ -435,23 +394,21 @@ def _mean(values: Sequence[float]) -> float | None:
 
 def _tree_angle_stats(tree) -> tuple[float | None, float | None]:
     """Mean parent-child angle and mean sibling angle, in radians."""
+    row = {nid: i for i, nid in enumerate(tree.ids)}
+    angles = pairwise_angle_matrix([tree.nodes[nid].embedding for nid in tree.ids])
     parent_angles = []
-    sibling_angles = []
     by_parent: dict[int, list[int]] = {}
-    for nid, node in sorted(tree.nodes.items()):
-        if node.parent_id is None:
-            continue
-        by_parent.setdefault(node.parent_id, []).append(nid)
-        parent = tree.nodes[node.parent_id].embedding
-        cos = float(np.clip(node.embedding @ parent, -1.0, 1.0))
-        parent_angles.append(math.acos(cos))
-    for children in by_parent.values():
-        for a in range(len(children)):
-            for b in range(a + 1, len(children)):
-                va = tree.nodes[children[a]].embedding
-                vb = tree.nodes[children[b]].embedding
-                cos = float(np.clip(va @ vb, -1.0, 1.0))
-                sibling_angles.append(math.acos(cos))
+    for nid in tree.ids:
+        parent = tree.nodes[nid].parent_id
+        if parent is not None:
+            by_parent.setdefault(parent, []).append(row[nid])
+            parent_angles.append(angles[row[nid], row[parent]])
+    sibling_angles = [
+        angles[a, b]
+        for children in by_parent.values()
+        for i, a in enumerate(children)
+        for b in children[i + 1 :]
+    ]
     return _mean(parent_angles), _mean(sibling_angles)
 
 

@@ -7,7 +7,12 @@ through Gaussian soft-NMS, and kept when their suppressed score clears the
 label threshold.  Surviving labels keep their original (pre-suppression)
 scores: suppression decides membership only, which makes the build a fixed
 point -- rebuilding from its own output reproduces it exactly.  Labels stay
-arrays; ``PseudoLabelSet.all_labels`` is their one object view.
+arrays up to their COCO file.
+
+``annotations_to_coco`` writes every COCO annotations document, for labels
+(``PseudoLabelSet.to_coco``) and for ground truth
+(``evaluation.GroundTruthSet.to_coco``).  It lives here so that
+``evaluation`` can import it without an import cycle.
 """
 
 from __future__ import annotations
@@ -15,19 +20,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boxes import BBox, box_iou, iou  # noqa: F401  (perfbench/tracing.py counts iou calls here)
-
-
-@dataclass(frozen=True)
-class PseudoLabel:
-    scene_id: int
-    bbox: BBox
-    score: float
-    source: str
+from .boxes import box_iou, iou  # noqa: F401  (perfbench/tracing.py counts iou calls here)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,38 +76,51 @@ class PseudoLabelSet(ScoredBoxes):
     sources: np.ndarray    # (n,) str
     meta: dict = field(default_factory=dict)
 
-    def all_labels(self) -> Iterator[PseudoLabel]:
-        rows = (self.scene_ids, self.boxes, self.scores, self.sources)
-        for sid, box, score, source in zip(*(column.tolist() for column in rows)):
-            yield PseudoLabel(sid, BBox(*box), score, source)
-
     def to_coco(self, scene_dims: Mapping[int, tuple[int, int]]) -> dict:
         """COCO annotations document listing every scene of ``scene_dims``
-        (scene id -> (w, h)), labelled or not."""
-        images = [
-            {"id": int(sid), "width": int(scene_dims[sid][0]), "height": int(scene_dims[sid][1])}
-            for sid in sorted(scene_dims)
-        ]
-        annotations = []
-        for label in self.all_labels():
-            x, y, w, h = label.bbox.to_xywh()
-            annotations.append(
-                {
-                    "id": len(annotations) + 1,
-                    "image_id": int(label.scene_id),
-                    "category_id": 1,
-                    "bbox": [float(x), float(y), float(w), float(h)],
-                    "area": float(label.bbox.area),
-                    "iscrowd": 0,
-                    "score": float(label.score),
-                }
-            )
-        return {
-            "info": dict(self.meta),
-            "images": images,
-            "annotations": annotations,
-            "categories": [{"id": 1, "name": "object"}],
+        (scene id -> (w, h)), labelled or not, with each label's score and
+        the build settings as ``info``."""
+        b = self.boxes
+        areas = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+        crowd = np.zeros(len(self), dtype=bool)
+        doc = annotations_to_coco(scene_dims, self.scene_ids, b, areas, crowd, self.scores)
+        return {"info": dict(self.meta), **doc}
+
+
+def annotations_to_coco(
+    scene_dims: Mapping[int, tuple[int, int]],
+    scene_ids: np.ndarray,
+    boxes: np.ndarray,
+    areas: np.ndarray,
+    crowd: np.ndarray,
+    scores: np.ndarray | None = None,
+) -> dict:
+    """COCO annotations document: one image per scene of ``scene_dims``
+    (scene id -> (w, h)) in id order, and one class-agnostic annotation per
+    row of the parallel arrays (xyxy ``boxes``, written as xywh), numbered
+    from 1 in row order, with a ``score`` when ``scores`` is given."""
+    images = [
+        {"id": int(sid), "width": int(w), "height": int(h)}
+        for sid, (w, h) in sorted(scene_dims.items())
+    ]
+    corner, size = boxes[:, :2].tolist(), (boxes[:, 2:] - boxes[:, :2]).tolist()
+    rows = zip(scene_ids.tolist(), corner, size, areas.tolist(), crowd.tolist())
+    annotations = [
+        {
+            "id": k,
+            "image_id": sid,
+            "category_id": 1,
+            "bbox": [x, y, w, h],
+            "area": area,
+            "iscrowd": int(iscrowd),
         }
+        for k, (sid, (x, y), (w, h), area, iscrowd) in enumerate(rows, start=1)
+    ]
+    if scores is not None:
+        for annotation, score in zip(annotations, scores.tolist()):
+            annotation["score"] = score
+    categories = [{"id": 1, "name": "object"}]
+    return {"images": images, "annotations": annotations, "categories": categories}
 
 
 def soft_nms(

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from dipex import DetectorParams, WorldConfig, generate_world
+from dipex import DetectorParams, GroundTruthSet, WorldConfig, generate_world
+from dipex.boxes import BBox
 from dipex.pseudo_labels import PseudoLabelSet, ScoredBoxes
+
+from reference_detector import PseudoLabel
 
 SMALL_WORLD = WorldConfig(
     dim=16,
@@ -51,6 +54,15 @@ def as_arrays(items, labels=False):
     return ScoredBoxes(scene_ids, scores, boxes)
 
 
+def all_labels(labels: PseudoLabelSet) -> list[PseudoLabel]:
+    """The labels of a PseudoLabelSet as PseudoLabel objects, in its order."""
+    rows = (labels.scene_ids, labels.boxes, labels.scores, labels.sources)
+    return [
+        PseudoLabel(sid, BBox(*box), score, source)
+        for sid, box, score, source in zip(*(column.tolist() for column in rows))
+    ]
+
+
 def rows_of(by_key):
     """{key: ScoredBoxes} -> {key: [(scene, xyxy tuple, score), ...]}, for
     exact comparisons."""
@@ -68,6 +80,21 @@ def det_arrays(table):
         rows = np.array(rows, dtype=float).reshape(-1, 5)
         out[sid] = ScoredBoxes(np.full(len(rows), sid, dtype=int), rows[:, 4], rows[:, :4])
     return out
+
+
+def gt_arrays(table, scene_ids):
+    """Oracle ground truth {sid: [(x0, y0, x1, y1, area, iscrowd), ...]} ->
+    the package's GroundTruthSet over ``scene_ids``, each 640x480, rows in
+    scene order and then in the listed order."""
+    sids = sorted(table)
+    rows = np.array([row for sid in sids for row in table[sid]], dtype=float).reshape(-1, 6)
+    return GroundTruthSet(
+        scene_dims={sid: (640, 480) for sid in scene_ids},
+        scene_ids=np.repeat(np.array(sids, dtype=int), [len(table[sid]) for sid in sids]),
+        boxes=rows[:, :4],
+        areas=rows[:, 4],
+        crowd=rows[:, 5] != 0.0,
+    )
 
 
 def assert_matches_reference(summary, ref, tol=1e-9):

@@ -6,8 +6,8 @@ grid, the array `soft_nms`, the array `build_pseudo_labels` and
 `expansion.assign_responsibility` replaced: a `BBox` and a `Detection` per
 (prompt, object) pair, Python loops for both merging policies, a Python
 soft-NMS, a scene-by-scene label builder over objects and an object-based
-label matcher.  They are kept here only to cross-check the fast paths, which
-must reproduce them exactly.
+label matcher, with a `PseudoLabel` per label.  They are kept here only to
+cross-check the fast paths, which must reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dipex.detector import (
     sigmoid,
 )
 from dipex.geometry import normalize
-from dipex.pseudo_labels import PseudoLabel, PseudoLabelSet
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,16 @@ class Detection:
     score: float
     prompt_id: int
     object_id: int  # provenance for diagnostics only; matching logic uses boxes
+
+
+@dataclass(frozen=True)
+class PseudoLabel:
+    """One pseudo-label as an object; the package keeps labels as arrays."""
+
+    scene_id: int
+    bbox: BBox
+    score: float
+    source: str
 
 
 def raw_logit(prompt: np.ndarray, embedding: np.ndarray, params: DetectorParams) -> float:
@@ -195,15 +204,15 @@ class ResponsibilityRecord:
 def assign_responsibility(dets: Sequence, labels, iou_min: float = 0.5):
     """Per label: every detection with IoU >= iou_min matches, per prompt only
     its best-scoring match counts, and the best such prompt (ties to the
-    lowest id) is responsible.  Returns (records, missed labels)."""
+    lowest id) is responsible.  ``labels`` are objects with scene_id and
+    bbox.  Returns (records, missed labels)."""
     if not (0.0 < iou_min <= 1.0):
         raise ValueError(f"iou_min out of (0, 1]: {iou_min}")
-    label_list = list(labels.all_labels()) if isinstance(labels, PseudoLabelSet) else list(labels)
     dets_by_scene: dict[int, list] = {}
     for d in dets:
         dets_by_scene.setdefault(int(d.scene_id), []).append(d)
     assignments, misses = [], []
-    for label in label_list:
+    for label in labels:
         best_by_prompt: dict[int, object] = {}
         for det in dets_by_scene.get(label.scene_id, ()):
             if iou(det.bbox, label.bbox) < iou_min:

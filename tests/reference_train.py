@@ -77,7 +77,7 @@ def scene_data(world, labels, seed: int) -> dict[int, SceneData]:
     for scene in world.scenes:
         objs = world.scene_objects(scene)
         gt = np.array([o.bbox.as_tuple() for o in objs], dtype=float)
-        scene_labels = [l for l in labels.all_labels() if l.scene_id == scene.id]
+        scene_labels = [l for l in labels if l.scene_id == scene.id]
         lab = (
             np.array([l.bbox.as_tuple() for l in scene_labels], dtype=float)
             if scene_labels

@@ -22,7 +22,7 @@ from dipex.cli import main as cli_main
 from dipex.detection_losses import giou, sigmoid_focal_loss
 from dipex.detector import DetectorParams, VocabularyConfig, build_vocabulary
 from dipex.dispersion import child_child_loss, parent_child_loss
-from dipex.evaluation import GroundTruth, GroundTruthSet, evaluate
+from dipex.evaluation import evaluate
 from dipex.expansion import (
     ExpansionConfig,
     PromptTree,
@@ -35,10 +35,11 @@ from dipex.expansion import (
 )
 from dipex.experiments import ExperimentConfig, run_dipex, run_pilot_merging, with_seed
 from dipex.geometry import GivensRotation, apply_rotation, mac, normalize
-from dipex.pseudo_labels import PseudoLabel, soft_nms
+from dipex.pseudo_labels import soft_nms
 from dipex.world import WorldConfig, generate_world
 
-from conftest import assert_matches_reference, det_arrays, random_eval_instance
+from conftest import assert_matches_reference, det_arrays, gt_arrays, random_eval_instance
+from reference_detector import PseudoLabel
 from reference_eval import reference_evaluate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -302,28 +303,15 @@ def test_default_artifacts_match_pinned_sha256(default_runs, tmp_path, capsys):
     assert got == PINNED_MANIFESTS
 
 
-def _tables_to_types(dets, gts, scene_ids):
-    gt_set = GroundTruthSet(
-        by_scene={
-            sid: tuple(
-                GroundTruth(sid, BBox(*row[:4]), row[4], iscrowd=row[5]) for row in rows
-            )
-            for sid, rows in gts.items()
-        },
-        scene_dims={sid: (640, 480) for sid in scene_ids},
-    )
-    return det_arrays(dets), gt_set
-
-
 def test_05_evaluator_matches_independent_reference(capsys):
     rng = np.random.default_rng(55)
     mismatches = 0
     for _ in range(50):
         dets, gts, scene_ids = random_eval_instance(rng, max_scenes=5, max_boxes=8)
-        det_map, gt_set = _tables_to_types(dets, gts, scene_ids)
         try:
             assert_matches_reference(
-                evaluate(det_map, gt_set), reference_evaluate(dets, gts, scene_ids)
+                evaluate(det_arrays(dets), gt_arrays(gts, scene_ids)),
+                reference_evaluate(dets, gts, scene_ids),
             )
         except AssertionError:
             mismatches += 1
@@ -343,8 +331,7 @@ def test_05_evaluator_matches_independent_reference(capsys):
                 drows.append((x, y, x + side, y + side, 1.0 - 0.01 * k))
             gts[sid] = rows
             dets[sid] = drows
-        det_map, gt_set = _tables_to_types(dets, gts, sorted(gts))
-        summary = evaluate(det_map, gt_set)
+        summary = evaluate(det_arrays(dets), gt_arrays(gts, sorted(gts)))
         perfect_exact &= summary.ar_at[100] == 1.0 and summary.ap == 1.0
     _verdict(
         capsys, 5,

@@ -96,19 +96,30 @@ def test_run_does_not_import_numpy_ma(config_path, tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
-def test_importing_the_cli_does_not_import_yaml():
-    """yaml takes about 18 ms to import (2 vCPUs) and only --config needs it."""
+def _imported_by_the_cli(module: str) -> bool:
+    """Whether ``import dipex.cli`` in a fresh interpreter imports ``module``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, dipex.cli; print('yaml' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, dipex.cli; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_importing_the_cli_does_not_import_yaml():
+    """yaml takes about 18 ms to import (2 vCPUs) and only --config needs it."""
+    assert not _imported_by_the_cli("yaml")
+
+
+def test_importing_the_cli_does_not_import_logging():
+    """logging takes about 6 ms to import (2 vCPUs) and only degenerate box
+    losses log."""
+    assert not _imported_by_the_cli("logging")
 
 
 def test_run_seed_flag_reseeds_everything(config_path, tmp_path, capsys):

@@ -8,7 +8,6 @@ from dipex.boxes import BBox
 from dipex.evaluation import (
     CocoFormatError,
     EvalSummary,
-    GroundTruth,
     GroundTruthSet,
     IOU_THRESHOLDS,
     evaluate,
@@ -16,18 +15,13 @@ from dipex.evaluation import (
     load_coco_ground_truth,
 )
 
-from conftest import assert_matches_reference, det_arrays, random_eval_instance, rows_of
+from conftest import assert_matches_reference, det_arrays, gt_arrays, random_eval_instance, rows_of
 from reference_eval import reference_evaluate
 
 
-def make_gts(rows, dims=None):
-    """rows: {sid: [(bbox, iscrowd), ...]}; area defaults to the box area."""
-    by_scene = {
-        sid: tuple(GroundTruth(sid, box, box.area, iscrowd=crowd) for box, crowd in items)
-        for sid, items in rows.items()
-    }
-    dims = dims or {sid: (640, 480) for sid in rows}
-    return GroundTruthSet(by_scene=by_scene, scene_dims=dims)
+def gt_row(box, crowd=False):
+    """An oracle ground-truth row whose area is the box's."""
+    return (*box.as_tuple(), box.area, crowd)
 
 
 def make_dets(rows):
@@ -41,21 +35,8 @@ def square(x, y, side):
     return BBox(x, y, x + side, y + side)
 
 
-def to_package(dets, gts, scene_ids):
-    """Oracle tables -> (detections by scene, GroundTruthSet)."""
-    gt_set = GroundTruthSet(
-        by_scene={
-            sid: tuple(GroundTruth(sid, BBox(*r[:4]), r[4], iscrowd=r[5]) for r in rows)
-            for sid, rows in gts.items()
-        },
-        scene_dims={sid: (640, 480) for sid in scene_ids},
-    )
-    return det_arrays(dets), gt_set
-
-
 def assert_equals_reference(dets, gts, scene_ids, max_dets=(1, 10, 100)):
-    det_map, gt_set = to_package(dets, gts, scene_ids)
-    summary = evaluate(det_map, gt_set, max_dets)
+    summary = evaluate(det_arrays(dets), gt_arrays(gts, scene_ids), max_dets)
     assert_matches_reference(summary, reference_evaluate(dets, gts, scene_ids, max_dets), tol=0.0)
 
 
@@ -64,7 +45,7 @@ def test_thresholds_follow_coco_ladder():
 
 
 def test_perfect_detections_score_one_exactly():
-    gts = make_gts({0: [(square(0, 0, 100), False), (square(200, 0, 120), False)]})
+    gts = gt_arrays({0: [gt_row(square(0, 0, 100)), gt_row(square(200, 0, 120))]}, [0])
     dets = make_dets({0: [(square(0, 0, 100), 0.9), (square(200, 0, 120), 0.8)]})
     summary = evaluate(dets, gts)
     assert summary.ar_at[100] == 1.0
@@ -81,7 +62,7 @@ def test_partial_overlap_matches_low_thresholds_only():
     det_box = BBox(0.0, 0.0, 60.0, 100.0)
     area = 6000.0 / 10000.0
     assert abs(area - 0.6) < 1e-12
-    gts = make_gts({0: [(gt_box, False)]})
+    gts = gt_arrays({0: [gt_row(gt_box)]}, [0])
     summary = evaluate(make_dets({0: [(det_box, 0.9)]}), gts)
     assert summary.ar_at[100] == pytest.approx(0.3, abs=1e-12)
     assert summary.ap == pytest.approx(0.3, abs=1e-12)
@@ -90,7 +71,7 @@ def test_partial_overlap_matches_low_thresholds_only():
 def test_crowd_regions_absorb_without_counting():
     crowd = square(0, 0, 200)
     real = square(300, 300, 100)
-    gts = make_gts({0: [(crowd, True), (real, False)]})
+    gts = gt_arrays({0: [gt_row(crowd, crowd=True), gt_row(real)]}, [0])
     dets = make_dets({0: [(real, 0.95), (crowd, 0.9)]})
     summary = evaluate(dets, gts)
     # the crowd-hitting detection is neither TP nor FP; the real one is perfect
@@ -105,7 +86,7 @@ def test_crowd_regions_absorb_without_counting():
 
 def test_false_positive_drags_precision_not_recall():
     real = square(0, 0, 100)
-    gts = make_gts({0: [(real, False)]})
+    gts = gt_arrays({0: [gt_row(real)]}, [0])
     dets = make_dets({0: [(square(400, 400, 50), 0.99), (real, 0.9)]})
     summary = evaluate(dets, gts)
     assert summary.ar_at[100] == 1.0
@@ -115,7 +96,7 @@ def test_false_positive_drags_precision_not_recall():
 
 def test_detection_cap_limits_recall():
     boxes = [square(0, 0, 100), square(150, 0, 100), square(300, 0, 100)]
-    gts = make_gts({0: [(b, False) for b in boxes]})
+    gts = gt_arrays({0: [gt_row(b) for b in boxes]}, [0])
     dets = make_dets({0: [(b, 0.9 - 0.1 * i) for i, b in enumerate(boxes)]})
     summary = evaluate(dets, gts, max_dets=(1, 2, 100))
     assert summary.ar_at[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -126,7 +107,7 @@ def test_detection_cap_limits_recall():
 def test_size_buckets_split_and_ignore():
     small = square(0, 0, 20)        # area 400 -> S
     large = square(100, 100, 150)   # area 22500 -> L
-    gts = make_gts({0: [(small, False), (large, False)]})
+    gts = gt_arrays({0: [gt_row(small), gt_row(large)]}, [0])
     dets = make_dets({0: [(small, 0.9), (large, 0.8)]})
     summary = evaluate(dets, gts)
     assert summary.ar_small == 1.0
@@ -139,7 +120,7 @@ def test_size_buckets_split_and_ignore():
 
 
 def test_empty_detections_and_unknown_scene():
-    gts = make_gts({0: [(square(0, 0, 100), False)]})
+    gts = gt_arrays({0: [gt_row(square(0, 0, 100))]}, [0])
     summary = evaluate({}, gts)
     assert summary.ar_at[100] == 0.0
     assert summary.ap == 0.0
@@ -149,7 +130,7 @@ def test_empty_detections_and_unknown_scene():
 
 
 def test_no_ground_truth_gives_none_everywhere():
-    gts = GroundTruthSet(by_scene={}, scene_dims={0: (640, 480)})
+    gts = gt_arrays({}, [0])
     summary = evaluate(make_dets({0: [(square(0, 0, 10), 0.5)]}), gts)
     assert summary.ar_at[100] is None
     assert summary.ap is None
@@ -269,7 +250,7 @@ def test_evaluate_equals_reference_at_800_scenes():
 
 
 def test_summary_accessors_and_monotonic_guard():
-    gts = make_gts({0: [(square(0, 0, 100), False)]})
+    gts = gt_arrays({0: [gt_row(square(0, 0, 100))]}, [0])
     summary = evaluate(make_dets({0: [(square(0, 0, 100), 0.9)]}), gts)
     assert summary.ar(100) == summary.ar_at[100]
     d = summary.to_dict()
@@ -282,7 +263,7 @@ def test_summary_accessors_and_monotonic_guard():
 
 
 def test_summary_files(tmp_path):
-    gts = make_gts({0: [(square(0, 0, 20), False)]})
+    gts = gt_arrays({0: [gt_row(square(0, 0, 20))]}, [0])
     summary = evaluate(make_dets({0: [(square(0, 0, 20), 0.9)]}), gts)
     jpath = tmp_path / "summary.json"
     summary.write_json(jpath)
@@ -304,13 +285,36 @@ def test_coco_round_trip(small_world):
     gts = GroundTruthSet.from_world(small_world)
     assert gts.num_annotations == len(small_world.objects)
     doc = gts.to_coco()
+    # a crowd region whose explicit area is not its box's, listed last but
+    # read back after the other rows of the first scene
+    first = min(gts.scene_dims)
+    crowd = {"image_id": first, "bbox": [1.0, 2.0, 10.0, 20.0], "area": 150.0, "iscrowd": 1}
+    doc["annotations"].append(crowd)
     back = GroundTruthSet.from_coco(doc)
     assert back.scene_dims == gts.scene_dims
-    for sid in gts.by_scene:
-        for a, b in zip(gts.by_scene[sid], back.by_scene[sid]):
-            assert a.bbox.as_tuple() == pytest.approx(b.bbox.as_tuple(), abs=1e-9)
-            assert a.area == pytest.approx(b.area)
-            assert a.iscrowd == b.iscrowd
+    k = int(np.searchsorted(gts.scene_ids, first, side="right"))
+    assert back.scene_ids.tolist() == np.insert(gts.scene_ids, k, first).tolist()
+    want_boxes = np.insert(gts.boxes, k, [1.0, 2.0, 11.0, 22.0], axis=0)
+    np.testing.assert_allclose(back.boxes, want_boxes, rtol=0, atol=1e-9)
+    assert back.areas.tolist() == np.insert(gts.areas, k, 150.0).tolist()
+    assert back.crowd.tolist() == np.insert(gts.crowd, k, True).tolist()
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        ({"areas": [-1.0]}, "area"),
+        ({"areas": [float("nan")]}, "area"),
+        ({"scene_ids": [7]}, "unknown scenes"),
+        ({"scene_ids": [1, 0], "boxes": [[0, 0, 1, 1]] * 2, "areas": [1, 1], "crowd": [0, 0]}, "sorted"),
+    ],
+)
+def test_ground_truth_set_rejects_bad_rows(change, problem):
+    rows = dict(scene_ids=[0], boxes=[[0.0, 0.0, 2.0, 2.0]], areas=[4.0], crowd=[False])
+    gts = GroundTruthSet(scene_dims={0: (640, 480), 1: (640, 480)}, **rows)
+    assert not gts.boxes.flags.writeable and gts.boxes.shape == (1, 4)
+    with pytest.raises(ValueError, match=problem):
+        GroundTruthSet(scene_dims={0: (640, 480), 1: (640, 480)}, **{**rows, **change})
 
 
 def test_coco_parsing_errors(tmp_path):

@@ -21,11 +21,13 @@ from dipex.expansion import (
     select_parent,
     train_round,
 )
+from dipex.experiments import ExperimentConfig
 from dipex.geometry import angular_distance, mac, normalize
-from dipex.pseudo_labels import PseudoLabel, build_pseudo_labels
+from dipex.pseudo_labels import build_pseudo_labels
 
 import reference_detector as ref
-from conftest import as_arrays, rows_of
+from conftest import all_labels, as_arrays, rows_of
+from reference_detector import PseudoLabel
 
 FAST = ExpansionConfig(
     num_children=2,
@@ -114,7 +116,7 @@ def test_config_validation_and_degrees():
         ExpansionConfig(label_threshold=1.0)
     # zero expansions permit any child count
     assert ExpansionConfig(num_children=1, num_expansions=0).num_children == 1
-    d = ExpansionConfig().as_dict()
+    d = ExperimentConfig().as_dict()["expansion"]
     assert d["max_angle_degrees"] == pytest.approx(15.0)
     assert d["mac_threshold_degrees"] == pytest.approx(75.0)
 
@@ -284,7 +286,7 @@ def test_activation_frequency_matches_object_matcher(tiny_world, small_world, se
     labels = bootstrap_labels(list(world.cluster_centers), world, config, params)
     iou_min = float(rng.choice([0.3, 0.5, 0.9]))
     stats = activation_frequency(tree, labels, world, params, iou_min, config.seed)
-    counts, total = ref.activation_counts(tree, labels, world, params, iou_min, config.seed)
+    counts, total = ref.activation_counts(tree, all_labels(labels), world, params, iou_min, config.seed)
     assert (stats.counts, stats.total) == (counts, total)
     assert list(stats.counts) == tree.ids
 
@@ -313,7 +315,7 @@ def test_label_passes_match_per_prompt_detection(tiny_world, small_world, seed, 
             sigma=params.nms_sigma,
             score_floor=params.nms_floor,
         )
-        assert list(labels.all_labels()) == list(want.all_labels())
+        assert all_labels(labels) == all_labels(want)
         assert labels.meta == want.meta
 
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dipex.boxes import BBox
-from dipex.pseudo_labels import PseudoLabel, build_pseudo_labels, soft_nms
+from dipex.pseudo_labels import build_pseudo_labels, soft_nms
 
 import reference_detector as ref
-from conftest import as_arrays
-from reference_detector import assign_responsibility
+from conftest import all_labels, as_arrays
+from reference_detector import PseudoLabel, assign_responsibility
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ def build(dets_by_source, **kwargs):
 
 
 def scene_labels(labels, scene_id):
-    return [label for label in labels.all_labels() if label.scene_id == scene_id]
+    return [label for label in all_labels(labels) if label.scene_id == scene_id]
 
 
 def test_soft_nms_identical_pair_frozen_value():
@@ -192,8 +192,8 @@ def test_build_is_idempotent_on_hand_case():
     first = build({"x": dets}, threshold=0.2)
     again = build_pseudo_labels({"y": first}, threshold=0.2)
     assert [
-        (l.scene_id, l.bbox.as_tuple(), l.score) for l in first.all_labels()
-    ] == [(l.scene_id, l.bbox.as_tuple(), l.score) for l in again.all_labels()]
+        (l.scene_id, l.bbox.as_tuple(), l.score) for l in all_labels(first)
+    ] == [(l.scene_id, l.bbox.as_tuple(), l.score) for l in all_labels(again)]
 
 
 @given(st.lists(
@@ -211,8 +211,8 @@ def test_build_idempotent_property(rows):
     first = build({"p": dets}, threshold=0.2)
     again = build_pseudo_labels({"p": first}, threshold=0.2)
     assert [
-        (l.bbox.as_tuple(), l.score) for l in first.all_labels()
-    ] == [(l.bbox.as_tuple(), l.score) for l in again.all_labels()]
+        (l.bbox.as_tuple(), l.score) for l in all_labels(first)
+    ] == [(l.bbox.as_tuple(), l.score) for l in all_labels(again)]
 
 
 def _label_sources(rng, num_sources):
@@ -325,6 +325,6 @@ def test_responsibility_misses_and_scene_isolation():
 def test_responsibility_accepts_label_set():
     label_set = as_arrays([PseudoLabel(0, unit_box(0, 0), 0.9, "x")], labels=True)
     dets = [Det(0, unit_box(0, 0), 0.8, prompt_id=3)]
-    assignments, misses = assign_responsibility(dets, label_set)
+    assignments, misses = assign_responsibility(dets, all_labels(label_set))
     assert assignments[0].responsible_prompt_id == 3
     assert not misses

@@ -13,11 +13,11 @@ from dipex.expansion import (
     _round_data,
     assign_responsibility,
 )
-from dipex.pseudo_labels import PseudoLabel, PseudoLabelSet
+from dipex.pseudo_labels import PseudoLabelSet
 from dipex.world import Scene, World
 
-from conftest import as_arrays
-from reference_detector import clip
+from conftest import all_labels, as_arrays
+from reference_detector import PseudoLabel, clip
 from reference_train import reference_batch, scene_data
 
 PARAMS = DetectorParams()
@@ -78,7 +78,7 @@ def test_batch_step_matches_per_label_reference(tiny_world, small_world, seed, w
     rows = np.union1d(rows, [0]) if rng.random() < 0.5 else rows
 
     want_tally, want_grad = reference_batch(
-        scene_data(world, labels, CONFIG.seed), ids[rows], V, trainable, PARAMS, CONFIG
+        scene_data(world, all_labels(labels), CONFIG.seed), ids[rows], V, trainable, PARAMS, CONFIG
     )
     tally, grad = _batch_step(
         _round_data(world, labels, CONFIG.seed), rows, V, trainable, PARAMS, CONFIG
