@@ -81,7 +81,8 @@ def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     union = area_a + area_b - inter
-    return np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+    nonempty = union > 0.0
+    return np.where(nonempty, inter / np.where(nonempty, union, 1.0), 0.0)
 
 
 def size_class_from_area(area: float) -> str:

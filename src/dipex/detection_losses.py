@@ -120,13 +120,14 @@ def sigmoid_focal_loss(
     """
     x = np.asarray(logit, dtype=float)
     t = np.asarray(target, dtype=float)
-    if not np.all((t == 0.0) | (t == 1.0)):
+    if not ((t == 0.0) | (t == 1.0)).all():
         raise ValueError("targets must be 0 or 1")
     sign = 2.0 * t - 1.0
     z = sign * x
-    p_t = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+    clipped = np.minimum(np.maximum(z, -60.0), 60.0)  # np.clip's values
+    p_t = 1.0 / (1.0 + np.exp(-clipped))
     log_p_t = -_softplus(-z)
-    one_m_p_t = 1.0 / (1.0 + np.exp(np.clip(z, -60.0, 60.0)))
+    one_m_p_t = 1.0 / (1.0 + np.exp(clipped))
     alpha_t = t * alpha + (1.0 - t) * (1.0 - alpha)
     focus = one_m_p_t ** gamma_focal
     loss = -alpha_t * focus * log_p_t

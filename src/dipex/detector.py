@@ -65,7 +65,8 @@ class DetectorParams:
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    # np.clip's values, without its wrapper
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60.0), 60.0)))
 
 
 def overlap_penalty(prompts: Sequence[np.ndarray], params: DetectorParams) -> float:
@@ -173,7 +174,9 @@ def candidate_detections(
     candidate, because the score floor that governs reported detections
     would silence the gradient signal of weak prompts.
     """
-    cos = np.clip(np.matmul(unit, scenes.emb[rows].transpose(0, 2, 1)), -1.0, 1.0)
+    cos = np.matmul(unit, scenes.emb[rows].transpose(0, 2, 1))
+    # np.clip's values, without its wrapper
+    np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos)
     logits = params.logit_scale * cos + params.logit_bias
     scores = sigmoid(logits)
     return cos, logits, scores, _noisy_boxes(scenes, rows, scores, params)
@@ -191,11 +194,13 @@ def _noisy_boxes(
     gt = scenes.gt[rows][:, None]
     w = scenes.size[rows, 0][:, None, None]
     h = scenes.size[rows, 1][:, None, None]
-    x0 = np.minimum(np.maximum(gt[..., 0] + dx, 0.0), w)
-    y0 = np.minimum(np.maximum(gt[..., 1] + dy, 0.0), h)
-    x1 = np.maximum(x0, np.minimum(np.maximum(gt[..., 2] + dx, 0.0), w))
-    y1 = np.maximum(y0, np.minimum(np.maximum(gt[..., 3] + dy, 0.0), h))
-    return np.stack([x0, y0, x1, y1], axis=-1)
+    boxes = np.empty(mag.shape + (4,))
+    x0, y0, x1, y1 = (boxes[..., k] for k in range(4))
+    np.minimum(np.maximum(gt[..., 0] + dx, 0.0), w, out=x0)
+    np.minimum(np.maximum(gt[..., 1] + dy, 0.0), h, out=y0)
+    np.maximum(x0, np.minimum(np.maximum(gt[..., 2] + dx, 0.0), w), out=x1)
+    np.maximum(y0, np.minimum(np.maximum(gt[..., 3] + dy, 0.0), h), out=y1)
+    return boxes
 
 
 def _canonical(scores: np.ndarray, pids: np.ndarray, boxes: np.ndarray, *groups) -> np.ndarray:

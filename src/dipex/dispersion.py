@@ -48,10 +48,19 @@ class LossBreakdown:
 
 
 def _unit_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(mat, axis=1)
-    if np.any(norms == 0.0):
+    # np.linalg.norm(mat, axis=1) computes exactly this, behind more checks
+    norms = np.sqrt(np.add.reduce(mat * mat, axis=1))
+    if not norms.all():
         raise ValueError("zero vector among children")
     return mat / norms[:, None], norms
+
+
+def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b clipped to [-1, 1], in place; np.clip gives the same values
+    through a slower wrapper."""
+    cos = a @ b
+    np.maximum(cos, -1.0, out=cos)
+    return np.minimum(cos, 1.0, out=cos)
 
 
 def parent_child_loss(
@@ -64,7 +73,9 @@ def parent_child_loss(
     the gradient vanishes (tangentially; the radial part is projected out by
     the caller's renormalization).
     """
-    kids = np.atleast_2d(np.asarray(children, dtype=float))
+    kids = np.asarray(children, dtype=float)
+    if kids.ndim < 2:
+        kids = kids.reshape(1, -1)
     par = np.asarray(parent, dtype=float)
     if kids.shape[0] < 1:
         raise ValueError("need at least one child")
@@ -76,16 +87,14 @@ def parent_child_loss(
         raise ValueError(f"temperature must be positive, got {tau_p}")
     k = kids.shape[0]
     unit_kids, kid_norms = _unit_rows(kids)
-    p_norm = float(np.linalg.norm(par))
+    p_norm = float(np.sqrt(par.dot(par)))  # np.linalg.norm of a vector
     if p_norm == 0.0:
         raise ValueError("zero parent vector")
     unit_par = par / p_norm
-    cos = np.clip(unit_kids @ unit_par, -1.0, 1.0)
-    value = float(-np.sum(cos) / (k * tau_p))
+    cos = _cosines(unit_kids, unit_par)
+    value = float(-np.add.reduce(cos) / (k * tau_p))
     # d cos_i / d v_i = (p_hat - cos_i * v_hat_i) / ||v_i||
-    grads = -(unit_par[None, :] - cos[:, None] * unit_kids) / (
-        k * tau_p * kid_norms[:, None]
-    )
+    grads = -(unit_par - cos[:, None] * unit_kids) / (k * tau_p * kid_norms[:, None])
     return value, grads
 
 
@@ -99,29 +108,29 @@ def child_child_loss(children: np.ndarray, tau_c: float) -> tuple[float, Gradien
         grad_k = 1/(K * tau_c) * sum_{j != k} (w_kj + w_jk)
                  * (v_hat_j - cos_kj * v_hat_k) / ||v_k||
     """
-    kids = np.atleast_2d(np.asarray(children, dtype=float))
-    if kids.shape[0] < 2:
+    kids = np.asarray(children, dtype=float)
+    if kids.ndim < 2 or kids.shape[0] < 2:
         raise ValueError("child_child_loss needs at least two children")
     if tau_c <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau_c}")
     k = kids.shape[0]
     unit, norms = _unit_rows(kids)
-    cos = np.clip(unit @ unit.T, -1.0, 1.0)
+    cos = _cosines(unit, unit.T)
     x = cos / tau_c
-    np.fill_diagonal(x, -np.inf)  # exclude self-pairs from each row
-    row_max = np.max(x, axis=1)
+    x.flat[:: k + 1] = -np.inf  # exclude self-pairs from each row
+    row_max = np.maximum.reduce(x, axis=1)
     shifted = np.exp(x - row_max[:, None])
-    row_sum = np.sum(shifted, axis=1)
+    row_sum = np.add.reduce(shifted, axis=1)
     # log mean exp over the K-1 off-diagonal entries of each row
     row_lse = row_max + np.log(row_sum) - np.log(k - 1)
-    value = float(np.mean(row_lse))
+    value = float(np.add.reduce(row_lse) / k)  # np.mean's arithmetic
 
     weights = shifted / row_sum[:, None]  # softmax over j != i, zero diagonal
     sym = weights + weights.T
     # grad_k = c * [ sum_j sym_kj * v_hat_j - (sum_j sym_kj * cos_kj) * v_hat_k ] / ||v_k||
     coeff = 1.0 / (k * tau_c)
     pull = sym @ unit
-    radial = np.sum(sym * cos, axis=1)
+    radial = np.add.reduce(sym * cos, axis=1)
     grads = coeff * (pull - radial[:, None] * unit) / norms[:, None]
     return value, grads
 

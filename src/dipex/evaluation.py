@@ -151,27 +151,9 @@ class GroundTruthSet:
             dims[sid] = size
         sids, rows = [], []  # rows of (x0, y0, x1, y1, area, iscrowd)
         for i, ann in enumerate(doc["annotations"]):
-            try:
-                sid = _whole(ann["image_id"], "image_id")
-                x, y, w, h = _xywh(ann["bbox"])
-            except CocoFormatError as exc:
-                raise CocoFormatError(f"annotations[{i}]: {exc}") from exc
-            except (TypeError, KeyError) as exc:
-                raise CocoFormatError(f"annotations[{i}] missing image_id/bbox") from exc
-            if sid not in dims:
-                raise CocoFormatError(f"annotations[{i}] references unknown image {sid}")
-            try:
-                bbox = BBox.from_xywh(x, y, w, h)
-                area = _number(ann["area"], "area") if "area" in ann else bbox.area
-                iscrowd = ann.get("iscrowd", 0)
-                if iscrowd not in (0, 1):
-                    raise CocoFormatError(f"iscrowd must be 0 or 1, got {iscrowd!r}")
-                if not (math.isfinite(area) and area >= 0.0):
-                    raise CocoFormatError(f"area must be finite and non-negative, got {area}")
-            except ValueError as exc:
-                raise CocoFormatError(f"annotations[{i}]: {exc}") from exc
+            sid, row = _usual_annotation(ann, dims) or _checked_annotation(i, ann, dims)
             sids.append(sid)
-            rows.append((*bbox.as_tuple(), area, iscrowd))
+            rows.append(row)
         sids = np.array(sids, dtype=int)
         order = np.argsort(sids, kind="stable")
         table = np.array(rows, dtype=float).reshape(-1, 6)[order]
@@ -184,6 +166,56 @@ class GroundTruthSet:
 
 
 _FLOAT = {float}
+
+
+def _usual_annotation(ann, dims: Mapping[int, tuple[int, int]]) -> tuple | None:
+    """(image id, (x0, y0, x1, y1, area, iscrowd)) of the usual annotation,
+    valid, with an integer image id, a list of four floats and a float area
+    or none, tested inline; None for anything else, valid or not."""
+    if type(ann) is not dict:
+        return None
+    sid, bbox, area = ann.get("image_id"), ann.get("bbox"), ann.get("area", 0.0)
+    if (
+        type(sid) is not int or type(bbox) is not list or len(bbox) != 4
+        or type(area) is not float or {*map(type, bbox)} != _FLOAT or sid not in dims
+    ):
+        return None
+    x, y, w, h = bbox
+    x1, y1 = x + w, y + h
+    if "area" not in ann:
+        area = (x1 - x) * (y1 - y)  # BBox.area
+    iscrowd = ann.get("iscrowd", 0)
+    usual = (
+        iscrowd in (0, 1) and x1 >= x and y1 >= y and area >= 0.0
+        and math.isfinite(x) and math.isfinite(y) and math.isfinite(x1)
+        and math.isfinite(y1) and math.isfinite(area)
+    )
+    return (sid, (x, y, x1, y1, area, iscrowd)) if usual else None
+
+
+def _checked_annotation(i: int, ann, dims: Mapping[int, tuple[int, int]]) -> tuple:
+    """``_usual_annotation`` of any record, each field through its checker;
+    the first problem fails with its message."""
+    try:
+        sid = _whole(ann["image_id"], "image_id")
+        x, y, w, h = _xywh(ann["bbox"])
+    except CocoFormatError as exc:
+        raise CocoFormatError(f"annotations[{i}]: {exc}") from exc
+    except (TypeError, KeyError) as exc:
+        raise CocoFormatError(f"annotations[{i}] missing image_id/bbox") from exc
+    if sid not in dims:
+        raise CocoFormatError(f"annotations[{i}] references unknown image {sid}")
+    try:
+        bbox = BBox.from_xywh(x, y, w, h)
+        area = _number(ann["area"], "area") if "area" in ann else bbox.area
+        iscrowd = ann.get("iscrowd", 0)
+        if iscrowd not in (0, 1):
+            raise CocoFormatError(f"iscrowd must be 0 or 1, got {iscrowd!r}")
+        if not (math.isfinite(area) and area >= 0.0):
+            raise CocoFormatError(f"area must be finite and non-negative, got {area}")
+    except ValueError as exc:
+        raise CocoFormatError(f"annotations[{i}]: {exc}") from exc
+    return sid, (*bbox.as_tuple(), area, iscrowd)
 
 
 def _whole(value, name: str) -> int:

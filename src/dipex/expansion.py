@@ -15,13 +15,18 @@ differentiable with respect to the prompts, so they carry no gradient.
 
 Training works on a whole batch of scenes at once.  A round packs its scenes
 into the detector's dense (scene, object) arrays and scatters the label
-boxes into (scene, label) arrays, padded where scenes differ in size; each
-batch then takes one pass over its (scene, prompt, object, label) grid for
-the candidate boxes, IoU, responsibility matching, focal loss and gradient,
-and box bookkeeping.  The same grid and matcher count how many labels each
-prompt answers for when the next parent is picked.  The label passes run
-every prompt through the detector in one grid pass; labels stay arrays from
-detector to trainer.
+boxes into (scene, label) arrays, padded where scenes differ in size.  Each
+epoch gathers those arrays once in its scene order, so every batch is a
+slice of them.  A batch takes one pass over its (scene, label, prompt,
+object) grid for the candidate boxes, IoU, responsibility matching, focal
+loss and gradient; the gradient terms go into a zero (label, prompt, dim)
+array and one reduction over labels sums them in the order of a
+label-by-label loop.  The reported losses (the focal sums and the L1 and
+GIoU box losses) carry no gradient, so they are computed once per epoch
+from what the batches kept.  The same grid and matcher count how many labels
+each prompt answers for when the next parent is picked.  The label passes
+run every prompt through the detector in one grid pass; labels stay arrays
+from detector to trainer.
 
 Growth stops after the configured number of expansions, or earlier when the
 maximum pairwise angle either clears the coverage threshold or stalls between
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -307,6 +312,12 @@ class _RoundData:
     label_boxes: np.ndarray  # (S, L, 4) xyxy, in each scene's label order
     label_mask: np.ndarray   # (S, L) bool
 
+    def take(self, order: np.ndarray) -> "_RoundData":
+        """The same round with its scenes in ``order``, so that a batch of
+        consecutive scenes is a slice of every array."""
+        scenes = SceneArrays(**{f.name: getattr(self.scenes, f.name)[order] for f in fields(SceneArrays)})
+        return _RoundData(scenes, self.label_boxes[order], self.label_mask[order])
+
 
 def _round_data(world: World, labels: PseudoLabelSet, seed: int) -> _RoundData:
     scenes = pack_world(world, seed)
@@ -327,9 +338,9 @@ def _round_data(world: World, labels: PseudoLabelSet, seed: int) -> _RoundData:
 
 @dataclass(frozen=True)
 class _Match:
-    """Responsibility matching, indexed (scene, prompt, label).
+    """Responsibility matching, indexed (scene, label, prompt).
 
-    ``has[s, p, l]``: prompt p has a candidate over the IoU floor for label l;
+    ``has[s, l, p]``: prompt p has a candidate over the IoU floor for label l;
     ``best_obj`` is that prompt's best-scoring such object (ties to the
     lowest object index); ``responsible[s, l]`` is the best-scoring prompt
     (ties to the lowest row, i.e. the lowest id); ``assigned[s, l]``: label l
@@ -354,13 +365,17 @@ def assign_responsibility(
     A candidate matches a label at IoU >= iou_min; per prompt only its
     best-scoring match counts, and the prompt with the best such score is
     responsible for the label.  Labels with no match at all are misses.
+    The grid is laid out (scene, label, prompt, object), so that every
+    operation runs over the contiguous (prompt, object) block of a label.
     """
-    ious = box_iou(boxes[..., None, :], data.label_boxes[rows][:, None, None])
-    masked = np.where(ious >= iou_min, scores[..., None], -np.inf)
-    best_obj = np.argmax(masked, axis=2)
-    best = np.take_along_axis(masked, best_obj[:, :, None], axis=2)[:, :, 0]
-    has = best > -np.inf
-    return _Match(has, best_obj, np.argmax(best, axis=1), has.any(axis=1))
+    ious = box_iou(boxes[:, None], data.label_boxes[rows][:, :, None, None])
+    masked = np.where(ious >= iou_min, scores[:, None], -np.inf)
+    best_obj = np.argmax(masked, axis=3)
+    # each best score picked by index: a max over the short object axis is
+    # slower
+    best = masked.reshape(-1, masked.shape[3])[np.arange(best_obj.size), best_obj.reshape(-1)]
+    has = best.reshape(best_obj.shape) > -np.inf
+    return _Match(has, best_obj, np.argmax(best.reshape(has.shape), axis=2), has.any(axis=2))
 
 
 @dataclass
@@ -372,82 +387,153 @@ class _BatchTally:
     num_missed: int = 0
 
 
+@dataclass
+class _BatchTerms:
+    """What one batch leaves for its epoch's loss bookkeeping.
+
+    ``focal`` holds the batch's focal terms in (scene, label, prompt) order
+    and ``per_label`` the term count of each assigned label.  ``cand``,
+    ``target`` and ``size`` hold, per assigned label in (scene, label)
+    order, its responsible candidate, its box and its scene's size.
+    """
+
+    num_assigned: int
+    num_missed: int
+    focal: np.ndarray      # (terms,)
+    per_label: np.ndarray  # (num_assigned,)
+    cand: np.ndarray       # (num_assigned, 4) xyxy
+    target: np.ndarray     # (num_assigned, 4) xyxy
+    size: np.ndarray       # (num_assigned, 2) width, height
+
+
 def _in_order_sum(values: np.ndarray) -> float:
     """Left-to-right sum; np.sum pairs terms up and would round differently."""
-    return float(np.add.accumulate(values)[-1])
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
+
+
+def _buffers(max_labels: int, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work arrays for the gradient terms of up to ``max_labels`` labels:
+    two (pair, dim) arrays and one (label, prompt, dim) array.
+
+    A round reuses one set for all its steps.  Fresh arrays this large
+    would be mapped anew at every step, and the page faults of first
+    touching them cost more than the arithmetic done in them.
+    """
+    pairs = np.empty((max_labels * V.shape[0], V.shape[1]))
+    return pairs, np.empty_like(pairs), np.empty((max_labels,) + V.shape)
 
 
 def _batch_step(
     data: _RoundData,
-    rows: np.ndarray,
+    rows: np.ndarray | slice,
     V: np.ndarray,
     row_trainable: np.ndarray,
     params: DetectorParams,
     config: ExpansionConfig,
-) -> tuple[_BatchTally, np.ndarray]:
-    """Focal loss, its gradient and the box bookkeeping of one batch of scenes.
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[_BatchTerms, np.ndarray]:
+    """Focal terms and their gradient for the scenes ``rows`` of one batch.
 
     Every (label, matched prompt) pair of the batch is one focal term: target
     1 for the label's responsible prompt, 0 for the others, on the logit of
     the prompt's best matched object.  Labels with no matched candidate count
     as misses.  The gradient of every trainable prompt is summed over its
-    terms; frozen rows stay zero.  Returns the unnormalized tally and
-    gradient.
+    terms; frozen rows stay zero.  Returns the batch's terms, for
+    ``_tallies`` to sum, and the unnormalized gradient.
 
+    ``rows`` is a slice of an epoch-ordered round (``_RoundData.take``), so
+    every per-scene array is a view; an index array gives the same result.
     The floating-point order is that of a scene-by-scene, label-by-label
-    loop (kept as the reference in tests/reference_train.py): gradient terms
-    are added in (scene, label, prompt) order, each label's focal terms are
-    summed on their own and the label totals in sequence, so training writes
-    the same bytes as that loop.
+    loop (kept as the reference in tests/reference_train.py): each term goes
+    into its own row of a zero (assigned label, prompt, dim) array, and one
+    reduction over the first axis adds the rows in (scene, label) order, as
+    the loop did, so training writes the same bytes as that loop.
     """
-    norms = np.linalg.norm(V, axis=1)
+    norms = np.sqrt(np.add.reduce(V * V, axis=1))  # np.linalg.norm's arithmetic
     unit = V / norms[:, None]
     cos, logits, scores, boxes = candidate_detections(data.scenes, unit, params, rows)
     m = assign_responsibility(data, rows, scores, boxes, config.label_iou_min)
-    grad = np.zeros_like(V)
-    num_labels = int(np.count_nonzero(data.label_mask[rows]))
-    num_assigned = int(np.count_nonzero(m.assigned))
-    tally = _BatchTally(num_assigned=num_assigned, num_missed=num_labels - num_assigned)
-    if num_assigned == 0:
-        return tally, grad
+    s, l = np.nonzero(m.assigned)
+    responsible = m.responsible[s, l]
+    per_label = m.has.sum(axis=2)[m.assigned]
+    cand = boxes[s, responsible, m.best_obj[s, l, responsible]]
+    target = data.label_boxes[rows][s, l]
+    size = data.scenes.size[rows][s]
+    num_missed = int(np.count_nonzero(data.label_mask[rows])) - s.size
+    if s.size == 0:
+        return _BatchTerms(0, num_missed, np.zeros(0), per_label, cand, target, size), np.zeros_like(V)
 
-    s, l, p = np.nonzero(m.has.transpose(0, 2, 1))
-    o = m.best_obj[s, p, l]
-    losses, dlosses = sigmoid_focal_loss(
-        logits[s, p, o], (p == m.responsible[s, l]).astype(float)
+    # every (scene, label, prompt) pair, in that order; one flat index into
+    # the (scene, prompt, object) grid per pair
+    s, _, p = np.nonzero(m.has)
+    o = m.best_obj[m.has]
+    pair = (s * cos.shape[1] + p) * cos.shape[2] + o
+    focal, dfocal = sigmoid_focal_loss(
+        logits.take(pair), (p == np.repeat(responsible, per_label)).astype(float)
     )
+    label = np.repeat(np.arange(per_label.size), per_label)
+    keep = row_trainable[p]
+    s, p, o, pair, label = s[keep], p[keep], o[keep], pair[keep], label[keep]
+    gathered, terms, dense = buffers or _buffers(per_label.size, V)
+    # coeff * (emb - cos * unit) / norm, built in place in the buffers;
+    # take(mode="clip") writes straight into them, the default would not
+    terms = unit.take(p, axis=0, out=terms[: p.size], mode="clip")
+    terms *= cos.take(pair)[:, None]
+    emb = data.scenes.emb[rows]
+    np.subtract(
+        emb.reshape(-1, emb.shape[2]).take(
+            s * emb.shape[1] + o, axis=0, out=gathered[: p.size], mode="clip"
+        ),
+        terms,
+        out=terms,
+    )
+    terms *= (dfocal[keep] * params.logit_scale)[:, None]
+    terms /= norms[p][:, None]
+    # A prompt has at most one term per label.  Starting from a zero, as
+    # np.add.at into a zero gradient did, keeps that sum's bytes.
+    dense = dense[: per_label.size]
+    dense.fill(0.0)
+    dense[label, p] = terms
+    grad = np.add.reduce(dense, axis=0, initial=0.0)
+    return _BatchTerms(per_label.size, num_missed, focal, per_label, cand, target, size), grad
+
+
+def _tallies(batches: Sequence[_BatchTerms]) -> list[_BatchTally]:
+    """Each batch's focal and box loss sums, from the terms of any number of
+    batches.
+
+    The per-label focal sums and both box losses are computed once over all
+    of them; each batch then sums its own labels in order.  Every value is
+    elementwise or per label, so the sums are those of a batch-by-batch
+    computation.
+    """
+    per_label = np.concatenate([b.per_label for b in batches])
+    focal = np.concatenate([b.focal for b in batches])
     # np.sum over a row of k terms pairs them up as np.sum over the label's
     # own k-vector does, so labels are summed in groups of equal term count.
-    per_label = m.has.sum(axis=1)[m.assigned]
     starts = np.cumsum(per_label) - per_label
     label_losses = np.empty(per_label.size)
     # the term counts present, ascending; np.unique would import numpy.ma
     for k in np.flatnonzero(np.bincount(per_label)).tolist():
         same = per_label == k
-        label_losses[same] = losses[starts[same][:, None] + np.arange(k)].sum(axis=1)
-    tally.cls_sum = _in_order_sum(label_losses)
-
-    keep = row_trainable[p]
-    s, p, o, coeff = s[keep], p[keep], o[keep], dlosses[keep] * params.logit_scale
-    # terms = coeff * (emb - cos * unit) / norm, built in place: one
-    # (pairs, dim) buffer instead of one per operation
-    terms = unit[p]
-    terms *= cos[s, p, o][:, None]
-    np.subtract(data.scenes.emb[rows[s], o], terms, out=terms)
-    terms *= coeff[:, None]
-    terms /= norms[p][:, None]
-    # Unbuffered, in term order; flat indices take numpy's fast 1-d path.
-    flat = (p[:, None] * V.shape[1] + np.arange(V.shape[1])).reshape(-1)
-    np.add.at(grad.reshape(-1), flat, terms.reshape(-1))
-
-    s, l = np.nonzero(m.assigned)
-    p = m.responsible[s, l]
-    cand = boxes[s, p, m.best_obj[s, p, l]]
-    target = data.label_boxes[rows[s], l]
-    size = data.scenes.size[rows[s]]
-    tally.bbox_sum = _in_order_sum(l1_box_loss(cand, target, size[:, 0], size[:, 1]))
-    tally.giou_sum = _in_order_sum(giou_loss(cand, target))
-    return tally, grad
+        label_losses[same] = focal[starts[same][:, None] + np.arange(k)].sum(axis=1)
+    cand, target, size = (
+        np.concatenate([getattr(b, name) for b in batches]) for name in ("cand", "target", "size")
+    )
+    bbox = l1_box_loss(cand, target, size[:, 0], size[:, 1])
+    giou = giou_loss(cand, target)
+    tallies = []
+    ends = np.cumsum([b.num_assigned for b in batches]).tolist()
+    for b, end in zip(batches, ends):
+        part = slice(end - b.num_assigned, end)
+        tallies.append(_BatchTally(
+            cls_sum=_in_order_sum(label_losses[part]),
+            bbox_sum=_in_order_sum(bbox[part]),
+            giou_sum=_in_order_sum(giou[part]),
+            num_assigned=b.num_assigned,
+            num_missed=b.num_missed,
+        ))
+    return tallies
 
 
 def train_round(
@@ -461,10 +547,14 @@ def train_round(
     """Optimize every trainable prompt for one round and write results back.
 
     Each epoch visits the scenes in a fresh random order, in batches of
-    ``batch_size``.  One ``_batch_step`` call per batch gives the focal loss
-    and its gradient over all of the batch's (label, matched prompt) pairs,
-    plus the L1 and GIoU box losses of each label's responsible candidate,
-    which are reported but carry no gradient.  The newest cohort
+    ``batch_size``: the round's arrays are gathered once in that order, and
+    each batch is a slice of them.  One ``_batch_step`` call per batch gives
+    the focal terms and their gradient over all of the batch's (label,
+    matched prompt) pairs, using work arrays allocated once per round.  The
+    loss values are reported, not trained on, so they wait for the end of
+    the epoch: one ``_tallies`` call then sums the focal terms per label
+    and computes the L1 and GIoU box losses of each label's responsible
+    candidate for every batch of the epoch.  The newest cohort
     additionally feels attraction to its frozen parent and log-sum-exp
     repulsion among siblings; in the root-only round both terms are zero.
     Updates are projected gradient steps: subtract, renormalize, with an
@@ -494,58 +584,54 @@ def train_round(
         label_count=len(labels),
     )
 
+    buffers = _buffers(config.batch_size * data.label_boxes.shape[1], V)
     for _ in range(config.epochs_per_round):
-        order = rng.permutation(num_scenes)
-        batch_breakdowns: list[LossBreakdown] = []
-        epoch_assigned = 0
-        epoch_missed = 0
-        for start in range(0, order.size, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            tally, grad_cls = _batch_step(data, batch, V, row_trainable, params, config)
-            denom = max(tally.num_assigned, 1)
-            cls_value = tally.cls_sum / denom
-            bbox_value = tally.bbox_sum / denom
-            giou_value = tally.giou_sum / denom
-            grad_cls /= denom
-            epoch_assigned += tally.num_assigned
-            epoch_missed += tally.num_missed
-
+        epoch = data.take(rng.permutation(num_scenes))
+        batches: list[_BatchTerms] = []
+        dispersion: list[tuple[float, float]] = []
+        for start in range(0, num_scenes, config.batch_size):
+            terms, grad_cls = _batch_step(
+                epoch, slice(start, start + config.batch_size), V, row_trainable, params, config,
+                buffers,
+            )
+            batches.append(terms)
+            grad_cls /= max(terms.num_assigned, 1)
+            total_grad = config.gamma_cls * grad_cls
             if use_dispersion:
-                pc_value, pc_grad = parent_child_loss(
-                    V[cohort_rows], parent_vec, config.tau_parent
-                )
-                cc_value, cc_grad = child_child_loss(V[cohort_rows], config.tau_child)
+                cohort = V[cohort_rows]
+                pc_value, pc_grad = parent_child_loss(cohort, parent_vec, config.tau_parent)
+                cc_value, cc_grad = child_child_loss(cohort, config.tau_child)
+                dispersion.append((pc_value, cc_value))
+                total_grad[cohort_rows] += pc_grad + config.gamma * cc_grad
             else:
-                pc_value, cc_value = 0.0, 0.0
+                dispersion.append((0.0, 0.0))
 
-            breakdown = combine(
+            step = config.learning_rate * total_grad
+            moved = (step != 0.0).any(axis=1) & row_trainable
+            if moved.any():
+                upd = V[moved] - step[moved]
+                V[moved] = upd / np.sqrt(np.add.reduce(upd * upd, axis=1, keepdims=True))
+
+        tallies = _tallies(batches)
+        stats.epoch_losses.append(_mean_breakdown([
+            combine(
                 pc_value,
                 cc_value,
-                bbox_value,
-                giou_value,
-                cls_value,
+                tally.bbox_sum / max(tally.num_assigned, 1),
+                tally.giou_sum / max(tally.num_assigned, 1),
+                tally.cls_sum / max(tally.num_assigned, 1),
                 gamma=config.gamma,
                 gamma_bbox=config.gamma_bbox,
                 gamma_giou=config.gamma_giou,
                 gamma_cls=config.gamma_cls,
             )
-            batch_breakdowns.append(breakdown)
-
-            total_grad = config.gamma_cls * grad_cls
-            if use_dispersion:
-                total_grad[cohort_rows] += pc_grad + config.gamma * cc_grad
-            step = config.learning_rate * total_grad
-            moved = (step != 0.0).any(axis=1) & row_trainable
-            if moved.any():
-                upd = V[moved] - step[moved]
-                V[moved] = upd / np.linalg.norm(upd, axis=1, keepdims=True)
-
-        stats.epoch_losses.append(_mean_breakdown(batch_breakdowns))
+            for tally, (pc_value, cc_value) in zip(tallies, dispersion)
+        ]))
         stats.epoch_norm_error.append(
             float(np.max(np.abs(np.linalg.norm(V[row_trainable], axis=1) - 1.0)))
         )
-        stats.assignments_final = epoch_assigned
-        stats.misses_final = epoch_missed
+        stats.assignments_final = sum(t.num_assigned for t in tallies)
+        stats.misses_final = sum(t.num_missed for t in tallies)
 
     for nid in trainable:
         node = tree.nodes[nid]

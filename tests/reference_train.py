@@ -1,10 +1,17 @@
-"""Per-scene, per-label reference for the batched training kernel.
+"""References for the training kernel and the training round.
 
-This is the scalar training step that `expansion._batch_step` replaced: one
-scene at a time, one pseudo-label at a time, with the focal loss called per
-label and the scalar box-loss formulas per matched label on `BBox`
-objects.  It is kept here only to cross-check the kernel, which must
-reproduce its gradient bytes and its tally exactly.
+``reference_batch`` is the scalar training step that `expansion._batch_step`
+replaced: one scene at a time, one pseudo-label at a time, with the focal
+loss called per label and the scalar box-loss formulas per matched label on
+`BBox` objects.  The kernel must reproduce its gradient bytes and its tally
+exactly.
+
+``reference_round`` is the per-batch round loop that `expansion.train_round`
+replaced: every batch gathers its scenes by index, scatters its gradient
+with ``np.add.at`` and computes its own box losses, and the dispersion
+losses are the plain formulas of ``reference_parent_child`` and
+``reference_child_child``.  A round must reproduce its prompt bytes and its
+``RoundStats`` exactly.
 """
 
 from __future__ import annotations
@@ -13,10 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dipex.boxes import BBox, intersection_area
+from dipex.boxes import BBox, box_iou, intersection_area
+from dipex.detection_losses import giou_loss as array_giou_loss
+from dipex.detection_losses import l1_box_loss as array_l1_box_loss
 from dipex.detection_losses import sigmoid_focal_loss
-from dipex.detector import _noise_direction
-from dipex.expansion import _BatchTally
+from dipex.detector import _noise_direction, candidate_detections
+from dipex.dispersion import combine
+from dipex.expansion import RoundStats, _BatchTally, _mean_breakdown, _round_data
 
 
 def cxcywh(box: BBox) -> tuple[float, float, float, float]:
@@ -180,3 +190,140 @@ def reference_batch(data, batch_ids, V, row_trainable, params, config):
     for sid in batch_ids:
         accumulate_scene(data[int(sid)], V, row_trainable, params, config, grad, tally)
     return tally, grad
+
+
+def reference_parent_child(children, parent, tau_p):
+    """``dispersion.parent_child_loss`` through numpy's generic wrappers."""
+    kids = np.atleast_2d(np.asarray(children, dtype=float))
+    par = np.asarray(parent, dtype=float)
+    k = kids.shape[0]
+    norms = np.linalg.norm(kids, axis=1)
+    unit_kids = kids / norms[:, None]
+    unit_par = par / float(np.linalg.norm(par))
+    cos = np.clip(unit_kids @ unit_par, -1.0, 1.0)
+    value = float(-np.sum(cos) / (k * tau_p))
+    grads = -(unit_par[None, :] - cos[:, None] * unit_kids) / (k * tau_p * norms[:, None])
+    return value, grads
+
+
+def reference_child_child(children, tau_c):
+    """``dispersion.child_child_loss`` through numpy's generic wrappers."""
+    kids = np.atleast_2d(np.asarray(children, dtype=float))
+    k = kids.shape[0]
+    norms = np.linalg.norm(kids, axis=1)
+    unit = kids / norms[:, None]
+    cos = np.clip(unit @ unit.T, -1.0, 1.0)
+    x = cos / tau_c
+    np.fill_diagonal(x, -np.inf)
+    row_max = np.max(x, axis=1)
+    shifted = np.exp(x - row_max[:, None])
+    row_sum = np.sum(shifted, axis=1)
+    row_lse = row_max + np.log(row_sum) - np.log(k - 1)
+    value = float(np.mean(row_lse))
+    weights = shifted / row_sum[:, None]
+    sym = weights + weights.T
+    pull = sym @ unit
+    radial = np.sum(sym * cos, axis=1)
+    grads = (1.0 / (k * tau_c)) * (pull - radial[:, None] * unit) / norms[:, None]
+    return value, grads
+
+
+def reference_step(data, rows, V, row_trainable, params, config):
+    """(tally, grad) of the scenes ``rows`` of a round's ``_RoundData``: the
+    batched step with index gathers, a ``take_along_axis`` matcher, an
+    ``np.add.at`` scatter and its own box losses."""
+    norms = np.linalg.norm(V, axis=1)
+    unit = V / norms[:, None]
+    cos, logits, scores, boxes = candidate_detections(data.scenes, unit, params, rows)
+    ious = box_iou(boxes[..., None, :], data.label_boxes[rows][:, None, None])
+    masked = np.where(ious >= config.label_iou_min, scores[..., None], -np.inf)
+    best_obj = np.argmax(masked, axis=2)
+    best = np.take_along_axis(masked, best_obj[:, :, None], axis=2)[:, :, 0]
+    has = best > -np.inf
+    responsible, assigned = np.argmax(best, axis=1), has.any(axis=1)
+
+    grad = np.zeros_like(V)
+    num_labels = int(np.count_nonzero(data.label_mask[rows]))
+    num_assigned = int(np.count_nonzero(assigned))
+    tally = _BatchTally(num_assigned=num_assigned, num_missed=num_labels - num_assigned)
+    if num_assigned == 0:
+        return tally, grad
+
+    s, l, p = np.nonzero(has.transpose(0, 2, 1))
+    o = best_obj[s, p, l]
+    losses, dlosses = sigmoid_focal_loss(logits[s, p, o], (p == responsible[s, l]).astype(float))
+    per_label = has.sum(axis=1)[assigned]
+    starts = np.cumsum(per_label) - per_label
+    tally.cls_sum = in_order_sum(
+        np.array([losses[a : a + k].sum() for a, k in zip(starts.tolist(), per_label.tolist())])
+    )
+
+    keep = row_trainable[p]
+    s, p, o, coeff = s[keep], p[keep], o[keep], dlosses[keep] * params.logit_scale
+    terms = coeff[:, None] * (data.scenes.emb[rows[s], o] - cos[s, p, o][:, None] * unit[p])
+    terms = terms / norms[p][:, None]
+    flat = (p[:, None] * V.shape[1] + np.arange(V.shape[1])).reshape(-1)
+    np.add.at(grad.reshape(-1), flat, terms.reshape(-1))
+
+    s, l = np.nonzero(assigned)
+    p = responsible[s, l]
+    cand = boxes[s, p, best_obj[s, p, l]]
+    target = data.label_boxes[rows[s], l]
+    size = data.scenes.size[rows[s]]
+    tally.bbox_sum = in_order_sum(array_l1_box_loss(cand, target, size[:, 0], size[:, 1]))
+    tally.giou_sum = in_order_sum(array_giou_loss(cand, target))
+    return tally, grad
+
+
+def in_order_sum(values):
+    return float(np.add.accumulate(values)[-1])
+
+
+def reference_round(tree, labels, world, config, params, rng):
+    """``train_round`` batch by batch; returns (new trainable rows, stats)
+    and leaves ``tree`` as it was."""
+    ids = tree.ids
+    row_trainable = np.array([not tree.nodes[nid].frozen for nid in ids])
+    V = tree.embedding_matrix(ids)
+    cohort_rows = np.array([ids.index(c) for c in tree.cohort], dtype=int)
+    use_dispersion = cohort_rows.size >= 2
+    parent_vec = tree.nodes[tree.parent_queue[-1]].embedding if use_dispersion else None
+    data = _round_data(world, labels, config.seed)
+    num_scenes = data.scenes.scene_ids.size
+    stats = RoundStats(tree.round_index, [], [], len(labels))
+    for _ in range(config.epochs_per_round):
+        order = rng.permutation(num_scenes)
+        breakdowns = []
+        epoch_assigned = epoch_missed = 0
+        for start in range(0, order.size, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            tally, grad_cls = reference_step(data, batch, V, row_trainable, params, config)
+            denom = max(tally.num_assigned, 1)
+            grad_cls /= denom
+            epoch_assigned += tally.num_assigned
+            epoch_missed += tally.num_missed
+            if use_dispersion:
+                pc_value, pc_grad = reference_parent_child(V[cohort_rows], parent_vec, config.tau_parent)
+                cc_value, cc_grad = reference_child_child(V[cohort_rows], config.tau_child)
+            else:
+                pc_value, cc_value = 0.0, 0.0
+            breakdowns.append(combine(
+                pc_value, cc_value, tally.bbox_sum / denom, tally.giou_sum / denom,
+                tally.cls_sum / denom, gamma=config.gamma, gamma_bbox=config.gamma_bbox,
+                gamma_giou=config.gamma_giou, gamma_cls=config.gamma_cls,
+            ))
+            total_grad = config.gamma_cls * grad_cls
+            if use_dispersion:
+                total_grad[cohort_rows] += pc_grad + config.gamma * cc_grad
+            step = config.learning_rate * total_grad
+            moved = (step != 0.0).any(axis=1) & row_trainable
+            if moved.any():
+                upd = V[moved] - step[moved]
+                V[moved] = upd / np.linalg.norm(upd, axis=1, keepdims=True)
+        stats.epoch_losses.append(_mean_breakdown(breakdowns))
+        stats.epoch_norm_error.append(
+            float(np.max(np.abs(np.linalg.norm(V[row_trainable], axis=1) - 1.0)))
+        )
+        stats.assignments_final = epoch_assigned
+        stats.misses_final = epoch_missed
+    return V, stats

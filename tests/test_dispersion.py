@@ -4,6 +4,8 @@ import pytest
 from dipex.dispersion import child_child_loss, combine, parent_child_loss
 from dipex.geometry import normalize
 
+from reference_train import reference_child_child, reference_parent_child
+
 
 def fd_gradient(fn, mat, h=1e-5):
     """Central finite differences of a scalar function of a (K, d) matrix."""
@@ -115,6 +117,28 @@ def test_gradients_defined_off_sphere():
     _, grads = child_child_loss(kids, 0.2)
     numeric = fd_gradient(lambda m: child_child_loss(m, 0.2)[0], kids)
     assert rel_err(grads, numeric) < 1e-4
+
+
+def test_losses_match_their_reference_bit_for_bit():
+    """The trimmed losses against the same formulas through numpy's generic
+    wrappers (np.linalg.norm, np.clip, np.fill_diagonal, np.mean), from one
+    child to a default run's largest cohort and beyond, on and off the
+    sphere."""
+    rng = np.random.default_rng(404)
+    for _ in range(200):
+        k = int(rng.integers(1, 41))
+        d = int(rng.integers(2, 65))
+        kids = rng.normal(size=(k, d)) * rng.uniform(0.5, 2.0, size=(k, 1))
+        parent = rng.normal(size=d) * rng.uniform(0.5, 2.0)
+        if rng.random() < 0.3:  # copies, whose cosines can round past 1
+            kids[: max(k // 2, 1)] = parent * rng.uniform(0.5, 2.0)
+        tau = float(rng.uniform(0.01, 1.0))
+        for got, want in [
+            (parent_child_loss(kids, parent, tau), reference_parent_child(kids, parent, tau)),
+            (parent_child_loss(kids[0], parent, tau), reference_parent_child(kids[0], parent, tau)),
+        ] + ([(child_child_loss(kids, tau), reference_child_child(kids, tau))] if k >= 2 else []):
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_combine_weights_every_term():

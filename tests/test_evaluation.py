@@ -300,6 +300,57 @@ def test_coco_round_trip(small_world):
     assert back.crowd.tolist() == np.insert(gts.crowd, k, True).tolist()
 
 
+def test_usual_and_checked_coco_records_read_alike(small_world, monkeypatch):
+    """The usual annotation (an integer image id, four floats, a float area
+    or none) skips the field checkers and builds no BBox; the same records
+    written otherwise go through the checkers, and both read to the same
+    bytes."""
+    doc = GroundTruthSet.from_world(small_world).to_coco()
+    for k, ann in enumerate(doc["annotations"]):
+        if k % 3 == 0:
+            del ann["area"]
+    # boxes whose area from their corners is not w * h
+    first = doc["images"][0]["id"]
+    doc["annotations"] += [
+        {"image_id": first, "bbox": [22.876, 94.527, 90.143, 3.059], "iscrowd": 1},
+        {"image_id": first, "bbox": [43.789, 49.581, 23.308, 23.087]},
+    ]
+    other = {**doc, "annotations": [
+        {**ann, "image_id": float(ann["image_id"]), "bbox": tuple(ann["bbox"])}
+        for ann in doc["annotations"]
+    ]}
+    checked = GroundTruthSet.from_coco(other)
+    monkeypatch.setattr("dipex.evaluation.BBox", None)
+    usual = GroundTruthSet.from_coco(doc)
+    for name in ("scene_ids", "boxes", "areas", "crowd"):
+        assert getattr(usual, name).tobytes() == getattr(checked, name).tobytes()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"bbox": [60.0, 60.0, -30.0, 30.0]},
+        {"bbox": [5.0, float("nan"), 50.0, 50.0]},
+        {"bbox": [1e308, 0.0, 1e308, 1.0]},
+        {"area": -1.0},
+        {"area": float("inf")},
+        {"image_id": 999},
+        {"iscrowd": 2},
+    ],
+)
+def test_usual_coco_records_fail_like_checked_ones(small_world, change):
+    """A bad record of the usual types fails with the checkers' message."""
+    doc = GroundTruthSet.from_world(small_world).to_coco()
+    doc["annotations"][3].update(change)
+    with pytest.raises(CocoFormatError) as usual:
+        GroundTruthSet.from_coco(doc)
+    doc["annotations"][3]["bbox"] = tuple(doc["annotations"][3]["bbox"])  # not the usual type
+    with pytest.raises(CocoFormatError) as checked:
+        GroundTruthSet.from_coco(doc)
+    assert str(usual.value) == str(checked.value)
+    assert str(usual.value).startswith("annotations[3]")
+
+
 @pytest.mark.parametrize(
     "change, problem",
     [

@@ -1,24 +1,32 @@
-"""The batched training kernel against its per-label reference, and its
-assembled classification gradient against finite differences."""
+"""The batched training kernel against its per-label reference, a whole
+training round against its per-batch reference, and the assembled
+classification gradient against finite differences."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dipex.boxes import BBox
 from dipex.detector import DetectorParams, candidate_detections
 from dipex.expansion import (
     ExpansionConfig,
+    PromptTree,
     _batch_step,
+    _tallies,
     _round_data,
     assign_responsibility,
+    expand,
+    train_round,
 )
+from dipex.geometry import normalize
 from dipex.pseudo_labels import PseudoLabelSet
 from dipex.world import Scene, World
 
 from conftest import all_labels, as_arrays
 from reference_detector import PseudoLabel, clip
-from reference_train import reference_batch, scene_data
+from reference_train import reference_batch, reference_round, scene_data
 
 PARAMS = DetectorParams()
 CONFIG = ExpansionConfig()
@@ -52,8 +60,9 @@ def random_labels(world: World, rng: np.random.Generator) -> PseudoLabelSet:
 
 def random_prompts(world: World, rng: np.random.Generator, tie: bool = False) -> np.ndarray:
     """Prompts near the clusters, of uneven norm; with ``tie``, two identical
-    rows, which forces exact responsibility ties."""
-    n = int(rng.integers(2 if tie else 1, 9))
+    rows, which forces exact responsibility ties.  Mostly 1-8 prompts, else
+    up to 40, the size of a default run's tree (10, 19 and 28 prompts)."""
+    n = int(rng.integers(2 if tie else 1, 9 if rng.random() < 0.6 else 41))
     centers = world.cluster_centers[rng.integers(0, len(world.cluster_centers), size=n)]
     V = centers + rng.normal(scale=rng.uniform(0.05, 1.0), size=centers.shape)
     if tie:
@@ -76,27 +85,85 @@ def test_batch_step_matches_per_label_reference(tiny_world, small_world, seed, w
     ids = np.array(sorted(s.id for s in world.scenes))
     rows = rng.permutation(ids.size)[: int(rng.integers(1, ids.size + 1))]
     rows = np.union1d(rows, [0]) if rng.random() < 0.5 else rows
+    # one epoch's worth of batches, in the order given; scene 0 has no
+    # labels, so a batch of it alone has none assigned
+    cuts = np.sort(rng.choice(np.arange(1, rows.size), size=min(rows.size - 1, 2), replace=False))
+    batches = np.split(rows, cuts) if rng.random() < 0.5 else [rows]
 
-    want_tally, want_grad = reference_batch(
-        scene_data(world, all_labels(labels), CONFIG.seed), ids[rows], V, trainable, PARAMS, CONFIG
-    )
-    tally, grad = _batch_step(
-        _round_data(world, labels, CONFIG.seed), rows, V, trainable, PARAMS, CONFIG
-    )
+    data = _round_data(world, labels, CONFIG.seed).take(rows)
+    ends = np.cumsum([batch.size for batch in batches])
+    steps = [
+        _batch_step(data, slice(end - batch.size, end), V, trainable, PARAMS, CONFIG)
+        for batch, end in zip(batches, ends)
+    ]
+    tallies = _tallies([terms for terms, _ in steps])
+    sdata = scene_data(world, all_labels(labels), CONFIG.seed)
+    for batch, tally, (_, grad) in zip(batches, tallies, steps):
+        assert not grad[~trainable].any()
+        want_tally, want_grad = reference_batch(sdata, ids[batch], V, trainable, PARAMS, CONFIG)
+        counts = (tally.num_assigned, tally.num_missed)
+        assert counts == (want_tally.num_assigned, want_tally.num_missed)
+        assert tally.num_missed >= int(np.count_nonzero(batch != 0))  # one stray per scene
+        if is_ragged:
+            # The reference multiplies each scene's narrower object matrix, and
+            # BLAS may round a dot product differently for another shape.
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+            for name in ("cls_sum", "bbox_sum", "giou_sum"):
+                assert getattr(tally, name) == pytest.approx(getattr(want_tally, name), rel=1e-12)
+        else:
+            assert grad.tobytes() == want_grad.tobytes()
+            assert tally == want_tally
 
-    counts = (tally.num_assigned, tally.num_missed)
-    assert counts == (want_tally.num_assigned, want_tally.num_missed)
-    assert tally.num_missed >= int(np.count_nonzero(rows != 0))  # one stray per scene
-    assert not grad[~trainable].any()
-    if is_ragged:
-        # The reference multiplies each scene's narrower object matrix, and
-        # BLAS may round a dot product differently for another shape.
-        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
-        for name in ("cls_sum", "bbox_sum", "giou_sum"):
-            assert getattr(tally, name) == pytest.approx(getattr(want_tally, name), rel=1e-12)
-    else:
-        assert grad.tobytes() == want_grad.tobytes()
-        assert tally == want_tally
+
+def random_tree(world: World, rng: np.random.Generator, cohort: bool, config) -> PromptTree:
+    """A root alone, or with ``cohort`` one or two expansions: frozen
+    parents, earlier children still trainable and a newest cohort that
+    feels the dispersion losses."""
+    tree = PromptTree.from_root(normalize(random_prompts(world, rng)[0]))
+    if cohort:
+        expand(tree, 0, config, rng)
+        if rng.random() < 0.5:
+            expand(tree, tree.cohort[int(rng.integers(len(tree.cohort)))], config, rng)
+    return tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    which=st.sampled_from(["tiny", "small", "ragged"]),
+    cohort=st.booleans(),
+    batch_size=st.sampled_from([1, 3, 8]),
+)
+# batches of one scene: the lowest scene id has no labels, so one batch of
+# every epoch has no assigned label
+@example(seed=1, which="tiny", cohort=True, batch_size=1)
+@example(seed=2, which="ragged", cohort=False, batch_size=1)
+def test_train_round_matches_reference_round(
+    tiny_world, small_world, seed, which, cohort, batch_size
+):
+    """Epoch-ordered slices, the dense reduction and the per-epoch loss
+    bookkeeping leave every prompt byte and every reported value of the
+    per-batch loop unchanged."""
+    rng = np.random.default_rng(seed)
+    world = small_world if which == "small" else tiny_world
+    if which == "ragged":
+        world = ragged(world, rng)
+    labels = random_labels(world, rng)
+    config = replace(
+        CONFIG,
+        num_children=int(rng.integers(2, 6)),
+        epochs_per_round=int(rng.integers(1, 4)),
+        batch_size=batch_size,
+    )
+    tree = random_tree(world, rng, cohort, config)
+
+    want_V, want_stats = reference_round(
+        tree, labels, world, config, PARAMS, np.random.default_rng(seed)
+    )
+    stats = train_round(tree, labels, world, config, PARAMS, np.random.default_rng(seed))
+
+    assert tree.embedding_matrix().tobytes() == want_V.tobytes()
+    assert stats == want_stats
 
 
 def _matching(data, rows, V):
@@ -120,11 +187,11 @@ def test_batch_gradient_matches_finite_differences(small_world):
         rows = rng.permutation(data.scenes.scene_ids.size)[:8]
 
         def loss(W):
-            tally, _ = _batch_step(data, rows, W, trainable, PARAMS, CONFIG)
+            (tally,) = _tallies([_batch_step(data, rows, W, trainable, PARAMS, CONFIG)[0]])
             return tally.cls_sum / max(tally.num_assigned, 1)
 
-        tally, grad = _batch_step(data, rows, V, trainable, PARAMS, CONFIG)
-        grad = grad / max(tally.num_assigned, 1)
+        terms, grad = _batch_step(data, rows, V, trainable, PARAMS, CONFIG)
+        grad = grad / max(terms.num_assigned, 1)
         here = _matching(data, rows, V)
         for flat in rng.choice(V.size, size=12, replace=False):
             r, c = divmod(int(flat), V.shape[1])
