@@ -3,7 +3,9 @@
 Subcommands map one-to-one onto the experiment drivers.  Failures are
 categorized on stderr as ``error[config]`` (exit 2), ``error[data]`` (exit 3)
 or ``error[runtime]`` (exit 4) so callers can tell a bad flag from a bad file
-from a run that fell over.
+from a run that fell over.  Importing the CLI loads only what ``dipex eval``
+needs; the other drivers import the growth modules when they first run
+(see ``experiments``).
 """
 
 from __future__ import annotations
@@ -12,17 +14,10 @@ import argparse
 import sys
 from typing import Sequence
 
+from .config import ConfigError, load_experiment_config, with_seed
 from .evaluation import CocoFormatError
-from .expansion import EmptyPseudoLabels
-from .experiments import (
-    ConfigError,
-    load_experiment_config,
-    run_dipex,
-    run_eval_only,
-    run_pilot_merging,
-    run_sweep,
-    with_seed,
-)
+from .experiments import run_dipex, run_eval_only, run_pilot_merging, run_sweep
+from .pseudo_labels import EmptyPseudoLabels
 
 DEFAULT_PILOT_SEEDS = 5
 DEFAULT_K_VALUES = (3, 6, 9, 12)

@@ -17,6 +17,9 @@ passes and both query modes all start from that grid.  Detections stay
 arrays: ``detect_world`` returns one ``ScoredBoxes`` per scene and
 ``detect_each`` one per prompt, and ``detections_to_coco`` writes their
 rows.
+
+``DetectorParams`` and ``VocabularyConfig`` live in ``dipex.config`` and
+are re-exported here.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import DetectorParams, VocabularyConfig
 from .geometry import apply_rotation, normalize, sample_child_rotations
 from .pseudo_labels import ScoredBoxes, soft_nms
 from .world import World
@@ -37,31 +41,6 @@ from .world import World
 class QueryMode(Enum):
     QUERY_MERGING = "query-merging"  # all prompts in one query, penalty applies
     PREDICTION_MERGING = "prediction-merging"  # one pass per prompt, then soft-NMS
-
-
-@dataclass(frozen=True)
-class DetectorParams:
-    logit_scale: float = 10.0  # a
-    logit_bias: float = -4.5  # b
-    overlap_threshold: float = math.radians(57.0)  # prompts closer than this interfere
-    penalty_strength: float = 2.0
-    box_noise: float = 0.15  # displacement = box_noise * (1 - score) * sqrt(area)
-    score_threshold: float = 0.25
-    max_detections: int = 100
-    nms_sigma: float = 0.5
-    nms_floor: float = 0.001
-
-    def __post_init__(self) -> None:
-        if self.logit_scale <= 0.0:
-            raise ValueError(f"logit_scale must be positive, got {self.logit_scale}")
-        if not (0.0 < self.overlap_threshold < math.pi):
-            raise ValueError(f"overlap_threshold out of (0, pi): {self.overlap_threshold}")
-        if self.penalty_strength < 0.0 or self.box_noise < 0.0:
-            raise ValueError("penalty_strength and box_noise must be non-negative")
-        if not (0.0 <= self.score_threshold < 1.0):
-            raise ValueError(f"score_threshold out of [0, 1): {self.score_threshold}")
-        if self.max_detections < 1:
-            raise ValueError(f"max_detections must be >= 1, got {self.max_detections}")
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
@@ -324,33 +303,6 @@ def detections_to_coco(dets_by_scene: Mapping[int, ScoredBoxes]) -> list[dict]:
             for bbox, score in zip(xywh.tolist(), dets.scores.tolist())
         ]
     return records
-
-
-@dataclass(frozen=True)
-class VocabularyConfig:
-    """Recipe for the simulator's stand-in for a hand-crafted query vocabulary.
-
-    ``dispersed`` perturbs each cluster center by ``noise_angle`` (plus an
-    optional global-centroid query) and enforces ``min_separation`` between
-    accepted queries by construction: a candidate too close to an already
-    accepted one is re-perturbed a few times and dropped if that fails, so
-    the style's name is a guarantee rather than a tendency.  ``overlapping``
-    additionally emits a near-duplicate of every query at ``duplicate_angle``,
-    deliberately forcing pairs inside the interference zone.
-    """
-
-    style: str = "dispersed"  # or "overlapping"
-    noise_angle: float = math.radians(10.0)
-    include_centroid: bool = True
-    duplicate_angle: float = math.radians(3.0)
-    min_separation: float = math.radians(60.0)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.style not in ("dispersed", "overlapping"):
-            raise ValueError(f"unknown vocabulary style: {self.style}")
-        if not (0.0 <= self.min_separation < math.pi):
-            raise ValueError(f"min_separation out of [0, pi): {self.min_separation}")
 
 
 _SEPARATION_TRIES = 20

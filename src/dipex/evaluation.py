@@ -31,19 +31,23 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .boxes import MEDIUM_MAX_AREA, SIZE_CLASSES, SMALL_MAX_AREA, BBox
 from .boxes import box_iou as iou  # perfbench/tracing.py counts calls under this name
+from .config import DEFAULT_MAX_DETS
 from .pseudo_labels import ScoredBoxes, annotations_to_coco
-from .world import World
+
+if TYPE_CHECKING:  # only for typing: dipex eval never loads the world module
+    from .world import World
 
 IOU_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
 RECALL_GRID = tuple(i / 100.0 for i in range(101))
-DEFAULT_MAX_DETS = (1, 10, 100)
 
 
 class CocoFormatError(ValueError):
@@ -271,25 +275,7 @@ def load_coco_detections(path: str | Path) -> dict[int, ScoredBoxes]:
     doc = _read_json(path)
     if not isinstance(doc, list):
         raise CocoFormatError(f"{path}: detection results must be a JSON array")
-    sids, rows, unread = [], [], None
-    for rec in doc:
-        try:
-            sid, bbox, score = rec["image_id"], rec["bbox"], rec["score"]
-            # the usual record, an integer id and five floats, skips the checkers
-            if type(sid) is not int or type(bbox) is not list or len(bbox) != 4 or (
-                {*map(type, bbox), type(score)} != _FLOAT
-            ):
-                sid, bbox, score = _whole(sid, "image_id"), _xywh(bbox), _number(score, "score")
-        except CocoFormatError as exc:
-            unread = (f": {exc}", exc)  # reported after any bad record before it
-            break
-        except (TypeError, KeyError) as exc:
-            unread = (" missing image_id/bbox/score", exc)
-            break
-        x, y, w, h = bbox
-        rows.append((score, x, y, x + w, y + h))
-        sids.append(sid)
-    table = np.array(rows, dtype=float).reshape(-1, 5)
+    sids, table, unread = _usual_detections(doc) or _checked_detections(doc)
     scores, boxes = table[:, 0], table[:, 1:]
     problems = (
         (~np.isfinite(scores), " has non-finite score {score}"),
@@ -304,9 +290,59 @@ def load_coco_detections(path: str | Path) -> dict[int, ScoredBoxes]:
         raise CocoFormatError(f"{path}: results[{i}]{detail}")
     if unread is not None:
         detail, exc = unread
-        raise CocoFormatError(f"{path}: results[{len(rows)}]{detail}") from exc
+        raise CocoFormatError(f"{path}: results[{len(sids)}]{detail}") from exc
     dets = ScoredBoxes(np.array(sids, dtype=int), scores, boxes)
     return dets.take(np.argsort(dets.scene_ids, kind="stable")).split()
+
+
+def _usual_detections(doc: list) -> tuple | None:
+    """(image ids, (score, x0, y0, x1, y1) table, None) of a results array
+    whose every record is the usual one -- an integer image id, a list of
+    four floats and a float score -- tested in passes that run in C; None
+    for any other array, valid or not."""
+    try:
+        sids = list(map(itemgetter("image_id"), doc))
+        bboxes = list(map(itemgetter("bbox"), doc))
+        scores = list(map(itemgetter("score"), doc))
+    except (TypeError, KeyError):
+        return None
+    if (
+        {*map(type, sids)} != {int} or {*map(type, bboxes)} != {list} or {*map(len, bboxes)} != {4}
+        or {*map(type, chain.from_iterable(bboxes))} != _FLOAT or {*map(type, scores)} != _FLOAT
+    ):
+        return None
+    xywh = np.fromiter(chain.from_iterable(bboxes), float, count=4 * len(doc)).reshape(-1, 4)
+    table = np.empty((len(doc), 5))
+    table[:, 0] = scores
+    table[:, 1:3] = xywh[:, :2]
+    np.add(xywh[:, :2], xywh[:, 2:], out=table[:, 3:])  # x + w, y + h: the same IEEE sums
+    return sids, table, None
+
+
+def _checked_detections(doc: list) -> tuple:
+    """``_usual_detections`` of any results array, record by record, each
+    record of another form through the field checkers.  Reading stops at the
+    first record that fails them; the third item is then (message tail,
+    exception), reported after any bad record read before it."""
+    sids, rows, unread = [], [], None
+    for rec in doc:
+        try:
+            sid, bbox, score = rec["image_id"], rec["bbox"], rec["score"]
+            # the usual record, an integer id and five floats, skips the checkers
+            if type(sid) is not int or type(bbox) is not list or len(bbox) != 4 or (
+                {*map(type, bbox), type(score)} != _FLOAT
+            ):
+                sid, bbox, score = _whole(sid, "image_id"), _xywh(bbox), _number(score, "score")
+        except CocoFormatError as exc:
+            unread = (f": {exc}", exc)
+            break
+        except (TypeError, KeyError) as exc:
+            unread = (" missing image_id/bbox/score", exc)
+            break
+        x, y, w, h = bbox
+        rows.append((score, x, y, x + w, y + h))
+        sids.append(sid)
+    return sids, np.array(rows, dtype=float).reshape(-1, 5), unread
 
 
 @dataclass(frozen=True)
@@ -421,6 +457,45 @@ def _average_precision(outcomes: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return np.cumsum(picked, axis=-1)[..., -1] / len(RECALL_GRID)
 
 
+def _greedy_outcomes(
+    ious: np.ndarray, eligible: np.ndarray, ignored: np.ndarray, det_outside: np.ndarray
+) -> np.ndarray:
+    """(rank, bucket, scene, threshold) outcomes of greedy matching in rank
+    order, from the (scene, rank, gt) IoUs, the (bucket, scene, gt) eligible
+    and ignored ground truths and the (bucket, scene, rank) detections
+    outside each bucket."""
+    num_buckets, num_scenes, width = eligible.shape
+    depth = ious.shape[1]
+    thresholds = np.array(IOU_THRESHOLDS)
+    # What does not depend on which ground truths are still open, for every
+    # rank at once: which ground truths each detection clears at each
+    # threshold, and the outcome of a detection that matches nothing: set
+    # aside when it clears an ignored ground truth or lies outside the
+    # bucket, a false positive otherwise.
+    clears = ious[:, :, None, :] >= thresholds[:, None]  # (scene, rank, threshold, gt)
+    per_bucket = np.broadcast_to(ious, (num_buckets,) + ious.shape)
+    ignored_best = np.max(per_bucket, axis=-1, where=ignored[:, :, None, :], initial=-1.0)
+    set_aside = (ignored_best[..., None] >= thresholds) | det_outside[..., None]
+    unmatched = np.where(set_aside, np.int8(_IGN), np.int8(_FP))  # (bucket, scene, rank, threshold)
+    # per (bucket, scene, threshold, gt): 0.0 while the ground truth is open,
+    # -inf once matched or if never eligible
+    gate = np.where(eligible, 0.0, -np.inf)[:, :, None, :].repeat(thresholds.size, axis=2)
+    gt_ids = np.arange(width)
+    # each open ground truth's IoU where it is cleared, and past the last
+    # ground truth a 0.0 column: below every such IoU (at least the
+    # threshold, which is positive) and above the rest, so the argmax lands
+    # there when no ground truth matches
+    candidates = np.zeros(gate.shape[:-1] + (width + 1,))
+    outcomes = np.empty((depth, num_buckets, num_scenes, thresholds.size), dtype=np.int8)
+    for d in range(depth):
+        np.add(np.where(clears[:, d], ious[:, d, None, :], -1.0), gate, out=candidates[..., :width])
+        # the highest-IoU open ground truth, ties to the lowest index
+        best = candidates.argmax(axis=-1)
+        np.copyto(gate, -np.inf, where=gt_ids == best[..., None])
+        outcomes[d] = np.where(best < width, _TP, unmatched[:, :, d])
+    return outcomes
+
+
 def evaluate(
     dets_by_scene: Mapping[int, ScoredBoxes],
     gts: GroundTruthSet,
@@ -458,7 +533,6 @@ def evaluate(
     det_area = (det_box[..., 2] - det_box[..., 0]) * (det_box[..., 3] - det_box[..., 1])
 
     gt_box, gt_class, gt_crowd = gts.arrays
-    width = gt_box.shape[1]
 
     # Buckets: 0 is every size, 1-3 the size classes.  A ground truth outside
     # a bucket is ignored there like a crowd region; a detection outside it
@@ -473,21 +547,7 @@ def evaluate(
     totals = eligible.sum(axis=(1, 2))
 
     ious = iou(det_box[:, :, None, :], gt_box[:, None, :, :])  # (scene, det, gt)
-    thresholds = np.array(IOU_THRESHOLDS)[:, None]
-    open_gt = np.repeat(eligible[:, :, None, :], num_thresholds, axis=2)
-    gt_ids = np.arange(width)
-    # (rank, bucket, scene, threshold) outcomes of greedy matching in rank order
-    outcomes = np.empty((depth, len(totals), num_scenes, num_thresholds), dtype=np.int8)
-    for d in range(depth):
-        v = ious[:, d, None, :]  # (scene, 1, gt)
-        hit = v >= thresholds  # (scene, threshold, gt)
-        candidate = hit & open_gt  # (bucket, scene, threshold, gt)
-        # the highest-IoU open ground truth, ties to the lowest index
-        best = np.where(candidate, v, -1.0).argmax(axis=-1)
-        matched = candidate.any(axis=-1)
-        open_gt &= ~((gt_ids == best[..., None]) & matched[..., None])
-        set_aside = (hit & ignored[:, :, None, :]).any(axis=-1) | det_outside[:, :, d, None]
-        outcomes[d] = np.where(matched, _TP, np.where(set_aside, _IGN, _FP))
+    outcomes = _greedy_outcomes(ious, eligible, ignored, det_outside)
 
     # Averages over thresholds add them in order, as a scalar loop would.
     # hits: (cap, bucket, threshold) true positives in each scene's first cap ranks

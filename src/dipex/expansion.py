@@ -31,12 +31,14 @@ from detector to trainer.
 Growth stops after the configured number of expansions, or earlier when the
 maximum pairwise angle either clears the coverage threshold or stalls between
 consecutive rounds.
+
+``ExpansionConfig`` lives in ``dipex.config`` and ``EmptyPseudoLabels`` in
+``dipex.pseudo_labels``; both are re-exported here.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -45,11 +47,10 @@ import numpy as np
 
 from .boxes import box_iou
 from .detection_losses import giou_loss, l1_box_loss, sigmoid_focal_loss
+from .config import DetectorParams, ExpansionConfig, VocabularyConfig
 from .detector import (
-    DetectorParams,
     QueryMode,
     SceneArrays,
-    VocabularyConfig,
     build_vocabulary,
     candidate_detections,
     detect_each,
@@ -60,12 +61,8 @@ from .detector import (
 from .dispersion import LossBreakdown, child_child_loss, combine, parent_child_loss
 from .evaluation import DEFAULT_MAX_DETS, EvalSummary, GroundTruthSet, evaluate
 from .geometry import apply_rotation, mac, normalize, pairwise_angle_matrix, sample_child_rotations
-from .pseudo_labels import PseudoLabelSet, ScoredBoxes, build_pseudo_labels
+from .pseudo_labels import EmptyPseudoLabels, PseudoLabelSet, ScoredBoxes, build_pseudo_labels
 from .world import World
-
-
-class EmptyPseudoLabels(RuntimeError):
-    """The current prompt set produced no usable pseudo-labels."""
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:
@@ -198,54 +195,6 @@ class PromptTree:
     def load(cls, path: str | Path) -> "PromptTree":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-@dataclass(frozen=True)
-class ExpansionConfig:
-    """Knobs for one growth run.  Angles are radians."""
-
-    num_children: int = 9
-    num_expansions: int = 3
-    max_angle: float = math.radians(15.0)
-    tau_parent: float = 0.1
-    tau_child: float = 0.1
-    gamma: float = 0.1
-    gamma_bbox: float = 5.0
-    gamma_giou: float = 2.0
-    gamma_cls: float = 1.0
-    mac_threshold: float = math.radians(75.0)
-    mac_tolerance: float = math.radians(0.5)
-    learning_rate: float = 0.05
-    epochs_per_round: int = 20
-    batch_size: int = 8
-    label_threshold: float = 0.2
-    label_iou_min: float = 0.5
-    early_stop: bool = True
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_expansions < 0:
-            raise ValueError(f"num_expansions must be >= 0, got {self.num_expansions}")
-        if self.num_expansions > 0 and self.num_children < 2:
-            raise ValueError("need at least 2 children per expansion for sibling repulsion")
-        if not (0.0 < self.max_angle <= math.pi / 2):
-            raise ValueError(f"max_angle out of (0, pi/2]: {self.max_angle}")
-        if self.tau_parent <= 0.0 or self.tau_child <= 0.0:
-            raise ValueError("temperatures must be positive")
-        if min(self.gamma, self.gamma_bbox, self.gamma_giou, self.gamma_cls) < 0.0:
-            raise ValueError("loss weights must be non-negative")
-        if not (0.0 < self.mac_threshold <= math.pi):
-            raise ValueError(f"mac_threshold out of (0, pi]: {self.mac_threshold}")
-        if self.mac_tolerance < 0.0:
-            raise ValueError("mac_tolerance must be non-negative")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs_per_round < 1 or self.batch_size < 1:
-            raise ValueError("epochs_per_round and batch_size must be >= 1")
-        if not (0.0 <= self.label_threshold < 1.0):
-            raise ValueError(f"label_threshold out of [0, 1): {self.label_threshold}")
-        if not (0.0 < self.label_iou_min <= 1.0):
-            raise ValueError(f"label_iou_min out of (0, 1]: {self.label_iou_min}")
 
 
 @dataclass(frozen=True)

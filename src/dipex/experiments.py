@@ -9,24 +9,23 @@ with the same configuration reproduces every byte.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
+import importlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .detector import (
+from .config import (  # noqa: F401  (ConfigError, ExperimentConfig and the loaders are re-exported)
+    ConfigError,
     DetectorParams,
-    QueryMode,
-    VocabularyConfig,
-    build_vocabulary,
-    detect_world,
-    detections_to_coco,
-    overlap_penalty,
+    ExperimentConfig,
+    experiment_config_from_dict,
+    load_experiment_config,
+    with_seed,
 )
 from .evaluation import (
     DEFAULT_MAX_DETS,
@@ -36,114 +35,41 @@ from .evaluation import (
     load_coco_detections,
     load_coco_ground_truth,
 )
-from .expansion import ExpansionConfig, RunResult, rebuild_labels, run
-from .geometry import pairwise_angle_matrix
 from .pseudo_labels import ScoredBoxes, soft_nms
-from .world import World, WorldConfig, generate_world
 
+if TYPE_CHECKING:
+    from .expansion import RunResult
+    from .world import World
 
-class ConfigError(ValueError):
-    """Raised when an experiment configuration cannot be built."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    world: WorldConfig = WorldConfig()
-    detector: DetectorParams = DetectorParams()
-    expansion: ExpansionConfig = ExpansionConfig()
-    vocabulary: VocabularyConfig = VocabularyConfig()
-    max_dets: tuple[int, ...] = DEFAULT_MAX_DETS
-
-    def as_dict(self) -> dict:
-        doc = {
-            name: _degrees_out(dataclasses.asdict(getattr(self, name)), angles)
-            for name, (_, angles) in _SECTIONS.items()
-        }
-        return {**doc, "max_dets": list(self.max_dets)}
-
-
-# config section -> (its dataclass, its angle fields: radians in the
-# dataclass, "<field>_degrees" in config files and manifests)
-_SECTIONS = {
-    "world": (WorldConfig, ()),
-    "detector": (DetectorParams, ("overlap_threshold",)),
-    "expansion": (ExpansionConfig, ("max_angle", "mac_threshold", "mac_tolerance")),
-    "vocabulary": (VocabularyConfig, ("noise_angle", "duplicate_angle", "min_separation")),
+# The growth stages the drivers call, by the module that defines each.  They
+# are looked up in this module's globals and bound on first use, so that
+# `dipex eval` imports none of the growth modules and `dipex pilot` never
+# imports `expansion`.  perfbench/tracing.py and tests replace them here by
+# name (getattr, then setattr), and a driver keeps a name already bound.
+# Once the benchmark reads the program's own trace (ROADMAP direction 1),
+# these become plain local imports.
+_STAGES = {
+    "run": "expansion",
+    "rebuild_labels": "expansion",
+    "detect_world": "detector",
+    "build_vocabulary": "detector",
+    "generate_world": "world",
 }
 
 
-def _degrees_out(data: dict, angle_keys: Sequence[str]) -> dict:
-    for key in angle_keys:
-        data[f"{key}_degrees"] = math.degrees(data.pop(key))
-    return data
+def __getattr__(name: str):
+    if name not in _STAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_STAGES[name]}", __package__), name)
+    globals()[name] = value
+    return value
 
 
-def _build_section(name: str, data: dict):
-    if not isinstance(data, dict):
-        raise ConfigError(f"section '{name}' must be a mapping")
-    cls, angles = _SECTIONS[name]
-    fields = {f.name for f in dataclasses.fields(cls)} - set(angles)
-    kwargs = {}
-    for key, value in data.items():
-        if key.endswith("_degrees") and key.removesuffix("_degrees") in angles:
-            kwargs[key.removesuffix("_degrees")] = math.radians(float(value))
-        elif key in fields:
-            kwargs[key] = value
-        else:
-            raise ConfigError(f"unknown key '{key}' in section '{name}'")
-    try:
-        if "size_mix" in kwargs:  # the world's; YAML may give integers
-            kwargs["size_mix"] = tuple(float(v) for v in kwargs["size_mix"])
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"section '{name}': {exc}") from exc
-
-
-def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a full configuration from a parsed YAML/JSON document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration document must be a mapping")
-    unknown = set(doc) - {*_SECTIONS, "max_dets"}
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    sections = {name: _build_section(name, doc.get(name, {})) for name in _SECTIONS}
-    max_dets = doc.get("max_dets", list(DEFAULT_MAX_DETS))
-    if not isinstance(max_dets, (list, tuple)) or not max_dets or not all(map(_is_cap, max_dets)):
-        raise ConfigError(f"max_dets must be a non-empty list of integers >= 1, got {max_dets!r}")
-    caps = tuple(sorted(int(v) for v in max_dets))
-    return ExperimentConfig(**sections, max_dets=caps)
-
-
-def _is_cap(value) -> bool:
-    """A detection cap: a whole number (int, or integral float) of at least 1."""
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    return whole and not isinstance(value, bool) and value >= 1
-
-
-def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig()
-    import yaml  # here, not at the top: only --config needs it, and it is slow to import
-
-    try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
-    return experiment_config_from_dict(doc if doc is not None else {})
-
-
-def with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """Reseed every stochastic component in lockstep."""
-    return ExperimentConfig(
-        world=replace(config.world, seed=seed),
-        detector=config.detector,
-        expansion=replace(config.expansion, seed=seed),
-        vocabulary=replace(config.vocabulary, seed=seed),
-        max_dets=config.max_dets,
-    )
+def _bind(*names: str) -> None:
+    """Bind each growth stage of ``names`` that is not bound yet."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 def _prepare_out(out_dir: str | Path, overwrite: bool) -> Path:
@@ -210,6 +136,9 @@ def run_pilot_merging(
     recall drop of query merging is the quantity of interest: near zero for a
     dispersed vocabulary, catastrophic for an overlapping one.
     """
+    from .detector import QueryMode, overlap_penalty
+
+    _bind("generate_world", "build_vocabulary", "detect_world")
     out = _prepare_out(out_dir, overwrite)
     cap = max(config.max_dets)
     # rows grouped by style, then seed; one world is alive at a time
@@ -282,6 +211,8 @@ def _round_rows(result: RunResult, cap: int) -> list[dict]:
 def _write_run_artifacts(
     out: Path, config: ExperimentConfig, world: World, result: RunResult
 ) -> None:
+    from .detector import detections_to_coco
+
     cap = max(config.max_dets)
     _write_csv(
         out / "rounds.csv",
@@ -379,6 +310,7 @@ def run_dipex(
     config: ExperimentConfig, out_dir: str | Path, overwrite: bool = False
 ) -> tuple[Path, RunResult]:
     """One full growth run; writes per-round metrics, tree and detections."""
+    _bind("generate_world", "build_vocabulary", "run", "rebuild_labels")
     out = _prepare_out(out_dir, overwrite)
     world = generate_world(config.world)
     vocab = build_vocabulary(world, config.vocabulary)
@@ -394,6 +326,8 @@ def _mean(values: Sequence[float]) -> float | None:
 
 def _tree_angle_stats(tree) -> tuple[float | None, float | None]:
     """Mean parent-child angle and mean sibling angle, in radians."""
+    from .geometry import pairwise_angle_matrix
+
     row = {nid: i for i, nid in enumerate(tree.ids)}
     angles = pairwise_angle_matrix([tree.nodes[nid].embedding for nid in tree.ids])
     parent_angles = []
@@ -438,6 +372,7 @@ def run_sweep(
     the sibling-repulsion weight and also reports the tree's geometry.
     Writes ``sweep_k.csv`` or ``sweep_gamma.csv``, one row per value."""
     field, cast, key, head, tail = _SWEEPS[sweep]
+    _bind("generate_world", "build_vocabulary", "run")
     out = _prepare_out(out_dir, overwrite)
     cap = max(config.max_dets)
     world = generate_world(config.world)
@@ -475,8 +410,8 @@ def run_eval_only(
     out_dir: str | Path,
     max_dets: Sequence[int] = DEFAULT_MAX_DETS,
     merge: bool = False,
-    nms_sigma: float = 0.5,
-    nms_floor: float = 0.001,
+    nms_sigma: float = DetectorParams.nms_sigma,
+    nms_floor: float = DetectorParams.nms_floor,
     overwrite: bool = False,
 ) -> tuple[Path, EvalSummary]:
     """Score COCO-format detection files against COCO-format ground truth.
@@ -495,8 +430,13 @@ def run_eval_only(
         [rows for path in det_paths for rows in load_coco_detections(path).values()]
     )
     if merge:
-        # each scene ranked by (-score, box), ties in file order
-        dets = dets.take(np.lexsort((*dets.boxes.T[::-1], -dets.scores, dets.scene_ids)))
+        # each scene ranked by (-score, box), ties in file order; the boxes
+        # are sort keys only where a scene repeats a score
+        rank = np.lexsort((-dets.scores, dets.scene_ids))
+        scene, score = dets.scene_ids[rank], dets.scores[rank]
+        if np.any((scene[1:] == scene[:-1]) & (score[1:] == score[:-1])):
+            rank = np.lexsort((*dets.boxes.T[::-1], -dets.scores, dets.scene_ids))
+        dets = dets.take(rank)
         kept = soft_nms(dets.scores, nms_sigma, nms_floor, dets.boxes, dets.scene_ids)
         pick = np.array([i for i, _ in kept], dtype=int)
         dets = replace(dets.take(pick), scores=np.array([score for _, score in kept]))

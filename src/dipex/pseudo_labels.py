@@ -27,6 +27,12 @@ import numpy as np
 from .boxes import box_iou, iou  # noqa: F401  (perfbench/tracing.py counts iou calls here)
 
 
+class EmptyPseudoLabels(RuntimeError):
+    """The current prompt set produced no usable pseudo-labels.  Growth
+    raises it; it lives here so that the CLI catches it without importing
+    the growth modules."""
+
+
 @dataclass(frozen=True, eq=False)
 class ScoredBoxes:
     """Scored boxes as parallel arrays, one row per box: the one form of
@@ -123,6 +129,12 @@ def annotations_to_coco(
     return {"images": images, "annotations": annotations, "categories": categories}
 
 
+# A group of at least this many boxes is cut into parts that cannot interact
+# before suppression.  Cutting costs four sorts, which smaller groups do not
+# repay in fewer steps.
+_SPLIT_MIN_GROUP = 8
+
+
 def soft_nms(
     dets: Sequence | np.ndarray,
     sigma: float = 0.5,
@@ -146,6 +158,16 @@ def soft_nms(
     rescaled (a disjoint pair's factor is exactly 1), with factors from
     math.exp, so the result is bit for bit that of a one-box-at-a-time loop
     run group by group.
+
+    A box never rescales one it does not overlap, so when some group has at
+    least ``_SPLIT_MIN_GROUP`` boxes and no score is negative, every group
+    is first cut into parts whose boxes cannot overlap those of another
+    part (``_cut``), and the steps run over the parts.  Each step then
+    selects once per part instead of once per group, so boxes leave sooner
+    and the steps carry fewer live boxes; the selections are the same.
+    Scores then never rise, so a group's selections come in non-increasing
+    score, ties to the earliest box, and sorting them that way restores the
+    group's selection order.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -158,28 +180,118 @@ def soft_nms(
     if not np.all(np.isfinite(scores)):
         raise ValueError("soft-NMS scores must be finite")
     groups = np.zeros(scores.size, dtype=int) if groups is None else np.asarray(groups)
-    alive = np.argsort(groups, kind="stable")  # live boxes, by group, then input order
-    running = scores[alive]
+    alive = np.argsort(groups, kind="stable")  # by group, then input order
+    first = np.ones(alive.size, dtype=bool)
+    np.not_equal(groups[alive][1:], groups[alive][:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1  # each box's group, counted from 0
+    split = np.diff(starts, append=alive.size).max(initial=0) >= _SPLIT_MIN_GROUP
+    split = split and scores.min() >= 0.0  # a negative score rises when rescaled
+    if split:
+        alive, group = _parts(alive, group, starts, scores, boxes, score_floor)
+    pick, final = _suppress(alive, group, scores[alive], boxes[alive], sigma, score_floor)
+    if split:
+        order = np.lexsort((pick, -final, groups[pick]))
+    else:
+        order = np.argsort(groups[pick], kind="stable")
+    return list(zip(pick[order].tolist(), final[order].tolist()))
+
+
+def _parts(
+    alive: np.ndarray,
+    group: np.ndarray,
+    starts: np.ndarray,
+    scores: np.ndarray,
+    boxes: np.ndarray,
+    score_floor: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The boxes ``alive`` (indices, by group id from 0 and then index; each
+    group's first row at ``starts``) that can be selected, by part and then
+    index, and each one's part id."""
+    # The first step drops every box under the floor but the group's first
+    # selection.  Drop them before cutting: as the first selection of its
+    # part, such a box would escape the floor.
+    ranked = scores[alive]
+    top = np.maximum.reduceat(ranked, starts)[group]
+    keep = ranked >= score_floor
+    keep[np.minimum.reduceat(np.where(ranked == top, np.arange(alive.size), alive.size), starts)] = True
+    alive, group = alive[keep], group[keep]
+    part = _cut(_cut(group, boxes[alive, 0], boxes[alive, 2]), boxes[alive, 1], boxes[alive, 3])
+    by_part = np.argsort(part, kind="stable")  # parts nest in groups: by part, then index
+    return alive[by_part], part[by_part]
+
+
+def _cut(group: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Part ids, counted from 0 and ascending with ``group`` (ids counted
+    from 0): each group, taken in ``lo`` order, is cut before every box
+    whose ``lo`` is at least the largest ``hi`` before it, so that no
+    (lo, hi) extent of one part overlaps one of another.  A non-finite
+    value never cuts.  Equal ``lo`` values may come in any order; each
+    order gives valid parts."""
+    n = group.size
+    by_lo, by_hi = _by_group(group, lo), _by_group(group, hi)
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_hi] = np.arange(n)
+    # a group's ranks exceed those of every group before it, so the running
+    # maximum of ranks restarts at each group: the largest hi so far, exactly
+    reach = hi[by_hi][np.maximum.accumulate(rank[by_lo])]
+    start = lo[by_lo]
+    key = group[by_lo]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (key[1:] != key[:-1]) | (
+        (start[1:] >= reach[:-1]) & np.isfinite(start[1:]) & np.isfinite(reach[:-1])
+    )
+    part = np.empty(n, dtype=np.intp)
+    part[by_lo] = np.cumsum(new) - 1
+    return part
+
+
+def _by_group(group: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Indices that order rows by ``group`` (ids from 0, each below the row
+    count), then by ``key``; equal keys in any order.  A stable sort of
+    16-bit ids is a radix sort, several times faster than ``np.lexsort``."""
+    order = np.argsort(key)
+    ids = group.astype(np.uint16) if group.size <= 1 << 16 else group
+    return order[np.argsort(ids[order], kind="stable")]
+
+
+def _suppress(
+    alive: np.ndarray,
+    group: np.ndarray,
+    running: np.ndarray,
+    live_boxes: np.ndarray,
+    sigma: float,
+    score_floor: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The steps of grouped soft-NMS over the boxes ``alive`` (indices),
+    listed by ``group`` and then index, with their running scores and their
+    boxes, all compressed together as boxes drop: the selected indices and
+    their final scores, step after step, each step in group order."""
     picks, finals = [], []
+    flags = np.ones(alive.size, dtype=bool)
+    positions = np.arange(alive.size)
     while alive.size:
-        g = groups[alive]
-        first = np.r_[True, g[1:] != g[:-1]]
+        n = alive.size
+        first = flags[:n]  # first[0] stays True
+        np.not_equal(group[1:], group[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
         seg = np.cumsum(first) - 1  # each live box's group, counted from 0
-        tops = np.flatnonzero(running == np.maximum.reduceat(running, np.flatnonzero(first))[seg])
-        sel = tops[np.r_[True, seg[tops[1:]] != seg[tops[:-1]]]]  # first top per group
+        top = np.maximum.reduceat(running, starts)[seg]
+        sel = np.minimum.reduceat(np.where(running == top, positions[:n], n), starts)  # first top per group
         picks.append(alive[sel])
         finals.append(running[sel])
-        row = box_iou(boxes[alive[sel]][seg], boxes[alive])
+        row = box_iou(live_boxes[sel[seg]], live_boxes)
         row[sel] = 0.0
         hit = np.flatnonzero(row > 0.0)
-        running[hit] *= [math.exp(-v ** 2 / sigma) for v in row[hit].tolist()]
+        # float_power squares with the C library's pow, as Python's ** does;
+        # exp stays math.exp, which np.exp does not match bit for bit
+        running[hit] *= list(map(math.exp, (-np.float_power(row[hit], 2.0) / sigma).tolist()))
         live = running >= score_floor
         live[sel] = False
-        alive, running = alive[live], running[live]
+        alive, group, running, live_boxes = alive[live], group[live], running[live], live_boxes[live]
     pick = np.concatenate(picks or [np.zeros(0, dtype=int)])
     final = np.concatenate(finals or [np.zeros(0)])
-    order = np.argsort(groups[pick], kind="stable")
-    return list(zip(pick[order].tolist(), final[order].tolist()))
+    return pick, final
 
 
 def build_pseudo_labels(

@@ -7,6 +7,8 @@ the world bit for bit, and the whole thing round-trips through JSON.
 per-object loop (kept as the reference in tests/reference_world.py), so
 both build the same bytes.  A world's embedding matrix and its packed
 scenes (``detector.pack_world``) are derived once and cached on it.
+
+``WorldConfig`` lives in ``dipex.config`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -19,74 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import BBox
+from .config import _ASPECT_HI, _ASPECT_LO, _EDGE_EPS, _SIDE_RANGES, WorldConfig
 # unused here; kept because perfbench/tracing.py wraps world.normalize
 from .geometry import normalize  # noqa: F401
-
-# sqrt-area sampling ranges per size class; L is additionally capped so a box
-# always fits its scene cell at the worst-case 2:1 aspect ratio.
-_SIDE_RANGES = {"S": (8.0, 32.0), "M": (32.0, 96.0), "L": (96.0, 256.0)}
-_ASPECT_LO, _ASPECT_HI = 0.5, 2.0
-_EDGE_EPS = 1e-6
-
-
-@dataclass(frozen=True)
-class WorldConfig:
-    dim: int = 64
-    num_clusters: int = 8
-    objects_per_cluster: int = 40
-    concentration: float = 20.0  # higher = tighter clusters
-    num_scenes: int = 80
-    objects_per_scene: int = 4
-    width: int = 640
-    height: int = 480
-    size_mix: tuple[float, float, float] = (0.35, 0.40, 0.25)  # S, M, L fractions
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "size_mix", tuple(self.size_mix))
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if self.num_clusters < 1 or self.objects_per_cluster < 1:
-            raise ValueError("need at least one cluster and one object per cluster")
-        if self.concentration <= 0.0:
-            raise ValueError(f"concentration must be positive, got {self.concentration}")
-        if self.num_scenes < 1 or self.objects_per_scene < 1:
-            raise ValueError("need at least one scene and one object per scene")
-        total = self.num_clusters * self.objects_per_cluster
-        placed = self.num_scenes * self.objects_per_scene
-        if total != placed:
-            raise ValueError(
-                f"{total} objects cannot fill {self.num_scenes} scenes of "
-                f"{self.objects_per_scene} (need {placed})"
-            )
-        if len(self.size_mix) != 3 or any(m < 0.0 for m in self.size_mix):
-            raise ValueError(f"size_mix needs three non-negative fractions: {self.size_mix}")
-        if not math.isclose(sum(self.size_mix), 1.0, abs_tol=1e-9):
-            raise ValueError(f"size_mix must sum to 1: {self.size_mix}")
-        self._validate_fit()
-
-    def _validate_fit(self) -> None:
-        cell_w, cell_h = self.cell_size()
-        limit = min(cell_w, cell_h) / math.sqrt(_ASPECT_HI)
-        for cls, frac in zip(("S", "M", "L"), self.size_mix):
-            if frac <= 0.0:
-                continue
-            lo, _ = _SIDE_RANGES[cls]
-            if limit <= lo + 2 * _EDGE_EPS:
-                raise ValueError(
-                    f"size mix impossible: class {cls} boxes (side >= {lo}) do not "
-                    f"fit scene cells of {cell_w:.0f}x{cell_h:.0f} "
-                    f"({self.width}x{self.height} split for {self.objects_per_scene} objects)"
-                )
-
-    def grid_shape(self) -> tuple[int, int]:
-        cols = math.ceil(math.sqrt(self.objects_per_scene))
-        rows = math.ceil(self.objects_per_scene / cols)
-        return rows, cols
-
-    def cell_size(self) -> tuple[float, float]:
-        rows, cols = self.grid_shape()
-        return self.width / cols, self.height / rows
 
 
 @dataclass(frozen=True)

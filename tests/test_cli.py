@@ -72,16 +72,13 @@ def test_run_subcommand(config_path, tmp_path, capsys):
     assert (out / "tree.json").exists()
 
 
-def test_run_does_not_import_numpy_ma(config_path, tmp_path):
-    """numpy.ma, which np.unique pulls in, takes 12-16 ms and 1.2 MB of peak
-    memory to import (numpy 2.4, 2 vCPUs); a run needs none of it."""
-    out = tmp_path / "run"
-    script = (
-        "import sys\n"
-        "from dipex.cli import main\n"
-        f"assert main(['run', '--config', {str(config_path)!r}, '--out', {str(out)!r}]) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
-    )
+def _loaded_by_the_cli(argv: list[str] | None = None) -> set[str]:
+    """The modules a fresh interpreter holds after ``import dipex.cli`` and,
+    given ``argv``, a successful ``main(argv)``."""
+    script = "import sys\nfrom dipex.cli import main\n"
+    if argv is not None:
+        script += f"assert main({argv!r}) == 0\n"
+    script += "print(' '.join(sorted(sys.modules)))\n"
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
     proc = subprocess.run(
@@ -92,23 +89,21 @@ def test_run_does_not_import_numpy_ma(config_path, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_run_does_not_import_numpy_ma(config_path, tmp_path):
+    """numpy.ma, which np.unique pulls in, takes 12-16 ms and 1.2 MB of peak
+    memory to import (numpy 2.4, 2 vCPUs); a run needs none of it."""
+    out = tmp_path / "run"
+    loaded = _loaded_by_the_cli(["run", "--config", str(config_path), "--out", str(out)])
     assert (out / "rounds.csv").exists()
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert "numpy.ma" not in loaded
 
 
 def _imported_by_the_cli(module: str) -> bool:
     """Whether ``import dipex.cli`` in a fresh interpreter imports ``module``."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, dipex.cli; print({module!r} in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return module in _loaded_by_the_cli()
 
 
 def test_importing_the_cli_does_not_import_yaml():
@@ -120,6 +115,25 @@ def test_importing_the_cli_does_not_import_logging():
     """logging takes about 6 ms to import (2 vCPUs) and only degenerate box
     losses log."""
     assert not _imported_by_the_cli("logging")
+
+
+def test_eval_loads_no_growth_module(tmp_path):
+    """``dipex eval`` scores files: it runs none of the world, the detector
+    or training, so it never pays for importing them."""
+    gt_path, det_path = write_eval_fixture(tmp_path)
+    argv = ["eval", "--merge", "--gt", str(gt_path), "--dets", str(det_path), "--out", str(tmp_path / "e")]
+    loaded = _loaded_by_the_cli(argv)
+    assert (tmp_path / "e" / "summary.json").exists()
+    growth = {"expansion", "detector", "world", "dispersion", "geometry", "detection_losses"}
+    assert loaded & {f"dipex.{name}" for name in growth} == set()
+
+
+def test_pilot_loads_no_training_module(config_path, tmp_path):
+    """``dipex pilot`` detects and scores but never trains."""
+    argv = ["pilot", "--config", str(config_path), "--seed", "0", "--out", str(tmp_path / "p")]
+    loaded = _loaded_by_the_cli(argv)
+    assert "dipex.detector" in loaded and (tmp_path / "p" / "pilot.csv").exists()
+    assert loaded & {"dipex.expansion", "dipex.dispersion", "dipex.detection_losses"} == set()
 
 
 def test_run_seed_flag_reseeds_everything(config_path, tmp_path, capsys):

@@ -399,6 +399,76 @@ def test_coco_parsing_errors(tmp_path):
         load_coco_detections(rec)
 
 
+def _results(small_world):
+    """A detection results array of the usual form: each ground-truth box of
+    ``small_world``, shifted, with a score."""
+    doc = GroundTruthSet.from_world(small_world).to_coco()
+    return [
+        {"image_id": ann["image_id"], "category_id": 1,
+         "bbox": [v + 0.25 * k for v in ann["bbox"]], "score": 1.0 / (k + 2)}
+        for k, ann in enumerate(doc["annotations"])
+    ]
+
+
+def _set(index, field, value):
+    def change(doc):
+        doc[index][field] = value
+    return change
+
+
+def _missing_before_bad_box(doc):
+    del doc[2]["score"]
+    doc[4]["bbox"] = [5.0, 5.0, -50.0, 50.0]
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        (None, None),
+        (_set(3, "bbox", [1, 2, 30, 40]), None),
+        (_set(3, "image_id", 1.0), None),
+        (_set(3, "image_id", True), "results[3]: image_id must be an integer"),
+        (_set(3, "image_id", 1.5), "results[3]: image_id must be an integer"),
+        (_set(3, "score", "0.5"), "results[3]: score must be a number"),
+        (_set(3, "bbox", [[1.0, 2.0], 3.0, 4.0, 5.0]), "results[3]: bbox must be a number"),
+        (_set(3, "bbox", [1.0, 2.0, -3.0, 4.0]), "results[3]: inverted box"),
+        (_missing_before_bad_box, "results[2] missing image_id/bbox/score"),
+    ],
+    ids=["usual", "int_bbox", "float_id", "bool_id", "fractional_id", "str_score", "nested_bbox",
+         "inverted", "missing_then_bad"],
+)
+def test_usual_and_checked_detection_files_read_alike(small_world, tmp_path, monkeypatch, change, problem):
+    """A results file of the usual records is read in arrays at once; the same
+    records with every bbox a tuple go through the field checkers one by
+    one.  Both give the same arrays, or the same error at the same index."""
+    import dipex.evaluation as evaluation
+
+    doc = _results(small_world)
+    if change is None:
+        assert evaluation._usual_detections(doc) is not None
+    else:
+        change(doc)
+    path = tmp_path / "dets.json"
+    path.write_text(json.dumps(doc))
+
+    def read():
+        try:
+            by_scene = load_coco_detections(path)
+        except CocoFormatError as exc:
+            return str(exc)
+        return {sid: (d.scene_ids.tobytes(), d.scores.tobytes(), d.boxes.tobytes()) for sid, d in by_scene.items()}
+
+    usual = read()
+    if problem is None:
+        assert isinstance(usual, dict) and len(usual) == small_world.config.num_scenes
+    else:
+        assert usual.startswith(f"{path}: {problem}")
+    forced = [{**rec, "bbox": tuple(rec["bbox"])} if "bbox" in rec else rec for rec in doc]
+    assert evaluation._usual_detections(forced) is None
+    monkeypatch.setattr(evaluation, "_read_json", lambda _: forced)
+    assert read() == usual
+
+
 def test_load_detections_groups_by_scene(tmp_path):
     path = tmp_path / "dets.json"
     path.write_text(json.dumps([

@@ -127,6 +127,113 @@ def test_soft_nms_matches_scalar_reference(seed, num_groups, floor, sigma):
         assert soft_nms(dets, sigma, floor) == got
 
 
+def _grid(n, step, side, score=0.5):
+    """n x n boxes of ``side`` every ``step`` pixels, scores falling by 0.01."""
+    return [(step * i, step * j, step * i + side, step * j + side, score - 0.01 * (n * i + j))
+            for i in range(n) for j in range(n)]
+
+
+# (x0, y0, x1, y1, score) rows of one group, each large enough to be cut
+SPLIT_CASES = {
+    # touching along an edge or at a corner only, plus exact duplicates
+    "touching": _grid(3, 10.0, 10.0) + [(0.0, 0.0, 10.0, 10.0, 0.45), (10.0, 10.0, 20.0, 20.0, 0.62)],
+    # A and C are disjoint, B overlaps both: A-B-C must stay one part
+    "chain": [
+        (x, y, x + 10.0, y + 10.0, score)
+        for y in (0.0, 20.0, 40.0)
+        for x, score in ((0.0, 0.8), (8.0, 0.9), (16.0, 0.7))
+    ],
+    # one column overlaps in x only, one row in y only
+    "one_axis": [(0.0, 12.0 * k, 10.0, 12.0 * k + 10.0, 0.9 - 0.05 * k) for k in range(5)]
+    + [(30.0 + 12.0 * k, 0.0, 40.0 + 12.0 * k, 10.0, 0.88 - 0.05 * k) for k in range(5)],
+    # far-apart clusters with the same scores: ties land in different parts
+    "ties": [
+        (cx + dx, cy, cx + dx + 20.0, cy + 20.0, score)
+        for cx, cy in ((0.0, 0.0), (100.0, 100.0), (0.0, 100.0))
+        for dx, score in ((0.0, 0.7), (2.0, 0.7), (4.0, 0.9), (6.0, 0.5))
+    ],
+    # points and lines, inside, on the edge of and apart from a box
+    "zero_area": [
+        (5.0, 5.0, 5.0, 5.0, 0.9), (0.0, 5.0, 10.0, 5.0, 0.8), (5.0, 0.0, 5.0, 10.0, 0.8),
+        (0.0, 0.0, 10.0, 10.0, 0.7), (0.0, 0.0, 10.0, 10.0, 0.6), (10.0, 10.0, 10.0, 10.0, 0.95),
+        (50.0, 50.0, 50.0, 50.0, 0.3), (50.0, 50.0, 60.0, 60.0, 0.3),
+    ],
+    # scattered duplicates of a few objects, as eval --merge sees them
+    "large": [
+        (float(x), float(y), float(x) + 30.0 + k % 3, float(y) + 25.0 + k % 4, round(0.05 + 0.9 * ((k * 37) % 41) / 41, 2))
+        for k, (x, y) in enumerate([(0, 0), (2, 1), (100, 0), (101, 3), (0, 100), (3, 98), (60, 60), (62, 61)] * 5)
+    ],
+}
+
+
+@pytest.mark.parametrize("floor", [0.001, 0.5])
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_soft_nms_split_matches_scalar_reference(case, floor, monkeypatch):
+    """A group cut into parts that cannot interact gives the one-box-at-a-time
+    loop's survivors, order and score bytes, group by group, beside groups of
+    1 to 4 boxes that are never cut."""
+    import dipex.pseudo_labels as pseudo_labels
+
+    cuts = []
+    real_cut = pseudo_labels._cut
+
+    def counting(*args):
+        cuts.append(len(args[0]))
+        return real_cut(*args)
+
+    monkeypatch.setattr(pseudo_labels, "_cut", counting)
+    rows = [(3, row) for row in SPLIT_CASES[case]]
+    rows += [(g, (200.0 + g, 0.0, 210.0 + g, 10.0 + k, 0.6 - 0.1 * k)) for g in (0, 1, 2, 5) for k in range(g % 4 + 1)]
+    order = np.random.default_rng(len(rows)).permutation(len(rows))  # interleave the groups
+    dets = [Det(rows[i][0], BBox(*rows[i][1][:4]), rows[i][1][4], prompt_id=k) for k, i in enumerate(order)]
+    group = np.array([d.scene_id for d in dets])
+    want = [d for g in sorted(set(group.tolist())) for d in ref.soft_nms([d for d in dets if d.scene_id == g], 0.5, floor)]
+    got = soft_nms(dets, 0.5, floor, groups=group)
+    assert [(d.prompt_id, d.score) for d in got] == [(d.prompt_id, d.score) for d in want]
+    assert np.array([d.score for d in got]).tobytes() == np.array([d.score for d in want]).tobytes()
+    assert cuts, "the group was not cut"
+
+
+def test_soft_nms_negative_scores_are_never_cut():
+    """Rescaling raises a negative score, so a later selection can outscore
+    an earlier one: groups with a negative score keep the plain loop.  Here
+    B, rescaled by A, is selected before C but ends above A."""
+    dets = [
+        Det(0, BBox(0.0, 0.0, 10.0, 10.0), -0.1, prompt_id=0),   # A
+        Det(0, BBox(0.0, 0.0, 10.0, 10.0), -0.9, prompt_id=1),   # B, on A
+        Det(0, BBox(50.0, 0.0, 60.0, 10.0), -0.11, prompt_id=2),  # C, apart
+    ] + [Det(0, BBox(100.0 + 20 * k, 0.0, 110.0 + 20 * k, 10.0), -0.5, prompt_id=3 + k) for k in range(6)]
+    want = ref.soft_nms(dets, 0.1, -1.0)
+    assert [d.prompt_id for d in want[:3]] == [0, 1, 2] and want[1].score > want[0].score
+    got = soft_nms(dets, 0.1, -1.0)
+    assert [(d.prompt_id, d.score) for d in got] == [(d.prompt_id, d.score) for d in want]
+
+
+def test_soft_nms_non_finite_coordinates_never_cut(monkeypatch):
+    """No part starts at an infinite or NaN left edge, nor after boxes whose
+    right edges reach no finite coordinate; such boxes leave the uncut
+    loop's result unchanged."""
+    import dipex.pseudo_labels as pseudo_labels
+
+    inf, nan = math.inf, math.nan
+    lo = np.array([-inf, 0.0, 5.0, inf, nan])
+    hi = np.array([-inf, 10.0, 15.0, inf, nan])
+    assert pseudo_labels._cut(np.zeros(5, dtype=int), lo, hi).tolist() == [0] * 5
+    lo, hi = np.array([0.0, 20.0, 30.0, 40.0]), np.array([10.0, 25.0, nan, 50.0])
+    assert pseudo_labels._cut(np.zeros(4, dtype=int), lo, hi).tolist() == [0, 1, 2, 2]
+
+    boxes = np.array(
+        [[-inf, 0, -inf, 10], [0, 0, 10, 10], [5, 0, 15, 10], [inf, 0, inf, 10], [nan, 0, 50, 10],
+         [45, 0, nan, 10], [60, 0, 70, 10], [62, 0, 72, 10], [0, inf, 10, inf], [0, 20, 10, 30]],
+        dtype=float,
+    )
+    scores = np.linspace(0.9, 0.1, len(boxes))
+    with np.errstate(invalid="ignore"):  # inf - inf in the IoU
+        cut = soft_nms(scores, 0.5, 0.001, boxes)
+        monkeypatch.setattr(pseudo_labels, "_SPLIT_MIN_GROUP", len(boxes) + 1)
+        assert cut == soft_nms(scores, 0.5, 0.001, boxes)
+
+
 def test_soft_nms_memory_stays_linear():
     """24 groups of 320 overlapping boxes, the eval --merge workload's shape,
     peak below one dense (24, 320, 320) IoU tensor: rows are computed on
