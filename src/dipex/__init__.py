@@ -59,40 +59,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BBox",
-    "DetectorParams",
-    "EvalSummary",
-    "ExpansionConfig",
-    "GivensRotation",
-    "GroundTruthSet",
-    "LossBreakdown",
-    "MacReport",
-    "PromptNode",
-    "PromptTree",
-    "PseudoLabelSet",
-    "QueryMode",
-    "RunResult",
-    "ScoredBoxes",
-    "VocabularyConfig",
-    "World",
-    "WorldConfig",
-    "__version__",
-    "apply_rotation",
-    "build_pseudo_labels",
-    "build_vocabulary",
-    "child_child_loss",
-    "combine",
-    "detect_world",
-    "evaluate",
-    "expand",
-    "generate_world",
-    "iou",
-    "mac",
-    "normalize",
-    "parent_child_loss",
-    "run",
-    "select_parent",
-    "soft_nms",
-    "train_round",
-]
+__all__ = sorted({*_EXPORTS, "__version__"} - {"sample_child_rotations"})

@@ -320,19 +320,15 @@ def _usual_detections(doc: list) -> tuple | None:
 
 
 def _checked_detections(doc: list) -> tuple:
-    """``_usual_detections`` of any results array, record by record, each
-    record of another form through the field checkers.  Reading stops at the
+    """``_usual_detections`` of any results array, record by record through
+    the field checkers.  Reading stops at the
     first record that fails them; the third item is then (message tail,
     exception), reported after any bad record read before it."""
     sids, rows, unread = [], [], None
     for rec in doc:
         try:
             sid, bbox, score = rec["image_id"], rec["bbox"], rec["score"]
-            # the usual record, an integer id and five floats, skips the checkers
-            if type(sid) is not int or type(bbox) is not list or len(bbox) != 4 or (
-                {*map(type, bbox), type(score)} != _FLOAT
-            ):
-                sid, bbox, score = _whole(sid, "image_id"), _xywh(bbox), _number(score, "score")
+            sid, bbox, score = _whole(sid, "image_id"), _xywh(bbox), _number(score, "score")
         except CocoFormatError as exc:
             unread = (f": {exc}", exc)
             break

@@ -287,6 +287,7 @@ def _write_run_artifacts(
     _write_json(out / "detections.json", detections_to_coco(result.final_detections))
     gts = GroundTruthSet.from_world(world)
     _write_json(out / "ground_truth.json", gts.to_coco())
+    _bind("rebuild_labels")
     labels = rebuild_labels(result.tree, world, config.expansion, config.detector)
     _write_json(out / "labels.json", labels.to_coco(gts.scene_dims))
 
@@ -430,13 +431,8 @@ def run_eval_only(
         [rows for path in det_paths for rows in load_coco_detections(path).values()]
     )
     if merge:
-        # each scene ranked by (-score, box), ties in file order; the boxes
-        # are sort keys only where a scene repeats a score
-        rank = np.lexsort((-dets.scores, dets.scene_ids))
-        scene, score = dets.scene_ids[rank], dets.scores[rank]
-        if np.any((scene[1:] == scene[:-1]) & (score[1:] == score[:-1])):
-            rank = np.lexsort((*dets.boxes.T[::-1], -dets.scores, dets.scene_ids))
-        dets = dets.take(rank)
+        # each scene ranked by (-score, box), ties in file order
+        dets = dets.take(np.lexsort((*dets.boxes.T[::-1], -dets.scores, dets.scene_ids)))
         kept = soft_nms(dets.scores, nms_sigma, nms_floor, dets.boxes, dets.scene_ids)
         pick = np.array([i for i, _ in kept], dtype=int)
         dets = replace(dets.take(pick), scores=np.array([score for _, score in kept]))
