@@ -34,6 +34,11 @@ class BBox:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The (4,) xyxy array, so that array code such as the box losses
+        reads a BBox as one box."""
+        return np.array(self.as_tuple(), dtype=dtype)
+
     @property
     def width(self) -> float:
         return self.x_max - self.x_min

@@ -6,23 +6,14 @@ detector's localization comes from a non-differentiable noise model, so no
 box gradient ever flows back into prompt embeddings.  Focal loss is the one
 detection term that trains prompts.
 
-Every loss takes either single values (BBoxes, scalars) and returns a float,
-or arrays of them (xyxy boxes stacked as (..., 4)) and returns an array, so
-training evaluates each once per batch.
+Every loss takes either single values (one xyxy box, a scalar) and returns a
+float, or arrays of them (xyxy boxes stacked as (..., 4)) and returns an
+array, so training evaluates each once per batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .boxes import BBox
-
-Boxes = BBox | np.ndarray
-
-
-def _xyxy(box: Boxes) -> np.ndarray:
-    """One box as a (4,) array, or a stack of them as (..., 4)."""
-    return np.asarray(box.as_tuple() if isinstance(box, BBox) else box, dtype=float)
 
 
 def _area(b: np.ndarray) -> np.ndarray:
@@ -42,22 +33,22 @@ def _out(value: np.ndarray) -> float | np.ndarray:
 
 
 def l1_box_loss(
-    pred: Boxes,
-    target: Boxes,
+    pred: np.ndarray,
+    target: np.ndarray,
     image_width: float | np.ndarray,
     image_height: float | np.ndarray,
 ) -> float | np.ndarray:
     """Mean absolute difference over (cx, cy, w, h), each normalized by the
     image dimension along its axis (x-like by width, y-like by height).
 
-    Takes two BBoxes (returns a float) or broadcastable (..., 4) xyxy arrays
-    with per-box image sizes (returns an array).
+    Takes two (4,) xyxy boxes (returns a float) or broadcastable (..., 4)
+    xyxy arrays with per-box image sizes (returns an array).
     """
     width = np.asarray(image_width, dtype=float)
     height = np.asarray(image_height, dtype=float)
     if np.any(width <= 0.0) or np.any(height <= 0.0):
         raise ValueError(f"image size must be positive: {image_width}x{image_height}")
-    p, t = _xyxy(pred), _xyxy(target)
+    p, t = np.asarray(pred, dtype=float), np.asarray(target, dtype=float)
     degenerate = _area(t) == 0.0
     if np.any(degenerate):
         _warn(
@@ -77,14 +68,15 @@ def l1_box_loss(
     return _out(total / 4.0)
 
 
-def giou(a: Boxes, b: Boxes) -> float | np.ndarray:
+def giou(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Generalized IoU in [-1, 1]: IoU minus the hull's excess area fraction.
 
-    Takes two BBoxes (returns a float) or broadcastable (..., 4) xyxy arrays
-    (returns an array).  Two zero-area boxes have no defined hull ratio;
-    that degenerate case gives 0 and is flagged on the module logger.
+    Takes two (4,) xyxy boxes (returns a float) or broadcastable (..., 4)
+    xyxy arrays (returns an array).  Two zero-area boxes have no defined
+    hull ratio; that degenerate case gives 0 and is flagged on the module
+    logger.
     """
-    a, b = _xyxy(a), _xyxy(b)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     hull = (np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])) * (
         np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
     )
@@ -137,6 +129,6 @@ def sigmoid_focal_loss(
     return loss, dloss
 
 
-def giou_loss(a: Boxes, b: Boxes) -> float | np.ndarray:
+def giou_loss(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Standard form used in detection training: 1 - giou, in [0, 2]."""
     return 1.0 - giou(a, b)

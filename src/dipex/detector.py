@@ -109,30 +109,23 @@ def pack_world(world: World, seed: int) -> SceneArrays:
 
 
 def _pack(world: World, seed: int) -> SceneArrays:
-    scenes = sorted(world.scenes, key=lambda s: s.id)
-    object_ids = np.full((len(scenes), max(len(s.object_ids) for s in scenes)), -1)
-    for row, scene in enumerate(scenes):
-        object_ids[row, : len(scene.object_ids)] = scene.object_ids
+    object_ids = world.object_ids
     real = object_ids >= 0
-    ids = object_ids[real]
-    emb = np.zeros(object_ids.shape + (world.config.dim,))
+    rows, ids = np.nonzero(real)[0], object_ids[real]
+    emb = np.zeros(object_ids.shape + (world.embeddings.shape[1],))
     emb[real] = world.embeddings[ids]
     gt = np.zeros(object_ids.shape + (4,))
-    gt[real] = [world.objects[i].bbox.as_tuple() for i in ids.tolist()]
+    gt[real] = world.boxes[ids]
     dirs = np.zeros(object_ids.shape + (2,))
-    scene_ids = np.array([scene.id for scene in scenes], dtype=int)
-    dirs[real] = [
-        _noise_direction(seed, sid, oid)
-        for sid, oid in zip(scene_ids[np.nonzero(real)[0]].tolist(), ids.tolist())
-    ]
+    dirs[real] = [_noise_direction(seed, sid, oid) for sid, oid in zip(rows.tolist(), ids.tolist())]
     packed = SceneArrays(
-        scene_ids=scene_ids,
+        scene_ids=np.arange(object_ids.shape[0]),
         object_ids=object_ids,
         emb=emb,
         gt=gt,
         sqrt_area=np.sqrt((gt[..., 2] - gt[..., 0]) * (gt[..., 3] - gt[..., 1])),
         dirs=dirs,
-        size=np.array([(scene.width, scene.height) for scene in scenes], dtype=float),
+        size=world.scene_sizes.astype(float),
     )
     for f in fields(packed):
         getattr(packed, f.name).setflags(write=False)

@@ -26,7 +26,6 @@ independent scorer in ``tests/reference_eval.py``, not close ones.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -121,14 +120,11 @@ class GroundTruthSet:
 
     @classmethod
     def from_world(cls, world: World) -> "GroundTruthSet":
-        scenes = sorted(world.scenes, key=lambda scene: scene.id)
-        boxes = np.array(
-            [world.objects[i].bbox.as_tuple() for scene in scenes for i in scene.object_ids]
-        ).reshape(-1, 4)
-        counts = [len(scene.object_ids) for scene in scenes]
+        real = world.object_ids >= 0
+        boxes = world.boxes[world.object_ids[real]]
         return cls(
-            scene_dims={scene.id: (scene.width, scene.height) for scene in scenes},
-            scene_ids=np.repeat([scene.id for scene in scenes], counts),
+            scene_dims=dict(enumerate(map(tuple, world.scene_sizes.tolist()))),
+            scene_ids=np.nonzero(real)[0],
             boxes=boxes,
             areas=(boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]),
             crowd=np.zeros(len(boxes), dtype=bool),
@@ -383,34 +379,6 @@ class EvalSummary:
             "num_ground_truths": self.num_ground_truths,
             "num_detections": self.num_detections,
         }
-
-    def write_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def csv_row(self) -> dict[str, str]:
-        def fmt(v: float | None) -> str:
-            return "" if v is None else f"{v:.6f}"
-
-        row = {f"ar_{cap}": fmt(self.ar_at[cap]) for cap in sorted(self.ar_at)}
-        row.update(
-            ar_s=fmt(self.ar_small),
-            ar_m=fmt(self.ar_medium),
-            ar_l=fmt(self.ar_large),
-            ap=fmt(self.ap),
-            ap_s=fmt(self.ap_small),
-            ap_m=fmt(self.ap_medium),
-            ap_l=fmt(self.ap_large),
-        )
-        return row
-
-    def write_csv(self, path: str | Path) -> None:
-        row = self.csv_row()
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(row), lineterminator="\n")
-            writer.writeheader()
-            writer.writerow(row)
 
 
 # Outcome of one ranked detection in one (bucket, scene, threshold) cell.

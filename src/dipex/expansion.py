@@ -38,9 +38,7 @@ consecutive rounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -185,16 +183,6 @@ class PromptTree:
             cohort=tuple(int(c) for c in data["cohort"]),
             round_index=int(data["round_index"]),
         )
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PromptTree":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,22 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{float(value):.6f}"
 
 
+def _write_summary(out: Path, summary: EvalSummary) -> None:
+    """``dipex eval``'s summary.json and its one-row summary.csv."""
+    _write_json(out / "summary.json", summary.to_dict())
+    row = {f"ar_{cap}": _fmt(summary.ar(cap)) for cap in sorted(summary.ar_at)}
+    row.update(
+        ar_s=_fmt(summary.ar_small),
+        ar_m=_fmt(summary.ar_medium),
+        ar_l=_fmt(summary.ar_large),
+        ap=_fmt(summary.ap),
+        ap_s=_fmt(summary.ap_small),
+        ap_m=_fmt(summary.ap_medium),
+        ap_l=_fmt(summary.ap_large),
+    )
+    _write_csv(out / "summary.csv", list(row), [row])
+
+
 def run_pilot_merging(
     config: ExperimentConfig,
     seeds: Sequence[int],
@@ -238,14 +254,12 @@ def _write_run_artifacts(
         ],
     )
     for rnd, matrix in zip(result.mac_report.rounds, result.mac_report.matrices):
-        n = matrix.shape[0]
-        with open(out / f"angles_round_{rnd}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["prompt"] + [str(i) for i in range(n)])
-            for i in range(n):
-                writer.writerow(
-                    [str(i)] + [f"{math.degrees(matrix[i, j]):.6f}" for j in range(n)]
-                )
+        header = ["prompt", *map(str, range(len(matrix)))]
+        rows = [
+            dict(zip(header, [str(i), *(_fmt(math.degrees(a)) for a in row)]))
+            for i, row in enumerate(matrix.tolist())
+        ]
+        _write_csv(out / f"angles_round_{rnd}.csv", header, rows)
     loss_rows = []
     for stats in result.round_stats:
         for epoch, breakdown in enumerate(stats.epoch_losses, start=1):
@@ -282,7 +296,7 @@ def _write_run_artifacts(
         ["expansion", "prompt_id", "count", "frequency"],
         act_rows,
     )
-    result.tree.save(out / "tree.json")
+    _write_json(out / "tree.json", result.tree.to_dict())
 
     _write_json(out / "detections.json", detections_to_coco(result.final_detections))
     gts = GroundTruthSet.from_world(world)
@@ -440,8 +454,7 @@ def run_eval_only(
         dets = dets.take(np.argsort(dets.scene_ids, kind="stable"))
     by_scene = dets.split()
     summary = evaluate(by_scene, gts, max_dets)
-    summary.write_json(out / "summary.json")
-    summary.write_csv(out / "summary.csv")
+    _write_summary(out, summary)
     settings = {
         "merge": merge,
         "nms_sigma": nms_sigma,

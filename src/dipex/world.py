@@ -1,22 +1,30 @@
 """Synthetic ground-truth world: clustered semantic embeddings on the unit
 sphere plus scenes of non-overlapping boxes in a COCO-like small/medium/large
 mix.  Everything is drawn from one seeded generator so a config reproduces
-the world bit for bit, and the whole thing round-trips through JSON.
+the world bit for bit.
 
+A ``World`` is read-only arrays.  Objects are rows, and the row index is the
+object id: unit embeddings, xyxy boxes, cluster ids and size classes.
+Scenes are the rows of ``object_ids``, each listing its objects' ids and
+padded with -1 to the widest scene; the row index is the scene id.
 ``generate_world`` draws and computes in arrays, in the float order of a
 per-object loop (kept as the reference in tests/reference_world.py), so
-both build the same bytes.  A world's embedding matrix and its packed
-scenes (``detector.pack_world``) are derived once and cached on it.
+both build the same bytes.  A world's packed scenes (``detector.pack_world``)
+are derived once per seed and cached on it.  There is no file format for a
+world: the JSON round trip lives beside that reference, in tests/.
+
+``objects`` is the same world as one ``WorldObject`` per object, built on
+first access.  Nothing in the package reads it; it stays while the
+benchmark's scaling script reads embeddings through it.
 
 ``WorldConfig`` lives in ``dipex.config`` and is re-exported here.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +36,9 @@ from .geometry import normalize  # noqa: F401
 
 @dataclass(frozen=True)
 class WorldObject:
+    """One object of ``World.objects``; ``embedding`` is a row of the
+    world's embedding matrix."""
+
     id: int
     cluster_id: int
     embedding: np.ndarray
@@ -35,91 +46,32 @@ class WorldObject:
     size_class: str
 
 
-@dataclass(frozen=True)
-class Scene:
-    id: int
-    width: int
-    height: int
-    object_ids: tuple[int, ...]
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class World:
     config: WorldConfig
     cluster_centers: np.ndarray  # (num_clusters, dim)
-    objects: list[WorldObject]
-    scenes: list[Scene]
-    _embeddings: np.ndarray | None = field(default=None, repr=False)
+    embeddings: np.ndarray       # (N, dim) unit rows
+    boxes: np.ndarray            # (N, 4) xyxy
+    cluster_ids: np.ndarray      # (N,)
+    size_classes: np.ndarray     # (N,) "S", "M" or "L"
+    object_ids: np.ndarray       # (S, W) each scene's object ids, -1 marks padding
+    scene_sizes: np.ndarray      # (S, 2) width, height
     # detector.pack_world's SceneArrays, one per shift-direction seed
-    _packs: dict = field(default_factory=dict, repr=False, compare=False)
+    _packs: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def embeddings(self) -> np.ndarray:
-        """(num_objects, dim) matrix, row index == object id."""
-        if self._embeddings is None:
-            self._embeddings = np.stack([o.embedding for o in self.objects])
-        return self._embeddings
+    def __post_init__(self) -> None:
+        for array in (self.cluster_centers, self.embeddings, self.boxes, self.cluster_ids,
+                      self.size_classes, self.object_ids, self.scene_sizes):
+            array.setflags(write=False)
 
-    def scene_objects(self, scene: Scene) -> list[WorldObject]:
-        return [self.objects[i] for i in scene.object_ids]
-
-    def to_dict(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "cluster_centers": self.cluster_centers.tolist(),
-            "objects": [
-                {
-                    "id": o.id,
-                    "cluster_id": o.cluster_id,
-                    "embedding": o.embedding.tolist(),
-                    "bbox": list(o.bbox.as_tuple()),
-                    "size_class": o.size_class,
-                }
-                for o in self.objects
-            ],
-            "scenes": [
-                {
-                    "id": s.id,
-                    "width": s.width,
-                    "height": s.height,
-                    "object_ids": list(s.object_ids),
-                }
-                for s in self.scenes
-            ],
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "World":
-        raw = dict(data["config"])
-        raw["size_mix"] = tuple(raw["size_mix"])
-        config = WorldConfig(**raw)
-        objects = [
-            WorldObject(
-                id=o["id"],
-                cluster_id=o["cluster_id"],
-                embedding=np.asarray(o["embedding"], dtype=float),
-                bbox=BBox(*o["bbox"]),
-                size_class=o["size_class"],
-            )
-            for o in data["objects"]
-        ]
-        scenes = [
-            Scene(s["id"], s["width"], s["height"], tuple(s["object_ids"]))
-            for s in data["scenes"]
-        ]
-        return World(
-            config=config,
-            cluster_centers=np.asarray(data["cluster_centers"], dtype=float),
-            objects=objects,
-            scenes=scenes,
+    @cached_property
+    def objects(self) -> tuple[WorldObject, ...]:
+        """One ``WorldObject`` per object, in id order, built on first access."""
+        rows = zip(self.cluster_ids.tolist(), self.boxes.tolist(), self.size_classes.tolist())
+        return tuple(
+            WorldObject(i, cid, self.embeddings[i], BBox(*box), cls)
+            for i, (cid, box, cls) in enumerate(rows)
         )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True))
-
-    @staticmethod
-    def load(path: str | Path) -> "World":
-        return World.from_dict(json.loads(Path(path).read_text()))
 
 
 def _size_counts(config: WorldConfig, total: int) -> list[str]:
@@ -159,7 +111,6 @@ def generate_world(config: WorldConfig) -> World:
     # normalize() of each row once more: one dot per row, then sqrt, then a
     # divide (a batched sum of squares would round differently)
     embeddings /= np.sqrt([row.dot(row) for row in embeddings])[:, None]
-    embeddings.setflags(write=False)
 
     size_class = np.empty(total, dtype="<U1")
     size_class[rng.permutation(total)] = _size_counts(config, total)
@@ -187,11 +138,6 @@ def generate_world(config: WorldConfig) -> World:
     boxes = np.empty((total, 4))
     boxes[placed] = np.stack([x0, y0, x0 + w, y0 + h], axis=1)
 
-    attributes = zip(cluster_ids.tolist(), boxes.tolist(), size_class.tolist())
-    objects = [
-        WorldObject(id=i, cluster_id=cid, embedding=embeddings[i], bbox=BBox(*box), size_class=cls)
-        for i, (cid, box, cls) in enumerate(attributes)
-    ]
-    members = placed.reshape(config.num_scenes, config.objects_per_scene).tolist()
-    scenes = [Scene(s, config.width, config.height, tuple(ids)) for s, ids in enumerate(members)]
-    return World(config, centers, objects, scenes, _embeddings=embeddings)
+    members = placed.reshape(config.num_scenes, config.objects_per_scene)
+    sizes = np.tile([config.width, config.height], (config.num_scenes, 1))
+    return World(config, centers, embeddings, boxes, cluster_ids, size_class, members, sizes)

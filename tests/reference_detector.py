@@ -29,6 +29,8 @@ from dipex.detector import (
 )
 from dipex.geometry import normalize
 
+from reference_world import scene_objects, scenes_of
+
 
 @dataclass(frozen=True)
 class Detection:
@@ -89,7 +91,7 @@ def pair_scores(scene, prompts, params: DetectorParams, world):
     """(prompt_ids, logits, scores) of every (prompt, object) pair of one
     scene, shaped (n_prompts, n_objects), without penalty or noise."""
     ids, mat = _prompt_matrix(prompts)
-    emb = np.stack([o.embedding for o in world.scene_objects(scene)])
+    emb = np.stack([o.embedding for o in scene_objects(world, scene)])
     logits = params.logit_scale * np.clip(mat @ emb.T, -1.0, 1.0) + params.logit_bias
     return ids, logits, sigmoid(logits)
 
@@ -99,7 +101,7 @@ def candidate_detections(scene, prompts, params: DetectorParams, world, seed: in
     ids, _, scores = pair_scores(scene, prompts, params, world)
     out = []
     for pi, pid in enumerate(ids):
-        for oi, obj in enumerate(world.scene_objects(scene)):
+        for oi, obj in enumerate(scene_objects(world, scene)):
             s = float(scores[pi, oi])
             box = noisy_box(obj.bbox, s, scene, obj.id, params, seed)
             out.append(Detection(scene.id, box, s, pid, obj.id))
@@ -162,7 +164,7 @@ def detect_scene(scene, prompts, mode: QueryMode, params: DetectorParams, world,
     """One scene through the detector, pair by pair, under either policy."""
     ids, mat = _prompt_matrix(prompts)
     _, _, scores = pair_scores(scene, prompts, params, world)
-    objects = world.scene_objects(scene)
+    objects = scene_objects(world, scene)
     dets: list[Detection] = []
     if mode is QueryMode.QUERY_MERGING:
         merged = scores * _unit_overlap_penalty(mat, params)
@@ -186,7 +188,7 @@ def detect_scene(scene, prompts, mode: QueryMode, params: DetectorParams, world,
 
 
 def detect_world(world, prompts, mode: QueryMode, params: DetectorParams, seed: int = 0) -> dict[int, list[Detection]]:
-    return {scene.id: detect_scene(scene, prompts, mode, params, world, seed) for scene in world.scenes}
+    return {scene.id: detect_scene(scene, prompts, mode, params, world, seed) for scene in scenes_of(world)}
 
 
 @dataclass(frozen=True)
@@ -240,7 +242,7 @@ def activation_counts(tree, labels, world, params: DetectorParams, iou_min: floa
     """(counts by prompt id, total) of responsibility over every candidate."""
     items = tree.prompt_items()
     dets = []
-    for scene in world.scenes:
+    for scene in scenes_of(world):
         dets.extend(candidate_detections(scene, items, params, world, seed))
     assignments, _ = assign_responsibility(dets, labels, iou_min)
     counts = {nid: 0 for nid, _ in items}

@@ -28,6 +28,8 @@ from dipex.detector import _noise_direction, candidate_detections
 from dipex.dispersion import combine
 from dipex.expansion import RoundStats, _BatchTally, _mean_breakdown, _round_data
 
+from reference_world import scene_objects, scenes_of
+
 
 def cxcywh(box: BBox) -> tuple[float, float, float, float]:
     cx, cy = 0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)
@@ -84,8 +86,8 @@ class SceneData:
 
 def scene_data(world, labels, seed: int) -> dict[int, SceneData]:
     out = {}
-    for scene in world.scenes:
-        objs = world.scene_objects(scene)
+    for scene in scenes_of(world):
+        objs = scene_objects(world, scene)
         gt = np.array([o.bbox.as_tuple() for o in objs], dtype=float)
         scene_labels = [l for l in labels if l.scene_id == scene.id]
         lab = (

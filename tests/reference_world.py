@@ -1,15 +1,24 @@
-"""Scalar reference for the array world generator.
+"""Scalar reference for the array world generator, and a world's records.
 
-This is the per-object loop that `world.generate_world` replaced: the
+`records` is the per-object loop that `world.generate_world` replaced: the
 embeddings drawn one cluster at a time and re-normalized one object at a
 time with `geometry.normalize`, and every box drawn by four scalar
 `Generator.uniform` calls in `sample_box`.  It is kept here only to
 cross-check the generator, which must reproduce its bytes exactly.
+
+The package keeps a world as arrays.  Tests that read or build it one
+object or one scene at a time use the records here: `pack` turns
+`WorldObject`s and `Scene`s into a `World`, `scenes_of` and
+`scene_objects` read them back, and `save` and `load` round-trip a world
+through JSON.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -20,12 +29,98 @@ from dipex.world import (
     _ASPECT_LO,
     _EDGE_EPS,
     _SIDE_RANGES,
-    Scene,
     World,
     WorldConfig,
     WorldObject,
     _size_counts,
 )
+
+
+@dataclass(frozen=True)
+class Scene:
+    id: int
+    width: int
+    height: int
+    object_ids: tuple[int, ...]
+
+
+def pack(config: WorldConfig, cluster_centers: np.ndarray, objects, scenes) -> World:
+    """The ``World`` of per-object records.  Object ids and scene ids must
+    count up from 0 in list order, because each is its row index."""
+    assert [o.id for o in objects] == list(range(len(objects)))
+    assert [s.id for s in scenes] == list(range(len(scenes)))
+    object_ids = np.full((len(scenes), max(len(s.object_ids) for s in scenes)), -1)
+    for row, scene in enumerate(scenes):
+        object_ids[row, : len(scene.object_ids)] = scene.object_ids
+    return World(
+        config,
+        cluster_centers,
+        embeddings=np.stack([o.embedding for o in objects]),
+        boxes=np.array([o.bbox.as_tuple() for o in objects]).reshape(-1, 4),
+        cluster_ids=np.array([o.cluster_id for o in objects]),
+        size_classes=np.array([o.size_class for o in objects], dtype="<U1"),
+        object_ids=object_ids,
+        scene_sizes=np.array([(s.width, s.height) for s in scenes]),
+    )
+
+
+def scenes_of(world: World) -> list[Scene]:
+    """The world's scenes as records, in id order, padding dropped."""
+    rows = zip(world.scene_sizes.tolist(), world.object_ids.tolist())
+    return [
+        Scene(sid, width, height, tuple(i for i in ids if i >= 0))
+        for sid, ((width, height), ids) in enumerate(rows)
+    ]
+
+
+def scene_objects(world: World, scene: Scene) -> list[WorldObject]:
+    return [world.objects[i] for i in scene.object_ids]
+
+
+def to_dict(world: World) -> dict:
+    return {
+        "config": asdict(world.config),
+        "cluster_centers": world.cluster_centers.tolist(),
+        "objects": [
+            {
+                "id": o.id,
+                "cluster_id": o.cluster_id,
+                "embedding": o.embedding.tolist(),
+                "bbox": list(o.bbox.as_tuple()),
+                "size_class": o.size_class,
+            }
+            for o in world.objects
+        ],
+        "scenes": [
+            {"id": s.id, "width": s.width, "height": s.height, "object_ids": list(s.object_ids)}
+            for s in scenes_of(world)
+        ],
+    }
+
+
+def from_dict(data: dict) -> World:
+    raw = dict(data["config"])
+    raw["size_mix"] = tuple(raw["size_mix"])
+    objects = [
+        WorldObject(
+            id=o["id"],
+            cluster_id=o["cluster_id"],
+            embedding=np.asarray(o["embedding"], dtype=float),
+            bbox=BBox(*o["bbox"]),
+            size_class=o["size_class"],
+        )
+        for o in data["objects"]
+    ]
+    scenes = [Scene(s["id"], s["width"], s["height"], tuple(s["object_ids"])) for s in data["scenes"]]
+    return pack(WorldConfig(**raw), np.asarray(data["cluster_centers"], dtype=float), objects, scenes)
+
+
+def save(world: World, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(to_dict(world), sort_keys=True))
+
+
+def load(path: str | Path) -> World:
+    return from_dict(json.loads(Path(path).read_text()))
 
 
 def sample_box(
@@ -45,6 +140,11 @@ def sample_box(
 
 
 def generate_world(config: WorldConfig) -> World:
+    return pack(config, *records(config))
+
+
+def records(config: WorldConfig) -> tuple[np.ndarray, list[WorldObject], list[Scene]]:
+    """(cluster centers, objects, scenes) of the world ``config`` describes."""
     rng = np.random.default_rng(config.seed)
     total = config.num_clusters * config.objects_per_cluster
 
@@ -95,4 +195,4 @@ def generate_world(config: WorldConfig) -> World:
         )
         for i in range(total)
     ]
-    return World(config=config, cluster_centers=centers, objects=objects, scenes=scenes)
+    return centers, objects, scenes

@@ -12,23 +12,24 @@ from reference_detector import translate
 
 
 def test_l1_identical_boxes_is_zero():
-    b = BBox(10.0, 20.0, 50.0, 60.0)
+    b = BBox(10.0, 20.0, 50.0, 60.0).as_tuple()
     assert l1_box_loss(b, b, 100.0, 100.0) == 0.0
 
 
 def test_l1_unit_shift_in_every_center_size_coordinate():
     # target (cx, cy, w, h) = (5, 5, 10, 10); pred adds one pixel to each
-    target = BBox(0.0, 0.0, 10.0, 10.0)
-    pred = BBox(0.5, 0.5, 11.5, 11.5)  # (6, 6, 11, 11)
+    target = BBox(0.0, 0.0, 10.0, 10.0).as_tuple()
+    pred = BBox(0.5, 0.5, 11.5, 11.5).as_tuple()  # (6, 6, 11, 11)
     assert l1_box_loss(pred, target, 100.0, 100.0) == pytest.approx(0.01, abs=1e-12)
 
 
 def test_l1_symmetric_and_axis_normalized():
     a = BBox(0.0, 0.0, 10.0, 10.0)
-    b = BBox(4.0, 6.0, 18.0, 30.0)
-    assert l1_box_loss(a, b, 200.0, 50.0) == l1_box_loss(b, a, 200.0, 50.0)
+    b = BBox(4.0, 6.0, 18.0, 30.0).as_tuple()
     # pure vertical shift scales with image height only
-    shifted = translate(a, 0.0, 10.0)
+    shifted = translate(a, 0.0, 10.0).as_tuple()
+    a = a.as_tuple()
+    assert l1_box_loss(a, b, 200.0, 50.0) == l1_box_loss(b, a, 200.0, 50.0)
     assert l1_box_loss(shifted, a, 100.0, 50.0) == pytest.approx(
         (10.0 / 50.0) / 4.0
     )
@@ -37,18 +38,15 @@ def test_l1_symmetric_and_axis_normalized():
 
 
 def test_giou_closed_forms():
-    assert giou(BBox(0.0, 0.0, 1.0, 1.0), BBox(0.0, 0.0, 1.0, 1.0)) == 1.0
+    unit, far = BBox(0.0, 0.0, 1.0, 1.0).as_tuple(), BBox(2.0, 2.0, 3.0, 3.0).as_tuple()
+    assert giou(unit, unit) == 1.0
     # disjoint unit boxes with a 3x3 hull: 0 - (9 - 2)/9
-    assert giou(BBox(0.0, 0.0, 1.0, 1.0), BBox(2.0, 2.0, 3.0, 3.0)) == pytest.approx(
-        -7.0 / 9.0, abs=1e-9
-    )
-    assert giou_loss(BBox(0.0, 0.0, 1.0, 1.0), BBox(2.0, 2.0, 3.0, 3.0)) == pytest.approx(
-        1.0 + 7.0 / 9.0, abs=1e-9
-    )
+    assert giou(unit, far) == pytest.approx(-7.0 / 9.0, abs=1e-9)
+    assert giou_loss(unit, far) == pytest.approx(1.0 + 7.0 / 9.0, abs=1e-9)
 
 
 def test_giou_degenerate_hull_returns_zero():
-    point = BBox(3.0, 3.0, 3.0, 3.0)
+    point = BBox(3.0, 3.0, 3.0, 3.0).as_tuple()
     assert giou(point, point) == 0.0
 
 
@@ -65,10 +63,10 @@ def proper_boxes(draw):
 
 @given(proper_boxes(), proper_boxes())
 def test_giou_bounds_and_relation_to_iou(a, b):
-    g = giou(a, b)
+    g = giou(a.as_tuple(), b.as_tuple())
     assert -1.0 <= g <= 1.0 + 1e-12
     assert g <= iou(a, b) + 1e-12
-    assert giou(a, b) == giou(b, a)
+    assert g == giou(b.as_tuple(), a.as_tuple())
 
 
 def test_focal_frozen_value_at_even_odds():
@@ -153,8 +151,8 @@ def test_box_losses_vectorized_match_scalar_formulas(pairs):
     for i, (p, t) in enumerate(pairs):
         assert l1[i] == reference_train.l1_box_loss(p, t, 640.0, 480.0)
         assert g[i] == reference_train.giou_loss(p, t)
-        assert type(l1_box_loss(p, t, 640.0, 480.0)) is float
-        assert type(giou_loss(p, t)) is float
+        assert type(l1_box_loss(p.as_tuple(), t.as_tuple(), 640.0, 480.0)) is float
+        assert type(giou_loss(p.as_tuple(), t.as_tuple())) is float
 
 
 def test_box_losses_flag_degenerate_boxes(caplog):

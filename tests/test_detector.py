@@ -20,9 +20,9 @@ from dipex.detector import (
     sigmoid,
 )
 from dipex.geometry import angular_distance, normalize
-from dipex.world import Scene, World
 
 import reference_detector as ref
+import reference_world
 from conftest import as_arrays, rows_of
 from reference_detector import clip, noisy_box, pair_scores, raw_logit
 
@@ -34,7 +34,7 @@ def detect_scene(scene, prompts, mode, params, world, seed=0):
 
 def object_prompts(world, scene):
     """One prompt aimed exactly at each object in the scene."""
-    return [(i, obj.embedding) for i, obj in enumerate(world.scene_objects(scene))]
+    return [(i, obj.embedding) for i, obj in enumerate(reference_world.scene_objects(world, scene))]
 
 
 def test_params_validation():
@@ -77,8 +77,8 @@ def test_overlap_penalty_closed_forms(default_params):
 
 
 def test_noisy_box_magnitude_and_determinism(small_world, default_params):
-    scene = small_world.scenes[0]
-    obj = small_world.scene_objects(scene)[0]
+    scene = reference_world.scenes_of(small_world)[0]
+    obj = reference_world.scene_objects(small_world, scene)[0]
     exact = noisy_box(obj.bbox, 1.0, scene, obj.id, default_params, seed=0)
     assert exact == clip(obj.bbox, scene.width, scene.height)
     moved = noisy_box(obj.bbox, 0.5, scene, obj.id, default_params, seed=0)
@@ -95,10 +95,10 @@ def test_noisy_box_magnitude_and_determinism(small_world, default_params):
 
 
 def test_pair_scores_matches_scalar_logits(small_world, default_params):
-    scene = small_world.scenes[0]
+    scene = reference_world.scenes_of(small_world)[0]
     prompts = object_prompts(small_world, scene)
     ids, logits, scores = pair_scores(scene, prompts, default_params, small_world)
-    objs = small_world.scene_objects(scene)
+    objs = reference_world.scene_objects(small_world, scene)
     assert logits.shape == (len(prompts), len(objs))
     for pi, (pid, vec) in enumerate(prompts):
         for oi, obj in enumerate(objs):
@@ -109,14 +109,14 @@ def test_pair_scores_matches_scalar_logits(small_world, default_params):
 
 
 def test_candidate_detections_keep_every_pair(small_world, default_params):
-    scene = small_world.scenes[0]
+    scene = reference_world.scenes_of(small_world)[0]
     prompts = object_prompts(small_world, scene)
     # aim one prompt away from everything so some scores fall below threshold
-    prompts.append((len(prompts), -small_world.scene_objects(scene)[0].embedding))
+    prompts.append((len(prompts), -reference_world.scene_objects(small_world, scene)[0].embedding))
     unit = np.stack([normalize(vec) for _, vec in prompts])
     scenes = pack_world(small_world, seed=0)
     _, _, scores, boxes = candidate_detections(scenes, unit, default_params)
-    shape = (len(small_world.scenes), len(prompts), len(scene.object_ids))
+    shape = (small_world.config.num_scenes, len(prompts), len(scene.object_ids))
     assert scores.shape == shape and boxes.shape == shape + (4,)
     # candidates ignore the score threshold on purpose
     assert scores[0].min() < default_params.score_threshold
@@ -135,8 +135,8 @@ def test_pack_is_built_once_per_seed_and_read_only(small_world):
 
 
 def test_duplicate_prompt_ids_rejected(small_world, default_params):
-    scene = small_world.scenes[0]
-    vec = small_world.objects[0].embedding
+    scene = reference_world.scenes_of(small_world)[0]
+    vec = small_world.embeddings[0]
     for mode in QueryMode:
         with pytest.raises(ValueError):
             detect_world(small_world, [(1, vec), (1, vec)], mode, default_params)
@@ -145,8 +145,8 @@ def test_duplicate_prompt_ids_rejected(small_world, default_params):
 
 
 def test_single_prompt_modes_agree(small_world, default_params):
-    scene = small_world.scenes[0]
-    prompts = [(0, small_world.scene_objects(scene)[0].embedding)]
+    scene = reference_world.scenes_of(small_world)[0]
+    prompts = [(0, reference_world.scene_objects(small_world, scene)[0].embedding)]
     qm = detect_scene(scene, prompts, QueryMode.QUERY_MERGING, default_params, small_world)
     pm = detect_scene(
         scene, prompts, QueryMode.PREDICTION_MERGING, default_params, small_world
@@ -156,8 +156,8 @@ def test_single_prompt_modes_agree(small_world, default_params):
 
 
 def test_query_merging_applies_penalty_uniformly(small_world, default_params):
-    scene = small_world.scenes[0]
-    vec = small_world.scene_objects(scene)[0].embedding
+    scene = reference_world.scenes_of(small_world)[0]
+    vec = reference_world.scene_objects(small_world, scene)[0].embedding
     solo = detect_scene(
         scene, [(0, vec)], QueryMode.QUERY_MERGING, default_params, small_world
     )
@@ -171,8 +171,8 @@ def test_query_merging_applies_penalty_uniformly(small_world, default_params):
 
 
 def test_prediction_merging_suppresses_duplicates(small_world, default_params):
-    scene = small_world.scenes[0]
-    vec = small_world.scene_objects(scene)[0].embedding
+    scene = reference_world.scenes_of(small_world)[0]
+    vec = reference_world.scene_objects(small_world, scene)[0].embedding
     # the decayed duplicate scores at most e^-2, under the default threshold
     params = dataclasses.replace(default_params, score_threshold=0.01)
     dets = detect_scene(
@@ -191,7 +191,7 @@ def test_prediction_merging_suppresses_duplicates(small_world, default_params):
 
 
 def test_detections_sorted_thresholded_capped(small_world, default_params):
-    scene = small_world.scenes[0]
+    scene = reference_world.scenes_of(small_world)[0]
     prompts = object_prompts(small_world, scene)
     for mode in QueryMode:
         dets = detect_scene(scene, prompts, mode, default_params, small_world)
@@ -206,7 +206,7 @@ def test_detect_world_covers_every_scene(small_world, default_params):
     by_scene = detect_world(
         small_world, prompts, QueryMode.PREDICTION_MERGING, default_params
     )
-    assert sorted(by_scene) == [s.id for s in small_world.scenes]
+    assert sorted(by_scene) == list(range(small_world.config.num_scenes))
     assert all((d.scene_ids == sid).all() for sid, d in by_scene.items())
     rerun = detect_world(
         small_world, prompts, QueryMode.PREDICTION_MERGING, default_params
@@ -341,16 +341,17 @@ def _crowded(world, rng):
         x, y = rng.uniform(0.0, 60.0, size=2)
         w, h = rng.uniform(10.0, 80.0, size=2)
         objects.append(dataclasses.replace(obj, bbox=BBox(x, y, x + w, y + h)))
-    return World(world.config, world.cluster_centers, objects, world.scenes)
+    scenes = reference_world.scenes_of(world)
+    return reference_world.pack(world.config, world.cluster_centers, objects, scenes)
 
 
 def _ragged(world, rng):
     """The same world with objects dropped from some scenes."""
     scenes = [
-        Scene(s.id, s.width, s.height, s.object_ids[: int(rng.integers(1, len(s.object_ids) + 1))])
-        for s in world.scenes
+        dataclasses.replace(s, object_ids=s.object_ids[: int(rng.integers(1, len(s.object_ids) + 1))])
+        for s in reference_world.scenes_of(world)
     ]
-    return World(world.config, world.cluster_centers, world.objects, scenes)
+    return reference_world.pack(world.config, world.cluster_centers, world.objects, scenes)
 
 
 @settings(max_examples=20, deadline=None)

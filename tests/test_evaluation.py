@@ -14,6 +14,7 @@ from dipex.evaluation import (
     load_coco_detections,
     load_coco_ground_truth,
 )
+from dipex.experiments import _write_summary
 
 from conftest import assert_matches_reference, det_arrays, gt_arrays, random_eval_instance, rows_of
 from reference_eval import reference_evaluate
@@ -265,14 +266,11 @@ def test_summary_accessors_and_monotonic_guard():
 def test_summary_files(tmp_path):
     gts = gt_arrays({0: [gt_row(square(0, 0, 20))]}, [0])
     summary = evaluate(make_dets({0: [(square(0, 0, 20), 0.9)]}), gts)
-    jpath = tmp_path / "summary.json"
-    summary.write_json(jpath)
-    doc = json.loads(jpath.read_text())
+    _write_summary(tmp_path, summary)
+    doc = json.loads((tmp_path / "summary.json").read_text())
     assert doc["ap"] == 1.0
     assert doc["ap_large"] is None
-    cpath = tmp_path / "summary.csv"
-    summary.write_csv(cpath)
-    text = cpath.read_text()
+    text = (tmp_path / "summary.csv").read_text()
     lines = text.strip().split("\n")
     assert lines[0].startswith("ar_1,")
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
@@ -283,7 +281,7 @@ def test_summary_files(tmp_path):
 
 def test_coco_round_trip(small_world):
     gts = GroundTruthSet.from_world(small_world)
-    assert gts.num_annotations == len(small_world.objects)
+    assert gts.num_annotations == len(small_world.boxes)
     doc = gts.to_coco()
     # a crowd region whose explicit area is not its box's, listed last but
     # read back after the other rows of the first scene
@@ -495,7 +493,7 @@ def test_ground_truth_arrays_are_built_once_and_read_only(small_world):
     for array in arrays:
         assert not array.flags.writeable
     # one hit per scene: its first object's box
-    dets = det_arrays({s.id: [box[i, 0].tolist() + [0.9]] for i, s in enumerate(small_world.scenes)})
+    dets = det_arrays({sid: [box[sid, 0].tolist() + [0.9]] for sid in range(len(box))})
     first = evaluate(dets, gts)
     assert gts.arrays is arrays
     assert evaluate(dets, gts) == first

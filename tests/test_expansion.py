@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,11 +22,12 @@ from dipex.expansion import (
     select_parent,
     train_round,
 )
-from dipex.experiments import ExperimentConfig
+from dipex.experiments import ExperimentConfig, _write_json
 from dipex.geometry import angular_distance, mac, normalize
 from dipex.pseudo_labels import build_pseudo_labels
 
 import reference_detector as ref
+import reference_world
 from conftest import all_labels, as_arrays, rows_of
 from reference_detector import PseudoLabel
 
@@ -88,8 +90,8 @@ def test_tree_round_trips_through_json(tmp_path):
     tree = PromptTree.from_root(normalize(np.arange(1.0, 9.0)))
     expand(tree, 0, FAST, np.random.default_rng(0))
     path = tmp_path / "tree.json"
-    tree.save(path)
-    loaded = PromptTree.load(path)
+    _write_json(path, tree.to_dict())
+    loaded = PromptTree.from_dict(json.loads(path.read_text()))
     assert loaded.to_dict() == tree.to_dict()
     assert loaded.round_index == tree.round_index
     assert loaded.parent_queue == tree.parent_queue
@@ -186,7 +188,7 @@ def test_candidate_grid_matches_public_detector(tiny_world, default_params):
     V = np.stack([vec for _, vec in prompts])
     unit = V / np.linalg.norm(V, axis=1, keepdims=True)
     packed = pack_world(tiny_world, seed=0)
-    scenes = sorted(tiny_world.scenes, key=lambda s: s.id)
+    scenes = reference_world.scenes_of(tiny_world)
     _, _, scores, boxes = candidate_detections(packed, unit, default_params)
     for row, scene in enumerate(scenes):
         dets = ref.candidate_detections(scene, prompts, default_params, tiny_world, seed=0)

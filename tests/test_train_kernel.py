@@ -22,8 +22,9 @@ from dipex.expansion import (
 )
 from dipex.geometry import normalize
 from dipex.pseudo_labels import PseudoLabelSet
-from dipex.world import Scene, World
+from dipex.world import World
 
+import reference_world
 from conftest import all_labels, as_arrays
 from reference_detector import PseudoLabel, clip
 from reference_train import reference_batch, reference_round, scene_data
@@ -35,10 +36,10 @@ CONFIG = ExpansionConfig()
 def ragged(world: World, rng: np.random.Generator) -> World:
     """The same world with a random number of objects dropped per scene."""
     scenes = []
-    for scene in world.scenes:
+    for scene in reference_world.scenes_of(world):
         keep = int(rng.integers(1, len(scene.object_ids) + 1))
-        scenes.append(Scene(scene.id, scene.width, scene.height, scene.object_ids[:keep]))
-    return World(world.config, world.cluster_centers, world.objects, scenes)
+        scenes.append(replace(scene, object_ids=scene.object_ids[:keep]))
+    return reference_world.pack(world.config, world.cluster_centers, world.objects, scenes)
 
 
 def random_labels(world: World, rng: np.random.Generator) -> PseudoLabelSet:
@@ -46,8 +47,8 @@ def random_labels(world: World, rng: np.random.Generator) -> PseudoLabelSet:
     candidate can match, shuffled across scenes.  The lowest scene id gets
     no labels at all."""
     out = []
-    for scene in sorted(world.scenes, key=lambda s: s.id)[1:]:
-        for obj in world.scene_objects(scene):
+    for scene in reference_world.scenes_of(world)[1:]:
+        for obj in reference_world.scene_objects(world, scene):
             if rng.random() < 0.7:
                 x0, y0, x1, y1 = obj.bbox.as_tuple()
                 dx, dy = rng.uniform(-0.1, 0.1, size=2) * (x1 - x0)
@@ -82,7 +83,7 @@ def test_batch_step_matches_per_label_reference(tiny_world, small_world, seed, w
     # Exact ties survive only where both sides multiply same-shaped matrices.
     V = random_prompts(world, rng, tie=not is_ragged and rng.random() < 0.5)
     trainable = rng.random(V.shape[0]) < 0.7
-    ids = np.array(sorted(s.id for s in world.scenes))
+    ids = np.arange(world.config.num_scenes)
     rows = rng.permutation(ids.size)[: int(rng.integers(1, ids.size + 1))]
     rows = np.union1d(rows, [0]) if rng.random() < 0.5 else rows
     # one epoch's worth of batches, in the order given; scene 0 has no

@@ -1,14 +1,18 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dipex.boxes import intersection_area, size_class_from_area
-from dipex.world import World, WorldConfig, generate_world
+from dipex.detector import QueryMode, detect_each, detect_world, pack_world
+from dipex.evaluation import GroundTruthSet, evaluate
+from dipex.expansion import ExpansionConfig, PromptTree, bootstrap_labels, train_round
+from dipex.geometry import normalize
+from dipex.world import WorldConfig, WorldObject, generate_world
 
 import reference_world
-from conftest import SMALL_WORLD
+from conftest import SMALL_WORLD, TINY_WORLD
 
 
 def test_config_validation():
@@ -37,22 +41,21 @@ def test_generation_is_deterministic():
     a = generate_world(SMALL_WORLD)
     b = generate_world(SMALL_WORLD)
     assert np.array_equal(a.embeddings, b.embeddings)
-    assert [o.bbox for o in a.objects] == [o.bbox for o in b.objects]
-    assert a.scenes == b.scenes
+    assert np.array_equal(a.boxes, b.boxes)
+    assert np.array_equal(a.object_ids, b.object_ids)
     c = generate_world(replace(SMALL_WORLD, seed=999))
     assert not np.array_equal(a.embeddings, c.embeddings)
 
 
 def test_every_object_placed_exactly_once(small_world):
-    seen = [oid for scene in small_world.scenes for oid in scene.object_ids]
-    assert sorted(seen) == list(range(len(small_world.objects)))
-    for scene in small_world.scenes:
-        assert len(scene.object_ids) == small_world.config.objects_per_scene
+    config = small_world.config
+    assert small_world.object_ids.shape == (config.num_scenes, config.objects_per_scene)
+    assert sorted(small_world.object_ids.ravel().tolist()) == list(range(len(small_world.boxes)))
 
 
 def test_boxes_inside_scene_and_disjoint(small_world):
-    for scene in small_world.scenes:
-        objs = small_world.scene_objects(scene)
+    for scene in reference_world.scenes_of(small_world):
+        objs = reference_world.scene_objects(small_world, scene)
         for obj in objs:
             assert 0.0 <= obj.bbox.x_min <= obj.bbox.x_max <= scene.width
             assert 0.0 <= obj.bbox.y_min <= obj.bbox.y_max <= scene.height
@@ -65,14 +68,14 @@ def test_embeddings_unit_norm_and_clustered(small_world):
     norms = np.linalg.norm(small_world.embeddings, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-9)
     # with high concentration every member sits closest to its own center
-    for obj in small_world.objects:
-        sims = small_world.cluster_centers @ obj.embedding
-        assert int(np.argmax(sims)) == obj.cluster_id
+    sims = small_world.embeddings @ small_world.cluster_centers.T
+    assert np.array_equal(np.argmax(sims, axis=1), small_world.cluster_ids)
 
 
 def test_size_classes_follow_mix(small_world):
-    labels = [o.size_class for o in small_world.objects]
-    assert all(size_class_from_area(o.bbox.area) == o.size_class for o in small_world.objects)
+    labels = small_world.size_classes.tolist()
+    x0, y0, x1, y1 = small_world.boxes.T
+    assert [size_class_from_area(area) for area in ((x1 - x0) * (y1 - y0)).tolist()] == labels
     total = len(labels)
     counts = {cls: labels.count(cls) for cls in ("S", "M", "L")}
     for cls, frac in zip(("S", "M", "L"), small_world.config.size_mix):
@@ -82,33 +85,29 @@ def test_size_classes_follow_mix(small_world):
 
 def test_world_round_trips_through_json(tmp_path, small_world):
     path = tmp_path / "world.json"
-    small_world.save(path)
-    loaded = World.load(path)
+    reference_world.save(small_world, path)
+    loaded = reference_world.load(path)
     assert loaded.config == small_world.config
-    assert np.array_equal(loaded.embeddings, small_world.embeddings)
-    assert np.array_equal(loaded.cluster_centers, small_world.cluster_centers)
-    assert loaded.scenes == small_world.scenes
-    assert [o.bbox for o in loaded.objects] == [o.bbox for o in small_world.objects]
-    assert [o.size_class for o in loaded.objects] == [
-        o.size_class for o in small_world.objects
-    ]
+    assert _world_arrays(loaded) == _world_arrays(small_world)
 
 
 def test_scene_objects_preserve_order(small_world):
-    scene = small_world.scenes[0]
-    objs = small_world.scene_objects(scene)
-    assert tuple(o.id for o in objs) == scene.object_ids
+    scene = reference_world.scenes_of(small_world)[0]
+    objs = reference_world.scene_objects(small_world, scene)
+    assert [o.id for o in objs] == small_world.object_ids[0].tolist() == list(scene.object_ids)
 
 
 def _world_arrays(world):
     return (
         world.cluster_centers.tobytes(),
-        np.stack([o.embedding for o in world.objects]).tobytes(),
+        world.embeddings.shape,
         world.embeddings.tobytes(),
-        np.array([o.bbox.as_tuple() for o in world.objects]).tobytes(),
-        [o.size_class for o in world.objects],
-        [o.cluster_id for o in world.objects],
-        world.scenes,
+        world.boxes.shape,
+        world.boxes.tobytes(),
+        world.size_classes.tolist(),
+        world.cluster_ids.tolist(),
+        world.object_ids.tolist(),
+        world.scene_sizes.tolist(),
     )
 
 
@@ -145,5 +144,35 @@ def test_generate_world_matches_scalar_reference(
 
 def test_generated_embeddings_are_shared_and_read_only(small_world):
     assert all(np.shares_memory(o.embedding, small_world.embeddings) for o in small_world.objects)
-    with pytest.raises(ValueError):
-        small_world.embeddings[0, 0] = 0.0
+    for array in (small_world.cluster_centers, small_world.embeddings, small_world.boxes,
+                  small_world.cluster_ids, small_world.size_classes, small_world.object_ids,
+                  small_world.scene_sizes):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+
+
+def test_object_view_equals_reference_records(small_world):
+    _, objects, _ = reference_world.records(small_world.config)
+    for got, want in zip(small_world.objects, objects, strict=True):
+        for f in fields(WorldObject):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert type(a) is type(b)
+            assert a.tobytes() == b.tobytes() if f.name == "embedding" else a == b
+
+
+def test_no_package_path_builds_the_object_view(default_params):
+    """Detection, ground truth, evaluation and training read the world's
+    arrays; only the benchmark's scaling script builds ``objects``."""
+    world = generate_world(TINY_WORLD)
+    pack_world(world, seed=0)
+    gts = GroundTruthSet.from_world(world)
+    prompts = list(enumerate(world.cluster_centers))
+    for mode in QueryMode:
+        evaluate(detect_world(world, prompts, mode, default_params), gts)
+    detect_each(world, prompts, default_params)
+    config = ExpansionConfig(epochs_per_round=1)
+    labels = bootstrap_labels(list(world.cluster_centers), world, config, default_params)
+    tree = PromptTree.from_root(normalize(world.cluster_centers.sum(axis=0)))
+    train_round(tree, labels, world, config, default_params, np.random.default_rng(0))
+    assert "objects" not in vars(world)
+    assert world.objects and "objects" in vars(world)
