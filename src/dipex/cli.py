@@ -14,7 +14,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .config import ConfigError, load_experiment_config, with_seed
+from .config import DEFAULT_MAX_DETS, ConfigError, load_experiment_config, with_seed
 from .evaluation import CocoFormatError
 from .experiments import run_dipex, run_eval_only, run_pilot_merging, run_sweep
 from .pseudo_labels import EmptyPseudoLabels
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="soft-NMS the union when several detection files overlap",
     )
-    p.add_argument("--max-dets", type=int, nargs="+", default=[1, 10, 100])
+    p.add_argument("--max-dets", type=int, nargs="+", default=list(DEFAULT_MAX_DETS))
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--overwrite", action="store_true")
 

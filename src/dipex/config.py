@@ -48,7 +48,7 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "size_mix", tuple(self.size_mix))
+        object.__setattr__(self, "size_mix", tuple(map(float, self.size_mix)))  # YAML may give integers
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.num_clusters < 1 or self.objects_per_cluster < 1:
@@ -226,24 +226,53 @@ def _degrees_out(data: dict, angle_keys: Sequence[str]) -> dict:
     return data
 
 
+def is_whole(value) -> bool:
+    """A whole number: an int, or a float with no fraction, that fits in
+    int64; not a bool."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    return whole and not isinstance(value, bool) and -(2**63) <= value < 2**63
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# a field's declared type -> (the test its config value must pass, what that value is)
+_KINDS = {
+    "int": (is_whole, "an integer"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[float, float, float]": (
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v)),
+        "three numbers",
+    ),
+}
+
+
 def _build_section(name: str, data: dict):
     if not isinstance(data, dict):
         raise ConfigError(f"section '{name}' must be a mapping")
     cls, angles = _SECTIONS[name]
-    fields = {f.name for f in dataclasses.fields(cls)} - set(angles)
+    # config key -> (dataclass field, declared type); angles are read in degrees
+    keys = {f.name: (f.name, f.type) for f in dataclasses.fields(cls) if f.name not in angles}
+    keys.update({f"{field}_degrees": (field, "float") for field in angles})
     kwargs = {}
     for key, value in data.items():
-        if key.endswith("_degrees") and key.removesuffix("_degrees") in angles:
-            kwargs[key.removesuffix("_degrees")] = math.radians(float(value))
-        elif key in fields:
-            kwargs[key] = value
-        else:
+        if key not in keys:
             raise ConfigError(f"unknown key '{key}' in section '{name}'")
+        field, kind = keys[key]
+        fits, expected = _KINDS[kind]
+        if not fits(value):
+            raise ConfigError(f"section '{name}': '{key}' must be {expected}, got {value!r}")
+        if field in angles:
+            value = math.radians(value)
+        elif kind == "int":
+            value = int(value)  # a whole float, such as 640.0
+        kwargs[field] = value
     try:
-        if "size_mix" in kwargs:  # the world's; YAML may give integers
-            kwargs["size_mix"] = tuple(float(v) for v in kwargs["size_mix"])
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"section '{name}': {exc}") from exc
 
 
@@ -256,16 +285,11 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     sections = {name: _build_section(name, doc.get(name, {})) for name in _SECTIONS}
     max_dets = doc.get("max_dets", list(DEFAULT_MAX_DETS))
-    if not isinstance(max_dets, (list, tuple)) or not max_dets or not all(map(_is_cap, max_dets)):
+    caps_ok = isinstance(max_dets, (list, tuple)) and all(is_whole(v) and v >= 1 for v in max_dets)
+    if not (caps_ok and max_dets):
         raise ConfigError(f"max_dets must be a non-empty list of integers >= 1, got {max_dets!r}")
     caps = tuple(sorted(int(v) for v in max_dets))
     return ExperimentConfig(**sections, max_dets=caps)
-
-
-def _is_cap(value) -> bool:
-    """A detection cap: a whole number (int, or integral float) of at least 1."""
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    return whole and not isinstance(value, bool) and value >= 1
 
 
 def load_experiment_config(path: str | Path | None) -> ExperimentConfig:

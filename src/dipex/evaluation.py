@@ -22,6 +22,11 @@ size buckets, scenes and IoU thresholds together in one pass over
 detection ranks.  Its sums
 run in the order of a scalar loop, so it reports the same floats as the
 independent scorer in ``tests/reference_eval.py``, not close ones.
+
+COCO records go through one checker per kind, ``_checked_annotation`` and
+``_checked_detection``, which share the box check ``_xyxy`` and word every
+fault once.  The one fast path, ``_usual_detections``, takes a results
+array only when it is both usual and clean; any other goes to the checker.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 
 from .boxes import MEDIUM_MAX_AREA, SIZE_CLASSES, SMALL_MAX_AREA, BBox
 from .boxes import box_iou as iou  # perfbench/tracing.py counts calls under this name
-from .config import DEFAULT_MAX_DETS
+from .config import DEFAULT_MAX_DETS, is_whole
 from .pseudo_labels import ScoredBoxes, annotations_to_coco
 
 if TYPE_CHECKING:  # only for typing: dipex eval never loads the world module
@@ -88,7 +93,7 @@ class GroundTruthSet:
             raise ValueError("ground truth rows must be sorted by scene")
         bad = ~(np.isfinite(self.areas) & (self.areas >= 0.0))
         if bad.any():
-            raise ValueError(f"area must be finite and non-negative, got {self.areas[bad][0]}")
+            raise ValueError(f"areas must be finite and non-negative, got {self.areas[bad][0]}")
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,7 +156,7 @@ class GroundTruthSet:
             dims[sid] = size
         sids, rows = [], []  # rows of (x0, y0, x1, y1, area, iscrowd)
         for i, ann in enumerate(doc["annotations"]):
-            sid, row = _usual_annotation(ann, dims) or _checked_annotation(i, ann, dims)
+            sid, row = _checked_annotation(i, ann, dims)
             sids.append(sid)
             rows.append(row)
         sids = np.array(sids, dtype=int)
@@ -165,37 +170,9 @@ class GroundTruthSet:
         )
 
 
-_FLOAT = {float}
-
-
-def _usual_annotation(ann, dims: Mapping[int, tuple[int, int]]) -> tuple | None:
-    """(image id, (x0, y0, x1, y1, area, iscrowd)) of the usual annotation,
-    valid, with an integer image id, a list of four floats and a float area
-    or none, tested inline; None for anything else, valid or not."""
-    if type(ann) is not dict:
-        return None
-    sid, bbox, area = ann.get("image_id"), ann.get("bbox"), ann.get("area", 0.0)
-    if (
-        type(sid) is not int or type(bbox) is not list or len(bbox) != 4
-        or type(area) is not float or {*map(type, bbox)} != _FLOAT or sid not in dims
-    ):
-        return None
-    x, y, w, h = bbox
-    x1, y1 = x + w, y + h
-    if "area" not in ann:
-        area = (x1 - x) * (y1 - y)  # BBox.area
-    iscrowd = ann.get("iscrowd", 0)
-    usual = (
-        iscrowd in (0, 1) and x1 >= x and y1 >= y and area >= 0.0
-        and math.isfinite(x) and math.isfinite(y) and math.isfinite(x1)
-        and math.isfinite(y1) and math.isfinite(area)
-    )
-    return (sid, (x, y, x1, y1, area, iscrowd)) if usual else None
-
-
 def _checked_annotation(i: int, ann, dims: Mapping[int, tuple[int, int]]) -> tuple:
-    """``_usual_annotation`` of any record, each field through its checker;
-    the first problem fails with its message."""
+    """(image id, (x0, y0, x1, y1, area, iscrowd)) of one annotation, each
+    field through its checker; the first problem fails with its message."""
     try:
         sid = _whole(ann["image_id"], "image_id")
         x, y, w, h = _xywh(ann["bbox"])
@@ -206,24 +183,38 @@ def _checked_annotation(i: int, ann, dims: Mapping[int, tuple[int, int]]) -> tup
     if sid not in dims:
         raise CocoFormatError(f"annotations[{i}] references unknown image {sid}")
     try:
-        bbox = BBox.from_xywh(x, y, w, h)
-        area = _number(ann["area"], "area") if "area" in ann else bbox.area
+        x0, y0, x1, y1 = _xyxy(x, y, w, h)
+        area = _number(ann["area"], "area") if "area" in ann else (x1 - x0) * (y1 - y0)
         iscrowd = ann.get("iscrowd", 0)
         if iscrowd not in (0, 1):
             raise CocoFormatError(f"iscrowd must be 0 or 1, got {iscrowd!r}")
         if not (math.isfinite(area) and area >= 0.0):
             raise CocoFormatError(f"area must be finite and non-negative, got {area}")
-    except ValueError as exc:
+    except CocoFormatError as exc:
         raise CocoFormatError(f"annotations[{i}]: {exc}") from exc
-    return sid, (*bbox.as_tuple(), area, iscrowd)
+    return sid, (x0, y0, x1, y1, area, iscrowd)
+
+
+def _checked_detection(i: int, rec) -> tuple:
+    """(image id, (score, x0, y0, x1, y1)) of one results record, each field
+    through its checker; the first problem fails with its message."""
+    try:
+        sid, bbox, score = rec["image_id"], rec["bbox"], rec["score"]
+        sid, xywh, score = _whole(sid, "image_id"), _xywh(bbox), _number(score, "score")
+        if math.isfinite(score):
+            return sid, (score, *_xyxy(*xywh))
+    except CocoFormatError as exc:
+        raise CocoFormatError(f"results[{i}]: {exc}") from exc
+    except (TypeError, KeyError) as exc:
+        raise CocoFormatError(f"results[{i}] missing image_id/bbox/score") from exc
+    raise CocoFormatError(f"results[{i}] has non-finite score {score}")
 
 
 def _whole(value, name: str) -> int:
-    """A COCO id or size: a JSON integer, or a float with no fraction; not a bool."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise CocoFormatError(f"{name} must be an integer, got {value!r}")
+    """A COCO id or size: a JSON integer, or a float with no fraction, that
+    fits in int64; not a bool."""
+    if not is_whole(value):
+        raise CocoFormatError(f"{name} must be an integer within int64, got {value!r}")
     return int(value)
 
 
@@ -245,6 +236,17 @@ def _xywh(value) -> tuple[float, float, float, float]:
     return x, y, w, h
 
 
+def _xyxy(x: float, y: float, w: float, h: float) -> tuple[float, float, float, float]:
+    """The corners of a COCO box, which must be finite (``x + w`` can
+    overflow) and upright."""
+    box = (x, y, x + w, y + h)
+    if not all(map(math.isfinite, box)):
+        raise CocoFormatError(f"non-finite box coordinates: {box}")
+    if box[2] < x or box[3] < y:
+        raise CocoFormatError(f"inverted box: {box}")
+    return box
+
+
 def _read_json(path: str | Path):
     try:
         with open(path) as fh:
@@ -263,39 +265,29 @@ def load_coco_detections(path: str | Path) -> dict[int, ScoredBoxes]:
     """Parse a COCO results array into one ``ScoredBoxes`` per scene that
     has detections, keyed in id order, each scene's rows in file order.
 
-    The first bad record fails the load: a missing field, an image id that
-    is not an integer, a bbox or score that is not made of numbers, a
-    non-finite score, a non-finite corner (``x + w`` can overflow) or an
-    inverted box.
+    The first bad record fails the load with ``_checked_detection``'s message.
     """
     doc = _read_json(path)
     if not isinstance(doc, list):
         raise CocoFormatError(f"{path}: detection results must be a JSON array")
-    sids, table, unread = _usual_detections(doc) or _checked_detections(doc)
-    scores, boxes = table[:, 0], table[:, 1:]
-    problems = (
-        (~np.isfinite(scores), " has non-finite score {score}"),
-        (~np.isfinite(boxes).all(axis=1), ": non-finite box coordinates: {box}"),
-        ((boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1]), ": inverted box: {box}"),
-    )
-    bad = np.flatnonzero(np.logical_or.reduce([flags for flags, _ in problems]))
-    if bad.size:
-        i = int(bad[0])
-        problem = next(message for flags, message in problems if flags[i])
-        detail = problem.format(score=scores[i].item(), box=tuple(boxes[i].tolist()))
-        raise CocoFormatError(f"{path}: results[{i}]{detail}")
-    if unread is not None:
-        detail, exc = unread
-        raise CocoFormatError(f"{path}: results[{len(sids)}]{detail}") from exc
-    dets = ScoredBoxes(np.array(sids, dtype=int), scores, boxes)
+    parsed = _usual_detections(doc)
+    if parsed is None:
+        try:
+            checked = [_checked_detection(i, rec) for i, rec in enumerate(doc)]
+        except CocoFormatError as exc:
+            raise CocoFormatError(f"{path}: {exc}") from exc
+        parsed = [sid for sid, _ in checked], np.array([row for _, row in checked]).reshape(-1, 5)
+    sids, table = parsed
+    dets = ScoredBoxes(np.array(sids, dtype=int), table[:, 0], table[:, 1:])
     return dets.take(np.argsort(dets.scene_ids, kind="stable")).split()
 
 
 def _usual_detections(doc: list) -> tuple | None:
-    """(image ids, (score, x0, y0, x1, y1) table, None) of a results array
-    whose every record is the usual one -- an integer image id, a list of
-    four floats and a float score -- tested in passes that run in C; None
-    for any other array, valid or not."""
+    """(image ids, (score, x0, y0, x1, y1) table) of a results array whose
+    every record is usual and clean -- an integer image id within int64, a
+    list of four floats and a float score, with a finite score, finite
+    corners and an upright box -- tested in passes that run in C; None for
+    any other array, valid or not."""
     try:
         sids = list(map(itemgetter("image_id"), doc))
         bboxes = list(map(itemgetter("bbox"), doc))
@@ -304,7 +296,8 @@ def _usual_detections(doc: list) -> tuple | None:
         return None
     if (
         {*map(type, sids)} != {int} or {*map(type, bboxes)} != {list} or {*map(len, bboxes)} != {4}
-        or {*map(type, chain.from_iterable(bboxes))} != _FLOAT or {*map(type, scores)} != _FLOAT
+        or {*map(type, chain.from_iterable(bboxes))} != {float} or {*map(type, scores)} != {float}
+        or not (is_whole(min(sids)) and is_whole(max(sids)))
     ):
         return None
     xywh = np.fromiter(chain.from_iterable(bboxes), float, count=4 * len(doc)).reshape(-1, 4)
@@ -312,29 +305,8 @@ def _usual_detections(doc: list) -> tuple | None:
     table[:, 0] = scores
     table[:, 1:3] = xywh[:, :2]
     np.add(xywh[:, :2], xywh[:, 2:], out=table[:, 3:])  # x + w, y + h: the same IEEE sums
-    return sids, table, None
-
-
-def _checked_detections(doc: list) -> tuple:
-    """``_usual_detections`` of any results array, record by record through
-    the field checkers.  Reading stops at the
-    first record that fails them; the third item is then (message tail,
-    exception), reported after any bad record read before it."""
-    sids, rows, unread = [], [], None
-    for rec in doc:
-        try:
-            sid, bbox, score = rec["image_id"], rec["bbox"], rec["score"]
-            sid, bbox, score = _whole(sid, "image_id"), _xywh(bbox), _number(score, "score")
-        except CocoFormatError as exc:
-            unread = (f": {exc}", exc)
-            break
-        except (TypeError, KeyError) as exc:
-            unread = (" missing image_id/bbox/score", exc)
-            break
-        x, y, w, h = bbox
-        rows.append((score, x, y, x + w, y + h))
-        sids.append(sid)
-    return sids, np.array(rows, dtype=float).reshape(-1, 5), unread
+    clean = np.isfinite(table).all() and (table[:, 3:] >= table[:, 1:3]).all()
+    return (sids, table) if clean else None
 
 
 @dataclass(frozen=True)

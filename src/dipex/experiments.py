@@ -425,8 +425,6 @@ def run_eval_only(
     out_dir: str | Path,
     max_dets: Sequence[int] = DEFAULT_MAX_DETS,
     merge: bool = False,
-    nms_sigma: float = DetectorParams.nms_sigma,
-    nms_floor: float = DetectorParams.nms_floor,
     overwrite: bool = False,
 ) -> tuple[Path, EvalSummary]:
     """Score COCO-format detection files against COCO-format ground truth.
@@ -434,11 +432,13 @@ def run_eval_only(
     The files' rows are concatenated in file order and grouped by scene,
     keeping that order within a scene.  With ``merge`` each scene's union,
     ranked by (-score, box), additionally goes through Gaussian soft-NMS,
-    all scenes in one grouped call, which is the sane setting when the
-    files come from independently trained prompt sets.
+    all scenes in one grouped call with the detector's default sigma and
+    floor, which is the sane setting when the files come from independently
+    trained prompt sets.
     The manifest identifies the inputs by content (sha256), not by path, so
     rescoring the same files elsewhere writes the same bytes.
     """
+    sigma, floor = DetectorParams.nms_sigma, DetectorParams.nms_floor
     out = _prepare_out(out_dir, overwrite)
     gts = load_coco_ground_truth(gt_path)
     dets = ScoredBoxes.concat(
@@ -447,7 +447,7 @@ def run_eval_only(
     if merge:
         # each scene ranked by (-score, box), ties in file order
         dets = dets.take(np.lexsort((*dets.boxes.T[::-1], -dets.scores, dets.scene_ids)))
-        kept = soft_nms(dets.scores, nms_sigma, nms_floor, dets.boxes, dets.scene_ids)
+        kept = soft_nms(dets.scores, sigma, floor, dets.boxes, dets.scene_ids)
         pick = np.array([i for i, _ in kept], dtype=int)
         dets = replace(dets.take(pick), scores=np.array([score for _, score in kept]))
     else:
@@ -457,8 +457,8 @@ def run_eval_only(
     _write_summary(out, summary)
     settings = {
         "merge": merge,
-        "nms_sigma": nms_sigma,
-        "nms_floor": nms_floor,
+        "nms_sigma": sigma,
+        "nms_floor": floor,
         "max_dets": [int(c) for c in max_dets],
     }
     inputs = {

@@ -326,6 +326,8 @@ def test_missing_field_before_a_bad_box_is_reported_first(tmp_path, capsys):
         ("bbox", [5.0, 5.0, 10.0, False], "bbox must be a number"),
         ("score", "0.5", "score must be a number"),
         ("score", None, "score must be a number"),
+        ("image_id", 1e20, "image_id must be an integer"),
+        ("image_id", 10**20, "image_id must be an integer"),
     ],
 )
 def test_detection_field_of_the_wrong_type_is_a_data_error(tmp_path, capsys, field, value, problem):
@@ -350,6 +352,9 @@ def test_detection_field_of_the_wrong_type_is_a_data_error(tmp_path, capsys, fie
         ("annotations", 0, "iscrowd", "0", "iscrowd must be 0 or 1"),
         ("images", 1, "id", 2.5, "id must be an integer"),
         ("images", 0, "width", "100", "width must be an integer"),
+        ("annotations", 1, "image_id", 1e20, "image_id must be an integer"),
+        ("annotations", 1, "image_id", 10**20, "image_id must be an integer"),
+        ("images", 1, "id", 10**20, "id must be an integer"),
     ],
 )
 def test_ground_truth_field_of_the_wrong_type_is_a_data_error(

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -298,11 +300,10 @@ def test_coco_round_trip(small_world):
     assert back.crowd.tolist() == np.insert(gts.crowd, k, True).tolist()
 
 
-def test_usual_and_checked_coco_records_read_alike(small_world, monkeypatch):
+def test_usual_and_checked_coco_records_read_alike(small_world):
     """The usual annotation (an integer image id, four floats, a float area
-    or none) skips the field checkers and builds no BBox; the same records
-    written otherwise go through the checkers, and both read to the same
-    bytes."""
+    or none) and the same records written otherwise (float ids, tuple boxes)
+    read to the same bytes."""
     doc = GroundTruthSet.from_world(small_world).to_coco()
     for k, ann in enumerate(doc["annotations"]):
         if k % 3 == 0:
@@ -318,7 +319,6 @@ def test_usual_and_checked_coco_records_read_alike(small_world, monkeypatch):
         for ann in doc["annotations"]
     ]}
     checked = GroundTruthSet.from_coco(other)
-    monkeypatch.setattr("dipex.evaluation.BBox", None)
     usual = GroundTruthSet.from_coco(doc)
     for name in ("scene_ids", "boxes", "areas", "crowd"):
         assert getattr(usual, name).tobytes() == getattr(checked, name).tobytes()
@@ -465,6 +465,43 @@ def test_usual_and_checked_detection_files_read_alike(small_world, tmp_path, mon
     assert evaluation._usual_detections(forced) is None
     monkeypatch.setattr(evaluation, "_read_json", lambda _: forced)
     assert read() == usual
+
+
+_MISSING = object()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["annotations", "results"]),
+    index=st.integers(0, 3),
+    field=st.sampled_from([("image_id",), ("bbox",), ("bbox", 2), ("score",), ("area",), ("iscrowd",)]),
+    value=st.sampled_from([
+        _MISSING, None, True, "1", [1.0], 2**63, 10**20, math.inf, -math.inf, math.nan, -1, -2.5, 3.0,
+    ]),
+)
+def test_one_malformed_field_fails_as_a_format_error(small_world, tmp_path_factory, kind, index, field, value):
+    """One field of one record set to anything: the loader reads the
+    document or raises ``CocoFormatError`` naming that record or an earlier
+    one, never another exception."""
+    gt = GroundTruthSet.from_world(small_world).to_coco()
+    gt["annotations"] = gt["annotations"][:4]
+    doc = gt if kind == "annotations" else _results(small_world)[:4]
+    record = (doc["annotations"] if kind == "annotations" else doc)[index]
+    *parents, last = field
+    for key in parents:
+        record = record[key]
+    if value is not _MISSING:
+        record[last] = value
+    elif isinstance(record, list) or last in record:
+        del record[last]
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity literals
+    load = load_coco_ground_truth if kind == "annotations" else load_coco_detections
+    try:
+        load(path)
+    except CocoFormatError as exc:
+        named = re.search(rf"{kind}\[(\d+)\]", str(exc))
+        assert named and int(named.group(1)) <= index, str(exc)
 
 
 def test_load_detections_groups_by_scene(tmp_path):

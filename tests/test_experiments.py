@@ -87,6 +87,40 @@ def test_config_rejects_unknown_and_invalid():
         experiment_config_from_dict({"expansion": {"max_angle": 0.2}})
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("expansion", "epochs_per_round", 2.5),
+        ("world", "seed", 0.5),
+        ("world", "width", 640.5),
+        ("world", "num_scenes", True),
+        ("world", "seed", 2**63),
+        ("world", "concentration", "20"),
+        ("detector", "logit_scale", False),
+        ("expansion", "early_stop", "no"),
+        ("expansion", "early_stop", 1),
+        ("expansion", "max_angle_degrees", None),
+        ("world", "size_mix", [0.5, 0.5]),
+        ("world", "size_mix", [0.35, "0.4", 0.25]),
+        ("vocabulary", "style", 3),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, section, key, value):
+    path = tmp_path / "config.yaml"
+    path.write_text(json.dumps({section: {key: value}}))  # JSON is YAML
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error[config]: section '{section}': '{key}' must be")
+    assert not (tmp_path / "out").exists()
+
+
+def test_whole_number_config_values_are_stored_as_integers():
+    doc = {"world": {"width": 640.0}, "expansion": {"epochs_per_round": 3.0}}
+    config = experiment_config_from_dict(doc)
+    assert type(config.world.width) is int and config.world.width == 640
+    assert type(config.expansion.epochs_per_round) is int and config.expansion.epochs_per_round == 3
+
+
 def test_max_dets_sorted_and_deduplicated_order():
     config = experiment_config_from_dict({"max_dets": [100, 1, 10]})
     assert config.max_dets == (1, 10, 100)
@@ -333,12 +367,12 @@ def test_eval_only_merges_duplicate_sources(tmp_path):
 def test_eval_only_manifest_hashes_inputs_and_outputs(tmp_path):
     out, _ = run_dipex(FAST_CONFIG, tmp_path / "run")
     gt, dets = out / "ground_truth.json", out / "detections.json"
-    first, _ = run_eval_only(gt, [dets, dets], tmp_path / "a", merge=True, nms_sigma=0.3)
-    again, _ = run_eval_only(gt, [dets, dets], tmp_path / "b", merge=True, nms_sigma=0.3)
+    first, _ = run_eval_only(gt, [dets, dets], tmp_path / "a", merge=True)
+    again, _ = run_eval_only(gt, [dets, dets], tmp_path / "b", merge=True)
     manifest = json.loads((first / "manifest.json").read_text())
     assert manifest["experiment"] == "eval"
     assert manifest["config"] == {
-        "merge": True, "nms_sigma": 0.3, "nms_floor": 0.001, "max_dets": [1, 10, 100]
+        "merge": True, "nms_sigma": 0.5, "nms_floor": 0.001, "max_dets": [1, 10, 100]
     }
     assert manifest["ground_truth_sha256"] == sha256(gt)
     assert manifest["detections_sha256"] == [sha256(dets), sha256(dets)]
