@@ -51,10 +51,6 @@ class BBox:
     def area(self) -> float:
         return self.width * self.height
 
-    def to_xywh(self) -> tuple[float, float, float, float]:
-        """COCO convention: top-left corner plus width/height."""
-        return (self.x_min, self.y_min, self.width, self.height)
-
     @staticmethod
     def from_xywh(x: float, y: float, w: float, h: float) -> "BBox":
         return BBox(x, y, x + w, y + h)
@@ -88,13 +84,3 @@ def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     union = area_a + area_b - inter
     nonempty = union > 0.0
     return np.where(nonempty, inter / np.where(nonempty, union, 1.0), 0.0)
-
-
-def size_class_from_area(area: float) -> str:
-    if area < 0.0:
-        raise ValueError(f"negative area: {area}")
-    if area < SMALL_MAX_AREA:
-        return "S"
-    if area < MEDIUM_MAX_AREA:
-        return "M"
-    return "L"

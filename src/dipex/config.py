@@ -233,19 +233,25 @@ def is_whole(value) -> bool:
     return whole and not isinstance(value, bool) and -(2**63) <= value < 2**63
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    """An int or float that is a finite float: not a bool, NaN or an infinity."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past float range
+        return False
 
 
 # a field's declared type -> (the test its config value must pass, what that value is)
 _KINDS = {
     "int": (is_whole, "an integer"),
-    "float": (_is_number, "a number"),
+    "float": (_is_finite, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "tuple[float, float, float]": (
-        lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v)),
-        "three numbers",
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_finite, v)),
+        "three finite numbers",
     ),
 }
 

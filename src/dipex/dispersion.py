@@ -36,16 +36,6 @@ class LossBreakdown:
     cls: float
     total: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "parent_child": self.parent_child,
-            "child_child": self.child_child,
-            "bbox": self.bbox,
-            "giou": self.giou,
-            "cls": self.cls,
-            "total": self.total,
-        }
-
 
 def _unit_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # np.linalg.norm(mat, axis=1) computes exactly this, behind more checks

@@ -147,6 +147,8 @@ class GroundTruthSet:
             try:
                 sid = _whole(image["id"], "id")
                 size = (_whole(image["width"], "width"), _whole(image["height"], "height"))
+                if min(size) < 0:
+                    raise CocoFormatError(f"width and height must be non-negative, got {size}")
             except CocoFormatError as exc:
                 raise CocoFormatError(f"images[{i}]: {exc}") from exc
             except (TypeError, KeyError) as exc:
@@ -186,7 +188,7 @@ def _checked_annotation(i: int, ann, dims: Mapping[int, tuple[int, int]]) -> tup
         x0, y0, x1, y1 = _xyxy(x, y, w, h)
         area = _number(ann["area"], "area") if "area" in ann else (x1 - x0) * (y1 - y0)
         iscrowd = ann.get("iscrowd", 0)
-        if iscrowd not in (0, 1):
+        if type(iscrowd) is not int or iscrowd not in (0, 1):  # not a bool or a float
             raise CocoFormatError(f"iscrowd must be 0 or 1, got {iscrowd!r}")
         if not (math.isfinite(area) and area >= 0.0):
             raise CocoFormatError(f"area must be finite and non-negative, got {area}")
@@ -367,7 +369,8 @@ def _layout(counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _size_class(area: np.ndarray) -> np.ndarray:
-    """Index into ``SIZE_CLASSES`` of each area, as ``size_class_from_area``."""
+    """Index into ``SIZE_CLASSES`` of each area, as the scalar
+    ``size_class_from_area`` in tests/reference_geometry.py."""
     return np.searchsorted(np.array([SMALL_MAX_AREA, MEDIUM_MAX_AREA]), area, side="right")
 
 

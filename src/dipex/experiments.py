@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -111,10 +111,12 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:
+def _write_csv(path: Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """One header line, then one line per row; each row lists its values in
+    the header's order, so a table with no rows is its header alone."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames), lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -122,20 +124,19 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{float(value):.6f}"
 
 
+def _deg(radians: float | None) -> str:
+    """An angle in radians, written in degrees; blank when there is none."""
+    return _fmt(None if radians is None else math.degrees(radians))
+
+
 def _write_summary(out: Path, summary: EvalSummary) -> None:
     """``dipex eval``'s summary.json and its one-row summary.csv."""
     _write_json(out / "summary.json", summary.to_dict())
-    row = {f"ar_{cap}": _fmt(summary.ar(cap)) for cap in sorted(summary.ar_at)}
-    row.update(
-        ar_s=_fmt(summary.ar_small),
-        ar_m=_fmt(summary.ar_medium),
-        ar_l=_fmt(summary.ar_large),
-        ap=_fmt(summary.ap),
-        ap_s=_fmt(summary.ap_small),
-        ap_m=_fmt(summary.ap_medium),
-        ap_l=_fmt(summary.ap_large),
-    )
-    _write_csv(out / "summary.csv", list(row), [row])
+    caps = sorted(summary.ar_at)
+    header = [f"ar_{cap}" for cap in caps] + ["ar_s", "ar_m", "ar_l", "ap", "ap_s", "ap_m", "ap_l"]
+    row = [*map(summary.ar, caps), summary.ar_small, summary.ar_medium, summary.ar_large]
+    row += [summary.ap, summary.ap_small, summary.ap_medium, summary.ap_large]
+    _write_csv(out / "summary.csv", header, [map(_fmt, row)])
 
 
 def run_pilot_merging(
@@ -158,7 +159,7 @@ def run_pilot_merging(
     out = _prepare_out(out_dir, overwrite)
     cap = max(config.max_dets)
     # rows grouped by style, then seed; one world is alive at a time
-    rows_by_style: dict[str, list[dict]] = {"dispersed": [], "overlapping": []}
+    rows_by_style: dict[str, list[tuple]] = {"dispersed": [], "overlapping": []}
     for seed in seeds:
         world = generate_world(replace(config.world, seed=seed))
         gts = GroundTruthSet.from_world(world)
@@ -177,51 +178,13 @@ def run_pilot_merging(
                 if ar_pm is not None and ar_qm is not None and ar_pm > 0.0
                 else None
             )
-            rows.append(
-                {
-                    "vocabulary": style,
-                    "seed": seed,
-                    "num_queries": len(vocab),
-                    "overlap_penalty": _fmt(overlap_penalty(vocab, config.detector)),
-                    f"ar_{cap}_pm": _fmt(ar_pm),
-                    f"ar_{cap}_qm": _fmt(ar_qm),
-                    "delta_ar_pct": _fmt(delta),
-                }
-            )
-    fieldnames = [
-        "vocabulary",
-        "seed",
-        "num_queries",
-        "overlap_penalty",
-        f"ar_{cap}_pm",
-        f"ar_{cap}_qm",
-        "delta_ar_pct",
-    ]
-    _write_csv(out / "pilot.csv", fieldnames, [r for rows in rows_by_style.values() for r in rows])
+            penalty = overlap_penalty(vocab, config.detector)
+            rows.append((style, seed, len(vocab), *map(_fmt, (penalty, ar_pm, ar_qm, delta))))
+    header = ["vocabulary", "seed", "num_queries", "overlap_penalty"]
+    header += [f"ar_{cap}_pm", f"ar_{cap}_qm", "delta_ar_pct"]
+    _write_csv(out / "pilot.csv", header, [row for rows in rows_by_style.values() for row in rows])
     _write_manifest(out, "pilot", config.as_dict(), {"seeds": list(seeds)})
     return out
-
-
-def _round_rows(result: RunResult, cap: int) -> list[dict]:
-    alpha_by_round = dict(zip(result.mac_report.rounds, result.mac_report.alpha_max))
-    rows = []
-    for i, summary in enumerate(result.eval_summaries):
-        rnd = i + 1
-        alpha = alpha_by_round.get(rnd)
-        rows.append(
-            {
-                "round": rnd,
-                "num_prompts": 1 + (rnd - 1) * result.config.num_children,
-                "num_labels": result.label_counts[i],
-                f"ar_{cap}": _fmt(summary.ar(cap)),
-                "ar_s": _fmt(summary.ar_small),
-                "ar_m": _fmt(summary.ar_medium),
-                "ar_l": _fmt(summary.ar_large),
-                "ap": _fmt(summary.ap),
-                "alpha_max_degrees": "" if alpha is None else _fmt(math.degrees(alpha)),
-            }
-        )
-    return rows
 
 
 def _write_run_artifacts(
@@ -230,71 +193,45 @@ def _write_run_artifacts(
     from .detector import detections_to_coco
 
     cap = max(config.max_dets)
-    _write_csv(
-        out / "rounds.csv",
-        [
-            "round",
-            "num_prompts",
-            "num_labels",
-            f"ar_{cap}",
-            "ar_s",
-            "ar_m",
-            "ar_l",
-            "ap",
-            "alpha_max_degrees",
-        ],
-        _round_rows(result, cap),
-    )
+    mac = result.mac_report
+    alpha_by_round = dict(zip(mac.rounds, mac.alpha_max))
+    header = ["round", "num_prompts", "num_labels", f"ar_{cap}", "ar_s", "ar_m", "ar_l", "ap"]
+    header += ["alpha_max_degrees"]
+    rows = []
+    for rnd, (s, num_labels) in enumerate(zip(result.eval_summaries, result.label_counts), 1):
+        num_prompts = 1 + (rnd - 1) * result.config.num_children
+        metrics = map(_fmt, (s.ar(cap), s.ar_small, s.ar_medium, s.ar_large, s.ap))
+        rows.append((rnd, num_prompts, num_labels, *metrics, _deg(alpha_by_round.get(rnd))))
+    _write_csv(out / "rounds.csv", header, rows)
     _write_csv(
         out / "mac_report.csv",
         ["round", "alpha_max_degrees"],
-        [
-            {"round": r, "alpha_max_degrees": _fmt(math.degrees(a))}
-            for r, a in zip(result.mac_report.rounds, result.mac_report.alpha_max)
-        ],
+        [(rnd, _deg(alpha)) for rnd, alpha in zip(mac.rounds, mac.alpha_max)],
     )
-    for rnd, matrix in zip(result.mac_report.rounds, result.mac_report.matrices):
-        header = ["prompt", *map(str, range(len(matrix)))]
-        rows = [
-            dict(zip(header, [str(i), *(_fmt(math.degrees(a)) for a in row)]))
-            for i, row in enumerate(matrix.tolist())
-        ]
-        _write_csv(out / f"angles_round_{rnd}.csv", header, rows)
-    loss_rows = []
-    for stats in result.round_stats:
-        for epoch, breakdown in enumerate(stats.epoch_losses, start=1):
-            loss_rows.append(
-                {
-                    "round": stats.round_index,
-                    "epoch": epoch,
-                    "parent_child": _fmt(breakdown.parent_child),
-                    "child_child": _fmt(breakdown.child_child),
-                    "bbox": _fmt(breakdown.bbox),
-                    "giou": _fmt(breakdown.giou),
-                    "cls": _fmt(breakdown.cls),
-                    "total": _fmt(breakdown.total),
-                }
-            )
+    for rnd, matrix in zip(mac.rounds, mac.matrices):
+        _write_csv(
+            out / f"angles_round_{rnd}.csv",
+            ["prompt", *range(len(matrix))],
+            [(i, *map(_deg, row)) for i, row in enumerate(matrix.tolist())],
+        )
+    terms = ("parent_child", "child_child", "bbox", "giou", "cls", "total")
     _write_csv(
         out / "losses.csv",
-        ["round", "epoch", "parent_child", "child_child", "bbox", "giou", "cls", "total"],
-        loss_rows,
+        ["round", "epoch", *terms],
+        [
+            (stats.round_index, epoch, *(_fmt(getattr(losses, term)) for term in terms))
+            for stats in result.round_stats
+            for epoch, losses in enumerate(stats.epoch_losses, start=1)
+        ],
     )
-    act_rows = []
-    for idx, stats in enumerate(result.activation_history, start=1):
-        for pid in sorted(stats.counts):
-            act_rows.append(
-                {
-                    "expansion": idx,
-                    "prompt_id": pid,
-                    "count": stats.counts[pid],
-                    "frequency": _fmt(stats.frequency(pid)),
-                }
-            )
     _write_csv(
         out / "activations.csv",
         ["expansion", "prompt_id", "count", "frequency"],
-        act_rows,
+        [
+            (expansion, pid, stats.counts[pid], _fmt(stats.frequency(pid)))
+            for expansion, stats in enumerate(result.activation_history, start=1)
+            for pid in sorted(stats.counts)
+        ],
     )
     _write_json(out / "tree.json", result.tree.to_dict())
 
@@ -311,11 +248,7 @@ def _write_run_artifacts(
         "rounds_trained": len(result.eval_summaries),
         "num_prompts": len(result.tree.nodes),
         "stopped_early": result.stopped_early,
-        "final_alpha_max_degrees": (
-            math.degrees(result.mac_report.alpha_max[-1])
-            if result.mac_report.alpha_max
-            else None
-        ),
+        "final_alpha_max_degrees": math.degrees(mac.alpha_max[-1]) if mac.alpha_max else None,
         "label_counts": list(result.label_counts),
     }
     _write_json(out / "summary.json", summary)
@@ -409,11 +342,11 @@ def run_sweep(
             "stopped_early": int(result.stopped_early),
             f"ar_{cap}": _fmt(final.ar(cap)),
             "ap": _fmt(final.ap),
-            "alpha_max_degrees": _fmt(math.degrees(alpha[-1])) if alpha else "",
-            "mean_parent_child_degrees": _fmt(None if mean_pc is None else math.degrees(mean_pc)),
-            "mean_sibling_degrees": _fmt(None if mean_sib is None else math.degrees(mean_sib)),
+            "alpha_max_degrees": _deg(alpha[-1] if alpha else None),
+            "mean_parent_child_degrees": _deg(mean_pc),
+            "mean_sibling_degrees": _deg(mean_sib),
         }
-        rows.append({column: row[column] for column in columns})
+        rows.append([row[column] for column in columns])
     _write_csv(out / f"{sweep.replace('-', '_')}.csv", columns, rows)
     _write_manifest(out, sweep, config.as_dict(), {key: [cast(v) for v in values]})
     return out

@@ -36,24 +36,6 @@ def normalize(v: np.ndarray) -> UnitVec:
     return arr / norm
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity with explicit normalization, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for zero vectors")
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
-
-
-def angular_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle in radians between two vectors, in [0, pi]."""
-    return float(np.arccos(cosine(a, b)))
-
-
 @dataclass(frozen=True)
 class GivensRotation:
     """Plane rotation acting on coordinate axes (axis_i, axis_j) by ``angle``

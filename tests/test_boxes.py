@@ -1,18 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dipex.boxes import (
-    BBox,
-    MEDIUM_MAX_AREA,
-    SMALL_MAX_AREA,
-    intersection_area,
-    iou,
-    size_class_from_area,
-)
+from dipex.boxes import BBox, MEDIUM_MAX_AREA, SIZE_CLASSES, SMALL_MAX_AREA, intersection_area, iou
+from dipex.evaluation import _size_class
 
 from reference_detector import clip, translate
+from reference_geometry import size_class_from_area, to_xywh
 
 coords = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
 extents = st.floats(min_value=0.0, max_value=300.0, allow_nan=False)
@@ -49,8 +45,8 @@ def test_basic_measures():
 
 def test_xywh_round_trip():
     b = BBox(5.0, 7.0, 15.0, 27.0)
-    assert b.to_xywh() == (5.0, 7.0, 10.0, 20.0)
-    assert BBox.from_xywh(*b.to_xywh()) == b
+    assert to_xywh(b) == (5.0, 7.0, 10.0, 20.0)
+    assert BBox.from_xywh(*to_xywh(b)) == b
 
 
 def test_clip_clamps_and_degenerates():
@@ -93,6 +89,9 @@ def test_size_class_boundaries():
     assert size_class_from_area(MEDIUM_MAX_AREA) == "L"
     with pytest.raises(ValueError):
         size_class_from_area(-1.0)
+    # the evaluator's array form puts each boundary in the same class
+    areas = [SMALL_MAX_AREA - 1.0, SMALL_MAX_AREA, MEDIUM_MAX_AREA - 1.0, MEDIUM_MAX_AREA]
+    assert [SIZE_CLASSES[k] for k in _size_class(np.array(areas))] == ["S", "M", "M", "L"]
 
 
 @given(boxes(), boxes())

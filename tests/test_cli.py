@@ -8,6 +8,8 @@ import pytest
 
 from dipex.cli import build_parser, main
 
+ROOT = Path(__file__).resolve().parent.parent
+
 TINY_YAML = """\
 world:
   dim: 8
@@ -72,6 +74,48 @@ def test_run_subcommand(config_path, tmp_path, capsys):
     assert (out / "tree.json").exists()
 
 
+def test_run_with_zero_expansions_writes_header_only_tables(tmp_path, capsys):
+    """With no expansion there is no MAC and no activation count: those
+    tables are their header alone, and no angle matrix is written."""
+    path = tmp_path / "config.yaml"
+    path.write_text(TINY_YAML.replace("num_expansions: 1", "num_expansions: 0"))
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert "rounds: 1  prompts: 1" in capsys.readouterr().out
+    assert (out / "mac_report.csv").read_text() == "round,alpha_max_degrees\n"
+    assert (out / "activations.csv").read_text() == "expansion,prompt_id,count,frequency\n"
+    assert not list(out.glob("angles_round_*.csv"))
+    header, row = (out / "rounds.csv").read_text().splitlines()
+    assert header.endswith(",alpha_max_degrees") and row.startswith("1,1,") and row.endswith(",")
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert {"mac_report.csv", "activations.csv", "losses.csv"} <= set(artifacts)
+
+
+def _run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter that imports dipex from src/."""
+    inherited = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    path = os.pathsep.join([str(ROOT / "src"), *inherited])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
+def test_run_all_script(config_path, tmp_path):
+    """scripts/run_all.py, which reads the sweep defaults from the CLI, runs
+    the pilot and one growth run per seed; the tiny config's seed is 5."""
+    out = tmp_path / "results"
+    args = ["--config", str(config_path), "--out", str(out), "--seeds", "1", "--skip-sweeps"]
+    proc = _run_python([str(ROOT / "scripts" / "run_all.py"), *args])
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "pilot" / "pilot.csv").exists()
+    assert (out / "run_seed5" / "rounds.csv").exists()
+    assert "seed 5: rounds 2, prompts 3" in proc.stdout
+
+
 def _loaded_by_the_cli(argv: list[str] | None = None) -> set[str]:
     """The modules a fresh interpreter holds after ``import dipex.cli`` and,
     given ``argv``, a successful ``main(argv)``."""
@@ -79,15 +123,7 @@ def _loaded_by_the_cli(argv: list[str] | None = None) -> set[str]:
     if argv is not None:
         script += f"assert main({argv!r}) == 0\n"
     script += "print(' '.join(sorted(sys.modules)))\n"
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-    )
+    proc = _run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
@@ -355,6 +391,10 @@ def test_detection_field_of_the_wrong_type_is_a_data_error(tmp_path, capsys, fie
         ("annotations", 1, "image_id", 1e20, "image_id must be an integer"),
         ("annotations", 1, "image_id", 10**20, "image_id must be an integer"),
         ("images", 1, "id", 10**20, "id must be an integer"),
+        ("images", 0, "width", -5, "width and height must be non-negative"),
+        ("images", 1, "height", -1, "width and height must be non-negative"),
+        ("annotations", 0, "iscrowd", True, "iscrowd must be 0 or 1"),
+        ("annotations", 0, "iscrowd", 1.0, "iscrowd must be 0 or 1"),
     ],
 )
 def test_ground_truth_field_of_the_wrong_type_is_a_data_error(

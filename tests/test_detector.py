@@ -19,12 +19,13 @@ from dipex.detector import (
     pack_world,
     sigmoid,
 )
-from dipex.geometry import angular_distance, normalize
+from dipex.geometry import normalize
 
 import reference_detector as ref
 import reference_world
 from conftest import as_arrays, rows_of
 from reference_detector import clip, noisy_box, pair_scores, raw_logit
+from reference_geometry import angular_distance
 
 
 def detect_scene(scene, prompts, mode, params, world, seed=0):

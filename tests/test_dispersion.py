@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -147,7 +149,7 @@ def test_combine_weights_every_term():
         gamma=0.1, gamma_bbox=5.0, gamma_giou=2.0, gamma_cls=1.0,
     )
     assert breakdown.total == pytest.approx(1.0 + 0.2 + 15.0 + 8.0 + 5.0)
-    assert breakdown.as_dict() == {
+    assert asdict(breakdown) == {
         "parent_child": 1.0,
         "child_child": 2.0,
         "bbox": 3.0,

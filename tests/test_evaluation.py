@@ -468,25 +468,35 @@ def test_usual_and_checked_detection_files_read_alike(small_world, tmp_path, mon
 
 
 _MISSING = object()
+# (record kind, path to the mutated field)
+_RECORD_FIELDS = [("images", (key,)) for key in ("id", "width", "height")] + [
+    (kind, field)
+    for kind in ("annotations", "results")
+    for field in [("image_id",), ("bbox",), ("bbox", 2), ("score",), ("area",), ("iscrowd",)]
+]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    kind=st.sampled_from(["annotations", "results"]),
+    kind_field=st.sampled_from(_RECORD_FIELDS),
     index=st.integers(0, 3),
-    field=st.sampled_from([("image_id",), ("bbox",), ("bbox", 2), ("score",), ("area",), ("iscrowd",)]),
     value=st.sampled_from([
         _MISSING, None, True, "1", [1.0], 2**63, 10**20, math.inf, -math.inf, math.nan, -1, -2.5, 3.0,
     ]),
 )
-def test_one_malformed_field_fails_as_a_format_error(small_world, tmp_path_factory, kind, index, field, value):
+def test_one_malformed_field_fails_as_a_format_error(
+    small_world, tmp_path_factory, kind_field, index, value
+):
     """One field of one record set to anything: the loader reads the
     document or raises ``CocoFormatError`` naming that record or an earlier
-    one, never another exception."""
+    one, never another exception.  An image id that still reads as an id
+    may instead repeat a later image's id or orphan an annotation, and the
+    message then names that record."""
+    kind, field = kind_field
     gt = GroundTruthSet.from_world(small_world).to_coco()
     gt["annotations"] = gt["annotations"][:4]
-    doc = gt if kind == "annotations" else _results(small_world)[:4]
-    record = (doc["annotations"] if kind == "annotations" else doc)[index]
+    doc = _results(small_world)[:4] if kind == "results" else gt
+    record = (doc if kind == "results" else doc[kind])[index]
     *parents, last = field
     for key in parents:
         record = record[key]
@@ -496,12 +506,13 @@ def test_one_malformed_field_fails_as_a_format_error(small_world, tmp_path_facto
         del record[last]
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     path.write_text(json.dumps(doc))  # NaN and Infinity literals
-    load = load_coco_ground_truth if kind == "annotations" else load_coco_detections
+    load = load_coco_detections if kind == "results" else load_coco_ground_truth
     try:
         load(path)
     except CocoFormatError as exc:
         named = re.search(rf"{kind}\[(\d+)\]", str(exc))
-        assert named and int(named.group(1)) <= index, str(exc)
+        relinked = re.search("repeats image id|references unknown image", str(exc))
+        assert (relinked and field == ("id",)) or (named and int(named.group(1)) <= index), str(exc)
 
 
 def test_load_detections_groups_by_scene(tmp_path):

@@ -23,13 +23,14 @@ from dipex.expansion import (
     train_round,
 )
 from dipex.experiments import ExperimentConfig, _write_json
-from dipex.geometry import angular_distance, mac, normalize
+from dipex.geometry import mac, normalize
 from dipex.pseudo_labels import build_pseudo_labels
 
 import reference_detector as ref
 import reference_world
 from conftest import all_labels, as_arrays, rows_of
 from reference_detector import PseudoLabel
+from reference_geometry import angular_distance
 
 FAST = ExpansionConfig(
     num_children=2,

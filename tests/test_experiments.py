@@ -114,6 +114,30 @@ def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, sect
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, text",
+    [
+        ("detector", "box_noise", ".nan"),
+        ("expansion", "learning_rate", ".inf"),
+        ("expansion", "max_angle_degrees", ".nan"),
+        ("detector", "logit_bias", "-.inf"),
+        pytest.param("world", "concentration", "1" + "0" * 400, id="world-concentration-10**400"),
+        ("world", "size_mix", "[.nan, 0.5, 0.5]"),
+    ],
+)
+def test_non_finite_config_value_is_a_config_error(tmp_path, capsys, section, key, text):
+    """YAML spells NaN and the infinities ``.nan`` and ``.inf``, which JSON
+    cannot write; a 400-digit integer is past float range."""
+    path = tmp_path / "config.yaml"
+    path.write_text(f"{section}:\n  {key}: {text}\n")
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[config]: section '{section}': '{key}' must be "), err
+    assert "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_whole_number_config_values_are_stored_as_integers():
     doc = {"world": {"width": 640.0}, "expansion": {"epochs_per_round": 3.0}}
     config = experiment_config_from_dict(doc)

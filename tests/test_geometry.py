@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from dipex.geometry import (
     GivensRotation,
-    angular_distance,
     apply_rotation,
-    cosine,
     mac,
     normalize,
     pairwise_angle_matrix,
     sample_child_rotations,
 )
+
+from reference_geometry import angular_distance, cosine
 
 
 def dense_rotation_matrix(d, rot):

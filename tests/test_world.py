@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dipex.boxes import intersection_area, size_class_from_area
+from dipex.boxes import intersection_area
 from dipex.detector import QueryMode, detect_each, detect_world, pack_world
 from dipex.evaluation import GroundTruthSet, evaluate
 from dipex.expansion import ExpansionConfig, PromptTree, bootstrap_labels, train_round
@@ -13,6 +13,7 @@ from dipex.world import WorldConfig, WorldObject, generate_world
 
 import reference_world
 from conftest import SMALL_WORLD, TINY_WORLD
+from reference_geometry import size_class_from_area
 
 
 def test_config_validation():
