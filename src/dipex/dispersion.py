@@ -137,7 +137,11 @@ def combine(
     gamma_giou: float = 2.0,
     gamma_cls: float = 1.0,
 ) -> LossBreakdown:
-    """Weighted total of the loss terms, with each term kept for reporting."""
+    """Weighted total of the loss terms, with each term kept for reporting.
+
+    The terms may be floats or equal-length arrays (one entry per batch); the
+    total is then taken entry by entry.
+    """
     total = (
         parent_child
         + gamma * child_child
@@ -145,11 +149,4 @@ def combine(
         + gamma_giou * giou
         + gamma_cls * cls
     )
-    return LossBreakdown(
-        parent_child=float(parent_child),
-        child_child=float(child_child),
-        bbox=float(bbox),
-        giou=float(giou),
-        cls=float(cls),
-        total=float(total),
-    )
+    return LossBreakdown(parent_child, child_child, bbox, giou, cls, total)

@@ -370,7 +370,7 @@ def _layout(counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 def _size_class(area: np.ndarray) -> np.ndarray:
     """Index into ``SIZE_CLASSES`` of each area, as the scalar
-    ``size_class_from_area`` in tests/reference_geometry.py."""
+    ``size_bucket`` in tests/reference_eval.py."""
     return np.searchsorted(np.array([SMALL_MAX_AREA, MEDIUM_MAX_AREA]), area, side="right")
 
 

@@ -23,7 +23,9 @@ loss and gradient; the gradient terms go into a zero (label, prompt, dim)
 array and one reduction over labels sums them in the order of a
 label-by-label loop.  The reported losses (the focal sums and the L1 and
 GIoU box losses) carry no gradient, so they are computed once per epoch
-from what the batches kept.  The same grid and matcher count how many labels
+from what the batches kept, as arrays with one entry per batch: one weighted
+total over those arrays, then each term's epoch mean as a left-to-right sum
+over the batches.  The same grid and matcher count how many labels
 each prompt answers for when the next parent is picked.  The label passes
 run every prompt through the detector in one grid pass; labels stay arrays
 from detector to trainer.
@@ -165,25 +167,6 @@ class PromptTree:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PromptTree":
-        nodes = {}
-        for rec in data["nodes"]:
-            node = PromptNode(
-                id=int(rec["id"]),
-                embedding=np.asarray(rec["embedding"], dtype=float),
-                depth=int(rec["depth"]),
-                parent_id=None if rec["parent_id"] is None else int(rec["parent_id"]),
-                frozen=bool(rec["frozen"]),
-            )
-            nodes[node.id] = node
-        return cls(
-            nodes=nodes,
-            parent_queue=[int(p) for p in data["parent_queue"]],
-            cohort=tuple(int(c) for c in data["cohort"]),
-            round_index=int(data["round_index"]),
-        )
-
 
 @dataclass(frozen=True)
 class ActivationStats:
@@ -316,15 +299,6 @@ def assign_responsibility(
 
 
 @dataclass
-class _BatchTally:
-    cls_sum: float = 0.0
-    bbox_sum: float = 0.0
-    giou_sum: float = 0.0
-    num_assigned: int = 0
-    num_missed: int = 0
-
-
-@dataclass
 class _BatchTerms:
     """What one batch leaves for its epoch's loss bookkeeping.
 
@@ -435,9 +409,9 @@ def _batch_step(
     return _BatchTerms(per_label.size, num_missed, focal, per_label, cand, target, size), grad
 
 
-def _tallies(batches: Sequence[_BatchTerms]) -> list[_BatchTally]:
-    """Each batch's focal and box loss sums, from the terms of any number of
-    batches.
+def _tallies(batches: Sequence[_BatchTerms]) -> np.ndarray:
+    """Each batch's focal, L1 and GIoU loss sums as a (batch, 3) array,
+    from the terms of any number of batches.
 
     The per-label focal sums and both box losses are computed once over all
     of them; each batch then sums its own labels in order.  Every value is
@@ -459,18 +433,9 @@ def _tallies(batches: Sequence[_BatchTerms]) -> list[_BatchTally]:
     )
     bbox = l1_box_loss(cand, target, size[:, 0], size[:, 1])
     giou = giou_loss(cand, target)
-    tallies = []
-    ends = np.cumsum([b.num_assigned for b in batches]).tolist()
-    for b, end in zip(batches, ends):
-        part = slice(end - b.num_assigned, end)
-        tallies.append(_BatchTally(
-            cls_sum=_in_order_sum(label_losses[part]),
-            bbox_sum=_in_order_sum(bbox[part]),
-            giou_sum=_in_order_sum(giou[part]),
-            num_assigned=b.num_assigned,
-            num_missed=b.num_missed,
-        ))
-    return tallies
+    cuts = np.cumsum([b.num_assigned for b in batches])[:-1]
+    sums = [[_in_order_sum(part) for part in np.split(v, cuts)] for v in (label_losses, bbox, giou)]
+    return np.array(sums).T
 
 
 def train_round(
@@ -489,9 +454,11 @@ def train_round(
     the focal terms and their gradient over all of the batch's (label,
     matched prompt) pairs, using work arrays allocated once per round.  The
     loss values are reported, not trained on, so they wait for the end of
-    the epoch: one ``_tallies`` call then sums the focal terms per label
-    and computes the L1 and GIoU box losses of each label's responsible
-    candidate for every batch of the epoch.  The newest cohort
+    the epoch: one ``_tallies`` call then gives every batch's focal, L1 and
+    GIoU sums as one (batch, 3) array.  Divided by each batch's assigned
+    label count, these and the per-batch dispersion values go through one
+    ``combine`` call, and each term of the epoch's ``LossBreakdown`` is its
+    mean over the batches, summed left to right.  The newest cohort
     additionally feels attraction to its frozen parent and log-sum-exp
     repulsion among siblings; in the root-only round both terms are zero.
     Updates are projected gradient steps: subtract, renormalize, with an
@@ -549,45 +516,27 @@ def train_round(
                 upd = V[moved] - step[moved]
                 V[moved] = upd / np.sqrt(np.add.reduce(upd * upd, axis=1, keepdims=True))
 
-        tallies = _tallies(batches)
-        stats.epoch_losses.append(_mean_breakdown([
-            combine(
-                pc_value,
-                cc_value,
-                tally.bbox_sum / max(tally.num_assigned, 1),
-                tally.giou_sum / max(tally.num_assigned, 1),
-                tally.cls_sum / max(tally.num_assigned, 1),
-                gamma=config.gamma,
-                gamma_bbox=config.gamma_bbox,
-                gamma_giou=config.gamma_giou,
-                gamma_cls=config.gamma_cls,
-            )
-            for tally, (pc_value, cc_value) in zip(tallies, dispersion)
-        ]))
+        assigned = np.array([b.num_assigned for b in batches])
+        cls, bbox, giou = (_tallies(batches) / np.maximum(assigned, 1)[:, None]).T
+        pc, cc = np.array(dispersion).T
+        parts = combine(
+            pc, cc, bbox, giou, cls, gamma=config.gamma, gamma_bbox=config.gamma_bbox,
+            gamma_giou=config.gamma_giou, gamma_cls=config.gamma_cls,
+        )
+        # the mean of each term over the epoch's batches, summed in batch order
+        stats.epoch_losses.append(LossBreakdown(
+            *(_in_order_sum(getattr(parts, f.name)) / len(batches) for f in fields(LossBreakdown))
+        ))
         stats.epoch_norm_error.append(
             float(np.max(np.abs(np.linalg.norm(V[row_trainable], axis=1) - 1.0)))
         )
-        stats.assignments_final = sum(t.num_assigned for t in tallies)
-        stats.misses_final = sum(t.num_missed for t in tallies)
+        stats.assignments_final = int(assigned.sum())
+        stats.misses_final = sum(b.num_missed for b in batches)
 
     for nid in trainable:
         node = tree.nodes[nid]
         tree.nodes[nid] = replace(node, embedding=V[row_of[nid]])
     return stats
-
-
-def _mean_breakdown(parts: Sequence[LossBreakdown]) -> LossBreakdown:
-    if not parts:
-        return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    n = len(parts)
-    return LossBreakdown(
-        parent_child=sum(p.parent_child for p in parts) / n,
-        child_child=sum(p.child_child for p in parts) / n,
-        bbox=sum(p.bbox for p in parts) / n,
-        giou=sum(p.giou for p in parts) / n,
-        cls=sum(p.cls for p in parts) / n,
-        total=sum(p.total for p in parts) / n,
-    )
 
 
 def activation_frequency(
@@ -712,7 +661,6 @@ class RunResult:
     activation_history: list[ActivationStats]
     label_counts: list[int]
     stopped_early: bool
-    config: ExpansionConfig
     final_detections: dict[int, ScoredBoxes]  # the last evaluation's, by scene
 
 
@@ -788,7 +736,6 @@ def run(
         activation_history=activation_history,
         label_counts=label_counts,
         stopped_early=stopped_early,
-        config=config,
         final_detections=detections,
     )
 

@@ -199,7 +199,7 @@ def _write_run_artifacts(
     header += ["alpha_max_degrees"]
     rows = []
     for rnd, (s, num_labels) in enumerate(zip(result.eval_summaries, result.label_counts), 1):
-        num_prompts = 1 + (rnd - 1) * result.config.num_children
+        num_prompts = 1 + (rnd - 1) * config.expansion.num_children
         metrics = map(_fmt, (s.ar(cap), s.ar_small, s.ar_medium, s.ar_large, s.ap))
         rows.append((rnd, num_prompts, num_labels, *metrics, _deg(alpha_by_round.get(rnd))))
     _write_csv(out / "rounds.csv", header, rows)

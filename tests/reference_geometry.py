@@ -1,16 +1,15 @@
 """Scalar geometry that only tests use.
 
 The package computes these in arrays: every pairwise prompt angle at once
-(`geometry.pairwise_angle_matrix`), COCO boxes in the annotation writer and
-size classes with `evaluation._size_class`.  The one-value forms here are
-what those are checked against.
+(`geometry.pairwise_angle_matrix`) and COCO boxes in the annotation writer.
+The one-value forms here are what those are checked against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dipex.boxes import MEDIUM_MAX_AREA, SMALL_MAX_AREA, BBox
+from dipex.boxes import BBox
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -34,13 +33,3 @@ def angular_distance(a: np.ndarray, b: np.ndarray) -> float:
 def to_xywh(box: BBox) -> tuple[float, float, float, float]:
     """COCO convention: top-left corner plus width/height."""
     return (box.x_min, box.y_min, box.width, box.height)
-
-
-def size_class_from_area(area: float) -> str:
-    if area < 0.0:
-        raise ValueError(f"negative area: {area}")
-    if area < SMALL_MAX_AREA:
-        return "S"
-    if area < MEDIUM_MAX_AREA:
-        return "M"
-    return "L"

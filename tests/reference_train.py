@@ -8,15 +8,15 @@ exactly.
 
 ``reference_round`` is the per-batch round loop that `expansion.train_round`
 replaced: every batch gathers its scenes by index, scatters its gradient
-with ``np.add.at`` and computes its own box losses, and the dispersion
-losses are the plain formulas of ``reference_parent_child`` and
-``reference_child_child``.  A round must reproduce its prompt bytes and its
-``RoundStats`` exactly.
+with ``np.add.at``, computes its own box losses and its own weighted total,
+and the dispersion losses are the plain formulas of
+``reference_parent_child`` and ``reference_child_child``.  A round must
+reproduce its prompt bytes and its ``RoundStats`` exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from dipex.detection_losses import giou_loss as array_giou_loss
 from dipex.detection_losses import l1_box_loss as array_l1_box_loss
 from dipex.detection_losses import sigmoid_focal_loss
 from dipex.detector import _noise_direction, candidate_detections
-from dipex.dispersion import combine
-from dipex.expansion import RoundStats, _BatchTally, _mean_breakdown, _round_data
+from dipex.dispersion import LossBreakdown, combine
+from dipex.expansion import RoundStats, _round_data
 
 from reference_world import scene_objects, scenes_of
 
@@ -69,6 +69,29 @@ def giou(a: BBox, b: BBox) -> float:
 
 def giou_loss(a: BBox, b: BBox) -> float:
     return 1.0 - giou(a, b)
+
+
+@dataclass
+class BatchTally:
+    """One batch's loss sums and label counts."""
+
+    cls_sum: float = 0.0
+    bbox_sum: float = 0.0
+    giou_sum: float = 0.0
+    num_assigned: int = 0
+    num_missed: int = 0
+
+
+def mean_breakdown(parts):
+    """Each term's mean over the batches ``parts``, summed left to right.
+
+    The builtin ``sum()`` of floats is compensated from Python 3.12 on, so
+    it would round differently; this loop adds in batch order everywhere.
+    """
+    totals = [0.0] * len(astuple(parts[0]))
+    for part in parts:
+        totals = [t + v for t, v in zip(totals, astuple(part))]
+    return LossBreakdown(*(t / len(parts) for t in totals))
 
 
 @dataclass
@@ -188,7 +211,7 @@ def accumulate_scene(sd: SceneData, V, row_trainable, params, config, grad, tall
 def reference_batch(data, batch_ids, V, row_trainable, params, config):
     """(tally, grad) of one batch of scene ids, scene by scene in batch order."""
     grad = np.zeros_like(V)
-    tally = _BatchTally()
+    tally = BatchTally()
     for sid in batch_ids:
         accumulate_scene(data[int(sid)], V, row_trainable, params, config, grad, tally)
     return tally, grad
@@ -247,7 +270,7 @@ def reference_step(data, rows, V, row_trainable, params, config):
     grad = np.zeros_like(V)
     num_labels = int(np.count_nonzero(data.label_mask[rows]))
     num_assigned = int(np.count_nonzero(assigned))
-    tally = _BatchTally(num_assigned=num_assigned, num_missed=num_labels - num_assigned)
+    tally = BatchTally(num_assigned=num_assigned, num_missed=num_labels - num_assigned)
     if num_assigned == 0:
         return tally, grad
 
@@ -322,7 +345,7 @@ def reference_round(tree, labels, world, config, params, rng):
             if moved.any():
                 upd = V[moved] - step[moved]
                 V[moved] = upd / np.linalg.norm(upd, axis=1, keepdims=True)
-        stats.epoch_losses.append(_mean_breakdown(breakdowns))
+        stats.epoch_losses.append(mean_breakdown(breakdowns))
         stats.epoch_norm_error.append(
             float(np.max(np.abs(np.linalg.norm(V[row_trainable], axis=1) - 1.0)))
         )

@@ -8,7 +8,8 @@ from dipex.boxes import BBox, MEDIUM_MAX_AREA, SIZE_CLASSES, SMALL_MAX_AREA, int
 from dipex.evaluation import _size_class
 
 from reference_detector import clip, translate
-from reference_geometry import size_class_from_area, to_xywh
+from reference_eval import size_bucket
+from reference_geometry import to_xywh
 
 coords = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
 extents = st.floats(min_value=0.0, max_value=300.0, allow_nan=False)
@@ -83,12 +84,11 @@ def test_iou_degenerate_boxes():
 
 
 def test_size_class_boundaries():
-    assert size_class_from_area(SMALL_MAX_AREA - 1.0) == "S"
-    assert size_class_from_area(SMALL_MAX_AREA) == "M"
-    assert size_class_from_area(MEDIUM_MAX_AREA - 1.0) == "M"
-    assert size_class_from_area(MEDIUM_MAX_AREA) == "L"
-    with pytest.raises(ValueError):
-        size_class_from_area(-1.0)
+    # the oracle's COCO rule agrees with the package's boundaries
+    assert size_bucket(SMALL_MAX_AREA - 1.0) == "S"
+    assert size_bucket(SMALL_MAX_AREA) == "M"
+    assert size_bucket(MEDIUM_MAX_AREA - 1.0) == "M"
+    assert size_bucket(MEDIUM_MAX_AREA) == "L"
     # the evaluator's array form puts each boundary in the same class
     areas = [SMALL_MAX_AREA - 1.0, SMALL_MAX_AREA, MEDIUM_MAX_AREA - 1.0, MEDIUM_MAX_AREA]
     assert [SIZE_CLASSES[k] for k in _size_class(np.array(areas))] == ["S", "M", "M", "L"]

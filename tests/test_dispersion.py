@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -160,6 +160,15 @@ def test_combine_weights_every_term():
     # each weight scales its own term only
     assert combine(0.0, 0.0, 0.0, 0.0, 5.0, gamma=0.1, gamma_cls=0.5).total == 2.5
     assert combine(0.0, 2.0, 0.0, 0.0, 0.0, gamma=3.0).total == 6.0
+
+
+def test_combine_over_arrays_matches_each_entry():
+    """One call over per-batch arrays gives every batch's scalar result."""
+    terms = np.random.default_rng(3).normal(size=(5, 7))
+    weights = dict(gamma=0.3, gamma_bbox=5.0, gamma_giou=2.0, gamma_cls=1.5)
+    whole = np.array(astuple(combine(*terms, **weights)))
+    for i in range(terms.shape[1]):
+        assert whole[:, i].tolist() == list(astuple(combine(*terms[:, i].tolist(), **weights)))
 
 
 def test_combine_without_gradients():

@@ -97,23 +97,24 @@ def test_batch_step_matches_per_label_reference(tiny_world, small_world, seed, w
         _batch_step(data, slice(end - batch.size, end), V, trainable, PARAMS, CONFIG)
         for batch, end in zip(batches, ends)
     ]
-    tallies = _tallies([terms for terms, _ in steps])
+    sums = _tallies([terms for terms, _ in steps])
+    assert sums.shape == (len(batches), 3)
     sdata = scene_data(world, all_labels(labels), CONFIG.seed)
-    for batch, tally, (_, grad) in zip(batches, tallies, steps):
+    for batch, row, (terms, grad) in zip(batches, sums.tolist(), steps):
         assert not grad[~trainable].any()
         want_tally, want_grad = reference_batch(sdata, ids[batch], V, trainable, PARAMS, CONFIG)
-        counts = (tally.num_assigned, tally.num_missed)
+        counts = (terms.num_assigned, terms.num_missed)
         assert counts == (want_tally.num_assigned, want_tally.num_missed)
-        assert tally.num_missed >= int(np.count_nonzero(batch != 0))  # one stray per scene
+        assert terms.num_missed >= int(np.count_nonzero(batch != 0))  # one stray per scene
+        want_sums = [want_tally.cls_sum, want_tally.bbox_sum, want_tally.giou_sum]
         if is_ragged:
             # The reference multiplies each scene's narrower object matrix, and
             # BLAS may round a dot product differently for another shape.
             np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
-            for name in ("cls_sum", "bbox_sum", "giou_sum"):
-                assert getattr(tally, name) == pytest.approx(getattr(want_tally, name), rel=1e-12)
+            assert row == pytest.approx(want_sums, rel=1e-12)
         else:
             assert grad.tobytes() == want_grad.tobytes()
-            assert tally == want_tally
+            assert row == want_sums
 
 
 def random_tree(world: World, rng: np.random.Generator, cohort: bool, config) -> PromptTree:
@@ -188,8 +189,8 @@ def test_batch_gradient_matches_finite_differences(small_world):
         rows = rng.permutation(data.scenes.scene_ids.size)[:8]
 
         def loss(W):
-            (tally,) = _tallies([_batch_step(data, rows, W, trainable, PARAMS, CONFIG)[0]])
-            return tally.cls_sum / max(tally.num_assigned, 1)
+            terms = _batch_step(data, rows, W, trainable, PARAMS, CONFIG)[0]
+            return _tallies([terms])[0, 0] / max(terms.num_assigned, 1)
 
         terms, grad = _batch_step(data, rows, V, trainable, PARAMS, CONFIG)
         grad = grad / max(terms.num_assigned, 1)

@@ -13,7 +13,7 @@ from dipex.world import WorldConfig, WorldObject, generate_world
 
 import reference_world
 from conftest import SMALL_WORLD, TINY_WORLD
-from reference_geometry import size_class_from_area
+from reference_eval import size_bucket
 
 
 def test_config_validation():
@@ -76,7 +76,7 @@ def test_embeddings_unit_norm_and_clustered(small_world):
 def test_size_classes_follow_mix(small_world):
     labels = small_world.size_classes.tolist()
     x0, y0, x1, y1 = small_world.boxes.T
-    assert [size_class_from_area(area) for area in ((x1 - x0) * (y1 - y0)).tolist()] == labels
+    assert [size_bucket(area) for area in ((x1 - x0) * (y1 - y0)).tolist()] == labels
     total = len(labels)
     counts = {cls: labels.count(cls) for cls in ("S", "M", "L")}
     for cls, frac in zip(("S", "M", "L"), small_world.config.size_mix):
