@@ -256,30 +256,36 @@ _KINDS = {
 }
 
 
-def _build_section(name: str, data: dict):
-    if not isinstance(data, dict):
-        raise ConfigError(f"section '{name}' must be a mapping")
-    cls, angles = _SECTIONS[name]
-    # config key -> (dataclass field, declared type); angles are read in degrees
-    keys = {f.name: (f.name, f.type) for f in dataclasses.fields(cls) if f.name not in angles}
-    keys.update({f"{field}_degrees": (field, "float") for field in angles})
-    kwargs = {}
-    for key, value in data.items():
-        if key not in keys:
-            raise ConfigError(f"unknown key '{key}' in section '{name}'")
-        field, kind = keys[key]
-        fits, expected = _KINDS[kind]
-        if not fits(value):
-            raise ConfigError(f"section '{name}': '{key}' must be {expected}, got {value!r}")
-        if field in angles:
-            value = math.radians(value)
-        elif kind == "int":
-            value = int(value)  # a whole float, such as 640.0
-        kwargs[field] = value
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"section '{name}': {exc}") from exc
+def with_settings(config: ExperimentConfig, doc: dict) -> ExperimentConfig:
+    """``config`` with the settings of ``doc``, {section: {key: value}} in
+    config-file terms.  Each value must pass the check of its field's
+    declared type, whether it comes from a config file or a flag."""
+    sections = {}
+    for name, data in doc.items():
+        if not isinstance(data, dict):
+            raise ConfigError(f"section '{name}' must be a mapping")
+        cls, angles = _SECTIONS[name]
+        # config key -> (dataclass field, declared type); angles are read in degrees
+        keys = {f.name: (f.name, f.type) for f in dataclasses.fields(cls) if f.name not in angles}
+        keys.update({f"{field}_degrees": (field, "float") for field in angles})
+        kwargs = {}
+        for key, value in data.items():
+            if key not in keys:
+                raise ConfigError(f"unknown key '{key}' in section '{name}'")
+            field, kind = keys[key]
+            fits, expected = _KINDS[kind]
+            if not fits(value):
+                raise ConfigError(f"section '{name}': '{key}' must be {expected}, got {value!r}")
+            if field in angles:
+                value = math.radians(value)
+            elif kind == "int":
+                value = int(value)  # a whole float, such as 640.0
+            kwargs[field] = value
+        try:
+            sections[name] = replace(getattr(config, name), **kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"section '{name}': {exc}") from exc
+    return replace(config, **sections)
 
 
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
@@ -289,13 +295,12 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - {*_SECTIONS, "max_dets"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    sections = {name: _build_section(name, doc.get(name, {})) for name in _SECTIONS}
+    config = with_settings(ExperimentConfig(), {name: doc[name] for name in _SECTIONS if name in doc})
     max_dets = doc.get("max_dets", list(DEFAULT_MAX_DETS))
     caps_ok = isinstance(max_dets, (list, tuple)) and all(is_whole(v) and v >= 1 for v in max_dets)
     if not (caps_ok and max_dets):
         raise ConfigError(f"max_dets must be a non-empty list of integers >= 1, got {max_dets!r}")
-    caps = tuple(sorted(int(v) for v in max_dets))
-    return ExperimentConfig(**sections, max_dets=caps)
+    return replace(config, max_dets=tuple(sorted(int(v) for v in max_dets)))
 
 
 def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
@@ -314,11 +319,5 @@ def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
 
 
 def with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """Reseed every stochastic component in lockstep."""
-    return ExperimentConfig(
-        world=replace(config.world, seed=seed),
-        detector=config.detector,
-        expansion=replace(config.expansion, seed=seed),
-        vocabulary=replace(config.vocabulary, seed=seed),
-        max_dets=config.max_dets,
-    )
+    """Reseed every stochastic component in lockstep; the seed is checked as a config file's."""
+    return with_settings(config, {name: {"seed": seed} for name in ("world", "expansion", "vocabulary")})

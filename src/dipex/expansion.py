@@ -18,17 +18,15 @@ into the detector's dense (scene, object) arrays and scatters the label
 boxes into (scene, label) arrays, padded where scenes differ in size.  Each
 epoch gathers those arrays once in its scene order, so every batch is a
 slice of them.  A batch takes one pass over its (scene, label, prompt,
-object) grid for the candidate boxes, IoU, responsibility matching, focal
-loss and gradient; the gradient terms go into a zero (label, prompt, dim)
-array and one reduction over labels sums them in the order of a
-label-by-label loop.  The reported losses (the focal sums and the L1 and
-GIoU box losses) carry no gradient, so they are computed once per epoch
-from what the batches kept, as arrays with one entry per batch: one weighted
-total over those arrays, then each term's epoch mean as a left-to-right sum
-over the batches.  The same grid and matcher count how many labels
-each prompt answers for when the next parent is picked.  The label passes
-run every prompt through the detector in one grid pass; labels stay arrays
-from detector to trainer.
+object) grid for the candidate boxes, IoU, responsibility matching and focal
+loss, and one matrix product over its objects for the gradient.  The
+reported losses (the focal sums and the L1 and GIoU box losses) carry no
+gradient, so they are computed once per epoch from what the batches kept,
+as arrays with one entry per batch: one weighted total over those arrays,
+then each term's mean over the batches.  The same grid and matcher count
+how many labels each prompt answers for when the next parent is picked.
+The label passes run the detector once per prompt, each on its own
+candidate grid; labels stay arrays from detector to trainer.
 
 Growth stops after the configured number of expansions, or earlier when the
 maximum pairwise angle either clears the coverage threshold or stalls between
@@ -317,23 +315,6 @@ class _BatchTerms:
     size: np.ndarray       # (num_assigned, 2) width, height
 
 
-def _in_order_sum(values: np.ndarray) -> float:
-    """Left-to-right sum; np.sum pairs terms up and would round differently."""
-    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
-
-
-def _buffers(max_labels: int, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work arrays for the gradient terms of up to ``max_labels`` labels:
-    two (pair, dim) arrays and one (label, prompt, dim) array.
-
-    A round reuses one set for all its steps.  Fresh arrays this large
-    would be mapped anew at every step, and the page faults of first
-    touching them cost more than the arithmetic done in them.
-    """
-    pairs = np.empty((max_labels * V.shape[0], V.shape[1]))
-    return pairs, np.empty_like(pairs), np.empty((max_labels,) + V.shape)
-
-
 def _batch_step(
     data: _RoundData,
     rows: np.ndarray | slice,
@@ -341,7 +322,6 @@ def _batch_step(
     row_trainable: np.ndarray,
     params: DetectorParams,
     config: ExpansionConfig,
-    buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[_BatchTerms, np.ndarray]:
     """Focal terms and their gradient for the scenes ``rows`` of one batch.
 
@@ -354,11 +334,11 @@ def _batch_step(
 
     ``rows`` is a slice of an epoch-ordered round (``_RoundData.take``), so
     every per-scene array is a view; an index array gives the same result.
-    The floating-point order is that of a scene-by-scene, label-by-label
-    loop (kept as the reference in tests/reference_train.py): each term goes
-    into its own row of a zero (assigned label, prompt, dim) array, and one
-    reduction over the first axis adds the rows in (scene, label) order, as
-    the loop did, so training writes the same bytes as that loop.
+    A term on prompt p and object o adds c * (emb_o - cos_po * unit_p), with
+    c = dfocal * logit_scale / |V_p|.  So the gradient is one matrix product,
+    ``C @ E - w[:, None] * unit``: C holds the summed c of each (prompt,
+    batch object), E the batch's object embeddings and w each prompt's sum
+    of c * cos.
     """
     norms = np.sqrt(np.add.reduce(V * V, axis=1))  # np.linalg.norm's arithmetic
     unit = V / norms[:, None]
@@ -382,30 +362,13 @@ def _batch_step(
     focal, dfocal = sigmoid_focal_loss(
         logits.take(pair), (p == np.repeat(responsible, per_label)).astype(float)
     )
-    label = np.repeat(np.arange(per_label.size), per_label)
     keep = row_trainable[p]
-    s, p, o, pair, label = s[keep], p[keep], o[keep], pair[keep], label[keep]
-    gathered, terms, dense = buffers or _buffers(per_label.size, V)
-    # coeff * (emb - cos * unit) / norm, built in place in the buffers;
-    # take(mode="clip") writes straight into them, the default would not
-    terms = unit.take(p, axis=0, out=terms[: p.size], mode="clip")
-    terms *= cos.take(pair)[:, None]
-    emb = data.scenes.emb[rows]
-    np.subtract(
-        emb.reshape(-1, emb.shape[2]).take(
-            s * emb.shape[1] + o, axis=0, out=gathered[: p.size], mode="clip"
-        ),
-        terms,
-        out=terms,
-    )
-    terms *= (dfocal[keep] * params.logit_scale)[:, None]
-    terms /= norms[p][:, None]
-    # A prompt has at most one term per label.  Starting from a zero, as
-    # np.add.at into a zero gradient did, keeps that sum's bytes.
-    dense = dense[: per_label.size]
-    dense.fill(0.0)
-    dense[label, p] = terms
-    grad = np.add.reduce(dense, axis=0, initial=0.0)
+    p, obj, pair = p[keep], (s * cos.shape[2] + o)[keep], pair[keep]
+    coeff = dfocal[keep] * params.logit_scale / norms[p]
+    E = data.scenes.emb[rows].reshape(-1, V.shape[1])  # the batch's objects, scene by scene
+    C = np.bincount(p * E.shape[0] + obj, coeff, V.shape[0] * E.shape[0]).reshape(V.shape[0], -1)
+    w = np.bincount(p, coeff * cos.take(pair), V.shape[0])
+    grad = C @ E - w[:, None] * unit
     return _BatchTerms(per_label.size, num_missed, focal, per_label, cand, target, size), grad
 
 
@@ -414,28 +377,20 @@ def _tallies(batches: Sequence[_BatchTerms]) -> np.ndarray:
     from the terms of any number of batches.
 
     The per-label focal sums and both box losses are computed once over all
-    of them; each batch then sums its own labels in order.  Every value is
-    elementwise or per label, so the sums are those of a batch-by-batch
-    computation.
+    of them, then summed per batch.
     """
     per_label = np.concatenate([b.per_label for b in batches])
     focal = np.concatenate([b.focal for b in batches])
-    # np.sum over a row of k terms pairs them up as np.sum over the label's
-    # own k-vector does, so labels are summed in groups of equal term count.
-    starts = np.cumsum(per_label) - per_label
-    label_losses = np.empty(per_label.size)
-    # the term counts present, ascending; np.unique would import numpy.ma
-    for k in np.flatnonzero(np.bincount(per_label)).tolist():
-        same = per_label == k
-        label_losses[same] = focal[starts[same][:, None] + np.arange(k)].sum(axis=1)
     cand, target, size = (
         np.concatenate([getattr(b, name) for b in batches]) for name in ("cand", "target", "size")
     )
-    bbox = l1_box_loss(cand, target, size[:, 0], size[:, 1])
-    giou = giou_loss(cand, target)
-    cuts = np.cumsum([b.num_assigned for b in batches])[:-1]
-    sums = [[_in_order_sum(part) for part in np.split(v, cuts)] for v in (label_losses, bbox, giou)]
-    return np.array(sums).T
+    # every label has at least one term, so no two starts are equal
+    label_losses = np.add.reduceat(focal, np.cumsum(per_label) - per_label)
+    batch = np.repeat(np.arange(len(batches)), [b.num_assigned for b in batches])
+    return np.stack([
+        np.bincount(batch, v, len(batches))
+        for v in (label_losses, l1_box_loss(cand, target, size[:, 0], size[:, 1]), giou_loss(cand, target))
+    ], axis=1)
 
 
 def train_round(
@@ -452,13 +407,12 @@ def train_round(
     ``batch_size``: the round's arrays are gathered once in that order, and
     each batch is a slice of them.  One ``_batch_step`` call per batch gives
     the focal terms and their gradient over all of the batch's (label,
-    matched prompt) pairs, using work arrays allocated once per round.  The
-    loss values are reported, not trained on, so they wait for the end of
-    the epoch: one ``_tallies`` call then gives every batch's focal, L1 and
-    GIoU sums as one (batch, 3) array.  Divided by each batch's assigned
-    label count, these and the per-batch dispersion values go through one
-    ``combine`` call, and each term of the epoch's ``LossBreakdown`` is its
-    mean over the batches, summed left to right.  The newest cohort
+    matched prompt) pairs.  The loss values are reported, not trained on,
+    so they wait for the end of the epoch: one ``_tallies`` call then gives
+    every batch's focal, L1 and GIoU sums as one (batch, 3) array.  Divided
+    by each batch's assigned label count, these and the per-batch dispersion
+    values go through one ``combine`` call, and each term of the epoch's
+    ``LossBreakdown`` is its mean over the batches.  The newest cohort
     additionally feels attraction to its frozen parent and log-sum-exp
     repulsion among siblings; in the root-only round both terms are zero.
     Updates are projected gradient steps: subtract, renormalize, with an
@@ -488,15 +442,13 @@ def train_round(
         label_count=len(labels),
     )
 
-    buffers = _buffers(config.batch_size * data.label_boxes.shape[1], V)
     for _ in range(config.epochs_per_round):
         epoch = data.take(rng.permutation(num_scenes))
         batches: list[_BatchTerms] = []
         dispersion: list[tuple[float, float]] = []
         for start in range(0, num_scenes, config.batch_size):
             terms, grad_cls = _batch_step(
-                epoch, slice(start, start + config.batch_size), V, row_trainable, params, config,
-                buffers,
+                epoch, slice(start, start + config.batch_size), V, row_trainable, params, config
             )
             batches.append(terms)
             grad_cls /= max(terms.num_assigned, 1)
@@ -523,9 +475,8 @@ def train_round(
             pc, cc, bbox, giou, cls, gamma=config.gamma, gamma_bbox=config.gamma_bbox,
             gamma_giou=config.gamma_giou, gamma_cls=config.gamma_cls,
         )
-        # the mean of each term over the epoch's batches, summed in batch order
         stats.epoch_losses.append(LossBreakdown(
-            *(_in_order_sum(getattr(parts, f.name)) / len(batches) for f in fields(LossBreakdown))
+            *(float(np.mean(getattr(parts, f.name))) for f in fields(LossBreakdown))
         ))
         stats.epoch_norm_error.append(
             float(np.max(np.abs(np.linalg.norm(V[row_trainable], axis=1) - 1.0)))

@@ -26,6 +26,7 @@ from .config import (  # noqa: F401  (ConfigError, ExperimentConfig and the load
     experiment_config_from_dict,
     load_experiment_config,
     with_seed,
+    with_settings,
 )
 from .evaluation import (
     DEFAULT_MAX_DETS,
@@ -156,15 +157,17 @@ def run_pilot_merging(
     from .detector import QueryMode, overlap_penalty
 
     _bind("generate_world", "build_vocabulary", "detect_world")
+    seeded = [with_seed(config, seed) for seed in seeds]  # every seed checked before any write
     out = _prepare_out(out_dir, overwrite)
     cap = max(config.max_dets)
     # rows grouped by style, then seed; one world is alive at a time
     rows_by_style: dict[str, list[tuple]] = {"dispersed": [], "overlapping": []}
-    for seed in seeds:
-        world = generate_world(replace(config.world, seed=seed))
+    for each in seeded:
+        seed = each.world.seed
+        world = generate_world(each.world)
         gts = GroundTruthSet.from_world(world)
         for style, rows in rows_by_style.items():
-            vocab_cfg = replace(config.vocabulary, style=style, seed=seed)
+            vocab_cfg = replace(each.vocabulary, style=style)
             vocab = build_vocabulary(world, vocab_cfg)
             prompts = [(i, v) for i, v in enumerate(vocab)]
             summaries = {}
@@ -320,6 +323,8 @@ def run_sweep(
     the sibling-repulsion weight and also reports the tree's geometry.
     Writes ``sweep_k.csv`` or ``sweep_gamma.csv``, one row per value."""
     field, cast, key, head, tail = _SWEEPS[sweep]
+    # every value checked as a config file's is, before any write
+    expansions = [with_settings(config, {"expansion": {field: cast(v)}}).expansion for v in values]
     _bind("generate_world", "build_vocabulary", "run")
     out = _prepare_out(out_dir, overwrite)
     cap = max(config.max_dets)
@@ -327,8 +332,8 @@ def run_sweep(
     vocab = build_vocabulary(world, config.vocabulary)
     columns = head + ["rounds_trained", "stopped_early", f"ar_{cap}", "ap", "alpha_max_degrees"] + tail
     rows = []
-    for value in map(cast, values):
-        expansion = replace(config.expansion, **{field: value})
+    for expansion in expansions:
+        value = getattr(expansion, field)
         result = run(world, expansion, config.detector, vocab, config.max_dets)
         final = result.eval_summaries[-1]
         alpha = result.mac_report.alpha_max

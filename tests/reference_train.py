@@ -3,15 +3,17 @@
 ``reference_batch`` is the scalar training step that `expansion._batch_step`
 replaced: one scene at a time, one pseudo-label at a time, with the focal
 loss called per label and the scalar box-loss formulas per matched label on
-`BBox` objects.  The kernel must reproduce its gradient bytes and its tally
-exactly.
+`BBox` objects.  The kernel sums a prompt's terms in one matrix product
+rather than label by label, so it must reproduce this step's gradient and
+loss sums within 1e-12 and its label counts exactly.
 
 ``reference_round`` is the per-batch round loop that `expansion.train_round`
 replaced: every batch gathers its scenes by index, scatters its gradient
 with ``np.add.at``, computes its own box losses and its own weighted total,
 and the dispersion losses are the plain formulas of
 ``reference_parent_child`` and ``reference_child_child``.  A round must
-reproduce its prompt bytes and its ``RoundStats`` exactly.
+reproduce its prompts within 1e-12, every float of its ``RoundStats``
+within a relative 1e-12 and every count exactly.
 """
 
 from __future__ import annotations

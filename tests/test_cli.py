@@ -533,3 +533,25 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error[config]:")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["sweep-gamma", "--gamma", "inf"], "section 'expansion': 'gamma' must be a finite number, got inf"),
+        (["sweep-gamma", "--gamma", "nan"], "section 'expansion': 'gamma' must be a finite number, got nan"),
+        (
+            ["run", "--seed", "99999999999999999999999"],
+            "section 'world': 'seed' must be an integer, got 99999999999999999999999",
+        ),
+    ],
+)
+def test_flag_values_get_the_config_check(config_path, tmp_path, capsys, flags, message):
+    """A flag value fails as the same value in a config file does, before
+    the output directory is made."""
+    out = tmp_path / "out"
+    code = main([*flags, "--config", str(config_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error[config]: {message}\n"
+    assert not out.exists()

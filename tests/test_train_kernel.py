@@ -2,7 +2,7 @@
 training round against its per-batch reference, and the assembled
 classification gradient against finite differences."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -106,15 +106,11 @@ def test_batch_step_matches_per_label_reference(tiny_world, small_world, seed, w
         counts = (terms.num_assigned, terms.num_missed)
         assert counts == (want_tally.num_assigned, want_tally.num_missed)
         assert terms.num_missed >= int(np.count_nonzero(batch != 0))  # one stray per scene
+        # The kernel sums each prompt's terms in one matrix product, the
+        # reference label by label, so the two round differently.
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
         want_sums = [want_tally.cls_sum, want_tally.bbox_sum, want_tally.giou_sum]
-        if is_ragged:
-            # The reference multiplies each scene's narrower object matrix, and
-            # BLAS may round a dot product differently for another shape.
-            np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
-            assert row == pytest.approx(want_sums, rel=1e-12)
-        else:
-            assert grad.tobytes() == want_grad.tobytes()
-            assert row == want_sums
+        assert row == pytest.approx(want_sums, rel=1e-12)
 
 
 def random_tree(world: World, rng: np.random.Generator, cohort: bool, config) -> PromptTree:
@@ -143,9 +139,10 @@ def random_tree(world: World, rng: np.random.Generator, cohort: bool, config) ->
 def test_train_round_matches_reference_round(
     tiny_world, small_world, seed, which, cohort, batch_size
 ):
-    """Epoch-ordered slices, the dense reduction and the per-epoch loss
-    bookkeeping leave every prompt byte and every reported value of the
-    per-batch loop unchanged."""
+    """Epoch-ordered slices, the matrix-product gradient and the per-epoch
+    loss bookkeeping keep every prompt and every reported value of the
+    per-batch loop, up to the order in which terms are added; every count
+    is exact."""
     rng = np.random.default_rng(seed)
     world = small_world if which == "small" else tiny_world
     if which == "ragged":
@@ -164,8 +161,16 @@ def test_train_round_matches_reference_round(
     )
     stats = train_round(tree, labels, world, config, PARAMS, np.random.default_rng(seed))
 
-    assert tree.embedding_matrix().tobytes() == want_V.tobytes()
-    assert stats == want_stats
+    np.testing.assert_allclose(tree.embedding_matrix(), want_V, rtol=0, atol=1e-12)
+    counts = ("round_index", "label_count", "assignments_final", "misses_final")
+    assert [getattr(stats, f) for f in counts] == [getattr(want_stats, f) for f in counts]
+    assert len(stats.epoch_losses) == len(want_stats.epoch_losses)
+    assert _floats(stats) == pytest.approx(_floats(want_stats), rel=1e-12)
+
+
+def _floats(stats):
+    """Every float of a ``RoundStats``, in one flat list."""
+    return [x for parts in stats.epoch_losses for x in astuple(parts)] + stats.epoch_norm_error
 
 
 def _matching(data, rows, V):
