@@ -8,7 +8,6 @@ import importlib
 # that path uses
 _EXPORTS = {
     "BBox": "boxes",
-    "iou": "boxes",
     "DetectorParams": "config",
     "ExpansionConfig": "config",
     "VocabularyConfig": "config",

@@ -1,6 +1,6 @@
-"""Axis-aligned boxes in pixel coordinates plus the handful of geometric
-primitives (IoU, size buckets) shared by the detector, the label
-builder and the evaluator."""
+"""Axis-aligned boxes in pixel coordinates, and the one place box arithmetic
+is written: area, IoU with its union, xyxy -> xywh and the COCO size rule,
+on xyxy boxes stacked as (..., 4) arrays, for every other module."""
 
 from __future__ import annotations
 
@@ -56,31 +56,34 @@ class BBox:
         return BBox(x, y, x + w, y + h)
 
 
-def intersection_area(a: BBox, b: BBox) -> float:
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    return iw * ih
+def box_area(b: np.ndarray) -> np.ndarray:
+    """Width times height of each box, as ``BBox.area``."""
+    return (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union; 0 when the union is empty (two zero-area boxes)."""
-    inter = intersection_area(a, b)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
-def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``iou`` of xyxy boxes stacked as broadcastable (..., 4) arrays, entry by
-    entry, with the same arithmetic, so each entry equals ``iou`` bit for bit."""
+def iou_and_union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """IoU and union area of broadcastable box arrays, entry by entry; the
+    IoU is 0 where the union is empty (two zero-area boxes)."""
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    union = area_a + area_b - inter
+    union = box_area(a) + box_area(b) - inter
     nonempty = union > 0.0
-    return np.where(nonempty, inter / np.where(nonempty, union, 1.0), 0.0)
+    return np.where(nonempty, inter / np.where(nonempty, union, 1.0), 0.0), union
+
+
+def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The IoU of ``iou_and_union``; each entry equals the scalar ``iou`` of
+    tests/reference_geometry.py bit for bit, by the same operations in order."""
+    return iou_and_union(a, b)[0]
+
+
+def xyxy_to_xywh(b: np.ndarray) -> np.ndarray:
+    """COCO's (x, y, width, height) of each box of an (n, 4) array."""
+    return np.concatenate([b[:, :2], b[:, 2:] - b[:, :2]], axis=1)
+
+
+def size_class(area: np.ndarray) -> np.ndarray:
+    """Index into ``SIZE_CLASSES`` of each area, by the COCO rule above, as
+    the scalar ``size_bucket`` in tests/reference_eval.py."""
+    return np.searchsorted(np.array([SMALL_MAX_AREA, MEDIUM_MAX_AREA]), area, side="right")

@@ -68,6 +68,8 @@ class WorldConfig:
             raise ValueError(f"size_mix needs three non-negative fractions: {self.size_mix}")
         if not math.isclose(sum(self.size_mix), 1.0, abs_tol=1e-9):
             raise ValueError(f"size_mix must sum to 1: {self.size_mix}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         self._validate_fit()
 
     def _validate_fit(self) -> None:
@@ -144,6 +146,8 @@ class VocabularyConfig:
             raise ValueError(f"unknown vocabulary style: {self.style}")
         if not (0.0 <= self.min_separation < math.pi):
             raise ValueError(f"min_separation out of [0, pi): {self.min_separation}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -192,6 +196,8 @@ class ExpansionConfig:
             raise ValueError(f"label_threshold out of [0, 1): {self.label_threshold}")
         if not (0.0 < self.label_iou_min <= 1.0):
             raise ValueError(f"label_iou_min out of (0, 1]: {self.label_iou_min}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -296,11 +302,15 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     config = with_settings(ExperimentConfig(), {name: doc[name] for name in _SECTIONS if name in doc})
-    max_dets = doc.get("max_dets", list(DEFAULT_MAX_DETS))
+    return replace(config, max_dets=checked_max_dets(doc.get("max_dets", list(DEFAULT_MAX_DETS))))
+
+
+def checked_max_dets(max_dets) -> tuple[int, ...]:
+    """``max_dets`` sorted, if it is a non-empty list of integers >= 1."""
     caps_ok = isinstance(max_dets, (list, tuple)) and all(is_whole(v) and v >= 1 for v in max_dets)
     if not (caps_ok and max_dets):
         raise ConfigError(f"max_dets must be a non-empty list of integers >= 1, got {max_dets!r}")
-    return replace(config, max_dets=tuple(sorted(int(v) for v in max_dets)))
+    return tuple(sorted(int(v) for v in max_dets))
 
 
 def load_experiment_config(path: str | Path | None) -> ExperimentConfig:

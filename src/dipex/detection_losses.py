@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _area(b: np.ndarray) -> np.ndarray:
-    return (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+from .boxes import box_area, iou_and_union
 
 
 def _warn(message: str, *args) -> None:
@@ -49,7 +47,7 @@ def l1_box_loss(
     if np.any(width <= 0.0) or np.any(height <= 0.0):
         raise ValueError(f"image size must be positive: {image_width}x{image_height}")
     p, t = np.asarray(pred, dtype=float), np.asarray(target, dtype=float)
-    degenerate = _area(t) == 0.0
+    degenerate = box_area(t) == 0.0
     if np.any(degenerate):
         _warn(
             "l1_box_loss: %d degenerate zero-area target(s), first %s",
@@ -77,14 +75,9 @@ def giou(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     logger.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    hull = (np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])) * (
-        np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
-    )
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    union = _area(a) + _area(b) - inter
-    iou_val = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+    corners = [np.minimum(a[..., :2], b[..., :2]), np.maximum(a[..., 2:], b[..., 2:])]
+    hull = box_area(np.concatenate(corners, axis=-1))  # of the smallest box enclosing both
+    iou_val, union = iou_and_union(a, b)
     degenerate = hull <= 0.0
     if np.any(degenerate):
         _warn("giou: %d degenerate box pair(s) with empty hull", int(np.sum(degenerate)))

@@ -32,6 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .boxes import box_area, xyxy_to_xywh
 from .config import DetectorParams, VocabularyConfig
 from .geometry import apply_rotation, normalize, sample_child_rotations
 from .pseudo_labels import ScoredBoxes, soft_nms
@@ -123,7 +124,7 @@ def _pack(world: World, seed: int) -> SceneArrays:
         object_ids=object_ids,
         emb=emb,
         gt=gt,
-        sqrt_area=np.sqrt((gt[..., 2] - gt[..., 0]) * (gt[..., 3] - gt[..., 1])),
+        sqrt_area=np.sqrt(box_area(gt)),
         dirs=dirs,
         size=world.scene_sizes.astype(float),
     )
@@ -290,10 +291,9 @@ def detections_to_coco(dets_by_scene: Mapping[int, ScoredBoxes]) -> list[dict]:
     records = []
     for scene_id in sorted(dets_by_scene):
         dets = dets_by_scene[scene_id]
-        xywh = np.concatenate([dets.boxes[:, :2], dets.boxes[:, 2:] - dets.boxes[:, :2]], axis=1)
         records += [
             {"image_id": int(scene_id), "category_id": 1, "bbox": bbox, "score": score}
-            for bbox, score in zip(xywh.tolist(), dets.scores.tolist())
+            for bbox, score in zip(xyxy_to_xywh(dets.boxes).tolist(), dets.scores.tolist())
         ]
     return records
 

@@ -42,9 +42,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .boxes import MEDIUM_MAX_AREA, SIZE_CLASSES, SMALL_MAX_AREA, BBox
+from .boxes import SIZE_CLASSES, BBox, box_area, size_class
 from .boxes import box_iou as iou  # perfbench/tracing.py counts calls under this name
-from .config import DEFAULT_MAX_DETS, is_whole
+from .config import DEFAULT_MAX_DETS, checked_max_dets, is_whole
 from .pseudo_labels import ScoredBoxes, annotations_to_coco
 
 if TYPE_CHECKING:  # only for typing: dipex eval never loads the world module
@@ -107,13 +107,13 @@ class GroundTruthSet:
         shape = (len(self.scene_dims), int(index.max(initial=0)) + 1)
         box = np.zeros(shape + (4,))
         box[scene, index] = self.boxes
-        size_class = np.full(shape, -1)
-        size_class[scene, index] = _size_class(self.areas)
+        classes = np.full(shape, -1)
+        classes[scene, index] = size_class(self.areas)
         crowd = np.zeros(shape, dtype=bool)
         crowd[scene, index] = self.crowd
-        for array in (box, size_class, crowd):
+        for array in (box, classes, crowd):
             array.setflags(write=False)
-        return box, size_class, crowd
+        return box, classes, crowd
 
     @property
     def num_scenes(self) -> int:
@@ -131,7 +131,7 @@ class GroundTruthSet:
             scene_dims=dict(enumerate(map(tuple, world.scene_sizes.tolist()))),
             scene_ids=np.nonzero(real)[0],
             boxes=boxes,
-            areas=(boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]),
+            areas=box_area(boxes),
             crowd=np.zeros(len(boxes), dtype=bool),
         )
 
@@ -186,7 +186,7 @@ def _checked_annotation(i: int, ann, dims: Mapping[int, tuple[int, int]]) -> tup
         raise CocoFormatError(f"annotations[{i}] references unknown image {sid}")
     try:
         x0, y0, x1, y1 = _xyxy(x, y, w, h)
-        area = _number(ann["area"], "area") if "area" in ann else (x1 - x0) * (y1 - y0)
+        area = _number(ann["area"], "area") if "area" in ann else BBox(x0, y0, x1, y1).area
         iscrowd = ann.get("iscrowd", 0)
         if type(iscrowd) is not int or iscrowd not in (0, 1):  # not a bool or a float
             raise CocoFormatError(f"iscrowd must be 0 or 1, got {iscrowd!r}")
@@ -368,12 +368,6 @@ def _layout(counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return scene, np.arange(scene.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _size_class(area: np.ndarray) -> np.ndarray:
-    """Index into ``SIZE_CLASSES`` of each area, as the scalar
-    ``size_bucket`` in tests/reference_eval.py."""
-    return np.searchsorted(np.array([SMALL_MAX_AREA, MEDIUM_MAX_AREA]), area, side="right")
-
-
 def _average_precision(outcomes: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """101-point interpolated AP of each (bucket, threshold) row of
     ``outcomes``, a (bucket, threshold, detection) table in global rank order.
@@ -446,9 +440,7 @@ def evaluate(
     row order breaks score ties.  Scene ids must exist in the ground truth
     set; scenes without detections simply contribute misses.
     """
-    caps = sorted(set(int(c) for c in max_dets))
-    if not caps or caps[0] < 1:
-        raise ValueError(f"detection caps must be positive integers: {max_dets}")
+    caps = sorted(set(checked_max_dets(list(max_dets))))
     unknown = set(dets_by_scene) - set(gts.scene_dims)
     if unknown:
         raise CocoFormatError(f"detections reference unknown scenes: {sorted(unknown)}")
@@ -469,7 +461,6 @@ def evaluate(
     depth = int(d_idx.max(initial=-1)) + 1
     det_box = np.zeros((num_scenes, depth, 4))
     det_box[n_idx, d_idx] = dets.boxes[kept]
-    det_area = (det_box[..., 2] - det_box[..., 0]) * (det_box[..., 3] - det_box[..., 1])
 
     gt_box, gt_class, gt_crowd = gts.arrays
 
@@ -481,7 +472,7 @@ def evaluate(
     eligible = np.concatenate([gt_valid[None], gt_class == classes]) & ~gt_crowd
     ignored = gt_valid & ~eligible
     det_outside = np.concatenate(
-        [np.zeros((1, num_scenes, depth), dtype=bool), _size_class(det_area) != classes]
+        [np.zeros((1, num_scenes, depth), dtype=bool), size_class(box_area(det_box)) != classes]
     )
     totals = eligible.sum(axis=(1, 2))
 

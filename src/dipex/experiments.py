@@ -23,6 +23,7 @@ from .config import (  # noqa: F401  (ConfigError, ExperimentConfig and the load
     ConfigError,
     DetectorParams,
     ExperimentConfig,
+    checked_max_dets,
     experiment_config_from_dict,
     load_experiment_config,
     with_seed,
@@ -377,6 +378,7 @@ def run_eval_only(
     rescoring the same files elsewhere writes the same bytes.
     """
     sigma, floor = DetectorParams.nms_sigma, DetectorParams.nms_floor
+    checked_max_dets(list(max_dets))  # before any file is read or written
     out = _prepare_out(out_dir, overwrite)
     gts = load_coco_ground_truth(gt_path)
     dets = ScoredBoxes.concat(

@@ -24,7 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boxes import box_iou, iou  # noqa: F401  (perfbench/tracing.py counts iou calls here)
+from .boxes import box_area, box_iou, xyxy_to_xywh
+from .boxes import box_iou as iou  # noqa: F401  (a name perfbench/tracing.py wraps)
 
 
 class EmptyPseudoLabels(RuntimeError):
@@ -86,10 +87,8 @@ class PseudoLabelSet(ScoredBoxes):
         """COCO annotations document listing every scene of ``scene_dims``
         (scene id -> (w, h)), labelled or not, with each label's score and
         the build settings as ``info``."""
-        b = self.boxes
-        areas = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-        crowd = np.zeros(len(self), dtype=bool)
-        doc = annotations_to_coco(scene_dims, self.scene_ids, b, areas, crowd, self.scores)
+        areas, crowd = box_area(self.boxes), np.zeros(len(self), dtype=bool)
+        doc = annotations_to_coco(scene_dims, self.scene_ids, self.boxes, areas, crowd, self.scores)
         return {"info": dict(self.meta), **doc}
 
 
@@ -109,18 +108,17 @@ def annotations_to_coco(
         {"id": int(sid), "width": int(w), "height": int(h)}
         for sid, (w, h) in sorted(scene_dims.items())
     ]
-    corner, size = boxes[:, :2].tolist(), (boxes[:, 2:] - boxes[:, :2]).tolist()
-    rows = zip(scene_ids.tolist(), corner, size, areas.tolist(), crowd.tolist())
+    rows = zip(scene_ids.tolist(), xyxy_to_xywh(boxes).tolist(), areas.tolist(), crowd.tolist())
     annotations = [
         {
             "id": k,
             "image_id": sid,
             "category_id": 1,
-            "bbox": [x, y, w, h],
+            "bbox": bbox,
             "area": area,
             "iscrowd": int(iscrowd),
         }
-        for k, (sid, (x, y), (w, h), area, iscrowd) in enumerate(rows, start=1)
+        for k, (sid, bbox, area, iscrowd) in enumerate(rows, start=1)
     ]
     if scores is not None:
         for annotation, score in zip(annotations, scores.tolist()):

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from dipex.boxes import BBox, iou
+from dipex.boxes import BBox
 from dipex.detector import (
     DetectorParams,
     QueryMode,
@@ -29,6 +29,7 @@ from dipex.detector import (
 )
 from dipex.geometry import normalize
 
+from reference_geometry import iou
 from reference_world import scene_objects, scenes_of
 
 

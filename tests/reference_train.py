@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from dipex.boxes import BBox, box_iou, intersection_area
+from dipex.boxes import BBox, box_iou
 from dipex.detection_losses import giou_loss as array_giou_loss
 from dipex.detection_losses import l1_box_loss as array_l1_box_loss
 from dipex.detection_losses import sigmoid_focal_loss
@@ -30,6 +30,7 @@ from dipex.detector import _noise_direction, candidate_detections
 from dipex.dispersion import LossBreakdown, combine
 from dipex.expansion import RoundStats, _round_data
 
+from reference_geometry import intersection_area
 from reference_world import scene_objects, scenes_of
 
 

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dipex.boxes import BBox, MEDIUM_MAX_AREA, SIZE_CLASSES, SMALL_MAX_AREA, intersection_area, iou
-from dipex.evaluation import _size_class
+from dipex.boxes import (
+    BBox, MEDIUM_MAX_AREA, SIZE_CLASSES, SMALL_MAX_AREA, box_area, box_iou, size_class, xyxy_to_xywh,
+)
 
 from reference_detector import clip, translate
 from reference_eval import size_bucket
-from reference_geometry import to_xywh
+from reference_geometry import intersection_area, iou, to_xywh
 
 coords = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
 extents = st.floats(min_value=0.0, max_value=300.0, allow_nan=False)
@@ -20,6 +21,24 @@ def boxes(draw):
     x = draw(coords)
     y = draw(coords)
     return BBox(x, y, x + draw(extents), y + draw(extents))
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes: independent, identical, touching along an edge, or with a
+    zero-area box (a point or a segment) on one or both sides."""
+    a = draw(boxes())
+    kind = draw(st.sampled_from(["independent", "identical", "touching", "zero_area"]))
+    if kind == "identical":
+        return a, a
+    if kind == "touching":
+        y = draw(coords)
+        return a, BBox(a.x_max, y, a.x_max + draw(extents), y + draw(extents))
+    if kind == "zero_area":
+        x, y = draw(coords), draw(coords)
+        flat = BBox(x, y, x + draw(extents), y)
+        return flat, draw(st.sampled_from([flat, a, BBox(x, y, x, y)]))
+    return a, draw(boxes())
 
 
 def test_inverted_box_rejected():
@@ -48,6 +67,7 @@ def test_xywh_round_trip():
     b = BBox(5.0, 7.0, 15.0, 27.0)
     assert to_xywh(b) == (5.0, 7.0, 10.0, 20.0)
     assert BBox.from_xywh(*to_xywh(b)) == b
+    assert xyxy_to_xywh(np.array([b])).tolist() == [list(to_xywh(b))]
 
 
 def test_clip_clamps_and_degenerates():
@@ -89,16 +109,21 @@ def test_size_class_boundaries():
     assert size_bucket(SMALL_MAX_AREA) == "M"
     assert size_bucket(MEDIUM_MAX_AREA - 1.0) == "M"
     assert size_bucket(MEDIUM_MAX_AREA) == "L"
-    # the evaluator's array form puts each boundary in the same class
+    # the package's array form puts each boundary in the same class
     areas = [SMALL_MAX_AREA - 1.0, SMALL_MAX_AREA, MEDIUM_MAX_AREA - 1.0, MEDIUM_MAX_AREA]
-    assert [SIZE_CLASSES[k] for k in _size_class(np.array(areas))] == ["S", "M", "M", "L"]
+    assert [SIZE_CLASSES[k] for k in size_class(np.array(areas))] == ["S", "M", "M", "L"]
 
 
-@given(boxes(), boxes())
-def test_iou_symmetric_and_bounded(a, b):
+@given(box_pairs())
+def test_iou_symmetric_and_bounded(pair):
+    a, b = pair
     v = iou(a, b)
     assert v == iou(b, a)
     assert 0.0 <= v <= 1.0 + 1e-12
+    # the array primitives equal the scalar oracle bit for bit, one pair or stacked
+    assert box_iou(np.array(a), np.array(b)) == v
+    assert box_iou(np.array([a, b]), np.array([b, a])).tolist() == [v, v]
+    assert box_area(np.array([a, b])).tolist() == [a.area, b.area]
 
 
 @given(boxes(), boxes())

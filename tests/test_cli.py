@@ -510,6 +510,32 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section", ["world", "expansion", "vocabulary"])
+def test_negative_config_seed_exit_code(tmp_path, capsys, section):
+    path = tmp_path / "config.yaml"
+    path.write_text(f"{section}:\n  seed: -2\n")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error[config]: section '{section}': seed must be non-negative, got -2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("caps", [["0"], ["-5", "10"]])
+def test_eval_caps_checked_before_any_file(tmp_path, capsys, caps):
+    """Bad --max-dets fails before the inputs are read (these do not exist)
+    and before the output directory is made."""
+    out = tmp_path / "out"
+    missing = [str(tmp_path / "gt.json"), str(tmp_path / "dets.json")]
+    code = main(["eval", "--gt", missing[0], "--dets", missing[1], "--max-dets", *caps, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    values = ", ".join(caps)
+    assert captured.err == f"error[config]: max_dets must be a non-empty list of integers >= 1, got [{values}]\n"
+    assert not out.exists()
+
+
 def test_occupied_output_dir_exit_code(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
@@ -544,6 +570,8 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
             ["run", "--seed", "99999999999999999999999"],
             "section 'world': 'seed' must be an integer, got 99999999999999999999999",
         ),
+        (["run", "--seed", "-1"], "section 'world': seed must be non-negative, got -1"),
+        (["pilot", "--seed", "-3"], "section 'world': seed must be non-negative, got -3"),
     ],
 )
 def test_flag_values_get_the_config_check(config_path, tmp_path, capsys, flags, message):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dipex.boxes import intersection_area
 from dipex.detector import QueryMode, detect_each, detect_world, pack_world
 from dipex.evaluation import GroundTruthSet, evaluate
 from dipex.expansion import ExpansionConfig, PromptTree, bootstrap_labels, train_round
@@ -14,6 +13,7 @@ from dipex.world import WorldConfig, WorldObject, generate_world
 import reference_world
 from conftest import SMALL_WORLD, TINY_WORLD
 from reference_eval import size_bucket
+from reference_geometry import intersection_area
 
 
 def test_config_validation():
