@@ -11,8 +11,8 @@ import argparse
 import json
 from pathlib import Path
 
-from dipex.cli import DEFAULT_GAMMA_VALUES, DEFAULT_K_VALUES
 from dipex.experiments import (
+    SWEEPS,
     load_experiment_config,
     run_dipex,
     run_pilot_merging,
@@ -54,10 +54,10 @@ def main() -> None:
     print(f"mean final ar_{cap}: {sum(finals) / len(finals):.3f}")
 
     if not args.skip_sweeps:
-        for sweep, values in (("sweep-k", DEFAULT_K_VALUES), ("sweep-gamma", DEFAULT_GAMMA_VALUES)):
+        for sweep, spec in SWEEPS.items():
             out = args.out / sweep.replace("-", "_")
-            run_sweep(config, sweep, list(values), out, overwrite=args.overwrite)
-        print(f"sweeps written to {args.out / 'sweep_k'} and {args.out / 'sweep_gamma'}")
+            run_sweep(config, sweep, list(spec.defaults), out, overwrite=args.overwrite)
+            print(f"{sweep} written to {out}")
 
 
 if __name__ == "__main__":

@@ -16,12 +16,10 @@ from typing import Sequence
 
 from .config import DEFAULT_MAX_DETS, ConfigError, load_experiment_config, with_seed
 from .evaluation import CocoFormatError
-from .experiments import run_dipex, run_eval_only, run_pilot_merging, run_sweep
+from .experiments import SWEEPS, run_dipex, run_eval_only, run_pilot_merging, run_sweep
 from .pseudo_labels import EmptyPseudoLabels
 
 DEFAULT_PILOT_SEEDS = 5
-DEFAULT_K_VALUES = (3, 6, 9, 12)
-DEFAULT_GAMMA_VALUES = (0.01, 0.1, 1.0, 5.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,23 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, help="override the configured seed")
 
-    p = sub.add_parser("sweep-k", help="sweep the number of children per expansion")
-    common(p)
-    p.add_argument("--seed", type=int, help="override the configured seed")
-    p.add_argument(
-        "--k", type=int, nargs="+", default=list(DEFAULT_K_VALUES), help="values to sweep"
-    )
-
-    p = sub.add_parser("sweep-gamma", help="sweep the sibling-repulsion weight")
-    common(p)
-    p.add_argument("--seed", type=int, help="override the configured seed")
-    p.add_argument(
-        "--gamma",
-        type=float,
-        nargs="+",
-        default=list(DEFAULT_GAMMA_VALUES),
-        help="values to sweep",
-    )
+    for name, spec in SWEEPS.items():
+        p = sub.add_parser(name, help=spec.help)
+        common(p)
+        p.add_argument("--seed", type=int, help="override the configured seed")
+        p.add_argument(
+            f"--{spec.flag}", type=spec.cast, nargs="+", default=list(spec.defaults), help="values to sweep"
+        )
 
     p = sub.add_parser("eval", help="score COCO detections against COCO ground truth")
     p.add_argument("--gt", required=True, help="ground-truth JSON")
@@ -126,8 +114,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         print(f"wrote {out / 'rounds.csv'}")
         return 0
-    if args.command in ("sweep-k", "sweep-gamma"):
-        values = args.k if args.command == "sweep-k" else args.gamma
+    if args.command in SWEEPS:
+        values = getattr(args, SWEEPS[args.command].flag)
         out = run_sweep(config, args.command, values, args.out, overwrite=args.overwrite)
         print(f"wrote {out / args.command.replace('-', '_')}.csv")
         return 0

@@ -119,6 +119,8 @@ class DetectorParams:
             raise ValueError(f"score_threshold out of [0, 1): {self.score_threshold}")
         if self.max_detections < 1:
             raise ValueError(f"max_detections must be >= 1, got {self.max_detections}")
+        if self.nms_sigma <= 0.0:
+            raise ValueError(f"nms_sigma must be positive, got {self.nms_sigma}")
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,9 @@ class VocabularyConfig:
     def __post_init__(self) -> None:
         if self.style not in ("dispersed", "overlapping"):
             raise ValueError(f"unknown vocabulary style: {self.style}")
+        for name in ("noise_angle", "duplicate_angle"):
+            if not (0.0 <= getattr(self, name) <= math.pi):
+                raise ValueError(f"{name} out of [0, pi]: {getattr(self, name)}")
         if not (0.0 <= self.min_separation < math.pi):
             raise ValueError(f"min_separation out of [0, pi): {self.min_separation}")
         if self.seed < 0:
@@ -306,11 +311,11 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def checked_max_dets(max_dets) -> tuple[int, ...]:
-    """``max_dets`` sorted, if it is a non-empty list of integers >= 1."""
+    """``max_dets`` sorted, without repeats, if it is a non-empty list of integers >= 1."""
     caps_ok = isinstance(max_dets, (list, tuple)) and all(is_whole(v) and v >= 1 for v in max_dets)
     if not (caps_ok and max_dets):
         raise ConfigError(f"max_dets must be a non-empty list of integers >= 1, got {max_dets!r}")
-    return tuple(sorted(int(v) for v in max_dets))
+    return tuple(sorted({int(v) for v in max_dets}))
 
 
 def load_experiment_config(path: str | Path | None) -> ExperimentConfig:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boxes import box_area, iou_and_union
+from .detector import sigmoid
 
 
 def _warn(message: str, *args) -> None:
@@ -85,11 +86,6 @@ def giou(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return _out(np.where(degenerate, 0.0, iou_val - (hull - union) / safe_hull))
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    # log(1 + exp(x)) without overflow for large |x|
-    return np.logaddexp(0.0, x)
-
-
 def sigmoid_focal_loss(
     logit: float | np.ndarray,
     target: float | np.ndarray,
@@ -109,10 +105,8 @@ def sigmoid_focal_loss(
         raise ValueError("targets must be 0 or 1")
     sign = 2.0 * t - 1.0
     z = sign * x
-    clipped = np.minimum(np.maximum(z, -60.0), 60.0)  # np.clip's values
-    p_t = 1.0 / (1.0 + np.exp(-clipped))
-    log_p_t = -_softplus(-z)
-    one_m_p_t = 1.0 / (1.0 + np.exp(clipped))
+    p_t, one_m_p_t = sigmoid(z), sigmoid(-z)
+    log_p_t = -np.logaddexp(0.0, -z)  # log(p_t) = -log(1 + exp(-z)), without overflow
     alpha_t = t * alpha + (1.0 - t) * (1.0 - alpha)
     focus = one_m_p_t ** gamma_focal
     loss = -alpha_t * focus * log_p_t

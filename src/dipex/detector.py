@@ -34,7 +34,7 @@ import numpy as np
 
 from .boxes import box_area, xyxy_to_xywh
 from .config import DetectorParams, VocabularyConfig
-from .geometry import apply_rotation, normalize, sample_child_rotations
+from .geometry import apply_rotation, cosines, normalize, sample_child_rotations
 from .pseudo_labels import ScoredBoxes, soft_nms
 from .world import World
 
@@ -45,7 +45,7 @@ class QueryMode(Enum):
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    # np.clip's values, without its wrapper
+    """The logistic 1 / (1 + exp(-x)), with x clipped to [-60, 60]."""
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60.0), 60.0)))
 
 
@@ -59,7 +59,7 @@ def overlap_penalty(prompts: Sequence[np.ndarray], params: DetectorParams) -> fl
 
 def _unit_overlap_penalty(mat: np.ndarray, params: DetectorParams) -> float:
     """overlap_penalty of prompts already normalized into the rows of ``mat``."""
-    cos = np.clip(mat @ mat.T, -1.0, 1.0)
+    cos = cosines(mat, mat.T)
     cos_ov = math.cos(params.overlap_threshold)
     iu = np.triu_indices(mat.shape[0], k=1)
     excess = cos[iu] - cos_ov
@@ -147,9 +147,7 @@ def candidate_detections(
     candidate, because the score floor that governs reported detections
     would silence the gradient signal of weak prompts.
     """
-    cos = np.matmul(unit, scenes.emb[rows].transpose(0, 2, 1))
-    # np.clip's values, without its wrapper
-    np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos)
+    cos = cosines(unit, scenes.emb[rows].transpose(0, 2, 1))
     logits = params.logit_scale * cos + params.logit_bias
     scores = sigmoid(logits)
     return cos, logits, scores, _noisy_boxes(scenes, rows, scores, params)

@@ -10,7 +10,8 @@ Two terms shape a cohort of K child prompts relative to a frozen parent:
 Gradients are taken with respect to the raw vectors, differentiating through
 the explicit normalization inside the cosine; callers re-project onto the
 sphere after each step.  The inner log-sum-exp uses max subtraction so large
-1/tau_c stays finite.
+1/tau_c stays finite.  Norms and clipped cosines come from ``geometry``,
+where the sphere arithmetic is written once.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import cosines, normalize, unit_rows
 
 GradientSet = np.ndarray  # (K, d), row k is d(loss)/d(child k)
 
@@ -35,22 +38,6 @@ class LossBreakdown:
     giou: float
     cls: float
     total: float
-
-
-def _unit_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # np.linalg.norm(mat, axis=1) computes exactly this, behind more checks
-    norms = np.sqrt(np.add.reduce(mat * mat, axis=1))
-    if not norms.all():
-        raise ValueError("zero vector among children")
-    return mat / norms[:, None], norms
-
-
-def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b clipped to [-1, 1], in place; np.clip gives the same values
-    through a slower wrapper."""
-    cos = a @ b
-    np.maximum(cos, -1.0, out=cos)
-    return np.minimum(cos, 1.0, out=cos)
 
 
 def parent_child_loss(
@@ -76,12 +63,9 @@ def parent_child_loss(
     if tau_p <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau_p}")
     k = kids.shape[0]
-    unit_kids, kid_norms = _unit_rows(kids)
-    p_norm = float(np.sqrt(par.dot(par)))  # np.linalg.norm of a vector
-    if p_norm == 0.0:
-        raise ValueError("zero parent vector")
-    unit_par = par / p_norm
-    cos = _cosines(unit_kids, unit_par)
+    unit_kids, kid_norms = unit_rows(kids)
+    unit_par = normalize(par)
+    cos = cosines(unit_kids, unit_par)
     value = float(-np.add.reduce(cos) / (k * tau_p))
     # d cos_i / d v_i = (p_hat - cos_i * v_hat_i) / ||v_i||
     grads = -(unit_par - cos[:, None] * unit_kids) / (k * tau_p * kid_norms[:, None])
@@ -104,8 +88,8 @@ def child_child_loss(children: np.ndarray, tau_c: float) -> tuple[float, Gradien
     if tau_c <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau_c}")
     k = kids.shape[0]
-    unit, norms = _unit_rows(kids)
-    cos = _cosines(unit, unit.T)
+    unit, norms = unit_rows(kids)
+    cos = cosines(unit, unit.T)
     x = cos / tau_c
     x.flat[:: k + 1] = -np.inf  # exclude self-pairs from each row
     row_max = np.maximum.reduce(x, axis=1)

@@ -440,7 +440,7 @@ def evaluate(
     row order breaks score ties.  Scene ids must exist in the ground truth
     set; scenes without detections simply contribute misses.
     """
-    caps = sorted(set(checked_max_dets(list(max_dets))))
+    caps = checked_max_dets(list(max_dets))
     unknown = set(dets_by_scene) - set(gts.scene_dims)
     if unknown:
         raise CocoFormatError(f"detections reference unknown scenes: {sorted(unknown)}")

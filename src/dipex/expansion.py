@@ -58,7 +58,9 @@ from .detector import (
 )
 from .dispersion import LossBreakdown, child_child_loss, combine, parent_child_loss
 from .evaluation import DEFAULT_MAX_DETS, EvalSummary, GroundTruthSet, evaluate
-from .geometry import apply_rotation, mac, normalize, pairwise_angle_matrix, sample_child_rotations
+from .geometry import (
+    apply_rotation, mac, normalize, pairwise_angle_matrix, sample_child_rotations, unit_rows
+)
 from .pseudo_labels import EmptyPseudoLabels, PseudoLabelSet, ScoredBoxes, build_pseudo_labels
 from .world import World
 
@@ -340,8 +342,7 @@ def _batch_step(
     batch object), E the batch's object embeddings and w each prompt's sum
     of c * cos.
     """
-    norms = np.sqrt(np.add.reduce(V * V, axis=1))  # np.linalg.norm's arithmetic
-    unit = V / norms[:, None]
+    unit, norms = unit_rows(V)
     cos, logits, scores, boxes = candidate_detections(data.scenes, unit, params, rows)
     m = assign_responsibility(data, rows, scores, boxes, config.label_iou_min)
     s, l = np.nonzero(m.assigned)
@@ -466,7 +467,7 @@ def train_round(
             moved = (step != 0.0).any(axis=1) & row_trainable
             if moved.any():
                 upd = V[moved] - step[moved]
-                V[moved] = upd / np.sqrt(np.add.reduce(upd * upd, axis=1, keepdims=True))
+                V[moved] = unit_rows(upd)[0]
 
         assigned = np.array([b.num_assigned for b in batches])
         cls, bbox, giou = (_tallies(batches) / np.maximum(assigned, 1)[:, None]).T
@@ -479,7 +480,7 @@ def train_round(
             *(float(np.mean(getattr(parts, f.name))) for f in fields(LossBreakdown))
         ))
         stats.epoch_norm_error.append(
-            float(np.max(np.abs(np.linalg.norm(V[row_trainable], axis=1) - 1.0)))
+            float(np.max(np.abs(unit_rows(V[row_trainable])[1] - 1.0)))
         )
         stats.assignments_final = int(assigned.sum())
         stats.misses_final = sum(b.num_missed for b in batches)

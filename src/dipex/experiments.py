@@ -13,6 +13,7 @@ import hashlib
 import importlib
 import json
 import math
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -298,16 +299,18 @@ def _tree_angle_stats(tree) -> tuple[float | None, float | None]:
     return _mean(parent_angles), _mean(sibling_angles)
 
 
-# sweep name -> (expansion field varied, value type, manifest key, columns
-# before and after the results every sweep reports)
-_SWEEPS = {
-    "sweep-k": ("num_children", int, "k_values", ["num_children", "num_prompts"], []),
-    "sweep-gamma": (
-        "gamma",
-        float,
-        "gamma_values",
-        ["gamma"],
-        ["mean_parent_child_degrees", "mean_sibling_degrees"],
+# sweep name -> its one definition: the expansion field it varies, its values'
+# type and flag (recorded as "<flag>_values"), default values, help, and the
+# columns before and after the results every sweep reports.
+Sweep = namedtuple("Sweep", "field cast flag defaults help head tail")
+SWEEPS = {
+    "sweep-k": Sweep(
+        "num_children", int, "k", (3, 6, 9, 12), "sweep the number of children per expansion",
+        ["num_children", "num_prompts"], [],
+    ),
+    "sweep-gamma": Sweep(
+        "gamma", float, "gamma", (0.01, 0.1, 1.0, 5.0), "sweep the sibling-repulsion weight",
+        ["gamma"], ["mean_parent_child_degrees", "mean_sibling_degrees"],
     ),
 }
 
@@ -319,11 +322,10 @@ def run_sweep(
     out_dir: str | Path,
     overwrite: bool = False,
 ) -> Path:
-    """Grow once per value of one expansion field, holding everything else
-    fixed: ``sweep-k`` varies the children per expansion, ``sweep-gamma``
-    the sibling-repulsion weight and also reports the tree's geometry.
-    Writes ``sweep_k.csv`` or ``sweep_gamma.csv``, one row per value."""
-    field, cast, key, head, tail = _SWEEPS[sweep]
+    """Grow once per value of the expansion field ``SWEEPS[sweep]`` varies,
+    holding everything else fixed; writes ``sweep_k.csv`` or
+    ``sweep_gamma.csv``, one row per value."""
+    field, cast, flag, _, _, head, tail = SWEEPS[sweep]
     # every value checked as a config file's is, before any write
     expansions = [with_settings(config, {"expansion": {field: cast(v)}}).expansion for v in values]
     _bind("generate_world", "build_vocabulary", "run")
@@ -354,7 +356,7 @@ def run_sweep(
         }
         rows.append([row[column] for column in columns])
     _write_csv(out / f"{sweep.replace('-', '_')}.csv", columns, rows)
-    _write_manifest(out, sweep, config.as_dict(), {key: [cast(v) for v in values]})
+    _write_manifest(out, sweep, config.as_dict(), {f"{flag}_values": [cast(v) for v in values]})
     return out
 
 
@@ -378,7 +380,7 @@ def run_eval_only(
     rescoring the same files elsewhere writes the same bytes.
     """
     sigma, floor = DetectorParams.nms_sigma, DetectorParams.nms_floor
-    checked_max_dets(list(max_dets))  # before any file is read or written
+    max_dets = checked_max_dets(list(max_dets))  # before any file is read or written
     out = _prepare_out(out_dir, overwrite)
     gts = load_coco_ground_truth(gt_path)
     dets = ScoredBoxes.concat(
@@ -399,7 +401,7 @@ def run_eval_only(
         "merge": merge,
         "nms_sigma": sigma,
         "nms_floor": floor,
-        "max_dets": [int(c) for c in max_dets],
+        "max_dets": list(max_dets),
     }
     inputs = {
         "ground_truth_sha256": _sha256(Path(gt_path)),

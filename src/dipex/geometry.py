@@ -1,6 +1,9 @@
 """Unit-hypersphere geometry: normalization, angular distances, Givens plane
 rotations for spawning child prompts, and maximum angular coverage.
 
+Sphere arithmetic is written once, here: ``normalize`` scales a vector,
+``unit_rows`` the rows of a matrix and ``cosines`` clips their products.
+
 Vectors are plain float64 numpy arrays of shape (d,), kept at unit Euclidean
 norm by construction (the ``UnitVec`` alias documents intent only).  Rotations
 follow the row-vector convention ``v @ R`` where the rotation matrix carries
@@ -34,6 +37,22 @@ def normalize(v: np.ndarray) -> UnitVec:
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return arr / norm
+
+
+def unit_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows of ``mat`` at unit norm, their norms); the norms are
+    np.linalg.norm(mat, axis=1)'s values.  Raises ValueError on a zero row."""
+    norms = np.sqrt(np.add.reduce(mat * mat, axis=1))
+    if not norms.all():
+        raise ValueError("cannot normalize a zero row")
+    return mat / norms[:, None], norms
+
+
+def cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` clipped to [-1, 1] in place: np.clip's values, faster."""
+    cos = a @ b
+    np.maximum(cos, -1.0, out=cos)
+    return np.minimum(cos, 1.0, out=cos)
 
 
 @dataclass(frozen=True)
@@ -108,13 +127,8 @@ def pairwise_angle_matrix(prompts: Sequence[np.ndarray]) -> AngleMatrix:
     """Symmetric (n, n) matrix of pairwise angles in radians, zero diagonal."""
     if len(prompts) < 1:
         raise ValueError("need at least one prompt")
-    mat = np.stack([np.asarray(p, dtype=float) for p in prompts])
-    norms = np.linalg.norm(mat, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("zero vector in prompt set")
-    unit = mat / norms[:, None]
-    cos = np.clip(unit @ unit.T, -1.0, 1.0)
-    angles = np.arccos(cos)
+    unit, _ = unit_rows(np.stack([np.asarray(p, dtype=float) for p in prompts]))
+    angles = np.arccos(cosines(unit, unit.T))
     np.fill_diagonal(angles, 0.0)
     # arccos of a clipped symmetric matrix is symmetric up to rounding; force it.
     return 0.5 * (angles + angles.T)

@@ -30,8 +30,8 @@ import numpy as np
 
 from .boxes import BBox
 from .config import _ASPECT_HI, _ASPECT_LO, _EDGE_EPS, _SIDE_RANGES, WorldConfig
-# unused here; kept because perfbench/tracing.py wraps world.normalize
-from .geometry import normalize  # noqa: F401
+# normalize is unused here; kept because perfbench/tracing.py wraps world.normalize
+from .geometry import normalize, unit_rows  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,10 @@ def generate_world(config: WorldConfig) -> World:
     total = config.num_clusters * config.objects_per_cluster
 
     centers = rng.standard_normal((config.num_clusters, config.dim))
-    centers /= np.linalg.norm(centers, axis=1)[:, None]
+    centers = unit_rows(centers)[0]
     cluster_ids = np.repeat(np.arange(config.num_clusters), config.objects_per_cluster)
     raw = centers[cluster_ids] + rng.standard_normal((total, config.dim)) / config.concentration
-    embeddings = raw / np.linalg.norm(raw, axis=1)[:, None]
+    embeddings = unit_rows(raw)[0]
     # normalize() of each row once more: one dot per row, then sqrt, then a
     # divide (a batched sum of squares would round differently)
     embeddings /= np.sqrt([row.dot(row) for row in embeddings])[:, None]

@@ -105,15 +105,20 @@ def _run_python(args: list[str]) -> subprocess.CompletedProcess:
 
 
 def test_run_all_script(config_path, tmp_path):
-    """scripts/run_all.py, which reads the sweep defaults from the CLI, runs
-    the pilot and one growth run per seed; the tiny config's seed is 5."""
+    """scripts/run_all.py runs the pilot, one growth run per seed and every
+    sweep of ``experiments.SWEEPS`` at its default values; the tiny config's
+    seed is 5."""
     out = tmp_path / "results"
-    args = ["--config", str(config_path), "--out", str(out), "--seeds", "1", "--skip-sweeps"]
+    args = ["--config", str(config_path), "--out", str(out), "--seeds", "1"]
     proc = _run_python([str(ROOT / "scripts" / "run_all.py"), *args])
     assert proc.returncode == 0, proc.stderr
     assert (out / "pilot" / "pilot.csv").exists()
     assert (out / "run_seed5" / "rounds.csv").exists()
     assert "seed 5: rounds 2, prompts 3" in proc.stdout
+    k_rows = (out / "sweep_k" / "sweep_k.csv").read_text().splitlines()
+    gamma_rows = (out / "sweep_gamma" / "sweep_gamma.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in k_rows] == ["num_children", "3", "6", "9", "12"]
+    assert [row.split(",")[0] for row in gamma_rows] == ["gamma", "0.01", "0.1", "1", "5"]
 
 
 def _loaded_by_the_cli(argv: list[str] | None = None) -> set[str]:
@@ -534,6 +539,46 @@ def test_eval_caps_checked_before_any_file(tmp_path, capsys, caps):
     values = ", ".join(caps)
     assert captured.err == f"error[config]: max_dets must be a non-empty list of integers >= 1, got [{values}]\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, section, setting, message",
+    [
+        ("run", "vocabulary", "duplicate_angle_degrees: -5", "duplicate_angle out of [0, pi]"),
+        ("pilot", "vocabulary", "duplicate_angle_degrees: -5", "duplicate_angle out of [0, pi]"),
+        ("run", "vocabulary", "noise_angle_degrees: 200", "noise_angle out of [0, pi]"),
+        ("pilot", "vocabulary", "noise_angle_degrees: -10", "noise_angle out of [0, pi]"),
+        ("run", "detector", "nms_sigma: 0", "nms_sigma must be positive, got 0"),
+        ("pilot", "detector", "nms_sigma: -1", "nms_sigma must be positive, got -1"),
+    ],
+)
+def test_config_values_checked_before_any_output(tmp_path, capsys, command, section, setting, message):
+    """Each value fails as a config error naming its own field, before the
+    output directory is made."""
+    path = tmp_path / "config.yaml"
+    path.write_text(f"{section}:\n  {setting}\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error[config]: section '{section}': {message}")
+    assert not out.exists()
+
+
+def test_eval_manifest_records_the_checked_caps(tmp_path, capsys):
+    """The caps are scored sorted and without repeats, and the manifest
+    records them so: the same caps in any order or multiplicity write the
+    same bytes."""
+    gt_path, det_path = write_eval_fixture(tmp_path)
+    manifests = set()
+    for i, caps in enumerate([["100", "10", "1"], ["1", "10", "100"], ["1", "10", "10", "100"]]):
+        out = tmp_path / f"eval{i}"
+        argv = ["eval", "--gt", str(gt_path), "--dets", str(det_path), "--max-dets", *caps, "--out", str(out)]
+        assert main(argv) == 0
+        manifests.add((out / "manifest.json").read_bytes())
+    capsys.readouterr()
+    assert len(manifests) == 1
+    assert json.loads(manifests.pop())["config"]["max_dets"] == [1, 10, 100]
 
 
 def test_occupied_output_dir_exit_code(config_path, tmp_path, capsys):

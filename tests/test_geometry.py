@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from dipex.geometry import (
     GivensRotation,
     apply_rotation,
+    cosines,
     mac,
     normalize,
     pairwise_angle_matrix,
     sample_child_rotations,
+    unit_rows,
 )
 
 from reference_geometry import angular_distance, cosine
@@ -50,6 +52,39 @@ def test_normalize_rejects_bad_input():
         normalize(np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         normalize(np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unit_rows_matches_numpy_norm_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(7, 12)) * rng.uniform(1e-3, 1e3, size=(7, 1))
+    unit, norms = unit_rows(mat)
+    expected = np.linalg.norm(mat, axis=1)
+    assert norms.tobytes() == expected.tobytes()
+    assert unit.tobytes() == (mat / expected[:, None]).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cosines_match_clipped_product_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    unit, _ = unit_rows(rng.normal(size=(9, 6)))
+    # unit rows give some products a rounding step past 1; scaled rows give
+    # products far past -1 and 1
+    scaled = unit * rng.uniform(0.5, 3.0, size=(9, 1))
+    assert (unit @ unit.T > 1.0).any() and (scaled @ scaled.T < -1.0).any()
+    for a, b in ((unit, unit.T), (scaled, scaled.T), (scaled, unit[0])):
+        assert cosines(a, b).tobytes() == np.clip(a @ b, -1.0, 1.0).tobytes()
+    # the (scene, prompt, object) form the detector uses
+    emb = unit_rows(rng.normal(size=(12, 6)))[0].reshape(3, 4, 6)
+    got = cosines(scaled, emb.transpose(0, 2, 1))
+    assert got.tobytes() == np.clip(np.matmul(scaled, emb.transpose(0, 2, 1)), -1.0, 1.0).tobytes()
+
+
+def test_unit_rows_rejects_a_zero_row():
+    with pytest.raises(ValueError, match="zero row"):
+        unit_rows(np.array([[1.0, 2.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="zero row"):
+        pairwise_angle_matrix([np.array([1.0, 0.0]), np.zeros(2)])
 
 
 def test_cosine_and_angles():
