@@ -14,7 +14,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .config import DEFAULT_MAX_DETS, ConfigError, load_experiment_config, with_seed
+from .config import DEFAULT_MAX_DETS, load_experiment_config, with_seed
 from .evaluation import CocoFormatError
 from .experiments import SWEEPS, run_dipex, run_eval_only, run_pilot_merging, run_sweep
 from .pseudo_labels import EmptyPseudoLabels
@@ -126,13 +126,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ConfigError as exc:
-        print(f"error[config]: {exc}", file=sys.stderr)
-        return 2
     except CocoFormatError as exc:
         print(f"error[data]: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # config.ConfigError among them
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2
     except (EmptyPseudoLabels, FileExistsError, OSError) as exc:

@@ -34,6 +34,11 @@ class ConfigError(ValueError):
     """Raised when an experiment configuration cannot be built."""
 
 
+def _deg(radians: float) -> float:
+    """An angle in degrees, as config files write it, for fault messages."""
+    return round(math.degrees(radians), 9)
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     dim: int = 64
@@ -112,7 +117,7 @@ class DetectorParams:
         if self.logit_scale <= 0.0:
             raise ValueError(f"logit_scale must be positive, got {self.logit_scale}")
         if not (0.0 < self.overlap_threshold < math.pi):
-            raise ValueError(f"overlap_threshold out of (0, pi): {self.overlap_threshold}")
+            raise ValueError(f"overlap_threshold_degrees out of (0, 180): {_deg(self.overlap_threshold)}")
         if self.penalty_strength < 0.0 or self.box_noise < 0.0:
             raise ValueError("penalty_strength and box_noise must be non-negative")
         if not (0.0 <= self.score_threshold < 1.0):
@@ -148,9 +153,9 @@ class VocabularyConfig:
             raise ValueError(f"unknown vocabulary style: {self.style}")
         for name in ("noise_angle", "duplicate_angle"):
             if not (0.0 <= getattr(self, name) <= math.pi):
-                raise ValueError(f"{name} out of [0, pi]: {getattr(self, name)}")
+                raise ValueError(f"{name}_degrees out of [0, 180]: {_deg(getattr(self, name))}")
         if not (0.0 <= self.min_separation < math.pi):
-            raise ValueError(f"min_separation out of [0, pi): {self.min_separation}")
+            raise ValueError(f"min_separation_degrees out of [0, 180): {_deg(self.min_separation)}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -184,15 +189,15 @@ class ExpansionConfig:
         if self.num_expansions > 0 and self.num_children < 2:
             raise ValueError("need at least 2 children per expansion for sibling repulsion")
         if not (0.0 < self.max_angle <= math.pi / 2):
-            raise ValueError(f"max_angle out of (0, pi/2]: {self.max_angle}")
+            raise ValueError(f"max_angle_degrees out of (0, 90]: {_deg(self.max_angle)}")
         if self.tau_parent <= 0.0 or self.tau_child <= 0.0:
             raise ValueError("temperatures must be positive")
         if min(self.gamma, self.gamma_bbox, self.gamma_giou, self.gamma_cls) < 0.0:
             raise ValueError("loss weights must be non-negative")
         if not (0.0 < self.mac_threshold <= math.pi):
-            raise ValueError(f"mac_threshold out of (0, pi]: {self.mac_threshold}")
+            raise ValueError(f"mac_threshold_degrees out of (0, 180]: {_deg(self.mac_threshold)}")
         if self.mac_tolerance < 0.0:
-            raise ValueError("mac_tolerance must be non-negative")
+            raise ValueError(f"mac_tolerance_degrees must be non-negative, got {_deg(self.mac_tolerance)}")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.epochs_per_round < 1 or self.batch_size < 1:

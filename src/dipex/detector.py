@@ -54,11 +54,7 @@ def overlap_penalty(prompts: Sequence[np.ndarray], params: DetectorParams) -> fl
     (cos angle - cos threshold)).  Equals 1 when no pair is that close."""
     if len(prompts) < 2:
         return 1.0
-    return _unit_overlap_penalty(np.stack([normalize(p) for p in prompts]), params)
-
-
-def _unit_overlap_penalty(mat: np.ndarray, params: DetectorParams) -> float:
-    """overlap_penalty of prompts already normalized into the rows of ``mat``."""
+    mat = np.stack([normalize(p) for p in prompts])
     cos = cosines(mat, mat.T)
     cos_ov = math.cos(params.overlap_threshold)
     iu = np.triu_indices(mat.shape[0], k=1)
@@ -180,30 +176,33 @@ def _canonical(scores: np.ndarray, pids: np.ndarray, boxes: np.ndarray, *groups)
     return np.lexsort(keys + groups[::-1])
 
 
+def _reported(
+    groups: np.ndarray, pids: np.ndarray, scores: np.ndarray, boxes: np.ndarray, params: DetectorParams
+) -> np.ndarray:
+    """Indices of the detections reported from flat candidates: each group
+    in canonical order, scores below the detection threshold dropped, the
+    first max_detections kept.  Both query modes report by this rule."""
+    order = _canonical(scores, pids, boxes, groups)
+    order = order[scores[order] >= params.score_threshold]
+    g = groups[order]
+    rank = np.arange(g.size) - np.searchsorted(g, g)
+    return order[rank < params.max_detections]
+
+
 def _merge_groups(
-    groups: np.ndarray,
-    pids: np.ndarray,
-    scores: np.ndarray,
-    boxes: np.ndarray,
-    params: DetectorParams,
+    groups: np.ndarray, pids: np.ndarray, scores: np.ndarray, boxes: np.ndarray, params: DetectorParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Prediction merging of flat candidates, every group at once: one
     grouped soft-NMS call over the candidates in canonical order, then the
-    survivors in canonical order of their suppressed scores, thresholded and
-    capped per group.  Returns (indices into the inputs, suppressed scores),
-    ordered by group, then canonically.
+    survivors reported by their suppressed scores.  Returns (indices into
+    the inputs, suppressed scores), ordered by group, then canonically.
     """
     order = _canonical(scores, pids, boxes, groups)
     kept = soft_nms(scores[order], params.nms_sigma, params.nms_floor, boxes[order], groups[order])
     pick = order[np.array([i for i, _ in kept], dtype=int)]
     final = np.array([score for _, score in kept])
-    out = _canonical(final, pids[pick], boxes[pick], groups[pick])
-    pick, final = pick[out], final[out]
-    g = groups[pick]
-    # canonical order ranks by -score within a group, so scores over the threshold lead it
-    rank = np.arange(g.size) - np.searchsorted(g, g)
-    keep = (final >= params.score_threshold) & (rank < params.max_detections)
-    return pick[keep], final[keep]
+    out = _reported(groups[pick], pids[pick], final, boxes[pick], params)
+    return pick[out], final[out]
 
 
 def detect_world(
@@ -222,25 +221,22 @@ def detect_world(
     under its best prompt (ties to the lowest prompt id), its box placed by
     that penalized score.  Prediction merging runs each prompt alone
     (penalty 1), unions the passes and applies Gaussian soft-NMS per scene.
-    Both modes then order each scene by (-score, prompt id, box), drop
-    scores below the detection threshold and keep the top max_detections.
+    Both modes then report by one rule, ``_reported``: each scene ordered
+    by (-score, prompt id, box), thresholded and capped.
     """
     ids, unit = unit_prompts(prompts)
     scenes = pack_world(world, seed)
     _, _, scores, boxes = candidate_detections(scenes, unit, params)
     valid = (scenes.object_ids >= 0)[:, None, :]
     if mode is QueryMode.QUERY_MERGING:
-        scores = scores * _unit_overlap_penalty(unit, params)
+        scores = scores * overlap_penalty([vec for _, vec in prompts], params)
         tied = scores == scores.max(axis=1, keepdims=True)
         best = np.argmin(np.where(tied, ids[None, :, None], ids.max() + 1), axis=1)
         scores = np.take_along_axis(scores, best[:, None], axis=1)
         boxes = _noisy_boxes(scenes, slice(None), scores, params)
-        s, _, o = np.nonzero(valid & (scores >= params.score_threshold))
-        p = best[s, o]
+        s, _, o = np.nonzero(valid)
         scores, boxes = scores[s, 0, o], boxes[s, 0, o]
-        order = _canonical(scores, ids[p], boxes, s)
-        rank = np.arange(order.size) - np.searchsorted(s[order], s[order])
-        pick = order[rank < params.max_detections]
+        pick = _reported(s, ids[best[s, o]], scores, boxes, params)
         final = scores[pick]
     elif mode is QueryMode.PREDICTION_MERGING:
         s, p, o = np.nonzero(valid & (scores >= params.score_threshold))
@@ -286,14 +282,9 @@ def detect_each(
 def detections_to_coco(dets_by_scene: Mapping[int, ScoredBoxes]) -> list[dict]:
     """COCO results format: one record per detection, scenes in id order,
     category collapsed to 1."""
-    records = []
-    for scene_id in sorted(dets_by_scene):
-        dets = dets_by_scene[scene_id]
-        records += [
-            {"image_id": int(scene_id), "category_id": 1, "bbox": bbox, "score": score}
-            for bbox, score in zip(xyxy_to_xywh(dets.boxes).tolist(), dets.scores.tolist())
-        ]
-    return records
+    dets = ScoredBoxes.concat([dets_by_scene[sid] for sid in sorted(dets_by_scene)])
+    rows = zip(dets.scene_ids.tolist(), xyxy_to_xywh(dets.boxes).tolist(), dets.scores.tolist())
+    return [{"image_id": sid, "category_id": 1, "bbox": bbox, "score": score} for sid, bbox, score in rows]
 
 
 _SEPARATION_TRIES = 20

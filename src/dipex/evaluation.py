@@ -60,7 +60,8 @@ class CocoFormatError(ValueError):
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    """One scored box as an object, the input of ``soft_nms``'s object API."""
+    """One scored box as an object, which ``perfbench/scaling.py`` feeds to
+    ``soft_nms``'s object API."""
 
     scene_id: int
     bbox: BBox
@@ -360,14 +361,6 @@ class EvalSummary:
 _IGN, _TP, _FP = 0, 1, 2
 
 
-def _layout(counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Scene index and index within the scene of rows listed scene after
-    scene, ``counts[k]`` of them for scene k."""
-    counts = np.array(counts, dtype=np.int64)
-    scene = np.repeat(np.arange(counts.size), counts)
-    return scene, np.arange(scene.size) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 def _average_precision(outcomes: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """101-point interpolated AP of each (bucket, threshold) row of
     ``outcomes``, a (bucket, threshold, detection) table in global rank order.
@@ -450,7 +443,7 @@ def evaluate(
 
     parts = [dets_by_scene[sid] for sid in scenes if sid in dets_by_scene]
     dets = ScoredBoxes.concat(parts)
-    det_scene, det_order = _layout([len(dets_by_scene.get(sid, ())) for sid in scenes])
+    det_scene = np.repeat(np.arange(num_scenes), [len(dets_by_scene.get(sid, ())) for sid in scenes])
     # Rank each scene's detections by score (lexsort is stable, so input
     # order breaks ties) and keep the first max(caps) of each.
     ranked = np.lexsort((-dets.scores, det_scene))
@@ -483,8 +476,8 @@ def evaluate(
     # hits: (cap, bucket, threshold) true positives in each scene's first cap ranks
     hits = np.stack([(outcomes[:cap] == _TP).sum(axis=(0, 2)) for cap in caps])
     recall = np.cumsum(hits / np.maximum(totals, 1)[:, None], axis=-1)[..., -1] / num_thresholds
-    # one global rank order, (-score, scene, input order), for every row
-    order = np.lexsort((det_order[kept], n_idx, -dets.scores[kept]))
+    # one global rank order, (-score, row): rows run scene by scene, in input order
+    order = np.lexsort((kept, -dets.scores[kept]))
     ranked_outcomes = np.moveaxis(outcomes[d_idx[order], :, n_idx[order], :], 0, -1)
     ap_rows = _average_precision(ranked_outcomes, totals)
     ap = np.cumsum(ap_rows, axis=-1)[:, -1] / num_thresholds

@@ -377,11 +377,11 @@ def run_eval_only(
     floor, which is the sane setting when the files come from independently
     trained prompt sets.
     The manifest identifies the inputs by content (sha256), not by path, so
-    rescoring the same files elsewhere writes the same bytes.
+    rescoring the same files elsewhere writes the same bytes.  A faulty
+    input fails before the output directory is made.
     """
     sigma, floor = DetectorParams.nms_sigma, DetectorParams.nms_floor
     max_dets = checked_max_dets(list(max_dets))  # before any file is read or written
-    out = _prepare_out(out_dir, overwrite)
     gts = load_coco_ground_truth(gt_path)
     dets = ScoredBoxes.concat(
         [rows for path in det_paths for rows in load_coco_detections(path).values()]
@@ -396,6 +396,7 @@ def run_eval_only(
         dets = dets.take(np.argsort(dets.scene_ids, kind="stable"))
     by_scene = dets.split()
     summary = evaluate(by_scene, gts, max_dets)
+    out = _prepare_out(out_dir, overwrite)  # only once every input has been read and scored
     _write_summary(out, summary)
     settings = {
         "merge": merge,

@@ -24,7 +24,7 @@ from dipex.detector import (
     DetectorParams,
     QueryMode,
     _noise_direction,
-    _unit_overlap_penalty,
+    overlap_penalty,
     sigmoid,
 )
 from dipex.geometry import normalize
@@ -163,12 +163,11 @@ def _canonical(dets: list[Detection]) -> list[Detection]:
 
 def detect_scene(scene, prompts, mode: QueryMode, params: DetectorParams, world, seed: int = 0) -> list[Detection]:
     """One scene through the detector, pair by pair, under either policy."""
-    ids, mat = _prompt_matrix(prompts)
-    _, _, scores = pair_scores(scene, prompts, params, world)
+    ids, _, scores = pair_scores(scene, prompts, params, world)
     objects = scene_objects(world, scene)
     dets: list[Detection] = []
     if mode is QueryMode.QUERY_MERGING:
-        merged = scores * _unit_overlap_penalty(mat, params)
+        merged = scores * overlap_penalty([vec for _, vec in prompts], params)
         for oi, obj in enumerate(objects):
             col = merged[:, oi]
             best = min(range(len(ids)), key=lambda pi: (-col[pi], ids[pi]))

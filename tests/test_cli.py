@@ -544,10 +544,15 @@ def test_eval_caps_checked_before_any_file(tmp_path, capsys, caps):
 @pytest.mark.parametrize(
     "command, section, setting, message",
     [
-        ("run", "vocabulary", "duplicate_angle_degrees: -5", "duplicate_angle out of [0, pi]"),
-        ("pilot", "vocabulary", "duplicate_angle_degrees: -5", "duplicate_angle out of [0, pi]"),
-        ("run", "vocabulary", "noise_angle_degrees: 200", "noise_angle out of [0, pi]"),
-        ("pilot", "vocabulary", "noise_angle_degrees: -10", "noise_angle out of [0, pi]"),
+        ("run", "vocabulary", "duplicate_angle_degrees: -5", "duplicate_angle_degrees out of [0, 180]: -5.0\n"),
+        ("pilot", "vocabulary", "duplicate_angle_degrees: -5", "duplicate_angle_degrees out of [0, 180]: -5.0\n"),
+        ("run", "vocabulary", "noise_angle_degrees: 200", "noise_angle_degrees out of [0, 180]: 200.0\n"),
+        ("pilot", "vocabulary", "noise_angle_degrees: -10", "noise_angle_degrees out of [0, 180]: -10.0\n"),
+        ("run", "vocabulary", "min_separation_degrees: 180", "min_separation_degrees out of [0, 180): 180.0\n"),
+        ("run", "expansion", "max_angle_degrees: 100", "max_angle_degrees out of (0, 90]: 100.0\n"),
+        ("pilot", "expansion", "mac_threshold_degrees: 200", "mac_threshold_degrees out of (0, 180]: 200.0\n"),
+        ("run", "expansion", "mac_tolerance_degrees: -1", "mac_tolerance_degrees must be non-negative, got -1.0\n"),
+        ("pilot", "detector", "overlap_threshold_degrees: 180", "overlap_threshold_degrees out of (0, 180): 180.0\n"),
         ("run", "detector", "nms_sigma: 0", "nms_sigma must be positive, got 0"),
         ("pilot", "detector", "nms_sigma: -1", "nms_sigma must be positive, got -1"),
     ],
@@ -562,6 +567,23 @@ def test_config_values_checked_before_any_output(tmp_path, capsys, command, sect
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"error[config]: section '{section}': {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["missing detections", "ground truth not JSON", "unknown image"])
+def test_eval_bad_input_writes_nothing(tmp_path, capsys, fault):
+    """A faulty input fails as a data error before the output directory is made."""
+    gt_path, det_path = write_eval_fixture(tmp_path)
+    if fault == "missing detections":
+        det_path.unlink()
+    elif fault == "ground truth not JSON":
+        gt_path.write_text("{not json")
+    else:
+        det_path.write_text(json.dumps([{"image_id": 9, "category_id": 1, "bbox": [1, 1, 2, 2], "score": 0.5}]))
+    out = tmp_path / "out"
+    code = main(["eval", "--gt", str(gt_path), "--dets", str(det_path), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error[data]: ")
     assert not out.exists()
 
 

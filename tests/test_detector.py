@@ -66,6 +66,7 @@ def test_raw_logit_closed_forms(default_params):
 def test_overlap_penalty_closed_forms(default_params):
     e0 = np.array([1.0, 0.0])
     e1 = np.array([0.0, 1.0])
+    assert overlap_penalty([], default_params) == 1.0
     assert overlap_penalty([e0], default_params) == 1.0
     # orthogonal prompts sit outside the 57 degree interference zone
     assert overlap_penalty([e0, e1], default_params) == 1.0
@@ -220,10 +221,12 @@ def test_detections_to_coco_shape(small_world, default_params):
     by_scene = detect_world(
         small_world, prompts, QueryMode.PREDICTION_MERGING, default_params
     )
+    assert detections_to_coco({}) == []
     records = detections_to_coco(by_scene)
     assert len(records) == sum(len(v) for v in by_scene.values())
     ids = [r["image_id"] for r in records]
     assert ids == sorted(ids)
+    assert all(type(i) is int for i in ids)
     rec = records[0]
     assert set(rec) == {"image_id", "category_id", "bbox", "score"}
     x, y, w, h = rec["bbox"]
