@@ -29,6 +29,8 @@ def main() -> None:
     parser.add_argument("--skip-sweeps", action="store_true")
     parser.add_argument("--overwrite", action="store_true")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     config = load_experiment_config(args.config)
     base = config.expansion.seed

@@ -1,12 +1,13 @@
 """Prompt-tree growth: spawn rotated children, train with dispersion, stop on
 maximum angular coverage.
 
-One run alternates self-training rounds with tree expansions.  Round 1 trains
-the root alone against pseudo-labels bootstrapped from a zero-shot query
-vocabulary.  Each expansion freezes the busiest current prompt (the one
-responsible for the largest share of pseudo-labels, i.e. the coarsest), spawns
-children by small random plane rotations of it, rebuilds pseudo-labels from
-the current prompt set, and trains another round.  During a round the fresh
+One run is one round repeated, each round a pass of the same loop body in
+``run``.  Round 1 trains the root alone against pseudo-labels bootstrapped
+from a zero-shot query vocabulary.  Every later round first expands: it
+freezes the busiest current prompt (the one responsible for the largest share
+of pseudo-labels, i.e. the coarsest), spawns children by small random plane
+rotations of it and rebuilds pseudo-labels from the current prompt set.  Then
+every round trains, and ends with an evaluation.  During a round the fresh
 cohort feels the dispersion pair (attraction to its parent, log-sum-exp
 repulsion among siblings) while every trainable prompt, cohort or not, is
 supervised with focal classification loss against the pseudo-labels.  Box
@@ -606,14 +607,20 @@ def _label_pass(
 
 @dataclass
 class RunResult:
+    """What one growth run leaves: the tree, plus one entry per round in
+    each per-round list (activations and MAC from the second round on)."""
+
     tree: PromptTree
-    mac_report: MacReport
-    eval_summaries: list[EvalSummary]
-    round_stats: list[RoundStats]
-    activation_history: list[ActivationStats]
-    label_counts: list[int]
-    stopped_early: bool
-    final_detections: dict[int, ScoredBoxes]  # the last evaluation's, by scene
+    mac_report: MacReport = field(default_factory=MacReport)
+    eval_summaries: list[EvalSummary] = field(default_factory=list)
+    round_stats: list[RoundStats] = field(default_factory=list)
+    activation_history: list[ActivationStats] = field(default_factory=list)
+    stopped_early: bool = False
+    final_detections: dict[int, ScoredBoxes] = field(default_factory=dict)  # the last evaluation's, by scene
+
+    @property
+    def label_counts(self) -> list[int]:
+        return [s.label_count for s in self.round_stats]
 
 
 def run(
@@ -625,13 +632,14 @@ def run(
 ) -> RunResult:
     """Full growth loop: bootstrap, train, expand until coverage saturates.
 
-    Round 1 trains the root (the normalized mean of the query vocabulary)
-    against zero-shot pseudo-labels.  Each expansion then freezes the busiest
-    prompt, spawns its children, rebuilds labels from the grown prompt set
-    and trains again.  After every multi-prompt round the maximum pairwise
-    angle is recorded; with early stopping enabled the loop exits once it
-    clears the threshold or moves less than the tolerance between rounds.
-    Every round ends with a detector evaluation over the whole world.
+    Every round is one pass of the same loop body.  Round 1 trains the root
+    (the normalized mean of the query vocabulary) against zero-shot
+    pseudo-labels.  Each later round first freezes the busiest prompt,
+    spawns its children and rebuilds labels from the grown prompt set, then
+    trains and records the maximum pairwise angle.  Every round ends with a
+    detector evaluation over the whole world; with early stopping enabled
+    the loop exits once the angle clears the threshold or moves less than
+    the tolerance between rounds.
     """
     params = params if params is not None else DetectorParams()
     if vocabulary is None:
@@ -643,64 +651,29 @@ def run(
 
     tree = PromptTree.from_root(normalize(np.sum(np.stack(vocabulary), axis=0)))
     labels = bootstrap_labels(vocabulary, world, config, params)
-    if len(labels) == 0:
-        raise EmptyPseudoLabels("zero-shot vocabulary produced no labels")
-
-    mac_report = MacReport()
-    round_stats = [train_round(tree, labels, world, config, params, rng)]
-    label_counts = [len(labels)]
-    summary, detections = _evaluate_tree(tree, world, params, gts, config.seed, max_dets)
-    summaries = [summary]
-    activation_history: list[ActivationStats] = []
-    stopped_early = False
-
-    for _ in range(config.num_expansions):
-        stats = activation_frequency(
-            tree, labels, world, params, config.label_iou_min, config.seed
-        )
-        activation_history.append(stats)
-        candidates = list(tree.cohort) if tree.cohort else tree.trainable_ids
-        parent_id = select_parent(stats, candidates)
-        expand(tree, parent_id, config, rng)
-
-        labels = rebuild_labels(tree, world, config, params)
-        if len(labels) == 0:
-            raise EmptyPseudoLabels(
-                f"round {tree.round_index}: prompt set produced no labels"
+    result = RunResult(tree)
+    for expansion in range(config.num_expansions + 1):
+        if expansion:
+            stats = activation_frequency(
+                tree, labels, world, params, config.label_iou_min, config.seed
             )
-        label_counts.append(len(labels))
-        round_stats.append(train_round(tree, labels, world, config, params, rng))
-        mac_report.record(tree.round_index, tree.embedding_matrix())
-        summary, detections = _evaluate_tree(tree, world, params, gts, config.seed, max_dets)
-        summaries.append(summary)
-
-        if config.early_stop and mac_report.converged(
+            result.activation_history.append(stats)
+            candidates = list(tree.cohort) if tree.cohort else tree.trainable_ids
+            expand(tree, select_parent(stats, candidates), config, rng)
+            labels = rebuild_labels(tree, world, config, params)
+        if len(labels) == 0:
+            raise EmptyPseudoLabels(f"round {tree.round_index}: no pseudo-labels to train on")
+        result.round_stats.append(train_round(tree, labels, world, config, params, rng))
+        if expansion:
+            result.mac_report.record(tree.round_index, tree.embedding_matrix())
+        result.final_detections = detect_world(
+            world, tree.prompt_items(), QueryMode.PREDICTION_MERGING, params, config.seed
+        )
+        result.eval_summaries.append(evaluate(result.final_detections, gts, max_dets))
+        # no MAC is recorded before the second round, so round 1 never stops
+        if config.early_stop and result.mac_report.converged(
             config.mac_threshold, config.mac_tolerance
         ):
-            stopped_early = True
+            result.stopped_early = True
             break
-
-    return RunResult(
-        tree=tree,
-        mac_report=mac_report,
-        eval_summaries=summaries,
-        round_stats=round_stats,
-        activation_history=activation_history,
-        label_counts=label_counts,
-        stopped_early=stopped_early,
-        final_detections=detections,
-    )
-
-
-def _evaluate_tree(
-    tree: PromptTree,
-    world: World,
-    params: DetectorParams,
-    gts: GroundTruthSet,
-    seed: int,
-    max_dets: Sequence[int],
-) -> tuple[EvalSummary, dict[int, ScoredBoxes]]:
-    dets = detect_world(
-        world, tree.prompt_items(), QueryMode.PREDICTION_MERGING, params, seed
-    )
-    return evaluate(dets, gts, max_dets), dets
+    return result

@@ -160,7 +160,6 @@ def run_pilot_merging(
 
     _bind("generate_world", "build_vocabulary", "detect_world")
     seeded = [with_seed(config, seed) for seed in seeds]  # every seed checked before any write
-    out = _prepare_out(out_dir, overwrite)
     cap = max(config.max_dets)
     # rows grouped by style, then seed; one world is alive at a time
     rows_by_style: dict[str, list[tuple]] = {"dispersed": [], "overlapping": []}
@@ -187,6 +186,7 @@ def run_pilot_merging(
             rows.append((style, seed, len(vocab), *map(_fmt, (penalty, ar_pm, ar_qm, delta))))
     header = ["vocabulary", "seed", "num_queries", "overlap_penalty"]
     header += [f"ar_{cap}_pm", f"ar_{cap}_qm", "delta_ar_pct"]
+    out = _prepare_out(out_dir, overwrite)  # only once every seed has been scored
     _write_csv(out / "pilot.csv", header, [row for rows in rows_by_style.values() for row in rows])
     _write_manifest(out, "pilot", config.as_dict(), {"seeds": list(seeds)})
     return out
@@ -264,10 +264,10 @@ def run_dipex(
 ) -> tuple[Path, RunResult]:
     """One full growth run; writes per-round metrics, tree and detections."""
     _bind("generate_world", "build_vocabulary", "run", "rebuild_labels")
-    out = _prepare_out(out_dir, overwrite)
     world = generate_world(config.world)
     vocab = build_vocabulary(world, config.vocabulary)
     result = run(world, config.expansion, config.detector, vocab, config.max_dets)
+    out = _prepare_out(out_dir, overwrite)  # only once the run has grown
     _write_run_artifacts(out, config, world, result)
     _write_manifest(out, "run", config.as_dict(), {"seeds": [config.expansion.seed]})
     return out, result
@@ -329,7 +329,6 @@ def run_sweep(
     # every value checked as a config file's is, before any write
     expansions = [with_settings(config, {"expansion": {field: cast(v)}}).expansion for v in values]
     _bind("generate_world", "build_vocabulary", "run")
-    out = _prepare_out(out_dir, overwrite)
     cap = max(config.max_dets)
     world = generate_world(config.world)
     vocab = build_vocabulary(world, config.vocabulary)
@@ -355,6 +354,7 @@ def run_sweep(
             "mean_sibling_degrees": _deg(mean_sib),
         }
         rows.append([row[column] for column in columns])
+    out = _prepare_out(out_dir, overwrite)  # only once every value has grown
     _write_csv(out / f"{sweep.replace('-', '_')}.csv", columns, rows)
     _write_manifest(out, sweep, config.as_dict(), {f"{flag}_values": [cast(v) for v in values]})
     return out

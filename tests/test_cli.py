@@ -121,6 +121,17 @@ def test_run_all_script(config_path, tmp_path):
     assert [row.split(",")[0] for row in gamma_rows] == ["gamma", "0.01", "0.1", "1", "5"]
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_run_all_script_rejects_fewer_than_one_seed(config_path, tmp_path, seeds):
+    """A seed count below 1 is a usage error, before anything is written."""
+    out = tmp_path / "results"
+    args = ["--config", str(config_path), "--out", str(out), "--seeds", seeds]
+    proc = _run_python([str(ROOT / "scripts" / "run_all.py"), *args])
+    assert proc.returncode == 2
+    assert "--seeds" in proc.stderr
+    assert not out.exists()
+
+
 def _loaded_by_the_cli(argv: list[str] | None = None) -> set[str]:
     """The modules a fresh interpreter holds after ``import dipex.cli`` and,
     given ``argv``, a successful ``main(argv)``."""
@@ -617,6 +628,20 @@ def test_occupied_output_dir_exit_code(config_path, tmp_path, capsys):
     )
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [["run", "--seed", "1"], ["sweep-k", "--k", "3"]])
+def test_failed_growth_leaves_no_output_dir(tmp_path, capsys, flags):
+    """A run that runs out of pseudo-labels in round 2 fails as a runtime
+    error without making the output directory."""
+    path = tmp_path / "config.yaml"
+    path.write_text("expansion:\n  label_threshold: 0.99\n")
+    out = tmp_path / "out"
+    code = main([*flags, "--config", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("error[runtime]: round 2:")
+    assert not out.exists()
 
 
 def test_missing_config_file_exit_code(tmp_path, capsys):

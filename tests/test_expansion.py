@@ -352,6 +352,28 @@ def test_run_is_deterministic(tiny_world):
     assert [s.ar_at for s in a.eval_summaries] == [s.ar_at for s in b.eval_summaries]
 
 
+def test_run_stops_when_mac_clears_the_threshold(tiny_world):
+    """MAC reads 25.1 degrees after round 2, so a 1-degree threshold stops
+    the run there."""
+    config = replace(FAST, num_expansions=3, mac_threshold=math.radians(1.0))
+    result = run(tiny_world, config)
+    assert result.stopped_early
+    assert len(result.round_stats) == len(result.eval_summaries) == 2
+    assert len(result.activation_history) == 1
+    assert result.mac_report.rounds == [2]
+    assert len(result.tree.nodes) == 3
+
+
+def test_run_stops_when_mac_stalls(tiny_world):
+    """MAC moves from 25.1 to 53.7 degrees between rounds 2 and 3, less than
+    a 180-degree tolerance, while no MAC reaches a 180-degree threshold."""
+    config = replace(FAST, num_expansions=3, mac_threshold=math.pi, mac_tolerance=math.pi)
+    result = run(tiny_world, config)
+    assert result.stopped_early
+    assert result.mac_report.rounds == [2, 3]
+    assert len(result.round_stats) == len(result.eval_summaries) == 3
+
+
 def test_run_with_zero_expansions(tiny_world):
     config = ExpansionConfig(num_expansions=0, epochs_per_round=2, seed=5)
     result = run(tiny_world, config)
@@ -423,5 +445,5 @@ def test_growth_loop_invariants(
 def test_run_rejects_useless_vocabulary(tiny_world):
     with pytest.raises(ValueError):
         run(tiny_world, FAST, vocabulary=[])
-    with pytest.raises(EmptyPseudoLabels):
+    with pytest.raises(EmptyPseudoLabels, match="round 1"):
         run(tiny_world, FAST, vocabulary=[orthogonal_to_world(tiny_world)])
