@@ -4,13 +4,17 @@
 Runs the vocabulary pilot, one growth run per seed, and the children-count
 and repulsion-weight sweeps, then prints a compact summary as it goes.
 Everything is seeded, so rerunning into a fresh directory gives identical
-artifacts byte for byte.
+artifacts byte for byte.  A failed step ends the script as it ends ``dipex``:
+``error[config]`` (exit 2), ``error[data]`` (exit 3) or ``error[runtime]``
+(exit 4) on stderr.
 """
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
+from dipex.cli import reported
 from dipex.experiments import (
     SWEEPS,
     load_experiment_config,
@@ -21,7 +25,7 @@ from dipex.experiments import (
 )
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", type=Path, default=None, help="YAML experiment config")
     parser.add_argument("--out", type=Path, default=Path("results"))
@@ -31,7 +35,10 @@ def main() -> None:
     args = parser.parse_args()
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    return reported(run_grid, args)
 
+
+def run_grid(args: argparse.Namespace) -> int:
     config = load_experiment_config(args.config)
     base = config.expansion.seed
     seeds = list(range(base, base + args.seeds))
@@ -60,7 +67,8 @@ def main() -> None:
             out = args.out / sweep.replace("-", "_")
             run_sweep(config, sweep, list(spec.defaults), out, overwrite=args.overwrite)
             print(f"{sweep} written to {out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

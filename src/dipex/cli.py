@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .config import DEFAULT_MAX_DETS, load_experiment_config, with_seed
 from .evaluation import CocoFormatError
@@ -122,10 +122,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise RuntimeError(f"unhandled command {args.command}")  # pragma: no cover
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def reported(fn: Callable[..., int], *args) -> int:
+    """``fn(*args)``, or its failure's category on stderr and that category's exit code."""
     try:
-        return _dispatch(args)
+        return fn(*args)
     except CocoFormatError as exc:
         print(f"error[data]: {exc}", file=sys.stderr)
         return 3
@@ -135,6 +135,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (EmptyPseudoLabels, FileExistsError, OSError) as exc:
         print(f"error[runtime]: {exc}", file=sys.stderr)
         return 4
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    return reported(_dispatch, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

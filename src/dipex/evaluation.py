@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -341,19 +341,9 @@ class EvalSummary:
         return self.ar_at[cap]
 
     def to_dict(self) -> dict:
-        return {
-            "ar": {str(cap): self.ar_at[cap] for cap in sorted(self.ar_at)},
-            "ar_small": self.ar_small,
-            "ar_medium": self.ar_medium,
-            "ar_large": self.ar_large,
-            "ap": self.ap,
-            "ap_small": self.ap_small,
-            "ap_medium": self.ap_medium,
-            "ap_large": self.ap_large,
-            "num_scenes": self.num_scenes,
-            "num_ground_truths": self.num_ground_truths,
-            "num_detections": self.num_detections,
-        }
+        out = asdict(self)
+        ar_at = out.pop("ar_at")
+        return {"ar": {str(cap): ar_at[cap] for cap in sorted(ar_at)}, **out}
 
 
 # Outcome of one ranked detection in one (bucket, scene, threshold) cell.
@@ -368,19 +358,23 @@ def _average_precision(outcomes: np.ndarray, totals: np.ndarray) -> np.ndarray:
     A set-aside detection keeps the recall before it and gets precision 0,
     so the first rank reaching a grid recall is a counted detection, or a
     leading set-aside one whose envelope equals the first counted one's.
+    One bucket's rows at a time, so the temporaries span one bucket's
+    (threshold, detection) slab rather than the whole table.
     """
-    tp = np.cumsum(outcomes == _TP, axis=-1)
-    counted = outcomes != _IGN
-    precision = np.where(counted, tp / np.maximum(np.cumsum(counted, axis=-1), 1), 0.0)
-    # best precision at this rank or any later one, then 0 past the last rank
-    envelope = np.maximum.accumulate(precision[..., ::-1], axis=-1)[..., ::-1]
-    envelope = np.concatenate([envelope, np.zeros(envelope.shape[:-1] + (1,))], axis=-1)
-    recall = tp / np.maximum(totals, 1)[:, None, None]
     grid = np.array(RECALL_GRID)
-    first = np.array([[np.searchsorted(row, grid) for row in rows] for rows in recall])
-    picked = np.take_along_axis(envelope, first, axis=-1)
-    # cumsum adds left to right, as a scalar loop over the grid would
-    return np.cumsum(picked, axis=-1)[..., -1] / len(RECALL_GRID)
+    ap = np.empty(outcomes.shape[:2])
+    for bucket, (rows, total) in enumerate(zip(outcomes, totals)):
+        tp = np.cumsum(rows == _TP, axis=-1)
+        counted = rows != _IGN
+        precision = np.where(counted, tp / np.maximum(np.cumsum(counted, axis=-1), 1), 0.0)
+        # best precision at this rank or any later one, then 0 past the last rank
+        envelope = np.maximum.accumulate(precision[:, ::-1], axis=-1)[:, ::-1]
+        envelope = np.concatenate([envelope, np.zeros((len(rows), 1))], axis=-1)
+        first = np.array([np.searchsorted(row, grid) for row in tp / max(total, 1)])
+        picked = np.take_along_axis(envelope, first, axis=-1)
+        # cumsum adds left to right, as a scalar loop over the grid would
+        ap[bucket] = np.cumsum(picked, axis=-1)[:, -1] / len(RECALL_GRID)
+    return ap
 
 
 def _greedy_outcomes(

@@ -39,7 +39,7 @@ consecutive rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -157,13 +157,7 @@ class PromptTree:
             "parent_queue": list(self.parent_queue),
             "cohort": list(self.cohort),
             "nodes": [
-                {
-                    "id": node.id,
-                    "parent_id": node.parent_id,
-                    "depth": node.depth,
-                    "frozen": node.frozen,
-                    "embedding": [float(x) for x in node.embedding],
-                }
+                {**asdict(node), "embedding": node.embedding.tolist()}
                 for _, node in sorted(self.nodes.items())
             ],
         }

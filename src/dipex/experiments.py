@@ -14,7 +14,7 @@ import importlib
 import json
 import math
 from collections import namedtuple
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -196,6 +196,7 @@ def _write_run_artifacts(
     out: Path, config: ExperimentConfig, world: World, result: RunResult
 ) -> None:
     from .detector import detections_to_coco
+    from .dispersion import LossBreakdown
 
     cap = max(config.max_dets)
     mac = result.mac_report
@@ -219,12 +220,11 @@ def _write_run_artifacts(
             ["prompt", *range(len(matrix))],
             [(i, *map(_deg, row)) for i, row in enumerate(matrix.tolist())],
         )
-    terms = ("parent_child", "child_child", "bbox", "giou", "cls", "total")
     _write_csv(
         out / "losses.csv",
-        ["round", "epoch", *terms],
+        ["round", "epoch", *(f.name for f in fields(LossBreakdown))],
         [
-            (stats.round_index, epoch, *(_fmt(getattr(losses, term)) for term in terms))
+            (stats.round_index, epoch, *map(_fmt, astuple(losses)))
             for stats in result.round_stats
             for epoch, losses in enumerate(stats.epoch_losses, start=1)
         ],

@@ -132,6 +132,26 @@ def test_run_all_script_rejects_fewer_than_one_seed(config_path, tmp_path, seeds
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "settings, code, category",
+    [("expansion:\n  label_threshold: 0.99\n", 4, "runtime"), ("world:\n  dim: 1\n", 2, "config")],
+    ids=["no-labels", "bad-config"],
+)
+def test_run_all_script_reports_a_failed_step_as_the_cli_does(tmp_path, capsys, settings, code, category):
+    """A step that fails (no pseudo-labels survive the threshold, or a bad
+    config) ends run_all.py with the category and exit code that ``dipex
+    run`` gives the same config, and with no traceback."""
+    config = tmp_path / "config.yaml"
+    config.write_text(settings)
+    args = ["--config", str(config), "--out", str(tmp_path / "results"), "--seeds", "1"]
+    proc = _run_python([str(ROOT / "scripts" / "run_all.py"), *args])
+    assert proc.returncode == code
+    assert proc.stderr.startswith(f"error[{category}]: ")
+    assert "Traceback" not in proc.stderr
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == code
+    assert capsys.readouterr().err == proc.stderr
+
+
 def _loaded_by_the_cli(argv: list[str] | None = None) -> set[str]:
     """The modules a fresh interpreter holds after ``import dipex.cli`` and,
     given ``argv``, a successful ``main(argv)``."""

@@ -1,6 +1,10 @@
 import json
 import math
 import re
+import sys
+import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from dipex.experiments import _write_summary
 
 from conftest import assert_matches_reference, det_arrays, gt_arrays, random_eval_instance, rows_of
 from reference_eval import reference_evaluate
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def gt_row(box, crowd=False):
@@ -252,12 +258,35 @@ def test_evaluate_equals_reference_at_800_scenes():
     assert_equals_reference(*pilot_like_instance(np.random.default_rng(800), 800))
 
 
+def test_evaluate_peak_memory_spans_one_bucket_at_a_time(tmp_path):
+    """The AP pass holds one size bucket's (threshold, detection) rows at a
+    time.  On the benchmark's 80-scene eval instance one ``evaluate`` call
+    peaks at 4.7 MB of traced memory (numpy 2.4); over all four buckets at
+    once it peaked at 10.5 MB, and this bound is 0.6x that."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    gt_path, (det_path,) = workloads.write_eval_inputs(0, tmp_path, 80, det_files=1)
+    gts, dets = load_coco_ground_truth(gt_path), load_coco_detections(det_path)
+    evaluate(dets, gts)  # the ground truth's arrays are built on first use
+    tracemalloc.start()
+    try:
+        evaluate(dets, gts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 10.5e6
+
+
 def test_summary_accessors_and_monotonic_guard():
     gts = gt_arrays({0: [gt_row(square(0, 0, 100))]}, [0])
     summary = evaluate(make_dets({0: [(square(0, 0, 100), 0.9)]}), gts)
     assert summary.ar(100) == summary.ar_at[100]
     d = summary.to_dict()
     assert d["ar"]["100"] == 1.0
+    assert set(d) == {f.name for f in fields(EvalSummary)} - {"ar_at"} | {"ar"}
     with pytest.raises(ValueError):
         EvalSummary(
             ar_at={1: 0.9, 10: 0.5}, ar_small=None, ar_medium=None, ar_large=None,
