@@ -8,17 +8,18 @@ the code they configure so that reading a configuration, or scoring files
 with ``dipex eval``, imports none of the growth modules.  ``world``,
 ``detector`` and ``expansion`` re-export their own section's class.
 
-Angles are radians in the dataclasses and ``<field>_degrees`` in config
-files and manifests.
+Each single-field rule is declared on its field, with ``_rule`` or
+``_angle``, and ``_check_rules`` raises every such fault.  Angles are radians
+in the dataclasses and ``<field>_degrees`` in config files and manifests.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
 
 DEFAULT_MAX_DETS = (1, 10, 100)
 
@@ -34,34 +35,66 @@ class ConfigError(ValueError):
     """Raised when an experiment configuration cannot be built."""
 
 
-def _deg(radians: float) -> float:
-    """An angle in degrees, as config files write it, for fault messages."""
-    return round(math.degrees(radians), 9)
+def _rule(default, rule: str):
+    """A field whose value must pass ``rule``, written as its fault message
+    prints it: a bound such as ``> 0`` or ``>= 1``, or a range such as ``[0, 1)``."""
+    return dataclasses.field(default=default, metadata={"rule": rule})
+
+
+def _angle(degrees: float, rule: str):
+    """An angle field: radians in the dataclass, ``<field>_degrees`` in
+    config files and manifests, with ``rule``'s bounds in degrees."""
+    return dataclasses.field(default=math.radians(degrees), metadata={"rule": rule, "angle": True})
+
+
+def _angles(section) -> tuple[str, ...]:
+    """The angle fields of a section or its dataclass."""
+    return tuple(f.name for f in dataclasses.fields(section) if f.metadata.get("angle"))
+
+
+# a rule's token -> how the bound on that side compares with the value; a closed side admits equality
+_ORDER = {**dict.fromkeys(("[", "]", ">="), operator.le), **dict.fromkeys(("(", ")", ">"), operator.lt)}
+_WORDS = {"> 0": "must be positive", ">= 0": "must be non-negative"}
+
+
+def _check_rules(section) -> None:
+    """Raise the first value of ``section``, in field order, that breaks its
+    field's rule, naming its config key and the value as that key gives it."""
+    for f in dataclasses.fields(section):
+        if "rule" not in f.metadata:
+            continue
+        rule, value = f.metadata["rule"], getattr(section, f.name)
+        key, shown, scale = f.name, value, float
+        if f.metadata.get("angle"):  # bounds and shown value in degrees, compared in radians
+            key, shown, scale = f"{f.name}_degrees", round(math.degrees(value), 9), math.radians
+        if rule[0] in "[(":  # a range: "[lo, hi)"
+            lo, hi = (scale(float(b)) for b in rule[1:-1].split(", "))
+            ok = _ORDER[rule[0]](lo, value) and _ORDER[rule[-1]](value, hi)
+            fault = f"out of {rule}: {shown}"
+        else:  # a lower bound: ">= lo"
+            op, lo = rule.split()
+            ok = _ORDER[op](scale(float(lo)), value)
+            fault = f"{_WORDS.get(rule, f'must be {rule}')}, got {shown}"
+        if not ok:
+            raise ValueError(f"{key} {fault}")
 
 
 @dataclass(frozen=True)
 class WorldConfig:
-    dim: int = 64
-    num_clusters: int = 8
-    objects_per_cluster: int = 40
-    concentration: float = 20.0  # higher = tighter clusters
-    num_scenes: int = 80
-    objects_per_scene: int = 4
+    dim: int = _rule(64, ">= 2")
+    num_clusters: int = _rule(8, ">= 1")
+    objects_per_cluster: int = _rule(40, ">= 1")
+    concentration: float = _rule(20.0, "> 0")  # higher = tighter clusters
+    num_scenes: int = _rule(80, ">= 1")
+    objects_per_scene: int = _rule(4, ">= 1")
     width: int = 640
     height: int = 480
     size_mix: tuple[float, float, float] = (0.35, 0.40, 0.25)  # S, M, L fractions
-    seed: int = 0
+    seed: int = _rule(0, ">= 0")  # numpy's generators take no negative seed
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "size_mix", tuple(map(float, self.size_mix)))  # YAML may give integers
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if self.num_clusters < 1 or self.objects_per_cluster < 1:
-            raise ValueError("need at least one cluster and one object per cluster")
-        if self.concentration <= 0.0:
-            raise ValueError(f"concentration must be positive, got {self.concentration}")
-        if self.num_scenes < 1 or self.objects_per_scene < 1:
-            raise ValueError("need at least one scene and one object per scene")
+        _check_rules(self)
         total = self.num_clusters * self.objects_per_cluster
         placed = self.num_scenes * self.objects_per_scene
         if total != placed:
@@ -73,8 +106,6 @@ class WorldConfig:
             raise ValueError(f"size_mix needs three non-negative fractions: {self.size_mix}")
         if not math.isclose(sum(self.size_mix), 1.0, abs_tol=1e-9):
             raise ValueError(f"size_mix must sum to 1: {self.size_mix}")
-        if self.seed < 0:  # numpy's generators take no negative seed
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         self._validate_fit()
 
     def _validate_fit(self) -> None:
@@ -103,29 +134,18 @@ class WorldConfig:
 
 @dataclass(frozen=True)
 class DetectorParams:
-    logit_scale: float = 10.0  # a
+    logit_scale: float = _rule(10.0, "> 0")  # a
     logit_bias: float = -4.5  # b
-    overlap_threshold: float = math.radians(57.0)  # prompts closer than this interfere
-    penalty_strength: float = 2.0
-    box_noise: float = 0.15  # displacement = box_noise * (1 - score) * sqrt(area)
-    score_threshold: float = 0.25
-    max_detections: int = 100
-    nms_sigma: float = 0.5
-    nms_floor: float = 0.001
+    overlap_threshold: float = _angle(57.0, "(0, 180)")  # prompts closer than this interfere
+    penalty_strength: float = _rule(2.0, ">= 0")
+    box_noise: float = _rule(0.15, ">= 0")  # displacement = box_noise * (1 - score) * sqrt(area)
+    score_threshold: float = _rule(0.25, "[0, 1)")
+    max_detections: int = _rule(100, ">= 1")
+    nms_sigma: float = _rule(0.5, "> 0")
+    nms_floor: float = _rule(0.001, "[0, 1)")
 
     def __post_init__(self) -> None:
-        if self.logit_scale <= 0.0:
-            raise ValueError(f"logit_scale must be positive, got {self.logit_scale}")
-        if not (0.0 < self.overlap_threshold < math.pi):
-            raise ValueError(f"overlap_threshold_degrees out of (0, 180): {_deg(self.overlap_threshold)}")
-        if self.penalty_strength < 0.0 or self.box_noise < 0.0:
-            raise ValueError("penalty_strength and box_noise must be non-negative")
-        if not (0.0 <= self.score_threshold < 1.0):
-            raise ValueError(f"score_threshold out of [0, 1): {self.score_threshold}")
-        if self.max_detections < 1:
-            raise ValueError(f"max_detections must be >= 1, got {self.max_detections}")
-        if self.nms_sigma <= 0.0:
-            raise ValueError(f"nms_sigma must be positive, got {self.nms_sigma}")
+        _check_rules(self)
 
 
 @dataclass(frozen=True)
@@ -142,22 +162,16 @@ class VocabularyConfig:
     """
 
     style: str = "dispersed"  # or "overlapping"
-    noise_angle: float = math.radians(10.0)
+    noise_angle: float = _angle(10.0, "[0, 180]")
     include_centroid: bool = True
-    duplicate_angle: float = math.radians(3.0)
-    min_separation: float = math.radians(60.0)
-    seed: int = 0
+    duplicate_angle: float = _angle(3.0, "[0, 180]")
+    min_separation: float = _angle(60.0, "[0, 180)")
+    seed: int = _rule(0, ">= 0")
 
     def __post_init__(self) -> None:
         if self.style not in ("dispersed", "overlapping"):
             raise ValueError(f"unknown vocabulary style: {self.style}")
-        for name in ("noise_angle", "duplicate_angle"):
-            if not (0.0 <= getattr(self, name) <= math.pi):
-                raise ValueError(f"{name}_degrees out of [0, 180]: {_deg(getattr(self, name))}")
-        if not (0.0 <= self.min_separation < math.pi):
-            raise ValueError(f"min_separation_degrees out of [0, 180): {_deg(self.min_separation)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        _check_rules(self)
 
 
 @dataclass(frozen=True)
@@ -165,49 +179,28 @@ class ExpansionConfig:
     """Knobs for one growth run.  Angles are radians."""
 
     num_children: int = 9
-    num_expansions: int = 3
-    max_angle: float = math.radians(15.0)
-    tau_parent: float = 0.1
-    tau_child: float = 0.1
-    gamma: float = 0.1
-    gamma_bbox: float = 5.0
-    gamma_giou: float = 2.0
-    gamma_cls: float = 1.0
-    mac_threshold: float = math.radians(75.0)
-    mac_tolerance: float = math.radians(0.5)
-    learning_rate: float = 0.05
-    epochs_per_round: int = 20
-    batch_size: int = 8
-    label_threshold: float = 0.2
-    label_iou_min: float = 0.5
+    num_expansions: int = _rule(3, ">= 0")
+    max_angle: float = _angle(15.0, "(0, 90]")
+    tau_parent: float = _rule(0.1, "> 0")
+    tau_child: float = _rule(0.1, "> 0")
+    gamma: float = _rule(0.1, ">= 0")
+    gamma_bbox: float = _rule(5.0, ">= 0")
+    gamma_giou: float = _rule(2.0, ">= 0")
+    gamma_cls: float = _rule(1.0, ">= 0")
+    mac_threshold: float = _angle(75.0, "(0, 180]")
+    mac_tolerance: float = _angle(0.5, ">= 0")
+    learning_rate: float = _rule(0.05, "> 0")
+    epochs_per_round: int = _rule(20, ">= 1")
+    batch_size: int = _rule(8, ">= 1")
+    label_threshold: float = _rule(0.2, "[0, 1)")
+    label_iou_min: float = _rule(0.5, "(0, 1]")
     early_stop: bool = True
-    seed: int = 0
+    seed: int = _rule(0, ">= 0")
 
     def __post_init__(self) -> None:
-        if self.num_expansions < 0:
-            raise ValueError(f"num_expansions must be >= 0, got {self.num_expansions}")
+        _check_rules(self)
         if self.num_expansions > 0 and self.num_children < 2:
             raise ValueError("need at least 2 children per expansion for sibling repulsion")
-        if not (0.0 < self.max_angle <= math.pi / 2):
-            raise ValueError(f"max_angle_degrees out of (0, 90]: {_deg(self.max_angle)}")
-        if self.tau_parent <= 0.0 or self.tau_child <= 0.0:
-            raise ValueError("temperatures must be positive")
-        if min(self.gamma, self.gamma_bbox, self.gamma_giou, self.gamma_cls) < 0.0:
-            raise ValueError("loss weights must be non-negative")
-        if not (0.0 < self.mac_threshold <= math.pi):
-            raise ValueError(f"mac_threshold_degrees out of (0, 180]: {_deg(self.mac_threshold)}")
-        if self.mac_tolerance < 0.0:
-            raise ValueError(f"mac_tolerance_degrees must be non-negative, got {_deg(self.mac_tolerance)}")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs_per_round < 1 or self.batch_size < 1:
-            raise ValueError("epochs_per_round and batch_size must be >= 1")
-        if not (0.0 <= self.label_threshold < 1.0):
-            raise ValueError(f"label_threshold out of [0, 1): {self.label_threshold}")
-        if not (0.0 < self.label_iou_min <= 1.0):
-            raise ValueError(f"label_iou_min out of (0, 1]: {self.label_iou_min}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -219,25 +212,18 @@ class ExperimentConfig:
     max_dets: tuple[int, ...] = DEFAULT_MAX_DETS
 
     def as_dict(self) -> dict:
-        doc = {
-            name: _degrees_out(dataclasses.asdict(getattr(self, name)), angles)
-            for name, (_, angles) in _SECTIONS.items()
-        }
+        doc = {name: _in_degrees(getattr(self, name)) for name in _SECTIONS}
         return {**doc, "max_dets": list(self.max_dets)}
 
 
-# config section -> (its dataclass, its angle fields: radians in the
-# dataclass, "<field>_degrees" in config files and manifests)
-_SECTIONS = {
-    "world": (WorldConfig, ()),
-    "detector": (DetectorParams, ("overlap_threshold",)),
-    "expansion": (ExpansionConfig, ("max_angle", "mac_threshold", "mac_tolerance")),
-    "vocabulary": (VocabularyConfig, ("noise_angle", "duplicate_angle", "min_separation")),
-}
+# config section -> its dataclass, as ExperimentConfig declares them
+_SECTIONS = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig) if f.name != "max_dets"}
 
 
-def _degrees_out(data: dict, angle_keys: Sequence[str]) -> dict:
-    for key in angle_keys:
+def _in_degrees(section) -> dict:
+    """``section``'s settings by config key: each angle as ``<field>_degrees``."""
+    data = dataclasses.asdict(section)
+    for key in _angles(section):
         data[f"{key}_degrees"] = math.degrees(data.pop(key))
     return data
 
@@ -280,7 +266,8 @@ def with_settings(config: ExperimentConfig, doc: dict) -> ExperimentConfig:
     for name, data in doc.items():
         if not isinstance(data, dict):
             raise ConfigError(f"section '{name}' must be a mapping")
-        cls, angles = _SECTIONS[name]
+        cls = _SECTIONS[name]
+        angles = _angles(cls)
         # config key -> (dataclass field, declared type); angles are read in degrees
         keys = {f.name: (f.name, f.type) for f in dataclasses.fields(cls) if f.name not in angles}
         keys.update({f"{field}_degrees": (field, "float") for field in angles})

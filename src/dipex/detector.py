@@ -54,10 +54,14 @@ def overlap_penalty(prompts: Sequence[np.ndarray], params: DetectorParams) -> fl
     (cos angle - cos threshold)).  Equals 1 when no pair is that close."""
     if len(prompts) < 2:
         return 1.0
-    mat = np.stack([normalize(p) for p in prompts])
-    cos = cosines(mat, mat.T)
+    return _overlap_penalty(np.stack([normalize(p) for p in prompts]), params)
+
+
+def _overlap_penalty(unit: np.ndarray, params: DetectorParams) -> float:
+    """``overlap_penalty`` of the prompts whose unit rows are ``unit``."""
+    cos = cosines(unit, unit.T)
     cos_ov = math.cos(params.overlap_threshold)
-    iu = np.triu_indices(mat.shape[0], k=1)
+    iu = np.triu_indices(unit.shape[0], k=1)
     excess = cos[iu] - cos_ov
     total = float(np.sum(excess[excess > 0.0]))
     return math.exp(-params.penalty_strength * total)
@@ -229,7 +233,7 @@ def detect_world(
     _, _, scores, boxes = candidate_detections(scenes, unit, params)
     valid = (scenes.object_ids >= 0)[:, None, :]
     if mode is QueryMode.QUERY_MERGING:
-        scores = scores * overlap_penalty([vec for _, vec in prompts], params)
+        scores = scores * _overlap_penalty(unit, params)
         tied = scores == scores.max(axis=1, keepdims=True)
         best = np.argmin(np.where(tied, ids[None, :, None], ids.max() + 1), axis=1)
         scores = np.take_along_axis(scores, best[:, None], axis=1)

@@ -586,6 +586,15 @@ def test_eval_caps_checked_before_any_file(tmp_path, capsys, caps):
         ("pilot", "detector", "overlap_threshold_degrees: 180", "overlap_threshold_degrees out of (0, 180): 180.0\n"),
         ("run", "detector", "nms_sigma: 0", "nms_sigma must be positive, got 0"),
         ("pilot", "detector", "nms_sigma: -1", "nms_sigma must be positive, got -1"),
+        ("run", "detector", "nms_floor: 1.5", "nms_floor out of [0, 1): 1.5\n"),
+        ("pilot", "detector", "nms_floor: -3.0", "nms_floor out of [0, 1): -3.0\n"),
+        ("run", "expansion", "tau_child: 0", "tau_child must be positive, got 0\n"),
+        ("run", "expansion", "gamma_giou: -1", "gamma_giou must be non-negative, got -1\n"),
+        ("run", "world", "num_clusters: 0", "num_clusters must be >= 1, got 0\n"),
+        ("pilot", "world", "objects_per_scene: 0", "objects_per_scene must be >= 1, got 0\n"),
+        ("pilot", "detector", "box_noise: -1", "box_noise must be non-negative, got -1\n"),
+        ("run", "expansion", "batch_size: 0", "batch_size must be >= 1, got 0\n"),
+        ("run", "expansion", "learning_rate: 0", "learning_rate must be positive, got 0\n"),
     ],
 )
 def test_config_values_checked_before_any_output(tmp_path, capsys, command, section, setting, message):

@@ -65,6 +65,24 @@ def test_degree_keys_become_radians():
     assert config.vocabulary.min_separation == pytest.approx(math.radians(50.0))
 
 
+@pytest.mark.parametrize(
+    "section, key, value, field, want",
+    [
+        ("expansion", "max_angle_degrees", 90, "max_angle", math.pi / 2),
+        ("expansion", "mac_threshold_degrees", 180, "mac_threshold", math.pi),
+        ("vocabulary", "noise_angle_degrees", 180, "noise_angle", math.pi),
+        ("expansion", "label_iou_min", 1, "label_iou_min", 1),
+        ("detector", "score_threshold", 0, "score_threshold", 0),
+        ("expansion", "num_expansions", 0, "num_expansions", 0),
+    ],
+)
+def test_closed_bounds_load(section, key, value, field, want):
+    """A value on a closed end of its key's rule loads; an angle's degree
+    bound is the same float as the radians it is compared in."""
+    config = experiment_config_from_dict({section: {key: value}})
+    assert getattr(getattr(config, section), field) == want
+
+
 def test_config_rejects_unknown_and_invalid():
     with pytest.raises(ConfigError, match="unknown top-level"):
         experiment_config_from_dict({"worlds": {}})
