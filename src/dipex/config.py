@@ -87,8 +87,8 @@ class WorldConfig:
     concentration: float = _rule(20.0, "> 0")  # higher = tighter clusters
     num_scenes: int = _rule(80, ">= 1")
     objects_per_scene: int = _rule(4, ">= 1")
-    width: int = 640
-    height: int = 480
+    width: int = _rule(640, ">= 1")
+    height: int = _rule(480, ">= 1")
     size_mix: tuple[float, float, float] = (0.35, 0.40, 0.25)  # S, M, L fractions
     seed: int = _rule(0, ">= 0")  # numpy's generators take no negative seed
 

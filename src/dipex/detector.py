@@ -186,8 +186,8 @@ def _reported(
     """Indices of the detections reported from flat candidates: each group
     in canonical order, scores below the detection threshold dropped, the
     first max_detections kept.  Both query modes report by this rule."""
-    order = _canonical(scores, pids, boxes, groups)
-    order = order[scores[order] >= params.score_threshold]
+    keep = np.flatnonzero(scores >= params.score_threshold)
+    order = keep[_canonical(scores[keep], pids[keep], boxes[keep], groups[keep])]
     g = groups[order]
     rank = np.arange(g.size) - np.searchsorted(g, g)
     return order[rank < params.max_detections]

@@ -563,9 +563,9 @@ def rebuild_labels(
 ) -> PseudoLabelSet:
     """Self-training labels from the current prompt set.
 
-    Every prompt runs the detector alone (prediction merging degenerates to
-    plain thresholding for a single prompt) so one prompt's weak scores never
-    suppress another's; the label builder then unions and deduplicates.
+    Every prompt runs the detector alone, so one prompt's weak scores never
+    suppress another's; its own overlapping boxes still suppress each other.
+    The label builder then unions and deduplicates.
     """
     return _label_pass(tree.prompt_items(), "prompt_{:03d}", world, config, params)
 

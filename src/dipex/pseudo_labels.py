@@ -76,11 +76,9 @@ class ScoredBoxes:
 
 @dataclass(frozen=True, eq=False)
 class PseudoLabelSet(ScoredBoxes):
-    """Pseudo ground truth, each label's source name, and the recipe that
-    produced it; ``build_pseudo_labels`` orders labels by (scene, -score,
-    box, source)."""
+    """Pseudo ground truth and the recipe that produced it;
+    ``build_pseudo_labels`` orders labels by (scene, -score, box)."""
 
-    sources: np.ndarray    # (n,) str
     meta: dict = field(default_factory=dict)
 
     def to_coco(self, scene_dims: Mapping[int, tuple[int, int]]) -> dict:
@@ -302,9 +300,9 @@ def build_pseudo_labels(
 
     Candidates scored under the label threshold are dropped first.  The
     rest, in sorted-name order of their sources, are sorted at once by
-    (scene, -score, box, source); exact duplicates (same scene, box and
-    score) collapse to the first in that order, so listing a source twice
-    changes nothing.  One grouped soft-NMS call then suppresses every scene.
+    (scene, -score, box); exact duplicates (same scene, box and score)
+    collapse to the first in that order, so listing a source twice changes
+    nothing.  One grouped soft-NMS call then suppresses every scene.
     The label threshold also acts as the suppression floor: a candidate
     whose suppressed score dips below it is discarded before it can
     suppress anyone else, and survivors are recorded with their original
@@ -315,18 +313,14 @@ def build_pseudo_labels(
     if not (0.0 <= threshold < 1.0):
         raise ValueError(f"threshold out of [0, 1): {threshold}")
     names = sorted(sources)
-    parts = [sources[name] for name in names]
-    src = np.repeat(np.arange(len(names)), [len(part) for part in parts])
-    union = ScoredBoxes.concat(parts)
+    union = ScoredBoxes.concat([sources[name] for name in names])
     confident = union.scores >= threshold
     scene, score, boxes = union.scene_ids[confident], union.scores[confident], union.boxes[confident]
-    src = src[confident]
-    order = np.lexsort((src, *boxes.T[::-1], -score, scene))
+    order = np.lexsort((*boxes.T[::-1], -score, scene))
     key = np.column_stack([scene, score, boxes])[order]
     order = order[np.r_[True, np.any(key[1:] != key[:-1], axis=1)][: order.size]]
 
     kept = soft_nms(score[order], sigma, max(score_floor, threshold), boxes[order], scene[order])
     keep = order[np.sort(np.array([i for i, _ in kept], dtype=int))]
     meta = {"threshold": threshold, "sigma": sigma, "score_floor": score_floor, "sources": names}
-    label_sources = np.array(names, dtype=str)[src[keep]]
-    return PseudoLabelSet(scene[keep], score[keep], boxes[keep], label_sources, meta)
+    return PseudoLabelSet(scene[keep], score[keep], boxes[keep], meta)

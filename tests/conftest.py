@@ -50,16 +50,17 @@ def as_arrays(items, labels=False):
     scores = np.array([float(d.score) for d in items])
     boxes = np.array([d.bbox.as_tuple() for d in items], dtype=float).reshape(-1, 4)
     if labels:
-        return PseudoLabelSet(scene_ids, scores, boxes, np.array([d.source for d in items], dtype=str))
+        return PseudoLabelSet(scene_ids, scores, boxes)
     return ScoredBoxes(scene_ids, scores, boxes)
 
 
 def all_labels(labels: PseudoLabelSet) -> list[PseudoLabel]:
-    """The labels of a PseudoLabelSet as PseudoLabel objects, in its order."""
-    rows = (labels.scene_ids, labels.boxes, labels.scores, labels.sources)
+    """The labels of a PseudoLabelSet as PseudoLabel objects, in its order,
+    with an empty source name (the set keeps none)."""
+    rows = (labels.scene_ids, labels.boxes, labels.scores)
     return [
-        PseudoLabel(sid, BBox(*box), score, source)
-        for sid, box, score, source in zip(*(column.tolist() for column in rows))
+        PseudoLabel(sid, BBox(*box), score, "")
+        for sid, box, score in zip(*(column.tolist() for column in rows))
     ]
 
 

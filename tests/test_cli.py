@@ -595,6 +595,9 @@ def test_eval_caps_checked_before_any_file(tmp_path, capsys, caps):
         ("pilot", "detector", "box_noise: -1", "box_noise must be non-negative, got -1\n"),
         ("run", "expansion", "batch_size: 0", "batch_size must be >= 1, got 0\n"),
         ("run", "expansion", "learning_rate: 0", "learning_rate must be positive, got 0\n"),
+        ("run", "world", "width: -640\n  height: -480", "width must be >= 1, got -640\n"),
+        ("pilot", "world", "width: 0", "width must be >= 1, got 0\n"),
+        ("run", "world", "height: 0", "height must be >= 1, got 0\n"),
     ],
 )
 def test_config_values_checked_before_any_output(tmp_path, capsys, command, section, setting, message):
