@@ -53,8 +53,8 @@ def run_grid(args: argparse.Namespace) -> int:
             with_seed(config, seed), args.out / f"run_seed{seed}", overwrite=args.overwrite
         )
         summary = json.loads((out / "summary.json").read_text())
-        first = result.eval_summaries[0].ar(cap)
-        last = result.eval_summaries[-1].ar(cap)
+        first = result.eval_summaries[0].ar_at[cap]
+        last = result.eval_summaries[-1].ar_at[cap]
         finals.append(last)
         print(
             f"seed {seed}: rounds {summary['rounds_trained']}, "

@@ -85,7 +85,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             overwrite=args.overwrite,
         )
         cap = max(args.max_dets)
-        ar = summary.ar(cap)
+        ar = summary.ar_at[cap]
         print(f"ar_{cap}: {'n/a' if ar is None else f'{ar:.4f}'}")
         print(f"wrote {out / 'summary.json'}")
         return 0
@@ -107,7 +107,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         out, result = run_dipex(config, args.out, overwrite=args.overwrite)
         final = result.eval_summaries[-1]
         cap = max(config.max_dets)
-        ar = final.ar(cap)
+        ar = final.ar_at[cap]
         print(
             f"rounds: {len(result.eval_summaries)}  prompts: {len(result.tree.nodes)}  "
             f"ar_{cap}: {'n/a' if ar is None else f'{ar:.4f}'}"

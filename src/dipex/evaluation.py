@@ -337,9 +337,6 @@ class EvalSummary:
             if hi < lo - 1e-12:
                 raise ValueError(f"recall must not decrease with the cap: {self.ar_at}")
 
-    def ar(self, cap: int) -> float | None:
-        return self.ar_at[cap]
-
     def to_dict(self) -> dict:
         out = asdict(self)
         ar_at = out.pop("ar_at")

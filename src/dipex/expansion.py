@@ -78,7 +78,6 @@ class PromptNode:
     embedding: np.ndarray
     depth: int
     parent_id: int | None
-    frozen: bool = False
 
     def __post_init__(self) -> None:
         emb = _lock(self.embedding)
@@ -91,18 +90,17 @@ class PromptNode:
 
 @dataclass
 class PromptTree:
-    """All prompts ever grown, plus which are frozen and which were just born.
+    """All prompts ever grown, plus the parents frozen so far.
 
-    ``parent_queue`` lists frozen parents in freeze order; ``cohort`` holds the
-    ids spawned by the most recent expansion (empty before the first one).
-    ``round_index`` counts training rounds, starting at 1 for the root-only
-    round and increasing by one per expansion.
+    ``parent_queue`` lists the frozen parents in freeze order and is the one
+    record of which prompts are frozen; every other prompt is trainable.
+    The rest follows from it: ``cohort`` is the children of the last parent
+    (empty before the first expansion), and ``round_index`` counts training
+    rounds, 1 for the root-only round and one more per expansion.
     """
 
     nodes: dict[int, PromptNode]
     parent_queue: list[int] = field(default_factory=list)
-    cohort: tuple[int, ...] = ()
-    round_index: int = 1
 
     def __post_init__(self) -> None:
         self.validate()
@@ -119,13 +117,10 @@ class PromptTree:
             if node.parent_id is not None and node.parent_id not in self.nodes:
                 raise ValueError(f"node {nid} has unknown parent {node.parent_id}")
         for pid in self.parent_queue:
-            if pid not in self.nodes or not self.nodes[pid].frozen:
-                raise ValueError(f"parent queue entry {pid} is not a frozen node")
-        for cid in self.cohort:
-            if cid not in self.nodes:
-                raise ValueError(f"cohort member {cid} is not in the tree")
-        if self.round_index < 1:
-            raise ValueError(f"round_index must be >= 1, got {self.round_index}")
+            if pid not in self.nodes:
+                raise ValueError(f"parent queue entry {pid} is not in the tree")
+        if len(set(self.parent_queue)) != len(self.parent_queue):
+            raise ValueError(f"parent queue repeats an entry: {self.parent_queue}")
 
     @classmethod
     def from_root(cls, embedding: np.ndarray) -> "PromptTree":
@@ -138,18 +133,27 @@ class PromptTree:
 
     @property
     def trainable_ids(self) -> list[int]:
-        return [nid for nid in self.ids if not self.nodes[nid].frozen]
+        return [nid for nid in self.ids if nid not in self.parent_queue]
 
     @property
     def frozen_ids(self) -> list[int]:
-        return [nid for nid in self.ids if self.nodes[nid].frozen]
+        return sorted(self.parent_queue)
+
+    @property
+    def cohort(self) -> tuple[int, ...]:
+        if not self.parent_queue:
+            return ()
+        return tuple(nid for nid in self.ids if self.nodes[nid].parent_id == self.parent_queue[-1])
+
+    @property
+    def round_index(self) -> int:
+        return 1 + len(self.parent_queue)
 
     def prompt_items(self) -> list[tuple[int, np.ndarray]]:
         return [(nid, self.nodes[nid].embedding) for nid in self.ids]
 
-    def embedding_matrix(self, ids: Sequence[int] | None = None) -> np.ndarray:
-        use = self.ids if ids is None else list(ids)
-        return np.stack([self.nodes[nid].embedding for nid in use])
+    def embedding_matrix(self) -> np.ndarray:
+        return np.stack([self.nodes[nid].embedding for nid in self.ids])
 
     def to_dict(self) -> dict:
         return {
@@ -157,23 +161,10 @@ class PromptTree:
             "parent_queue": list(self.parent_queue),
             "cohort": list(self.cohort),
             "nodes": [
-                {**asdict(node), "embedding": node.embedding.tolist()}
-                for _, node in sorted(self.nodes.items())
+                {**asdict(node), "embedding": node.embedding.tolist(), "frozen": nid in self.parent_queue}
+                for nid, node in sorted(self.nodes.items())
             ],
         }
-
-
-@dataclass(frozen=True)
-class ActivationStats:
-    """How often each prompt was the responsible one for a pseudo-label."""
-
-    counts: dict[int, int]
-    total: int
-
-    def frequency(self, prompt_id: int) -> float:
-        if self.total == 0:
-            return 0.0
-        return self.counts.get(prompt_id, 0) / self.total
 
 
 @dataclass
@@ -420,8 +411,8 @@ def train_round(
     if not trainable:
         raise ValueError("no trainable prompts left")
     row_of = {nid: i for i, nid in enumerate(ids)}
-    row_trainable = np.array([not tree.nodes[nid].frozen for nid in ids])
-    V = tree.embedding_matrix(ids)
+    row_trainable = np.isin(ids, tree.parent_queue, invert=True)
+    V = tree.embedding_matrix()
 
     cohort_rows = np.array([row_of[c] for c in tree.cohort], dtype=int)
     use_dispersion = cohort_rows.size >= 2
@@ -493,21 +484,20 @@ def activation_frequency(
     params: DetectorParams,
     iou_min: float = 0.5,
     seed: int = 0,
-) -> ActivationStats:
-    """Share of pseudo-labels each prompt answers for, over the whole world:
-    training's responsibility matching over every candidate of every scene."""
+) -> dict[int, int]:
+    """How many pseudo-labels each prompt answers for, by id in id order, over
+    the whole world: training's responsibility matching over every candidate
+    of every scene.  Each assigned label has one responsible prompt, so the
+    counts sum to the number of assigned labels."""
     ids, unit = unit_prompts(tree.prompt_items())
     data = _round_data(world, labels, seed)
     _, _, scores, boxes = candidate_detections(data.scenes, unit, params)
     m = assign_responsibility(data, slice(None), scores, boxes, iou_min)
     counts = np.bincount(m.responsible[m.assigned], minlength=ids.size)
-    return ActivationStats(
-        counts=dict(zip(ids.tolist(), counts.tolist())),
-        total=int(np.count_nonzero(m.assigned)),
-    )
+    return dict(zip(ids.tolist(), counts.tolist()))
 
 
-def select_parent(stats: ActivationStats, candidates: Sequence[int]) -> int:
+def select_parent(counts: dict[int, int], candidates: Sequence[int]) -> int:
     """Next prompt to split: the candidate answering for the most labels.
 
     A prompt that wins responsibility everywhere is covering too much ground
@@ -516,7 +506,7 @@ def select_parent(stats: ActivationStats, candidates: Sequence[int]) -> int:
     """
     if not candidates:
         raise ValueError("no candidate parents")
-    return min(candidates, key=lambda nid: (-stats.counts.get(nid, 0), nid))
+    return min(candidates, key=lambda nid: (-counts.get(nid, 0), nid))
 
 
 def expand(
@@ -530,28 +520,20 @@ def expand(
     """
     if parent_id not in tree.nodes:
         raise ValueError(f"unknown parent {parent_id}")
-    parent = tree.nodes[parent_id]
-    if parent.frozen:
+    if parent_id in tree.parent_queue:
         raise ValueError(f"parent {parent_id} is already frozen")
-    tree.nodes[parent_id] = replace(parent, frozen=True)
-    tree.parent_queue.append(parent_id)
-
-    next_id = max(tree.nodes) + 1
+    parent = tree.nodes[parent_id]
     rotations = sample_child_rotations(
         parent.embedding, config.num_children, config.max_angle, rng
     )
-    cohort = []
-    for offset, rotation in enumerate(rotations):
-        child = PromptNode(
-            id=next_id + offset,
+    for child_id, rotation in enumerate(rotations, start=max(tree.nodes) + 1):
+        tree.nodes[child_id] = PromptNode(
+            id=child_id,
             embedding=apply_rotation(parent.embedding, rotation),
             depth=parent.depth + 1,
             parent_id=parent_id,
         )
-        tree.nodes[child.id] = child
-        cohort.append(child.id)
-    tree.cohort = tuple(cohort)
-    tree.round_index += 1
+    tree.parent_queue.append(parent_id)
     return tree.cohort
 
 
@@ -608,7 +590,7 @@ class RunResult:
     mac_report: MacReport = field(default_factory=MacReport)
     eval_summaries: list[EvalSummary] = field(default_factory=list)
     round_stats: list[RoundStats] = field(default_factory=list)
-    activation_history: list[ActivationStats] = field(default_factory=list)
+    activation_history: list[dict[int, int]] = field(default_factory=list)  # activation_frequency's
     stopped_early: bool = False
     final_detections: dict[int, ScoredBoxes] = field(default_factory=dict)  # the last evaluation's, by scene
 
@@ -648,12 +630,12 @@ def run(
     result = RunResult(tree)
     for expansion in range(config.num_expansions + 1):
         if expansion:
-            stats = activation_frequency(
+            counts = activation_frequency(
                 tree, labels, world, params, config.label_iou_min, config.seed
             )
-            result.activation_history.append(stats)
+            result.activation_history.append(counts)
             candidates = list(tree.cohort) if tree.cohort else tree.trainable_ids
-            expand(tree, select_parent(stats, candidates), config, rng)
+            expand(tree, select_parent(counts, candidates), config, rng)
             labels = rebuild_labels(tree, world, config, params)
         if len(labels) == 0:
             raise EmptyPseudoLabels(f"round {tree.round_index}: no pseudo-labels to train on")

@@ -86,11 +86,8 @@ def _prepare_out(out_dir: str | Path, overwrite: bool) -> Path:
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _write_manifest(out: Path, experiment: str, config_doc: dict, extra: dict) -> None:
@@ -137,7 +134,7 @@ def _write_summary(out: Path, summary: EvalSummary) -> None:
     _write_json(out / "summary.json", summary.to_dict())
     caps = sorted(summary.ar_at)
     header = [f"ar_{cap}" for cap in caps] + ["ar_s", "ar_m", "ar_l", "ap", "ap_s", "ap_m", "ap_l"]
-    row = [*map(summary.ar, caps), summary.ar_small, summary.ar_medium, summary.ar_large]
+    row = [*(summary.ar_at[cap] for cap in caps), summary.ar_small, summary.ar_medium, summary.ar_large]
     row += [summary.ap, summary.ap_small, summary.ap_medium, summary.ap_large]
     _write_csv(out / "summary.csv", header, [map(_fmt, row)])
 
@@ -175,8 +172,8 @@ def run_pilot_merging(
             for mode in (QueryMode.QUERY_MERGING, QueryMode.PREDICTION_MERGING):
                 dets = detect_world(world, prompts, mode, config.detector, seed)
                 summaries[mode] = evaluate(dets, gts, config.max_dets)
-            ar_pm = summaries[QueryMode.PREDICTION_MERGING].ar(cap)
-            ar_qm = summaries[QueryMode.QUERY_MERGING].ar(cap)
+            ar_pm = summaries[QueryMode.PREDICTION_MERGING].ar_at[cap]
+            ar_qm = summaries[QueryMode.QUERY_MERGING].ar_at[cap]
             delta = (
                 (ar_qm - ar_pm) / ar_pm * 100.0
                 if ar_pm is not None and ar_qm is not None and ar_pm > 0.0
@@ -206,7 +203,7 @@ def _write_run_artifacts(
     rows = []
     for rnd, (s, num_labels) in enumerate(zip(result.eval_summaries, result.label_counts), 1):
         num_prompts = 1 + (rnd - 1) * config.expansion.num_children
-        metrics = map(_fmt, (s.ar(cap), s.ar_small, s.ar_medium, s.ar_large, s.ap))
+        metrics = map(_fmt, (s.ar_at[cap], s.ar_small, s.ar_medium, s.ar_large, s.ap))
         rows.append((rnd, num_prompts, num_labels, *metrics, _deg(alpha_by_round.get(rnd))))
     _write_csv(out / "rounds.csv", header, rows)
     _write_csv(
@@ -229,15 +226,13 @@ def _write_run_artifacts(
             for epoch, losses in enumerate(stats.epoch_losses, start=1)
         ],
     )
-    _write_csv(
-        out / "activations.csv",
-        ["expansion", "prompt_id", "count", "frequency"],
-        [
-            (expansion, pid, stats.counts[pid], _fmt(stats.frequency(pid)))
-            for expansion, stats in enumerate(result.activation_history, start=1)
-            for pid in sorted(stats.counts)
-        ],
-    )
+    activations = []
+    for expansion, counts in enumerate(result.activation_history, start=1):
+        total = sum(counts.values())
+        activations += [
+            (expansion, pid, count, _fmt(count / total if total else 0.0)) for pid, count in counts.items()
+        ]
+    _write_csv(out / "activations.csv", ["expansion", "prompt_id", "count", "frequency"], activations)
     _write_json(out / "tree.json", result.tree.to_dict())
 
     _write_json(out / "detections.json", detections_to_coco(result.final_detections))
@@ -273,30 +268,23 @@ def run_dipex(
     return out, result
 
 
-def _mean(values: Sequence[float]) -> float | None:
-    return sum(values) / len(values) if values else None
-
-
 def _tree_angle_stats(tree) -> tuple[float | None, float | None]:
-    """Mean parent-child angle and mean sibling angle, in radians."""
+    """Mean parent-child angle and mean sibling angle, in radians; None
+    where the tree has no such pair.
+
+    Each parent's children hold consecutive ids, so the row-major sibling
+    pairs come parent by parent.  Each mean adds left to right (``cumsum``),
+    as ``evaluate``'s do.
+    """
     from .geometry import pairwise_angle_matrix
 
-    row = {nid: i for i, nid in enumerate(tree.ids)}
-    angles = pairwise_angle_matrix([tree.nodes[nid].embedding for nid in tree.ids])
-    parent_angles = []
-    by_parent: dict[int, list[int]] = {}
-    for nid in tree.ids:
-        parent = tree.nodes[nid].parent_id
-        if parent is not None:
-            by_parent.setdefault(parent, []).append(row[nid])
-            parent_angles.append(angles[row[nid], row[parent]])
-    sibling_angles = [
-        angles[a, b]
-        for children in by_parent.values()
-        for i, a in enumerate(children)
-        for b in children[i + 1 :]
-    ]
-    return _mean(parent_angles), _mean(sibling_angles)
+    ids = np.array(tree.ids)
+    angles = pairwise_angle_matrix(tree.embedding_matrix())
+    parent = np.array([-1 if tree.nodes[nid].parent_id is None else tree.nodes[nid].parent_id for nid in tree.ids])
+    child = np.flatnonzero(parent >= 0)
+    siblings = np.triu((parent[:, None] == parent) & (parent >= 0), 1)
+    pairs = (angles[child, np.searchsorted(ids, parent[child])], angles[siblings])
+    return tuple(float(np.cumsum(v)[-1] / v.size) if v.size else None for v in pairs)
 
 
 # sweep name -> its one definition: the expansion field it varies, its values'
@@ -347,7 +335,7 @@ def run_sweep(
             "gamma": f"{value:g}",
             "rounds_trained": len(result.eval_summaries),
             "stopped_early": int(result.stopped_early),
-            f"ar_{cap}": _fmt(final.ar(cap)),
+            f"ar_{cap}": _fmt(final.ar_at[cap]),
             "ap": _fmt(final.ap),
             "alpha_max_degrees": _deg(alpha[-1] if alpha else None),
             "mean_parent_child_degrees": _deg(mean_pc),

@@ -56,7 +56,7 @@ def as_arrays(items, labels=False):
 
 def all_labels(labels: PseudoLabelSet) -> list[PseudoLabel]:
     """The labels of a PseudoLabelSet as PseudoLabel objects, in its order,
-    with an empty source name (the set keeps none)."""
+    with an empty source name, as the scalar label builder gives them."""
     rows = (labels.scene_ids, labels.boxes, labels.scores)
     return [
         PseudoLabel(sid, BBox(*box), score, "")

@@ -135,25 +135,24 @@ def build_pseudo_labels(
     score_floor: float = 0.001,
 ) -> list[PseudoLabel]:
     """Scene-by-scene label builder over objects with scene_id/bbox/score:
-    candidates under the threshold dropped, the rest unioned in sorted-name
-    order of their sources and sorted by (scene, -score, box, source), exact
-    (scene, score, box) duplicates dropped after the first, the
-    one-box-at-a-time soft-NMS run per scene with floor
-    max(score_floor, threshold), and the survivors listed in sorted order
-    with their original scores."""
+    candidates under the threshold dropped, the rest of every source unioned
+    and sorted by (scene, -score, box), exact duplicates (the only rows that
+    tie) dropped after the first, the one-box-at-a-time soft-NMS run per
+    scene with floor max(score_floor, threshold), and the survivors listed in
+    sorted order with their original scores and an empty source name."""
     rows = sorted(
-        (int(d.scene_id), -float(d.score), d.bbox.as_tuple(), name)
-        for name in sorted(sources)
-        for d in sources[name]
+        (int(d.scene_id), -float(d.score), d.bbox.as_tuple())
+        for dets in sources.values()
+        for d in dets
         if float(d.score) >= threshold
     )
-    rows = [row for i, row in enumerate(rows) if i == 0 or row[:3] != rows[i - 1][:3]]
+    rows = [row for i, row in enumerate(rows) if i == 0 or row != rows[i - 1]]
     labels = []
     for sid in sorted({row[0] for row in rows}):
         # each candidate carries its row number as prompt_id through soft-NMS
         cands = [Detection(sid, BBox(*row[2]), -row[1], k, -1) for k, row in enumerate(rows) if row[0] == sid]
         kept = sorted(d.prompt_id for d in soft_nms(cands, sigma, max(score_floor, threshold)))
-        labels += [PseudoLabel(sid, BBox(*rows[k][2]), -rows[k][1], rows[k][3]) for k in kept]
+        labels += [PseudoLabel(sid, BBox(*rows[k][2]), -rows[k][1], "") for k in kept]
     return labels
 
 

@@ -311,8 +311,8 @@ def reference_round(tree, labels, world, config, params, rng):
     """``train_round`` batch by batch; returns (new trainable rows, stats)
     and leaves ``tree`` as it was."""
     ids = tree.ids
-    row_trainable = np.array([not tree.nodes[nid].frozen for nid in ids])
-    V = tree.embedding_matrix(ids)
+    row_trainable = np.array([nid not in tree.parent_queue for nid in ids])
+    V = tree.embedding_matrix()
     cohort_rows = np.array([ids.index(c) for c in tree.cohort], dtype=int)
     use_dispersion = cohort_rows.size >= 2
     parent_vec = tree.nodes[tree.parent_queue[-1]].embedding if use_dispersion else None

@@ -283,7 +283,6 @@ def test_evaluate_peak_memory_spans_one_bucket_at_a_time(tmp_path):
 def test_summary_accessors_and_monotonic_guard():
     gts = gt_arrays({0: [gt_row(square(0, 0, 100))]}, [0])
     summary = evaluate(make_dets({0: [(square(0, 0, 100), 0.9)]}), gts)
-    assert summary.ar(100) == summary.ar_at[100]
     d = summary.to_dict()
     assert d["ar"]["100"] == 1.0
     assert set(d) == {f.name for f in fields(EvalSummary)} - {"ar_at"} | {"ar"}
@@ -574,4 +573,4 @@ def test_ground_truth_arrays_are_built_once_and_read_only(small_world):
     first = evaluate(dets, gts)
     assert gts.arrays is arrays
     assert evaluate(dets, gts) == first
-    assert first.ar(100) == 0.5
+    assert first.ar_at[100] == 0.5

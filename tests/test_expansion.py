@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from dipex.boxes import BBox
 from dipex.detector import DetectorParams, QueryMode, candidate_detections, detect_world, pack_world
 from dipex.expansion import (
-    ActivationStats,
     EmptyPseudoLabels,
     ExpansionConfig,
     MacReport,
@@ -77,12 +76,10 @@ def test_tree_validation():
         PromptTree(
             nodes={0: root, 1: PromptNode(1, unit(4, 1), 1, parent_id=7)}
         )
-    with pytest.raises(ValueError):
-        PromptTree(nodes={0: root}, parent_queue=[0])  # root not frozen
-    with pytest.raises(ValueError):
-        PromptTree(nodes={0: root}, cohort=(3,))
-    with pytest.raises(ValueError):
-        PromptTree(nodes={0: root}, round_index=0)
+    with pytest.raises(ValueError, match="not in the tree"):
+        PromptTree(nodes={0: root}, parent_queue=[3])
+    with pytest.raises(ValueError, match="repeats"):
+        PromptTree(nodes={0: root}, parent_queue=[0, 0])  # would count a round twice
     mixed = PromptNode(1, np.array([1.0, 0.0]), 1, parent_id=0)
     with pytest.raises(ValueError):
         PromptTree(nodes={0: root, 1: mixed})
@@ -129,14 +126,14 @@ def test_expand_spawns_rotated_children():
     assert cohort == (1, 2, 3, 4)
     assert tree.cohort == cohort
     assert tree.round_index == 2
-    assert tree.nodes[0].frozen
+    assert tree.frozen_ids == [0]
     assert tree.parent_queue == [0]
     parent = tree.nodes[0].embedding
     for cid in cohort:
         child = tree.nodes[cid]
         assert child.depth == 1
         assert child.parent_id == 0
-        assert not child.frozen
+        assert cid in tree.trainable_ids
         assert angular_distance(child.embedding, parent) <= config.max_angle + 1e-9
     with pytest.raises(ValueError):
         expand(tree, 0, config, np.random.default_rng(0))  # already frozen
@@ -144,20 +141,36 @@ def test_expand_spawns_rotated_children():
         expand(tree, 99, config, np.random.default_rng(0))
 
 
+@settings(max_examples=30, deadline=None)
+@given(picks=st.lists(st.integers(0, 2**16), max_size=4), k=st.integers(2, 4))
+def test_tree_state_follows_from_the_parent_queue(picks, k):
+    """After every expansion the round, the cohort and the frozen set are
+    the ones the parents chosen so far imply, and tree.json's frozen flags
+    agree with them."""
+    tree = PromptTree.from_root(unit(6))
+    config = ExpansionConfig(num_children=k, num_expansions=1)
+    rng = np.random.default_rng(0)
+    assert (tree.round_index, tree.cohort, tree.frozen_ids) == (1, (), [])
+    parents = []
+    for calls, pick in enumerate(picks, start=1):
+        parents.append(tree.trainable_ids[pick % len(tree.trainable_ids)])
+        cohort = expand(tree, parents[-1], config, rng)
+        assert tree.round_index == 1 + calls
+        assert tree.cohort == cohort == tuple(range(len(tree.nodes) - k, len(tree.nodes)))
+        assert tree.frozen_ids == sorted(parents)
+        assert tree.trainable_ids == [nid for nid in tree.ids if nid not in parents]
+        doc = tree.to_dict()
+        assert [rec["id"] for rec in doc["nodes"] if rec["frozen"]] == tree.frozen_ids
+        assert (doc["round_index"], doc["cohort"]) == (tree.round_index, list(cohort))
+
+
 def test_select_parent_prefers_busiest_then_lowest_id():
-    stats = ActivationStats(counts={0: 3, 1: 7, 2: 7}, total=17)
-    assert select_parent(stats, [0, 1, 2]) == 1
-    assert select_parent(stats, [0, 2]) == 2
-    assert select_parent(stats, [5]) == 5  # unseen id counts as zero
+    counts = {0: 3, 1: 7, 2: 7}
+    assert select_parent(counts, [0, 1, 2]) == 1
+    assert select_parent(counts, [0, 2]) == 2
+    assert select_parent(counts, [5]) == 5  # unseen id counts as zero
     with pytest.raises(ValueError):
-        select_parent(stats, [])
-
-
-def test_activation_stats_frequency():
-    stats = ActivationStats(counts={0: 2, 1: 6}, total=8)
-    assert stats.frequency(1) == 0.75
-    assert stats.frequency(9) == 0.0
-    assert ActivationStats(counts={}, total=0).frequency(0) == 0.0
+        select_parent(counts, [])
 
 
 def test_mac_report_convergence_rules():
@@ -236,7 +249,7 @@ def test_train_round_freezes_parent_bytes(tiny_world, default_params):
 
 
 def test_train_round_requires_trainable_prompts(tiny_world, default_params):
-    root = PromptNode(0, unit(tiny_world.config.dim), 0, None, frozen=True)
+    root = PromptNode(0, unit(tiny_world.config.dim), 0, None)
     tree = PromptTree(nodes={0: root}, parent_queue=[0])
     labels = as_arrays([], labels=True)
     with pytest.raises(ValueError):
@@ -254,9 +267,8 @@ def test_activation_frequency_sums_to_total(tiny_world, default_params):
     vocab = [tiny_world.cluster_centers[0], tiny_world.cluster_centers[1]]
     labels = bootstrap_labels(vocab, tiny_world, FAST, default_params)
     tree = PromptTree.from_root(normalize(np.sum(np.stack(vocab), axis=0)))
-    stats = activation_frequency(tree, labels, tiny_world, default_params)
-    assert stats.total == len(labels)  # single prompt answers for everything
-    assert stats.counts[0] == stats.total
+    counts = activation_frequency(tree, labels, tiny_world, default_params)
+    assert counts == {0: len(labels)}  # single prompt answers for everything
 
 
 def _grown_tree(world, rng):
@@ -286,10 +298,10 @@ def test_activation_frequency_matches_object_matcher(tiny_world, small_world, se
     params = DetectorParams(box_noise=float(rng.choice([0.15, 1.0])))
     labels = bootstrap_labels(list(world.cluster_centers), world, config, params)
     iou_min = float(rng.choice([0.3, 0.5, 0.9]))
-    stats = activation_frequency(tree, labels, world, params, iou_min, config.seed)
-    counts, total = ref.activation_counts(tree, all_labels(labels), world, params, iou_min, config.seed)
-    assert (stats.counts, stats.total) == (counts, total)
-    assert list(stats.counts) == tree.ids
+    counts = activation_frequency(tree, labels, world, params, iou_min, config.seed)
+    want, total = ref.activation_counts(tree, all_labels(labels), world, params, iou_min, config.seed)
+    assert (counts, sum(counts.values())) == (want, total)
+    assert list(counts) == tree.ids
 
 
 @settings(max_examples=15, deadline=None)
@@ -429,7 +441,7 @@ def test_growth_loop_invariants(
     assert np.abs(norms - 1.0).max() <= 1e-9
     assert all(0.0 <= alpha <= math.pi for alpha in result.mac_report.alpha_max)
     for summary in result.eval_summaries:
-        recall = [summary.ar(cap) for cap in sorted(summary.ar_at)]
+        recall = [summary.ar_at[cap] for cap in sorted(summary.ar_at)]
         assert recall == sorted(recall)
     for stats in result.round_stats:
         assert stats.assignments_final + stats.misses_final == stats.label_count
@@ -438,7 +450,7 @@ def test_growth_loop_invariants(
     # one expansion fewer is the same run cut short: what it froze stays put
     shorter = run(tiny_world, replace(config, num_expansions=expansions - 1)).tree
     for nid in shorter.frozen_ids:
-        assert tree.nodes[nid].frozen
+        assert nid in tree.frozen_ids
         assert tree.nodes[nid].embedding.tobytes() == shorter.nodes[nid].embedding.tobytes()
 
 

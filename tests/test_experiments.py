@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from unittest.mock import ANY
 
@@ -12,6 +13,7 @@ from dipex.expansion import ExpansionConfig
 from dipex.experiments import (
     ConfigError,
     ExperimentConfig,
+    _write_run_artifacts,
     experiment_config_from_dict,
     load_experiment_config,
     run_dipex,
@@ -20,7 +22,7 @@ from dipex.experiments import (
     run_sweep,
     with_seed,
 )
-from dipex.world import WorldConfig
+from dipex.world import WorldConfig, generate_world
 
 from conftest import TINY_WORLD
 
@@ -318,6 +320,26 @@ def test_run_writes_expected_artifacts(tmp_path):
     assert len(losses) == 2 * FAST_EXPANSION.epochs_per_round
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["artifacts"]) == expected - {"manifest.json"}
+
+
+def test_activations_csv_writes_each_share_of_its_expansion(tmp_path):
+    """activations.csv writes each count over its expansion's total, and
+    0 for every prompt of an expansion where no label was assigned."""
+    config = ExperimentConfig(world=TINY_WORLD, expansion=replace(FAST_EXPANSION, num_expansions=2))
+    _, result = run_dipex(config, tmp_path / "run")
+    result.activation_history[0] = dict.fromkeys(result.activation_history[0], 0)
+    out = tmp_path / "rewritten"
+    out.mkdir()
+    _write_run_artifacts(out, config, generate_world(config.world), result)
+    want = []
+    for expansion, counts in enumerate(result.activation_history, start=1):
+        total = sum(counts.values())
+        want += [
+            (str(expansion), str(pid), str(count), f"{count / total:.6f}" if expansion > 1 else "0.000000")
+            for pid, count in counts.items()
+        ]
+    assert sum(result.activation_history[1].values()) > 0
+    assert [tuple(row.values()) for row in read_csv_rows(out / "activations.csv")] == want
 
 
 def test_run_artifacts_are_byte_identical_across_reruns(tmp_path):
