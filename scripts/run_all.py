@@ -10,7 +10,6 @@ artifacts byte for byte.  A failed step ends the script as it ends ``dipex``:
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -49,16 +48,15 @@ def run_grid(args: argparse.Namespace) -> int:
 
     finals = []
     for seed in seeds:
-        out, result = run_dipex(
+        _, result = run_dipex(
             with_seed(config, seed), args.out / f"run_seed{seed}", overwrite=args.overwrite
         )
-        summary = json.loads((out / "summary.json").read_text())
         first = result.eval_summaries[0].ar_at[cap]
         last = result.eval_summaries[-1].ar_at[cap]
         finals.append(last)
         print(
-            f"seed {seed}: rounds {summary['rounds_trained']}, "
-            f"prompts {summary['num_prompts']}, ar_{cap} {first:.3f} -> {last:.3f}"
+            f"seed {seed}: rounds {len(result.eval_summaries)}, "
+            f"prompts {len(result.tree.nodes)}, ar_{cap} {first:.3f} -> {last:.3f}"
         )
     print(f"mean final ar_{cap}: {sum(finals) / len(finals):.3f}")
 

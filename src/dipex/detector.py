@@ -84,13 +84,12 @@ def unit_prompts(prompts: Sequence[tuple[int, np.ndarray]]) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class SceneArrays:
-    """A world's scenes as dense arrays, one row per scene in id order.
+    """A world's scenes as dense arrays: row s is scene s.
 
     Scenes with fewer objects than the widest one are padded with object id
     -1, a zero embedding and an all-zero box, which overlaps nothing.
     """
 
-    scene_ids: np.ndarray   # (S,)
     object_ids: np.ndarray  # (S, O), -1 marks padding
     emb: np.ndarray         # (S, O, dim) unit object embeddings
     gt: np.ndarray          # (S, O, 4) ground-truth xyxy
@@ -120,7 +119,6 @@ def _pack(world: World, seed: int) -> SceneArrays:
     dirs = np.zeros(object_ids.shape + (2,))
     dirs[real] = [_noise_direction(seed, sid, oid) for sid, oid in zip(rows.tolist(), ids.tolist())]
     packed = SceneArrays(
-        scene_ids=np.arange(object_ids.shape[0]),
         object_ids=object_ids,
         emb=emb,
         gt=gt,
@@ -249,8 +247,8 @@ def detect_world(
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown query mode: {mode}")
 
-    # both modes order the picks by scene row, and rows follow scene ids
-    return ScoredBoxes(scenes.scene_ids[s[pick]], final, boxes[pick]).split(scenes.scene_ids)
+    # both modes order the picks by scene row, and row s is scene s
+    return ScoredBoxes(s[pick], final, boxes[pick]).split(range(len(scenes.size)))
 
 
 def detect_each(
@@ -276,9 +274,9 @@ def detect_each(
     cand = (scenes.object_ids >= 0)[:, None, :] & (scores >= params.score_threshold)
     s, p, o = np.nonzero(cand)
     pick, final = _merge_groups(
-        p * scenes.scene_ids.size + s, ids[p], scores[s, p, o], boxes[s, p, o], params
+        p * len(scenes.size) + s, ids[p], scores[s, p, o], boxes[s, p, o], params
     )
-    rows = ScoredBoxes(scenes.scene_ids[s[pick]], final, boxes[s[pick], p[pick], o[pick]])
+    rows = ScoredBoxes(s[pick], final, boxes[s[pick], p[pick], o[pick]])
     ends = np.searchsorted(p[pick], np.arange(ids.size + 1)).tolist()
     return {pid: rows.take(slice(a, b)) for pid, a, b in zip(ids.tolist(), ends, ends[1:])}
 

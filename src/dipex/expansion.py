@@ -74,17 +74,15 @@ def _lock(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PromptNode:
-    id: int
     embedding: np.ndarray
-    depth: int
-    parent_id: int | None
+    parent_id: int | None = None
 
     def __post_init__(self) -> None:
         emb = _lock(self.embedding)
         if emb.ndim != 1:
             raise ValueError(f"prompt embedding must be 1-d, got shape {emb.shape}")
         if abs(float(np.linalg.norm(emb)) - 1.0) > 1e-6:
-            raise ValueError(f"prompt {self.id} is not unit norm")
+            raise ValueError("prompt embedding is not unit norm")
         object.__setattr__(self, "embedding", emb)
 
 
@@ -92,6 +90,8 @@ class PromptNode:
 class PromptTree:
     """All prompts ever grown, plus the parents frozen so far.
 
+    A prompt's id is its index in ``nodes``, and every parent comes before
+    its children, so a node's depth follows from its parent's.
     ``parent_queue`` lists the frozen parents in freeze order and is the one
     record of which prompts are frozen; every other prompt is trainable.
     The rest follows from it: ``cohort`` is the children of the last parent
@@ -99,37 +99,34 @@ class PromptTree:
     rounds, 1 for the root-only round and one more per expansion.
     """
 
-    nodes: dict[int, PromptNode]
+    nodes: list[PromptNode]
     parent_queue: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
-        if not self.nodes:
-            raise ValueError("empty prompt tree")
-        dims = {node.embedding.shape[0] for node in self.nodes.values()}
+        if not isinstance(self.nodes, list) or not self.nodes:
+            raise ValueError("a prompt tree is a non-empty list of nodes")
+        dims = {node.embedding.shape[0] for node in self.nodes}
         if len(dims) != 1:
             raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
-        for nid, node in self.nodes.items():
-            if nid != node.id:
-                raise ValueError(f"node key {nid} does not match node id {node.id}")
-            if node.parent_id is not None and node.parent_id not in self.nodes:
-                raise ValueError(f"node {nid} has unknown parent {node.parent_id}")
+        for nid, node in enumerate(self.nodes):
+            if node.parent_id is not None and node.parent_id not in range(nid):
+                raise ValueError(f"node {nid} has parent {node.parent_id}, which is not an earlier node")
         for pid in self.parent_queue:
-            if pid not in self.nodes:
+            if pid not in range(len(self.nodes)):
                 raise ValueError(f"parent queue entry {pid} is not in the tree")
         if len(set(self.parent_queue)) != len(self.parent_queue):
             raise ValueError(f"parent queue repeats an entry: {self.parent_queue}")
 
     @classmethod
     def from_root(cls, embedding: np.ndarray) -> "PromptTree":
-        root = PromptNode(id=0, embedding=normalize(np.asarray(embedding, float)), depth=0, parent_id=None)
-        return cls(nodes={0: root})
+        return cls(nodes=[PromptNode(normalize(np.asarray(embedding, float)))])
 
     @property
     def ids(self) -> list[int]:
-        return sorted(self.nodes)
+        return list(range(len(self.nodes)))
 
     @property
     def trainable_ids(self) -> list[int]:
@@ -143,42 +140,47 @@ class PromptTree:
     def cohort(self) -> tuple[int, ...]:
         if not self.parent_queue:
             return ()
-        return tuple(nid for nid in self.ids if self.nodes[nid].parent_id == self.parent_queue[-1])
+        return tuple(nid for nid, node in enumerate(self.nodes) if node.parent_id == self.parent_queue[-1])
 
     @property
     def round_index(self) -> int:
         return 1 + len(self.parent_queue)
 
     def prompt_items(self) -> list[tuple[int, np.ndarray]]:
-        return [(nid, self.nodes[nid].embedding) for nid in self.ids]
+        return [(nid, node.embedding) for nid, node in enumerate(self.nodes)]
 
     def embedding_matrix(self) -> np.ndarray:
-        return np.stack([self.nodes[nid].embedding for nid in self.ids])
+        return np.stack([node.embedding for node in self.nodes])
 
     def to_dict(self) -> dict:
+        """Each node's fields plus its id, depth and ``frozen`` flag, all
+        derived from its position and the parent queue."""
+        depth: list[int] = []
+        for node in self.nodes:
+            depth.append(0 if node.parent_id is None else depth[node.parent_id] + 1)
         return {
             "round_index": self.round_index,
             "parent_queue": list(self.parent_queue),
             "cohort": list(self.cohort),
             "nodes": [
-                {**asdict(node), "embedding": node.embedding.tolist(), "frozen": nid in self.parent_queue}
-                for nid, node in sorted(self.nodes.items())
+                {**asdict(node), "id": nid, "depth": depth[nid], "embedding": node.embedding.tolist(),
+                 "frozen": nid in self.parent_queue}
+                for nid, node in enumerate(self.nodes)
             ],
         }
 
 
 @dataclass
 class MacReport:
-    """Maximum pairwise angle after each multi-prompt round."""
+    """Maximum pairwise angle and angle matrix after each multi-prompt round:
+    entry i belongs to round i + 2."""
 
-    rounds: list[int] = field(default_factory=list)
     alpha_max: list[float] = field(default_factory=list)
     matrices: list[np.ndarray] = field(default_factory=list)
 
-    def record(self, round_index: int, embeddings: np.ndarray) -> float:
+    def record(self, embeddings: np.ndarray) -> float:
         matrix = pairwise_angle_matrix(embeddings)
         value = mac(embeddings, matrix)
-        self.rounds.append(int(round_index))
         self.alpha_max.append(float(value))
         self.matrices.append(matrix)
         return float(value)
@@ -195,7 +197,8 @@ class MacReport:
 
 @dataclass
 class RoundStats:
-    round_index: int
+    """One round's training record; round r is ``RunResult.round_stats[r - 1]``."""
+
     epoch_losses: list[LossBreakdown]
     epoch_norm_error: list[float]
     label_count: int
@@ -227,13 +230,14 @@ class _RoundData:
 
 def _round_data(world: World, labels: PseudoLabelSet, seed: int) -> _RoundData:
     scenes = pack_world(world, seed)
-    if not np.isin(labels.scene_ids, scenes.scene_ids).all():
+    num_scenes = len(scenes.size)
+    if not np.isin(labels.scene_ids, np.arange(num_scenes)).all():
         raise ValueError("pseudo-labels reference scenes outside the world")
     order = np.argsort(labels.scene_ids, kind="stable")  # by scene, each in label order
-    row = np.searchsorted(scenes.scene_ids, labels.scene_ids[order])
+    row = labels.scene_ids[order]  # row s is scene s
     rank = np.arange(row.size) - np.searchsorted(row, row)
-    n_lab = np.bincount(row, minlength=scenes.scene_ids.size)
-    label_boxes = np.zeros((scenes.scene_ids.size, int(n_lab.max()), 4))
+    n_lab = np.bincount(row, minlength=num_scenes)
+    label_boxes = np.zeros((num_scenes, int(n_lab.max()), 4))
     label_boxes[row, rank] = labels.boxes[order]
     return _RoundData(
         scenes=scenes,
@@ -406,28 +410,21 @@ def train_round(
     exact skip when the step is exactly zero so untouched prompts keep
     their bytes.
     """
-    ids = tree.ids
     trainable = tree.trainable_ids
     if not trainable:
         raise ValueError("no trainable prompts left")
-    row_of = {nid: i for i, nid in enumerate(ids)}
-    row_trainable = np.isin(ids, tree.parent_queue, invert=True)
-    V = tree.embedding_matrix()
+    row_trainable = np.isin(tree.ids, tree.parent_queue, invert=True)
+    V = tree.embedding_matrix()  # row i is prompt i
 
-    cohort_rows = np.array([row_of[c] for c in tree.cohort], dtype=int)
+    cohort_rows = np.array(tree.cohort, dtype=int)
     use_dispersion = cohort_rows.size >= 2
     parent_vec = (
         tree.nodes[tree.parent_queue[-1]].embedding if use_dispersion else None
     )
 
     data = _round_data(world, labels, config.seed)
-    num_scenes = data.scenes.scene_ids.size
-    stats = RoundStats(
-        round_index=tree.round_index,
-        epoch_losses=[],
-        epoch_norm_error=[],
-        label_count=len(labels),
-    )
+    num_scenes = len(data.scenes.size)
+    stats = RoundStats(epoch_losses=[], epoch_norm_error=[], label_count=len(labels))
 
     for _ in range(config.epochs_per_round):
         epoch = data.take(rng.permutation(num_scenes))
@@ -472,8 +469,7 @@ def train_round(
         stats.misses_final = sum(b.num_missed for b in batches)
 
     for nid in trainable:
-        node = tree.nodes[nid]
-        tree.nodes[nid] = replace(node, embedding=V[row_of[nid]])
+        tree.nodes[nid] = replace(tree.nodes[nid], embedding=V[nid])
     return stats
 
 
@@ -518,21 +514,13 @@ def expand(
     rotation each (uniform axis pair, angle uniform within +/- max_angle), so
     they start close together and the round's dispersion terms spread them.
     """
-    if parent_id not in tree.nodes:
+    if parent_id not in range(len(tree.nodes)):
         raise ValueError(f"unknown parent {parent_id}")
     if parent_id in tree.parent_queue:
         raise ValueError(f"parent {parent_id} is already frozen")
-    parent = tree.nodes[parent_id]
-    rotations = sample_child_rotations(
-        parent.embedding, config.num_children, config.max_angle, rng
-    )
-    for child_id, rotation in enumerate(rotations, start=max(tree.nodes) + 1):
-        tree.nodes[child_id] = PromptNode(
-            id=child_id,
-            embedding=apply_rotation(parent.embedding, rotation),
-            depth=parent.depth + 1,
-            parent_id=parent_id,
-        )
+    parent = tree.nodes[parent_id].embedding
+    rotations = sample_child_rotations(parent, config.num_children, config.max_angle, rng)
+    tree.nodes += [PromptNode(apply_rotation(parent, rotation), parent_id) for rotation in rotations]
     tree.parent_queue.append(parent_id)
     return tree.cohort
 
@@ -641,7 +629,7 @@ def run(
             raise EmptyPseudoLabels(f"round {tree.round_index}: no pseudo-labels to train on")
         result.round_stats.append(train_round(tree, labels, world, config, params, rng))
         if expansion:
-            result.mac_report.record(tree.round_index, tree.embedding_matrix())
+            result.mac_report.record(tree.embedding_matrix())
         result.final_detections = detect_world(
             world, tree.prompt_items(), QueryMode.PREDICTION_MERGING, params, config.seed
         )

@@ -197,7 +197,7 @@ def _write_run_artifacts(
 
     cap = max(config.max_dets)
     mac = result.mac_report
-    alpha_by_round = dict(zip(mac.rounds, mac.alpha_max))
+    alpha_by_round = dict(enumerate(mac.alpha_max, start=2))
     header = ["round", "num_prompts", "num_labels", f"ar_{cap}", "ar_s", "ar_m", "ar_l", "ap"]
     header += ["alpha_max_degrees"]
     rows = []
@@ -209,9 +209,9 @@ def _write_run_artifacts(
     _write_csv(
         out / "mac_report.csv",
         ["round", "alpha_max_degrees"],
-        [(rnd, _deg(alpha)) for rnd, alpha in zip(mac.rounds, mac.alpha_max)],
+        [(rnd, _deg(alpha)) for rnd, alpha in alpha_by_round.items()],
     )
-    for rnd, matrix in zip(mac.rounds, mac.matrices):
+    for rnd, matrix in enumerate(mac.matrices, start=2):
         _write_csv(
             out / f"angles_round_{rnd}.csv",
             ["prompt", *range(len(matrix))],
@@ -221,8 +221,8 @@ def _write_run_artifacts(
         out / "losses.csv",
         ["round", "epoch", *(f.name for f in fields(LossBreakdown))],
         [
-            (stats.round_index, epoch, *map(_fmt, astuple(losses)))
-            for stats in result.round_stats
+            (rnd, epoch, *map(_fmt, astuple(losses)))
+            for rnd, stats in enumerate(result.round_stats, start=1)
             for epoch, losses in enumerate(stats.epoch_losses, start=1)
         ],
     )
@@ -272,18 +272,17 @@ def _tree_angle_stats(tree) -> tuple[float | None, float | None]:
     """Mean parent-child angle and mean sibling angle, in radians; None
     where the tree has no such pair.
 
-    Each parent's children hold consecutive ids, so the row-major sibling
-    pairs come parent by parent.  Each mean adds left to right (``cumsum``),
-    as ``evaluate``'s do.
+    A prompt's id is its row of the angle matrix.  Each parent's children
+    hold consecutive ids, so the row-major sibling pairs come parent by
+    parent.  Each mean adds left to right (``cumsum``), as ``evaluate``'s do.
     """
     from .geometry import pairwise_angle_matrix
 
-    ids = np.array(tree.ids)
     angles = pairwise_angle_matrix(tree.embedding_matrix())
-    parent = np.array([-1 if tree.nodes[nid].parent_id is None else tree.nodes[nid].parent_id for nid in tree.ids])
+    parent = np.array([-1 if node.parent_id is None else node.parent_id for node in tree.nodes])
     child = np.flatnonzero(parent >= 0)
     siblings = np.triu((parent[:, None] == parent) & (parent >= 0), 1)
-    pairs = (angles[child, np.searchsorted(ids, parent[child])], angles[siblings])
+    pairs = (angles[child, parent[child]], angles[siblings])
     return tuple(float(np.cumsum(v)[-1] / v.size) if v.size else None for v in pairs)
 
 

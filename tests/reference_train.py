@@ -317,8 +317,8 @@ def reference_round(tree, labels, world, config, params, rng):
     use_dispersion = cohort_rows.size >= 2
     parent_vec = tree.nodes[tree.parent_queue[-1]].embedding if use_dispersion else None
     data = _round_data(world, labels, config.seed)
-    num_scenes = data.scenes.scene_ids.size
-    stats = RoundStats(tree.round_index, [], [], len(labels))
+    num_scenes = len(data.scenes.size)
+    stats = RoundStats([], [], len(labels))
     for _ in range(config.epochs_per_round):
         order = rng.permutation(num_scenes)
         breakdowns = []

@@ -56,33 +56,45 @@ def orthogonal_to_world(world):
 
 def test_prompt_node_validation():
     with pytest.raises(ValueError):
-        PromptNode(id=0, embedding=np.zeros(4), depth=0, parent_id=None)
+        PromptNode(embedding=np.zeros(4))
     with pytest.raises(ValueError):
-        PromptNode(id=0, embedding=np.ones(4), depth=0, parent_id=None)
+        PromptNode(embedding=np.ones(4))
     with pytest.raises(ValueError):
-        PromptNode(id=0, embedding=np.eye(2), depth=0, parent_id=None)
-    node = PromptNode(id=0, embedding=unit(4), depth=0, parent_id=None)
+        PromptNode(embedding=np.eye(2))
+    node = PromptNode(embedding=unit(4))
     with pytest.raises(ValueError):
         node.embedding[0] = 0.5  # locked array
 
 
 def test_tree_validation():
-    root = PromptNode(id=0, embedding=unit(4), depth=0, parent_id=None)
+    root = PromptNode(embedding=unit(4))
     with pytest.raises(ValueError):
-        PromptTree(nodes={})
+        PromptTree(nodes=[])
     with pytest.raises(ValueError):
-        PromptTree(nodes={1: root})  # key != id
-    with pytest.raises(ValueError):
-        PromptTree(
-            nodes={0: root, 1: PromptNode(1, unit(4, 1), 1, parent_id=7)}
-        )
+        PromptTree(nodes={0: root})  # ids are positions, not keys
+    with pytest.raises(ValueError, match="earlier node"):
+        PromptTree(nodes=[root, PromptNode(unit(4, 1), parent_id=7)])
+    with pytest.raises(ValueError, match="earlier node"):
+        PromptTree(nodes=[root, PromptNode(unit(4, 1), parent_id=1)])  # its own parent
+    with pytest.raises(ValueError, match="earlier node"):
+        # a 2-cycle with no root
+        PromptTree(nodes=[PromptNode(unit(4), parent_id=1), PromptNode(unit(4, 1), parent_id=0)])
+    with pytest.raises(ValueError, match="earlier node"):
+        # a list would read index -1 as its last node
+        PromptTree(nodes=[root, PromptNode(unit(4, 1), parent_id=-1)])
     with pytest.raises(ValueError, match="not in the tree"):
-        PromptTree(nodes={0: root}, parent_queue=[3])
+        PromptTree(nodes=[root], parent_queue=[3])
+    with pytest.raises(ValueError, match="not in the tree"):
+        PromptTree(nodes=[root], parent_queue=[-1])
     with pytest.raises(ValueError, match="repeats"):
-        PromptTree(nodes={0: root}, parent_queue=[0, 0])  # would count a round twice
-    mixed = PromptNode(1, np.array([1.0, 0.0]), 1, parent_id=0)
+        PromptTree(nodes=[root], parent_queue=[0, 0])  # would count a round twice
+    mixed = PromptNode(np.array([1.0, 0.0]), parent_id=0)
     with pytest.raises(ValueError):
-        PromptTree(nodes={0: root, 1: mixed})
+        PromptTree(nodes=[root, mixed])
+    tree = PromptTree.from_root(unit(4))
+    with pytest.raises(ValueError, match="unknown parent"):
+        expand(tree, -1, FAST, np.random.default_rng(0))
+    assert len(tree.nodes) == 1 and tree.parent_queue == []
 
 
 def test_tree_round_trips_through_json(tmp_path):
@@ -129,9 +141,10 @@ def test_expand_spawns_rotated_children():
     assert tree.frozen_ids == [0]
     assert tree.parent_queue == [0]
     parent = tree.nodes[0].embedding
+    depth = {rec["id"]: rec["depth"] for rec in tree.to_dict()["nodes"]}
     for cid in cohort:
         child = tree.nodes[cid]
-        assert child.depth == 1
+        assert depth[cid] == 1
         assert child.parent_id == 0
         assert cid in tree.trainable_ids
         assert angular_distance(child.embedding, parent) <= config.max_angle + 1e-9
@@ -146,7 +159,8 @@ def test_expand_spawns_rotated_children():
 def test_tree_state_follows_from_the_parent_queue(picks, k):
     """After every expansion the round, the cohort and the frozen set are
     the ones the parents chosen so far imply, and tree.json's frozen flags
-    agree with them."""
+    agree with them; its ids are positions and each depth is one more than
+    its parent's."""
     tree = PromptTree.from_root(unit(6))
     config = ExpansionConfig(num_children=k, num_expansions=1)
     rng = np.random.default_rng(0)
@@ -162,6 +176,10 @@ def test_tree_state_follows_from_the_parent_queue(picks, k):
         doc = tree.to_dict()
         assert [rec["id"] for rec in doc["nodes"] if rec["frozen"]] == tree.frozen_ids
         assert (doc["round_index"], doc["cohort"]) == (tree.round_index, list(cohort))
+        nodes = doc["nodes"]
+        assert [rec["id"] for rec in nodes] == list(range(len(tree.nodes)))
+        assert nodes[0]["depth"] == 0
+        assert all(rec["depth"] == nodes[rec["parent_id"]]["depth"] + 1 for rec in nodes[1:])
 
 
 def test_select_parent_prefers_busiest_then_lowest_id():
@@ -178,10 +196,10 @@ def test_mac_report_convergence_rules():
     assert not report.converged(1.0, 0.01)
     rng = np.random.default_rng(0)
     vecs = np.stack([normalize(rng.normal(size=4)) for _ in range(3)])
-    report.record(2, vecs)
+    report.record(vecs)
     assert report.converged(report.alpha_max[-1] - 1e-6, 0.0)  # above threshold
     assert not report.converged(math.pi, 0.0)  # single entry, no plateau yet
-    report.record(3, vecs)  # identical set: zero movement
+    report.record(vecs)  # identical set: zero movement
     assert report.converged(math.pi, 1e-9)
 
 
@@ -189,7 +207,7 @@ def test_mac_report_value_is_the_matrix_maximum():
     rng = np.random.default_rng(3)
     vecs = np.stack([normalize(rng.normal(size=16)) for _ in range(7)])
     report = MacReport()
-    value = report.record(2, vecs)
+    value = report.record(vecs)
     assert value == mac(vecs)
     assert value == report.alpha_max[-1] == np.max(report.matrices[-1])
 
@@ -219,7 +237,6 @@ def test_train_round_root_only(tiny_world, default_params):
     tree = PromptTree.from_root(normalize(np.sum(np.stack(vocab), axis=0)))
     before = tree.nodes[0].embedding.copy()
     stats = train_round(tree, labels, tiny_world, FAST, default_params, np.random.default_rng(0))
-    assert stats.round_index == 1
     assert len(stats.epoch_losses) == FAST.epochs_per_round
     # no cohort yet: dispersion terms are identically zero
     assert all(b.parent_child == 0.0 for b in stats.epoch_losses)
@@ -241,7 +258,6 @@ def test_train_round_freezes_parent_bytes(tiny_world, default_params):
         tree, labels2, tiny_world, FAST, default_params, np.random.default_rng(2)
     )
     assert np.array_equal(tree.nodes[0].embedding, frozen_before)
-    assert stats.round_index == 2
     # the cohort now feels dispersion
     assert any(b.parent_child != 0.0 for b in stats.epoch_losses)
     for cid in tree.cohort:
@@ -249,8 +265,7 @@ def test_train_round_freezes_parent_bytes(tiny_world, default_params):
 
 
 def test_train_round_requires_trainable_prompts(tiny_world, default_params):
-    root = PromptNode(0, unit(tiny_world.config.dim), 0, None)
-    tree = PromptTree(nodes={0: root}, parent_queue=[0])
+    tree = PromptTree(nodes=[PromptNode(unit(tiny_world.config.dim))], parent_queue=[0])
     labels = as_arrays([], labels=True)
     with pytest.raises(ValueError):
         train_round(tree, labels, tiny_world, FAST, default_params, np.random.default_rng(0))
@@ -280,9 +295,8 @@ def _grown_tree(world, rng):
     if rng.random() < 0.5:
         expand(tree, int(tree.cohort[0]), config, rng)
     if rng.random() < 0.5:
-        twin = tree.nodes[int(rng.choice(tree.ids))]
-        new_id = max(tree.ids) + 1
-        tree.nodes[new_id] = PromptNode(new_id, twin.embedding, twin.depth + 1, twin.id)
+        twin = int(rng.choice(tree.ids))
+        tree.nodes.append(PromptNode(tree.nodes[twin].embedding, parent_id=twin))
     return tree
 
 
@@ -340,8 +354,7 @@ def test_run_grows_expected_tree(tiny_world):
     assert len(result.eval_summaries) == 1 + FAST.num_expansions
     assert len(result.label_counts) == 1 + FAST.num_expansions
     assert len(result.activation_history) == FAST.num_expansions
-    assert len(result.mac_report.rounds) == FAST.num_expansions
-    assert result.mac_report.rounds == [2]
+    assert len(result.mac_report.alpha_max) == len(result.mac_report.matrices) == FAST.num_expansions
 
 
 def test_run_carries_the_final_trees_detections(tiny_world):
@@ -372,7 +385,7 @@ def test_run_stops_when_mac_clears_the_threshold(tiny_world):
     assert result.stopped_early
     assert len(result.round_stats) == len(result.eval_summaries) == 2
     assert len(result.activation_history) == 1
-    assert result.mac_report.rounds == [2]
+    assert len(result.mac_report.alpha_max) == 1  # round 2's
     assert len(result.tree.nodes) == 3
 
 
@@ -382,7 +395,7 @@ def test_run_stops_when_mac_stalls(tiny_world):
     config = replace(FAST, num_expansions=3, mac_threshold=math.pi, mac_tolerance=math.pi)
     result = run(tiny_world, config)
     assert result.stopped_early
-    assert result.mac_report.rounds == [2, 3]
+    assert len(result.mac_report.alpha_max) == 2  # rounds 2 and 3
     assert len(result.round_stats) == len(result.eval_summaries) == 3
 
 

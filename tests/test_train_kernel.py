@@ -162,7 +162,7 @@ def test_train_round_matches_reference_round(
     stats = train_round(tree, labels, world, config, PARAMS, np.random.default_rng(seed))
 
     np.testing.assert_allclose(tree.embedding_matrix(), want_V, rtol=0, atol=1e-12)
-    counts = ("round_index", "label_count", "assignments_final", "misses_final")
+    counts = ("label_count", "assignments_final", "misses_final")
     assert [getattr(stats, f) for f in counts] == [getattr(want_stats, f) for f in counts]
     assert len(stats.epoch_losses) == len(want_stats.epoch_losses)
     assert _floats(stats) == pytest.approx(_floats(want_stats), rel=1e-12)
@@ -191,7 +191,7 @@ def test_batch_gradient_matches_finite_differences(small_world):
     for _ in range(6):
         V = random_prompts(small_world, rng)
         trainable = np.ones(V.shape[0], dtype=bool)
-        rows = rng.permutation(data.scenes.scene_ids.size)[:8]
+        rows = rng.permutation(len(data.scenes.size))[:8]
 
         def loss(W):
             terms = _batch_step(data, rows, W, trainable, PARAMS, CONFIG)[0]
