@@ -313,8 +313,6 @@ def build_vocabulary(world: World, config: VocabularyConfig) -> list[np.ndarray]
             if all(float(vec @ other) <= cos_limit for other in base):
                 base.append(vec)
                 break
-    if not base:
-        raise ValueError("could not build a separated vocabulary; lower min_separation")
     if config.style == "dispersed":
         return base
     out: list[np.ndarray] = []

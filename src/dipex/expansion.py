@@ -293,18 +293,18 @@ class _BatchTerms:
     """What one batch leaves for its epoch's loss bookkeeping.
 
     ``focal`` holds the batch's focal terms in (scene, label, prompt) order
-    and ``per_label`` the term count of each assigned label.  ``cand``,
+    and ``per_label`` the term count of each assigned label, so
+    ``per_label.size`` is the batch's assigned label count.  ``cand``,
     ``target`` and ``size`` hold, per assigned label in (scene, label)
     order, its responsible candidate, its box and its scene's size.
     """
 
-    num_assigned: int
     num_missed: int
     focal: np.ndarray      # (terms,)
-    per_label: np.ndarray  # (num_assigned,)
-    cand: np.ndarray       # (num_assigned, 4) xyxy
-    target: np.ndarray     # (num_assigned, 4) xyxy
-    size: np.ndarray       # (num_assigned, 2) width, height
+    per_label: np.ndarray  # (assigned,)
+    cand: np.ndarray       # (assigned, 4) xyxy
+    target: np.ndarray     # (assigned, 4) xyxy
+    size: np.ndarray       # (assigned, 2) width, height
 
 
 def _batch_step(
@@ -342,8 +342,6 @@ def _batch_step(
     target = data.label_boxes[rows][s, l]
     size = data.scenes.size[rows][s]
     num_missed = int(np.count_nonzero(data.label_mask[rows])) - s.size
-    if s.size == 0:
-        return _BatchTerms(0, num_missed, np.zeros(0), per_label, cand, target, size), np.zeros_like(V)
 
     # every (scene, label, prompt) pair, in that order; one flat index into
     # the (scene, prompt, object) grid per pair
@@ -360,7 +358,7 @@ def _batch_step(
     C = np.bincount(p * E.shape[0] + obj, coeff, V.shape[0] * E.shape[0]).reshape(V.shape[0], -1)
     w = np.bincount(p, coeff * cos.take(pair), V.shape[0])
     grad = C @ E - w[:, None] * unit
-    return _BatchTerms(per_label.size, num_missed, focal, per_label, cand, target, size), grad
+    return _BatchTerms(num_missed, focal, per_label, cand, target, size), grad
 
 
 def _tallies(batches: Sequence[_BatchTerms]) -> np.ndarray:
@@ -377,7 +375,7 @@ def _tallies(batches: Sequence[_BatchTerms]) -> np.ndarray:
     )
     # every label has at least one term, so no two starts are equal
     label_losses = np.add.reduceat(focal, np.cumsum(per_label) - per_label)
-    batch = np.repeat(np.arange(len(batches)), [b.num_assigned for b in batches])
+    batch = np.repeat(np.arange(len(batches)), [b.per_label.size for b in batches])
     return np.stack([
         np.bincount(batch, v, len(batches))
         for v in (label_losses, l1_box_loss(cand, target, size[:, 0], size[:, 1]), giou_loss(cand, target))
@@ -410,10 +408,9 @@ def train_round(
     exact skip when the step is exactly zero so untouched prompts keep
     their bytes.
     """
-    trainable = tree.trainable_ids
-    if not trainable:
-        raise ValueError("no trainable prompts left")
     row_trainable = np.isin(tree.ids, tree.parent_queue, invert=True)
+    if not row_trainable.any():
+        raise ValueError("no trainable prompts left")
     V = tree.embedding_matrix()  # row i is prompt i
 
     cohort_rows = np.array(tree.cohort, dtype=int)
@@ -435,7 +432,7 @@ def train_round(
                 epoch, slice(start, start + config.batch_size), V, row_trainable, params, config
             )
             batches.append(terms)
-            grad_cls /= max(terms.num_assigned, 1)
+            grad_cls /= max(terms.per_label.size, 1)
             total_grad = config.gamma_cls * grad_cls
             if use_dispersion:
                 cohort = V[cohort_rows]
@@ -448,11 +445,9 @@ def train_round(
 
             step = config.learning_rate * total_grad
             moved = (step != 0.0).any(axis=1) & row_trainable
-            if moved.any():
-                upd = V[moved] - step[moved]
-                V[moved] = unit_rows(upd)[0]
+            V[moved] = unit_rows(V[moved] - step[moved])[0]
 
-        assigned = np.array([b.num_assigned for b in batches])
+        assigned = np.array([b.per_label.size for b in batches])
         cls, bbox, giou = (_tallies(batches) / np.maximum(assigned, 1)[:, None]).T
         pc, cc = np.array(dispersion).T
         parts = combine(
@@ -468,7 +463,7 @@ def train_round(
         stats.assignments_final = int(assigned.sum())
         stats.misses_final = sum(b.num_missed for b in batches)
 
-    for nid in trainable:
+    for nid in np.flatnonzero(row_trainable).tolist():
         tree.nodes[nid] = replace(tree.nodes[nid], embedding=V[nid])
     return stats
 
@@ -480,29 +475,30 @@ def activation_frequency(
     params: DetectorParams,
     iou_min: float = 0.5,
     seed: int = 0,
-) -> dict[int, int]:
-    """How many pseudo-labels each prompt answers for, by id in id order, over
-    the whole world: training's responsibility matching over every candidate
-    of every scene.  Each assigned label has one responsible prompt, so the
+) -> np.ndarray:
+    """How many pseudo-labels each prompt answers for over the whole world,
+    as an integer array with one entry per prompt: entry i is prompt i.  The
+    count is training's responsibility matching over every candidate of
+    every scene.  Each assigned label has one responsible prompt, so the
     counts sum to the number of assigned labels."""
-    ids, unit = unit_prompts(tree.prompt_items())
+    _, unit = unit_prompts(tree.prompt_items())
     data = _round_data(world, labels, seed)
     _, _, scores, boxes = candidate_detections(data.scenes, unit, params)
     m = assign_responsibility(data, slice(None), scores, boxes, iou_min)
-    counts = np.bincount(m.responsible[m.assigned], minlength=ids.size)
-    return dict(zip(ids.tolist(), counts.tolist()))
+    return np.bincount(m.responsible[m.assigned], minlength=len(tree.nodes))
 
 
-def select_parent(counts: dict[int, int], candidates: Sequence[int]) -> int:
+def select_parent(counts: np.ndarray, candidates: Sequence[int]) -> int:
     """Next prompt to split: the candidate answering for the most labels.
 
-    A prompt that wins responsibility everywhere is covering too much ground
-    with one vector; splitting it buys the most new coverage.  Ties go to the
-    lowest id.
+    ``counts`` is ``activation_frequency``'s array, and every candidate is a
+    prompt id, i.e. an index into it.  A prompt that wins responsibility
+    everywhere is covering too much ground with one vector; splitting it buys
+    the most new coverage.  Ties go to the lowest id.
     """
     if not candidates:
         raise ValueError("no candidate parents")
-    return min(candidates, key=lambda nid: (-counts.get(nid, 0), nid))
+    return min(candidates, key=lambda nid: (-counts[nid], nid))
 
 
 def expand(
@@ -578,7 +574,7 @@ class RunResult:
     mac_report: MacReport = field(default_factory=MacReport)
     eval_summaries: list[EvalSummary] = field(default_factory=list)
     round_stats: list[RoundStats] = field(default_factory=list)
-    activation_history: list[dict[int, int]] = field(default_factory=list)  # activation_frequency's
+    activation_history: list[np.ndarray] = field(default_factory=list)  # activation_frequency's
     stopped_early: bool = False
     final_detections: dict[int, ScoredBoxes] = field(default_factory=dict)  # the last evaluation's, by scene
 

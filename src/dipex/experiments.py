@@ -151,11 +151,13 @@ def run_pilot_merging(
     vocabularies under query merging (joint submission, overlap penalty) and
     prediction merging (independent passes, soft-NMS union).  The relative
     recall drop of query merging is the quantity of interest: near zero for a
-    dispersed vocabulary, catastrophic for an overlapping one.
+    dispersed vocabulary, catastrophic for an overlapping one.  A repeated
+    seed is scored once, at its first position.
     """
     from .detector import QueryMode, overlap_penalty
 
     _bind("generate_world", "build_vocabulary", "detect_world")
+    seeds = list(dict.fromkeys(seeds))
     seeded = [with_seed(config, seed) for seed in seeds]  # every seed checked before any write
     cap = max(config.max_dets)
     # rows grouped by style, then seed; one world is alive at a time
@@ -185,7 +187,7 @@ def run_pilot_merging(
     header += [f"ar_{cap}_pm", f"ar_{cap}_qm", "delta_ar_pct"]
     out = _prepare_out(out_dir, overwrite)  # only once every seed has been scored
     _write_csv(out / "pilot.csv", header, [row for rows in rows_by_style.values() for row in rows])
-    _write_manifest(out, "pilot", config.as_dict(), {"seeds": list(seeds)})
+    _write_manifest(out, "pilot", config.as_dict(), {"seeds": seeds})
     return out
 
 
@@ -228,9 +230,10 @@ def _write_run_artifacts(
     )
     activations = []
     for expansion, counts in enumerate(result.activation_history, start=1):
-        total = sum(counts.values())
+        total = int(counts.sum())
         activations += [
-            (expansion, pid, count, _fmt(count / total if total else 0.0)) for pid, count in counts.items()
+            (expansion, pid, count, _fmt(count / total if total else 0.0))
+            for pid, count in enumerate(counts.tolist())
         ]
     _write_csv(out / "activations.csv", ["expansion", "prompt_id", "count", "frequency"], activations)
     _write_json(out / "tree.json", result.tree.to_dict())
@@ -311,10 +314,12 @@ def run_sweep(
 ) -> Path:
     """Grow once per value of the expansion field ``SWEEPS[sweep]`` varies,
     holding everything else fixed; writes ``sweep_k.csv`` or
-    ``sweep_gamma.csv``, one row per value."""
+    ``sweep_gamma.csv``, one row per value; a repeated value grows once, at
+    its first position."""
     field, cast, flag, _, _, head, tail = SWEEPS[sweep]
+    values = list(dict.fromkeys(cast(v) for v in values))
     # every value checked as a config file's is, before any write
-    expansions = [with_settings(config, {"expansion": {field: cast(v)}}).expansion for v in values]
+    expansions = [with_settings(config, {"expansion": {field: v}}).expansion for v in values]
     _bind("generate_world", "build_vocabulary", "run")
     cap = max(config.max_dets)
     world = generate_world(config.world)
@@ -343,7 +348,7 @@ def run_sweep(
         rows.append([row[column] for column in columns])
     out = _prepare_out(out_dir, overwrite)  # only once every value has grown
     _write_csv(out / f"{sweep.replace('-', '_')}.csv", columns, rows)
-    _write_manifest(out, sweep, config.as_dict(), {f"{flag}_values": [cast(v) for v in values]})
+    _write_manifest(out, sweep, config.as_dict(), {f"{flag}_values": values})
     return out
 
 

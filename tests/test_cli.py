@@ -237,6 +237,39 @@ def test_pilot_subcommand(config_path, tmp_path, capsys):
     assert len(rows) == 5  # header + 2 styles x 2 seeds
 
 
+def test_pilot_defaults_to_five_seeds_from_the_expansion_seed(config_path, tmp_path, capsys):
+    """Without --seed, pilot scores the five consecutive seeds that start at
+    ``expansion.seed`` (5 in the tiny config), each once per style."""
+    out = tmp_path / "pilot"
+    assert main(["pilot", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "manifest.json").read_text())["seeds"] == [5, 6, 7, 8, 9]
+    rows = [line.split(",") for line in (out / "pilot.csv").read_text().strip().split("\n")[1:]]
+    assert [(row[0], int(row[1])) for row in rows] == [
+        (style, seed) for style in ("dispersed", "overlapping") for seed in range(5, 10)
+    ]
+
+
+@pytest.mark.parametrize(
+    "repeated, once",
+    [
+        (["pilot", "--seed", "1", "--seed", "1"], ["pilot", "--seed", "1"]),
+        (["sweep-k", "--k", "3", "3"], ["sweep-k", "--k", "3"]),
+    ],
+    ids=["pilot", "sweep-k"],
+)
+def test_a_repeated_seed_or_value_is_computed_once(config_path, tmp_path, capsys, repeated, once):
+    """A seed or sweep value given twice writes the same bytes, manifest
+    included, as the same seed or value given once."""
+    written = []
+    for i, argv in enumerate((repeated, once)):
+        out = tmp_path / f"out{i}"
+        assert main([*argv, "--config", str(config_path), "--out", str(out)]) == 0
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    capsys.readouterr()
+    assert written[0] == written[1]
+
+
 def test_sweep_subcommands(config_path, tmp_path, capsys):
     assert main(
         [
@@ -400,6 +433,7 @@ def test_missing_field_before_a_bad_box_is_reported_first(tmp_path, capsys):
         ("score", None, "score must be a number"),
         ("image_id", 1e20, "image_id must be an integer"),
         ("image_id", 10**20, "image_id must be an integer"),
+        ("score", 10**400, "score must be a number"),
     ],
 )
 def test_detection_field_of_the_wrong_type_is_a_data_error(tmp_path, capsys, field, value, problem):
@@ -598,6 +632,10 @@ def test_eval_caps_checked_before_any_file(tmp_path, capsys, caps):
         ("run", "world", "width: -640\n  height: -480", "width must be >= 1, got -640\n"),
         ("pilot", "world", "width: 0", "width must be >= 1, got 0\n"),
         ("run", "world", "height: 0", "height must be >= 1, got 0\n"),
+        (
+            "run", "world", "size_mix: [1.5, -0.25, -0.25]",
+            "size_mix needs three non-negative fractions: (1.5, -0.25, -0.25)\n",
+        ),
     ],
 )
 def test_config_values_checked_before_any_output(tmp_path, capsys, command, section, setting, message):
@@ -613,7 +651,9 @@ def test_config_values_checked_before_any_output(tmp_path, capsys, command, sect
     assert not out.exists()
 
 
-@pytest.mark.parametrize("fault", ["missing detections", "ground truth not JSON", "unknown image"])
+@pytest.mark.parametrize(
+    "fault", ["missing detections", "ground truth not JSON", "unknown image", "ground truth an array"]
+)
 def test_eval_bad_input_writes_nothing(tmp_path, capsys, fault):
     """A faulty input fails as a data error before the output directory is made."""
     gt_path, det_path = write_eval_fixture(tmp_path)
@@ -621,12 +661,17 @@ def test_eval_bad_input_writes_nothing(tmp_path, capsys, fault):
         det_path.unlink()
     elif fault == "ground truth not JSON":
         gt_path.write_text("{not json")
+    elif fault == "ground truth an array":
+        gt_path.write_text(json.dumps([json.loads(gt_path.read_text())]))
     else:
         det_path.write_text(json.dumps([{"image_id": 9, "category_id": 1, "bbox": [1, 1, 2, 2], "score": 0.5}]))
     out = tmp_path / "out"
     code = main(["eval", "--gt", str(gt_path), "--dets", str(det_path), "--out", str(out)])
     assert code == 3
-    assert capsys.readouterr().err.startswith("error[data]: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]: ")
+    if fault == "ground truth an array":
+        assert "ground truth document must be a JSON object" in err
     assert not out.exists()
 
 

@@ -77,10 +77,14 @@ def test_input_validation():
         parent_child_loss(e0[None, :], np.zeros(3), tau_p=0.1)
     with pytest.raises(ValueError):
         parent_child_loss(e0[None, :], basis(4, 0), tau_p=0.1)
+    with pytest.raises(ValueError, match="need at least one child"):
+        parent_child_loss(np.zeros((0, 3)), e0, tau_p=0.1)
     with pytest.raises(ValueError):
         child_child_loss(e0[None, :], tau_c=0.1)
     with pytest.raises(ValueError):
         child_child_loss(np.zeros((2, 3)), tau_c=0.1)
+    with pytest.raises(ValueError, match="temperature must be positive, got 0.0"):
+        child_child_loss(np.stack([e0, basis(3, 1)]), tau_c=0.0)
 
 
 def test_parent_child_gradient_matches_finite_differences():

@@ -183,10 +183,10 @@ def test_tree_state_follows_from_the_parent_queue(picks, k):
 
 
 def test_select_parent_prefers_busiest_then_lowest_id():
-    counts = {0: 3, 1: 7, 2: 7}
+    counts = np.array([3, 7, 7, 0])  # entry i is prompt i
     assert select_parent(counts, [0, 1, 2]) == 1
     assert select_parent(counts, [0, 2]) == 2
-    assert select_parent(counts, [5]) == 5  # unseen id counts as zero
+    assert select_parent(counts, [3]) == 3
     with pytest.raises(ValueError):
         select_parent(counts, [])
 
@@ -283,7 +283,8 @@ def test_activation_frequency_sums_to_total(tiny_world, default_params):
     labels = bootstrap_labels(vocab, tiny_world, FAST, default_params)
     tree = PromptTree.from_root(normalize(np.sum(np.stack(vocab), axis=0)))
     counts = activation_frequency(tree, labels, tiny_world, default_params)
-    assert counts == {0: len(labels)}  # single prompt answers for everything
+    assert counts.dtype.kind == "i"
+    assert counts.tolist() == [len(labels)]  # single prompt answers for everything
 
 
 def _grown_tree(world, rng):
@@ -314,8 +315,8 @@ def test_activation_frequency_matches_object_matcher(tiny_world, small_world, se
     iou_min = float(rng.choice([0.3, 0.5, 0.9]))
     counts = activation_frequency(tree, labels, world, params, iou_min, config.seed)
     want, total = ref.activation_counts(tree, all_labels(labels), world, params, iou_min, config.seed)
-    assert (counts, sum(counts.values())) == (want, total)
-    assert list(counts) == tree.ids
+    assert counts.dtype.kind == "i" and counts.shape == (len(tree.nodes),)
+    assert (dict(enumerate(counts.tolist())), int(counts.sum())) == (want, total)
 
 
 @settings(max_examples=15, deadline=None)

@@ -5,6 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 from unittest.mock import ANY
 
+import numpy as np
 import pytest
 
 from dipex.cli import main
@@ -327,18 +328,18 @@ def test_activations_csv_writes_each_share_of_its_expansion(tmp_path):
     0 for every prompt of an expansion where no label was assigned."""
     config = ExperimentConfig(world=TINY_WORLD, expansion=replace(FAST_EXPANSION, num_expansions=2))
     _, result = run_dipex(config, tmp_path / "run")
-    result.activation_history[0] = dict.fromkeys(result.activation_history[0], 0)
+    result.activation_history[0] = np.zeros_like(result.activation_history[0])
     out = tmp_path / "rewritten"
     out.mkdir()
     _write_run_artifacts(out, config, generate_world(config.world), result)
     want = []
     for expansion, counts in enumerate(result.activation_history, start=1):
-        total = sum(counts.values())
+        total = int(counts.sum())
         want += [
             (str(expansion), str(pid), str(count), f"{count / total:.6f}" if expansion > 1 else "0.000000")
-            for pid, count in counts.items()
+            for pid, count in enumerate(counts.tolist())
         ]
-    assert sum(result.activation_history[1].values()) > 0
+    assert result.activation_history[1].sum() > 0
     assert [tuple(row.values()) for row in read_csv_rows(out / "activations.csv")] == want
 
 

@@ -173,6 +173,8 @@ def test_pairwise_angle_matrix_properties():
                 assert mat[i, j] == pytest.approx(
                     angular_distance(vecs[i], vecs[j]), abs=1e-9
                 )
+    with pytest.raises(ValueError, match="need at least one prompt"):
+        pairwise_angle_matrix([])
 
 
 def test_mac_matches_brute_force():
