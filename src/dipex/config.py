@@ -178,7 +178,7 @@ class VocabularyConfig:
 class ExpansionConfig:
     """Knobs for one growth run.  Angles are radians."""
 
-    num_children: int = 9
+    num_children: int = _rule(9, ">= 0")
     num_expansions: int = _rule(3, ">= 0")
     max_angle: float = _angle(15.0, "(0, 90]")
     tau_parent: float = _rule(0.1, "> 0")

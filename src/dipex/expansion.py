@@ -197,7 +197,9 @@ class MacReport:
 
 @dataclass
 class RoundStats:
-    """One round's training record; round r is ``RunResult.round_stats[r - 1]``."""
+    """One round's training record; round r is ``RunResult.round_stats[r - 1]``.
+    Each epoch visits every label once: the last epoch matched
+    ``assignments_final`` of them and missed the rest, ``misses_final``."""
 
     epoch_losses: list[LossBreakdown]
     epoch_norm_error: list[float]
@@ -213,19 +215,17 @@ class _RoundData:
 
     Scenes with fewer labels than the widest one are padded with all-zero
     boxes.  A zero box overlaps nothing, so padding (of labels or objects)
-    never clears the (positive) IoU floor of matching; ``label_mask`` marks
-    the real labels for counting misses.
+    never clears the (positive) IoU floor of matching and is never assigned.
     """
 
     scenes: SceneArrays
     label_boxes: np.ndarray  # (S, L, 4) xyxy, in each scene's label order
-    label_mask: np.ndarray   # (S, L) bool
 
     def take(self, order: np.ndarray) -> "_RoundData":
         """The same round with its scenes in ``order``, so that a batch of
         consecutive scenes is a slice of every array."""
         scenes = SceneArrays(**{f.name: getattr(self.scenes, f.name)[order] for f in fields(SceneArrays)})
-        return _RoundData(scenes, self.label_boxes[order], self.label_mask[order])
+        return _RoundData(scenes, self.label_boxes[order])
 
 
 def _round_data(world: World, labels: PseudoLabelSet, seed: int) -> _RoundData:
@@ -236,14 +236,9 @@ def _round_data(world: World, labels: PseudoLabelSet, seed: int) -> _RoundData:
     order = np.argsort(labels.scene_ids, kind="stable")  # by scene, each in label order
     row = labels.scene_ids[order]  # row s is scene s
     rank = np.arange(row.size) - np.searchsorted(row, row)
-    n_lab = np.bincount(row, minlength=num_scenes)
-    label_boxes = np.zeros((num_scenes, int(n_lab.max()), 4))
+    label_boxes = np.zeros((num_scenes, int(np.bincount(row, minlength=num_scenes).max()), 4))
     label_boxes[row, rank] = labels.boxes[order]
-    return _RoundData(
-        scenes=scenes,
-        label_boxes=label_boxes,
-        label_mask=np.arange(label_boxes.shape[1]) < n_lab[:, None],
-    )
+    return _RoundData(scenes, label_boxes)
 
 
 @dataclass(frozen=True)
@@ -299,7 +294,6 @@ class _BatchTerms:
     order, its responsible candidate, its box and its scene's size.
     """
 
-    num_missed: int
     focal: np.ndarray      # (terms,)
     per_label: np.ndarray  # (assigned,)
     cand: np.ndarray       # (assigned, 4) xyxy
@@ -311,7 +305,6 @@ def _batch_step(
     data: _RoundData,
     rows: np.ndarray | slice,
     V: np.ndarray,
-    row_trainable: np.ndarray,
     params: DetectorParams,
     config: ExpansionConfig,
 ) -> tuple[_BatchTerms, np.ndarray]:
@@ -319,10 +312,10 @@ def _batch_step(
 
     Every (label, matched prompt) pair of the batch is one focal term: target
     1 for the label's responsible prompt, 0 for the others, on the logit of
-    the prompt's best matched object.  Labels with no matched candidate count
-    as misses.  The gradient of every trainable prompt is summed over its
-    terms; frozen rows stay zero.  Returns the batch's terms, for
-    ``_tallies`` to sum, and the unnormalized gradient.
+    the prompt's best matched object; labels with no matched candidate have
+    no term.  Every prompt's gradient, frozen or not, is summed over its
+    terms, and ``train_round`` moves only the trainable rows.  Returns the
+    batch's terms, for ``_tallies`` to sum, and the unnormalized gradient.
 
     ``rows`` is a slice of an epoch-ordered round (``_RoundData.take``), so
     every per-scene array is a view; an index array gives the same result.
@@ -341,7 +334,6 @@ def _batch_step(
     cand = boxes[s, responsible, m.best_obj[s, l, responsible]]
     target = data.label_boxes[rows][s, l]
     size = data.scenes.size[rows][s]
-    num_missed = int(np.count_nonzero(data.label_mask[rows])) - s.size
 
     # every (scene, label, prompt) pair, in that order; one flat index into
     # the (scene, prompt, object) grid per pair
@@ -351,14 +343,13 @@ def _batch_step(
     focal, dfocal = sigmoid_focal_loss(
         logits.take(pair), (p == np.repeat(responsible, per_label)).astype(float)
     )
-    keep = row_trainable[p]
-    p, obj, pair = p[keep], (s * cos.shape[2] + o)[keep], pair[keep]
-    coeff = dfocal[keep] * params.logit_scale / norms[p]
+    coeff = dfocal * params.logit_scale / norms[p]
+    obj = s * cos.shape[2] + o
     E = data.scenes.emb[rows].reshape(-1, V.shape[1])  # the batch's objects, scene by scene
     C = np.bincount(p * E.shape[0] + obj, coeff, V.shape[0] * E.shape[0]).reshape(V.shape[0], -1)
     w = np.bincount(p, coeff * cos.take(pair), V.shape[0])
     grad = C @ E - w[:, None] * unit
-    return _BatchTerms(num_missed, focal, per_label, cand, target, size), grad
+    return _BatchTerms(focal, per_label, cand, target, size), grad
 
 
 def _tallies(batches: Sequence[_BatchTerms]) -> np.ndarray:
@@ -404,9 +395,9 @@ def train_round(
     ``LossBreakdown`` is its mean over the batches.  The newest cohort
     additionally feels attraction to its frozen parent and log-sum-exp
     repulsion among siblings; in the root-only round both terms are zero.
-    Updates are projected gradient steps: subtract, renormalize, with an
-    exact skip when the step is exactly zero so untouched prompts keep
-    their bytes.
+    Updates are projected gradient steps on the trainable rows alone:
+    subtract, renormalize, with an exact skip when the step is exactly zero
+    so untouched prompts keep their bytes.  Frozen rows never move.
     """
     row_trainable = np.isin(tree.ids, tree.parent_queue, invert=True)
     if not row_trainable.any():
@@ -429,7 +420,7 @@ def train_round(
         dispersion: list[tuple[float, float]] = []
         for start in range(0, num_scenes, config.batch_size):
             terms, grad_cls = _batch_step(
-                epoch, slice(start, start + config.batch_size), V, row_trainable, params, config
+                epoch, slice(start, start + config.batch_size), V, params, config
             )
             batches.append(terms)
             grad_cls /= max(terms.per_label.size, 1)
@@ -460,8 +451,8 @@ def train_round(
         stats.epoch_norm_error.append(
             float(np.max(np.abs(unit_rows(V[row_trainable])[1] - 1.0)))
         )
-        stats.assignments_final = int(assigned.sum())
-        stats.misses_final = sum(b.num_missed for b in batches)
+    stats.assignments_final = int(assigned.sum())  # the last epoch's
+    stats.misses_final = stats.label_count - stats.assignments_final
 
     for nid in np.flatnonzero(row_trainable).tolist():
         tree.nodes[nid] = replace(tree.nodes[nid], embedding=V[nid])

@@ -256,10 +256,12 @@ def reference_child_child(children, tau_c):
     return value, grads
 
 
-def reference_step(data, rows, V, row_trainable, params, config):
+def reference_step(data, rows, V, labels, params, config):
     """(tally, grad) of the scenes ``rows`` of a round's ``_RoundData``: the
     batched step with index gathers, a ``take_along_axis`` matcher, an
-    ``np.add.at`` scatter and its own box losses."""
+    ``np.add.at`` scatter and its own box losses.  The gradient covers every
+    prompt, frozen or not; the misses are the batch's labels in ``labels``,
+    the round's ``PseudoLabelSet``, less the assigned ones."""
     norms = np.linalg.norm(V, axis=1)
     unit = V / norms[:, None]
     cos, logits, scores, boxes = candidate_detections(data.scenes, unit, params, rows)
@@ -271,7 +273,7 @@ def reference_step(data, rows, V, row_trainable, params, config):
     responsible, assigned = np.argmax(best, axis=1), has.any(axis=1)
 
     grad = np.zeros_like(V)
-    num_labels = int(np.count_nonzero(data.label_mask[rows]))
+    num_labels = int(np.count_nonzero(np.isin(labels.scene_ids, rows)))
     num_assigned = int(np.count_nonzero(assigned))
     tally = BatchTally(num_assigned=num_assigned, num_missed=num_labels - num_assigned)
     if num_assigned == 0:
@@ -286,8 +288,7 @@ def reference_step(data, rows, V, row_trainable, params, config):
         np.array([losses[a : a + k].sum() for a, k in zip(starts.tolist(), per_label.tolist())])
     )
 
-    keep = row_trainable[p]
-    s, p, o, coeff = s[keep], p[keep], o[keep], dlosses[keep] * params.logit_scale
+    coeff = dlosses * params.logit_scale
     terms = coeff[:, None] * (data.scenes.emb[rows[s], o] - cos[s, p, o][:, None] * unit[p])
     terms = terms / norms[p][:, None]
     flat = (p[:, None] * V.shape[1] + np.arange(V.shape[1])).reshape(-1)
@@ -325,7 +326,7 @@ def reference_round(tree, labels, world, config, params, rng):
         epoch_assigned = epoch_missed = 0
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
-            tally, grad_cls = reference_step(data, batch, V, row_trainable, params, config)
+            tally, grad_cls = reference_step(data, batch, V, labels, params, config)
             denom = max(tally.num_assigned, 1)
             grad_cls /= denom
             epoch_assigned += tally.num_assigned

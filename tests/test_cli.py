@@ -628,6 +628,7 @@ def test_eval_caps_checked_before_any_file(tmp_path, capsys, caps):
         ("pilot", "world", "objects_per_scene: 0", "objects_per_scene must be >= 1, got 0\n"),
         ("pilot", "detector", "box_noise: -1", "box_noise must be non-negative, got -1\n"),
         ("run", "expansion", "batch_size: 0", "batch_size must be >= 1, got 0\n"),
+        ("run", "expansion", "num_children: -4\n  num_expansions: 0", "num_children must be non-negative, got -4\n"),
         ("run", "expansion", "learning_rate: 0", "learning_rate must be positive, got 0\n"),
         ("run", "world", "width: -640\n  height: -480", "width must be >= 1, got -640\n"),
         ("pilot", "world", "width: 0", "width must be >= 1, got 0\n"),

@@ -124,8 +124,10 @@ def test_config_validation_and_degrees():
         ExpansionConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         ExpansionConfig(label_threshold=1.0)
-    # zero expansions permit any child count
+    # zero expansions permit any non-negative child count
     assert ExpansionConfig(num_children=1, num_expansions=0).num_children == 1
+    with pytest.raises(ValueError):
+        ExpansionConfig(num_children=-1, num_expansions=0)
     d = ExperimentConfig().as_dict()["expansion"]
     assert d["max_angle_degrees"] == pytest.approx(15.0)
     assert d["mac_threshold_degrees"] == pytest.approx(75.0)
