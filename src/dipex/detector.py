@@ -97,6 +97,10 @@ class SceneArrays:
     dirs: np.ndarray        # (S, O, 2) hashed unit shift directions
     size: np.ndarray        # (S, 2) scene width, height
 
+    def take(self, index: np.ndarray | slice) -> "SceneArrays":
+        """The scenes ``index`` picks, in its order; a slice gives views."""
+        return SceneArrays(*(getattr(self, f.name)[index] for f in fields(self)))
+
 
 def pack_world(world: World, seed: int) -> SceneArrays:
     """The world's scenes as read-only ``SceneArrays``, shift directions
@@ -132,37 +136,31 @@ def _pack(world: World, seed: int) -> SceneArrays:
 
 
 def candidate_detections(
-    scenes: SceneArrays,
-    unit: np.ndarray,
-    params: DetectorParams,
-    rows: np.ndarray | slice = slice(None),
+    scenes: SceneArrays, unit: np.ndarray, params: DetectorParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(cos, logits, scores, boxes) of every (scene, prompt, object) triple.
 
-    ``unit`` holds unit prompts, one per row, and ``rows`` picks the scenes.
-    Arrays are shaped (n_scene, n_prompt, n_obj), boxes with a trailing xyxy
-    axis.  There is no threshold and no cap: training consumes every
-    candidate, because the score floor that governs reported detections
-    would silence the gradient signal of weak prompts.
+    ``unit`` holds unit prompts, one per row.  Arrays are shaped (n_scene,
+    n_prompt, n_obj), boxes with a trailing xyxy axis.  There is no
+    threshold and no cap: training consumes every candidate, because the
+    score floor that governs reported detections would silence the gradient
+    signal of weak prompts.
     """
-    cos = cosines(unit, scenes.emb[rows].transpose(0, 2, 1))
+    cos = cosines(unit, scenes.emb.transpose(0, 2, 1))
     logits = params.logit_scale * cos + params.logit_bias
     scores = sigmoid(logits)
-    return cos, logits, scores, _noisy_boxes(scenes, rows, scores, params)
+    return cos, logits, scores, _noisy_boxes(scenes, scores, params)
 
 
-def _noisy_boxes(
-    scenes: SceneArrays, rows: np.ndarray | slice, scores: np.ndarray, params: DetectorParams
-) -> np.ndarray:
+def _noisy_boxes(scenes: SceneArrays, scores: np.ndarray, params: DetectorParams) -> np.ndarray:
     """Ground-truth boxes translated by box_noise * (1 - score) * sqrt(area)
     along each object's hashed direction and clipped to the scene; ``scores``
     is shaped (n_scene, n_prompt, n_obj)."""
-    mag = params.box_noise * (1.0 - scores) * scenes.sqrt_area[rows][:, None, :]
-    dirs = scenes.dirs[rows][:, None]
+    mag = params.box_noise * (1.0 - scores) * scenes.sqrt_area[:, None, :]
+    dirs = scenes.dirs[:, None]
     dx, dy = mag * dirs[..., 0], mag * dirs[..., 1]
-    gt = scenes.gt[rows][:, None]
-    w = scenes.size[rows, 0][:, None, None]
-    h = scenes.size[rows, 1][:, None, None]
+    gt = scenes.gt[:, None]
+    w, h = scenes.size.T[..., None, None]
     boxes = np.empty(mag.shape + (4,))
     x0, y0, x1, y1 = (boxes[..., k] for k in range(4))
     np.minimum(np.maximum(gt[..., 0] + dx, 0.0), w, out=x0)
@@ -235,7 +233,7 @@ def detect_world(
         tied = scores == scores.max(axis=1, keepdims=True)
         best = np.argmin(np.where(tied, ids[None, :, None], ids.max() + 1), axis=1)
         scores = np.take_along_axis(scores, best[:, None], axis=1)
-        boxes = _noisy_boxes(scenes, slice(None), scores, params)
+        boxes = _noisy_boxes(scenes, scores, params)
         s, _, o = np.nonzero(valid)
         scores, boxes = scores[s, 0, o], boxes[s, 0, o]
         pick = _reported(s, ids[best[s, o]], scores, boxes, params)

@@ -16,18 +16,18 @@ differentiable with respect to the prompts, so they carry no gradient.
 
 Training works on a whole batch of scenes at once.  A round packs its scenes
 into the detector's dense (scene, object) arrays and scatters the label
-boxes into (scene, label) arrays, padded where scenes differ in size.  Each
-epoch gathers those arrays once in its scene order, so every batch is a
-slice of them.  A batch takes one pass over its (scene, label, prompt,
-object) grid for the candidate boxes, IoU, responsibility matching and focal
-loss, and one matrix product over its objects for the gradient.  The
-reported losses (the focal sums and the L1 and GIoU box losses) carry no
-gradient, so they are computed once per epoch from what the batches kept,
-as arrays with one entry per batch: one weighted total over those arrays,
-then each term's mean over the batches.  The same grid and matcher count
-how many labels each prompt answers for when the next parent is picked.
-The label passes run the detector once per prompt, each on its own
-candidate grid; labels stay arrays from detector to trainer.
+boxes into a (scene, label) table, padded where scenes differ in size.  Each
+epoch gathers both once in its scene order, so a batch is a ``SceneArrays``
+slice plus the same rows of the table.  It takes one pass over its (scene,
+label, prompt, object) grid for the candidate boxes, IoU, responsibility
+matching and focal loss, and one matrix product over its objects for the
+gradient.  The reported losses (the focal sums and the L1 and GIoU box
+losses) carry no gradient, so they are computed once per epoch from what
+the batches kept, as arrays with one entry per batch: one weighted total
+over those arrays, then each term's mean over the batches.  The same grid
+and matcher count how many labels each prompt answers for when the next
+parent is picked.  The label passes run the detector once per prompt, each
+on its own candidate grid; labels stay arrays from detector to trainer.
 
 Growth stops after the configured number of expansions, or earlier when the
 maximum pairwise angle either clears the coverage threshold or stalls between
@@ -208,37 +208,22 @@ class RoundStats:
     misses_final: int = 0
 
 
-@dataclass(frozen=True)
-class _RoundData:
-    """The packed scenes of one round plus their pseudo-labels, one row per
-    scene in id order.
+def _label_table(labels: PseudoLabelSet, num_scenes: int) -> np.ndarray:
+    """The label boxes as a (scene, label, 4) xyxy table: row s is scene s,
+    each row in its scene's label order.
 
     Scenes with fewer labels than the widest one are padded with all-zero
     boxes.  A zero box overlaps nothing, so padding (of labels or objects)
     never clears the (positive) IoU floor of matching and is never assigned.
     """
-
-    scenes: SceneArrays
-    label_boxes: np.ndarray  # (S, L, 4) xyxy, in each scene's label order
-
-    def take(self, order: np.ndarray) -> "_RoundData":
-        """The same round with its scenes in ``order``, so that a batch of
-        consecutive scenes is a slice of every array."""
-        scenes = SceneArrays(**{f.name: getattr(self.scenes, f.name)[order] for f in fields(SceneArrays)})
-        return _RoundData(scenes, self.label_boxes[order])
-
-
-def _round_data(world: World, labels: PseudoLabelSet, seed: int) -> _RoundData:
-    scenes = pack_world(world, seed)
-    num_scenes = len(scenes.size)
     if not np.isin(labels.scene_ids, np.arange(num_scenes)).all():
         raise ValueError("pseudo-labels reference scenes outside the world")
     order = np.argsort(labels.scene_ids, kind="stable")  # by scene, each in label order
-    row = labels.scene_ids[order]  # row s is scene s
+    row = labels.scene_ids[order]
     rank = np.arange(row.size) - np.searchsorted(row, row)
-    label_boxes = np.zeros((num_scenes, int(np.bincount(row, minlength=num_scenes).max()), 4))
-    label_boxes[row, rank] = labels.boxes[order]
-    return _RoundData(scenes, label_boxes)
+    table = np.zeros((num_scenes, int(np.bincount(row, minlength=num_scenes).max()), 4))
+    table[row, rank] = labels.boxes[order]
+    return table
 
 
 @dataclass(frozen=True)
@@ -259,13 +244,9 @@ class _Match:
 
 
 def assign_responsibility(
-    data: _RoundData,
-    rows: np.ndarray | slice,
-    scores: np.ndarray,
-    boxes: np.ndarray,
-    iou_min: float,
+    label_boxes: np.ndarray, scores: np.ndarray, boxes: np.ndarray, iou_min: float
 ) -> _Match:
-    """Match the labels of scenes ``rows`` to their candidate grid.
+    """Match a (scene, label, 4) label table to its scenes' candidate grid.
 
     A candidate matches a label at IoU >= iou_min; per prompt only its
     best-scoring match counts, and the prompt with the best such score is
@@ -273,7 +254,7 @@ def assign_responsibility(
     The grid is laid out (scene, label, prompt, object), so that every
     operation runs over the contiguous (prompt, object) block of a label.
     """
-    ious = box_iou(boxes[:, None], data.label_boxes[rows][:, :, None, None])
+    ious = box_iou(boxes[:, None], label_boxes[:, :, None, None])
     masked = np.where(ious >= iou_min, scores[:, None], -np.inf)
     best_obj = np.argmax(masked, axis=3)
     # each best score picked by index: a max over the short object axis is
@@ -302,13 +283,14 @@ class _BatchTerms:
 
 
 def _batch_step(
-    data: _RoundData,
-    rows: np.ndarray | slice,
+    scenes: SceneArrays,
+    label_boxes: np.ndarray,
     V: np.ndarray,
     params: DetectorParams,
     config: ExpansionConfig,
 ) -> tuple[_BatchTerms, np.ndarray]:
-    """Focal terms and their gradient for the scenes ``rows`` of one batch.
+    """Focal terms and their gradient for the batch ``scenes``, whose label
+    table rows are ``label_boxes``; in training both are epoch slices.
 
     Every (label, matched prompt) pair of the batch is one focal term: target
     1 for the label's responsible prompt, 0 for the others, on the logit of
@@ -317,8 +299,6 @@ def _batch_step(
     terms, and ``train_round`` moves only the trainable rows.  Returns the
     batch's terms, for ``_tallies`` to sum, and the unnormalized gradient.
 
-    ``rows`` is a slice of an epoch-ordered round (``_RoundData.take``), so
-    every per-scene array is a view; an index array gives the same result.
     A term on prompt p and object o adds c * (emb_o - cos_po * unit_p), with
     c = dfocal * logit_scale / |V_p|.  So the gradient is one matrix product,
     ``C @ E - w[:, None] * unit``: C holds the summed c of each (prompt,
@@ -326,14 +306,14 @@ def _batch_step(
     of c * cos.
     """
     unit, norms = unit_rows(V)
-    cos, logits, scores, boxes = candidate_detections(data.scenes, unit, params, rows)
-    m = assign_responsibility(data, rows, scores, boxes, config.label_iou_min)
+    cos, logits, scores, boxes = candidate_detections(scenes, unit, params)
+    m = assign_responsibility(label_boxes, scores, boxes, config.label_iou_min)
     s, l = np.nonzero(m.assigned)
     responsible = m.responsible[s, l]
     per_label = m.has.sum(axis=2)[m.assigned]
     cand = boxes[s, responsible, m.best_obj[s, l, responsible]]
-    target = data.label_boxes[rows][s, l]
-    size = data.scenes.size[rows][s]
+    target = label_boxes[s, l]
+    size = scenes.size[s]
 
     # every (scene, label, prompt) pair, in that order; one flat index into
     # the (scene, prompt, object) grid per pair
@@ -345,7 +325,7 @@ def _batch_step(
     )
     coeff = dfocal * params.logit_scale / norms[p]
     obj = s * cos.shape[2] + o
-    E = data.scenes.emb[rows].reshape(-1, V.shape[1])  # the batch's objects, scene by scene
+    E = scenes.emb.reshape(-1, V.shape[1])  # the batch's objects, scene by scene
     C = np.bincount(p * E.shape[0] + obj, coeff, V.shape[0] * E.shape[0]).reshape(V.shape[0], -1)
     w = np.bincount(p, coeff * cos.take(pair), V.shape[0])
     grad = C @ E - w[:, None] * unit
@@ -384,20 +364,20 @@ def train_round(
     """Optimize every trainable prompt for one round and write results back.
 
     Each epoch visits the scenes in a fresh random order, in batches of
-    ``batch_size``: the round's arrays are gathered once in that order, and
-    each batch is a slice of them.  One ``_batch_step`` call per batch gives
-    the focal terms and their gradient over all of the batch's (label,
-    matched prompt) pairs.  The loss values are reported, not trained on,
-    so they wait for the end of the epoch: one ``_tallies`` call then gives
-    every batch's focal, L1 and GIoU sums as one (batch, 3) array.  Divided
-    by each batch's assigned label count, these and the per-batch dispersion
-    values go through one ``combine`` call, and each term of the epoch's
-    ``LossBreakdown`` is its mean over the batches.  The newest cohort
+    ``batch_size``: the round's scenes and labels are gathered once in that
+    order, and each batch is a slice of them.  One ``_batch_step`` call per
+    batch gives the focal terms and their gradient over all of the batch's
+    (label, matched prompt) pairs.  The loss values are reported, not trained
+    on, so they wait for the end of the epoch: one ``_tallies`` call then
+    gives every batch's focal, L1 and GIoU sums as one (batch, 3) array.
+    Divided by each batch's assigned label count, these and the per-batch
+    dispersion values go through one ``combine`` call, and each term of the
+    epoch's ``LossBreakdown`` is its mean over the batches.  The newest cohort
     additionally feels attraction to its frozen parent and log-sum-exp
     repulsion among siblings; in the root-only round both terms are zero.
     Updates are projected gradient steps on the trainable rows alone:
-    subtract, renormalize, with an exact skip when the step is exactly zero
-    so untouched prompts keep their bytes.  Frozen rows never move.
+    subtract, renormalize, with an exact skip when the step is exactly zero so
+    untouched prompts keep their bytes.  Frozen rows never move.
     """
     row_trainable = np.isin(tree.ids, tree.parent_queue, invert=True)
     if not row_trainable.any():
@@ -410,18 +390,19 @@ def train_round(
         tree.nodes[tree.parent_queue[-1]].embedding if use_dispersion else None
     )
 
-    data = _round_data(world, labels, config.seed)
-    num_scenes = len(data.scenes.size)
+    scenes = pack_world(world, config.seed)
+    num_scenes = len(scenes.size)
+    table = _label_table(labels, num_scenes)
     stats = RoundStats(epoch_losses=[], epoch_norm_error=[], label_count=len(labels))
 
     for _ in range(config.epochs_per_round):
-        epoch = data.take(rng.permutation(num_scenes))
+        order = rng.permutation(num_scenes)
+        epoch, epoch_labels = scenes.take(order), table[order]
         batches: list[_BatchTerms] = []
         dispersion: list[tuple[float, float]] = []
         for start in range(0, num_scenes, config.batch_size):
-            terms, grad_cls = _batch_step(
-                epoch, slice(start, start + config.batch_size), V, params, config
-            )
+            b = slice(start, start + config.batch_size)
+            terms, grad_cls = _batch_step(epoch.take(b), epoch_labels[b], V, params, config)
             batches.append(terms)
             grad_cls /= max(terms.per_label.size, 1)
             total_grad = config.gamma_cls * grad_cls
@@ -473,9 +454,10 @@ def activation_frequency(
     every scene.  Each assigned label has one responsible prompt, so the
     counts sum to the number of assigned labels."""
     _, unit = unit_prompts(tree.prompt_items())
-    data = _round_data(world, labels, seed)
-    _, _, scores, boxes = candidate_detections(data.scenes, unit, params)
-    m = assign_responsibility(data, slice(None), scores, boxes, iou_min)
+    scenes = pack_world(world, seed)
+    table = _label_table(labels, len(scenes.size))
+    _, _, scores, boxes = candidate_detections(scenes, unit, params)
+    m = assign_responsibility(table, scores, boxes, iou_min)
     return np.bincount(m.responsible[m.assigned], minlength=len(tree.nodes))
 
 

@@ -1,9 +1,9 @@
 """Experiment drivers: seeded, file-writing wrappers around the library.
 
 Each runner populates an output directory with CSV/JSON artifacts plus a
-manifest recording the full configuration and a sha256 per artifact.  Nothing
-written here depends on wall-clock time or filesystem ordering, so rerunning
-with the same configuration reproduces every byte.
+manifest recording the full configuration and a sha256 per artifact it wrote.
+Nothing written here depends on wall-clock time or filesystem ordering, so
+rerunning with the same configuration reproduces every byte.
 """
 
 from __future__ import annotations
@@ -90,34 +90,37 @@ def _sha256(path: Path) -> str:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
-def _write_manifest(out: Path, experiment: str, config_doc: dict, extra: dict) -> None:
-    artifacts = {
-        p.name: _sha256(p)
-        for p in sorted(out.iterdir())
-        if p.is_file() and p.name != "manifest.json"
-    }
+def _write_manifest(
+    out: Path, written: Iterable[str], experiment: str, config_doc: dict, extra: dict
+) -> None:
+    """manifest.json, with a sha256 of each file ``written`` by the command;
+    any other file in ``out`` is left alone and not listed."""
     payload = {
         "experiment": experiment,
         "config": config_doc,
-        "artifacts": artifacts,
+        "artifacts": {name: _sha256(out / name) for name in written},
         **extra,
     }
     _write_json(out / "manifest.json", payload)
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_json(path: Path, payload) -> str:
+    """Writes ``payload`` to ``path``; returns the file's name, as every
+    writer here does."""
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path.name
 
 
-def _write_csv(path: Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence, rows: Iterable[Sequence]) -> str:
     """One header line, then one line per row; each row lists its values in
     the header's order, so a table with no rows is its header alone."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    return path.name
 
 
 def _fmt(value: float | None) -> str:
@@ -129,14 +132,14 @@ def _deg(radians: float | None) -> str:
     return _fmt(None if radians is None else math.degrees(radians))
 
 
-def _write_summary(out: Path, summary: EvalSummary) -> None:
+def _write_summary(out: Path, summary: EvalSummary) -> list[str]:
     """``dipex eval``'s summary.json and its one-row summary.csv."""
-    _write_json(out / "summary.json", summary.to_dict())
+    written = [_write_json(out / "summary.json", summary.to_dict())]
     caps = sorted(summary.ar_at)
     header = [f"ar_{cap}" for cap in caps] + ["ar_s", "ar_m", "ar_l", "ap", "ap_s", "ap_m", "ap_l"]
     row = [*(summary.ar_at[cap] for cap in caps), summary.ar_small, summary.ar_medium, summary.ar_large]
     row += [summary.ap, summary.ap_small, summary.ap_medium, summary.ap_large]
-    _write_csv(out / "summary.csv", header, [map(_fmt, row)])
+    return written + [_write_csv(out / "summary.csv", header, [map(_fmt, row)])]
 
 
 def run_pilot_merging(
@@ -186,14 +189,15 @@ def run_pilot_merging(
     header = ["vocabulary", "seed", "num_queries", "overlap_penalty"]
     header += [f"ar_{cap}_pm", f"ar_{cap}_qm", "delta_ar_pct"]
     out = _prepare_out(out_dir, overwrite)  # only once every seed has been scored
-    _write_csv(out / "pilot.csv", header, [row for rows in rows_by_style.values() for row in rows])
-    _write_manifest(out, "pilot", config.as_dict(), {"seeds": seeds})
+    pilot = _write_csv(out / "pilot.csv", header, [row for rows in rows_by_style.values() for row in rows])
+    _write_manifest(out, [pilot], "pilot", config.as_dict(), {"seeds": seeds})
     return out
 
 
 def _write_run_artifacts(
     out: Path, config: ExperimentConfig, world: World, result: RunResult
-) -> None:
+) -> list[str]:
+    """Writes every file of ``dipex run`` but the manifest; returns their names."""
     from .detector import detections_to_coco
     from .dispersion import LossBreakdown
 
@@ -207,19 +211,19 @@ def _write_run_artifacts(
         num_prompts = 1 + (rnd - 1) * config.expansion.num_children
         metrics = map(_fmt, (s.ar_at[cap], s.ar_small, s.ar_medium, s.ar_large, s.ap))
         rows.append((rnd, num_prompts, num_labels, *metrics, _deg(alpha_by_round.get(rnd))))
-    _write_csv(out / "rounds.csv", header, rows)
-    _write_csv(
+    written = [_write_csv(out / "rounds.csv", header, rows)]
+    written.append(_write_csv(
         out / "mac_report.csv",
         ["round", "alpha_max_degrees"],
         [(rnd, _deg(alpha)) for rnd, alpha in alpha_by_round.items()],
-    )
+    ))
     for rnd, matrix in enumerate(mac.matrices, start=2):
-        _write_csv(
+        written.append(_write_csv(
             out / f"angles_round_{rnd}.csv",
             ["prompt", *range(len(matrix))],
             [(i, *map(_deg, row)) for i, row in enumerate(matrix.tolist())],
-        )
-    _write_csv(
+        ))
+    written.append(_write_csv(
         out / "losses.csv",
         ["round", "epoch", *(f.name for f in fields(LossBreakdown))],
         [
@@ -227,7 +231,7 @@ def _write_run_artifacts(
             for rnd, stats in enumerate(result.round_stats, start=1)
             for epoch, losses in enumerate(stats.epoch_losses, start=1)
         ],
-    )
+    ))
     activations = []
     for expansion, counts in enumerate(result.activation_history, start=1):
         total = int(counts.sum())
@@ -235,15 +239,17 @@ def _write_run_artifacts(
             (expansion, pid, count, _fmt(count / total if total else 0.0))
             for pid, count in enumerate(counts.tolist())
         ]
-    _write_csv(out / "activations.csv", ["expansion", "prompt_id", "count", "frequency"], activations)
-    _write_json(out / "tree.json", result.tree.to_dict())
+    written.append(
+        _write_csv(out / "activations.csv", ["expansion", "prompt_id", "count", "frequency"], activations)
+    )
+    written.append(_write_json(out / "tree.json", result.tree.to_dict()))
 
-    _write_json(out / "detections.json", detections_to_coco(result.final_detections))
+    written.append(_write_json(out / "detections.json", detections_to_coco(result.final_detections)))
     gts = GroundTruthSet.from_world(world)
-    _write_json(out / "ground_truth.json", gts.to_coco())
+    written.append(_write_json(out / "ground_truth.json", gts.to_coco()))
     _bind("rebuild_labels")
     labels = rebuild_labels(result.tree, world, config.expansion, config.detector)
-    _write_json(out / "labels.json", labels.to_coco(gts.scene_dims))
+    written.append(_write_json(out / "labels.json", labels.to_coco(gts.scene_dims)))
 
     final = result.eval_summaries[-1]
     summary = {
@@ -254,7 +260,7 @@ def _write_run_artifacts(
         "final_alpha_max_degrees": math.degrees(mac.alpha_max[-1]) if mac.alpha_max else None,
         "label_counts": list(result.label_counts),
     }
-    _write_json(out / "summary.json", summary)
+    return written + [_write_json(out / "summary.json", summary)]
 
 
 def run_dipex(
@@ -266,8 +272,8 @@ def run_dipex(
     vocab = build_vocabulary(world, config.vocabulary)
     result = run(world, config.expansion, config.detector, vocab, config.max_dets)
     out = _prepare_out(out_dir, overwrite)  # only once the run has grown
-    _write_run_artifacts(out, config, world, result)
-    _write_manifest(out, "run", config.as_dict(), {"seeds": [config.expansion.seed]})
+    written = _write_run_artifacts(out, config, world, result)
+    _write_manifest(out, written, "run", config.as_dict(), {"seeds": [config.expansion.seed]})
     return out, result
 
 
@@ -347,8 +353,8 @@ def run_sweep(
         }
         rows.append([row[column] for column in columns])
     out = _prepare_out(out_dir, overwrite)  # only once every value has grown
-    _write_csv(out / f"{sweep.replace('-', '_')}.csv", columns, rows)
-    _write_manifest(out, sweep, config.as_dict(), {f"{flag}_values": values})
+    table = _write_csv(out / f"{sweep.replace('-', '_')}.csv", columns, rows)
+    _write_manifest(out, [table], sweep, config.as_dict(), {f"{flag}_values": values})
     return out
 
 
@@ -389,7 +395,7 @@ def run_eval_only(
     by_scene = dets.split()
     summary = evaluate(by_scene, gts, max_dets)
     out = _prepare_out(out_dir, overwrite)  # only once every input has been read and scored
-    _write_summary(out, summary)
+    written = _write_summary(out, summary)
     settings = {
         "merge": merge,
         "nms_sigma": sigma,
@@ -400,5 +406,5 @@ def run_eval_only(
         "ground_truth_sha256": _sha256(Path(gt_path)),
         "detections_sha256": [_sha256(Path(p)) for p in det_paths],
     }
-    _write_manifest(out, "eval", settings, inputs)
+    _write_manifest(out, written, "eval", settings, inputs)
     return out, summary

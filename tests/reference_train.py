@@ -26,9 +26,9 @@ from dipex.boxes import BBox, box_iou
 from dipex.detection_losses import giou_loss as array_giou_loss
 from dipex.detection_losses import l1_box_loss as array_l1_box_loss
 from dipex.detection_losses import sigmoid_focal_loss
-from dipex.detector import _noise_direction, candidate_detections
+from dipex.detector import _noise_direction, candidate_detections, pack_world
 from dipex.dispersion import LossBreakdown, combine
-from dipex.expansion import RoundStats, _round_data
+from dipex.expansion import RoundStats, _label_table
 
 from reference_geometry import intersection_area
 from reference_world import scene_objects, scenes_of
@@ -256,16 +256,17 @@ def reference_child_child(children, tau_c):
     return value, grads
 
 
-def reference_step(data, rows, V, labels, params, config):
-    """(tally, grad) of the scenes ``rows`` of a round's ``_RoundData``: the
-    batched step with index gathers, a ``take_along_axis`` matcher, an
-    ``np.add.at`` scatter and its own box losses.  The gradient covers every
-    prompt, frozen or not; the misses are the batch's labels in ``labels``,
-    the round's ``PseudoLabelSet``, less the assigned ones."""
+def reference_step(scenes, table, rows, V, labels, params, config):
+    """(tally, grad) of the scenes ``rows`` of a round's packed ``scenes``
+    and label ``table``: the batched step with index gathers, a
+    ``take_along_axis`` matcher, an ``np.add.at`` scatter and its own box
+    losses.  The gradient covers every prompt, frozen or not; the misses are
+    the batch's labels in ``labels``, the round's ``PseudoLabelSet``, less
+    the assigned ones."""
     norms = np.linalg.norm(V, axis=1)
     unit = V / norms[:, None]
-    cos, logits, scores, boxes = candidate_detections(data.scenes, unit, params, rows)
-    ious = box_iou(boxes[..., None, :], data.label_boxes[rows][:, None, None])
+    cos, logits, scores, boxes = candidate_detections(scenes.take(rows), unit, params)
+    ious = box_iou(boxes[..., None, :], table[rows][:, None, None])
     masked = np.where(ious >= config.label_iou_min, scores[..., None], -np.inf)
     best_obj = np.argmax(masked, axis=2)
     best = np.take_along_axis(masked, best_obj[:, :, None], axis=2)[:, :, 0]
@@ -289,7 +290,7 @@ def reference_step(data, rows, V, labels, params, config):
     )
 
     coeff = dlosses * params.logit_scale
-    terms = coeff[:, None] * (data.scenes.emb[rows[s], o] - cos[s, p, o][:, None] * unit[p])
+    terms = coeff[:, None] * (scenes.emb[rows[s], o] - cos[s, p, o][:, None] * unit[p])
     terms = terms / norms[p][:, None]
     flat = (p[:, None] * V.shape[1] + np.arange(V.shape[1])).reshape(-1)
     np.add.at(grad.reshape(-1), flat, terms.reshape(-1))
@@ -297,8 +298,8 @@ def reference_step(data, rows, V, labels, params, config):
     s, l = np.nonzero(assigned)
     p = responsible[s, l]
     cand = boxes[s, p, best_obj[s, p, l]]
-    target = data.label_boxes[rows[s], l]
-    size = data.scenes.size[rows[s]]
+    target = table[rows[s], l]
+    size = scenes.size[rows[s]]
     tally.bbox_sum = in_order_sum(array_l1_box_loss(cand, target, size[:, 0], size[:, 1]))
     tally.giou_sum = in_order_sum(array_giou_loss(cand, target))
     return tally, grad
@@ -317,8 +318,9 @@ def reference_round(tree, labels, world, config, params, rng):
     cohort_rows = np.array([ids.index(c) for c in tree.cohort], dtype=int)
     use_dispersion = cohort_rows.size >= 2
     parent_vec = tree.nodes[tree.parent_queue[-1]].embedding if use_dispersion else None
-    data = _round_data(world, labels, config.seed)
-    num_scenes = len(data.scenes.size)
+    scenes = pack_world(world, config.seed)
+    num_scenes = len(scenes.size)
+    table = _label_table(labels, num_scenes)
     stats = RoundStats([], [], len(labels))
     for _ in range(config.epochs_per_round):
         order = rng.permutation(num_scenes)
@@ -326,7 +328,7 @@ def reference_round(tree, labels, world, config, params, rng):
         epoch_assigned = epoch_missed = 0
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
-            tally, grad_cls = reference_step(data, batch, V, labels, params, config)
+            tally, grad_cls = reference_step(scenes, table, batch, V, labels, params, config)
             denom = max(tally.num_assigned, 1)
             grad_cls /= denom
             epoch_assigned += tally.num_assigned

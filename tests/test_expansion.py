@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dipex.boxes import BBox
 from dipex.detector import DetectorParams, QueryMode, candidate_detections, detect_world, pack_world
+from dipex import expansion
 from dipex.expansion import (
     EmptyPseudoLabels,
     ExpansionConfig,
@@ -248,18 +249,33 @@ def test_train_round_root_only(tiny_world, default_params):
     assert np.linalg.norm(tree.nodes[0].embedding) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_train_round_freezes_parent_bytes(tiny_world, default_params):
+def test_train_round_freezes_parent_bytes(tiny_world, default_params, monkeypatch):
+    """The frozen parent keeps its bytes in the tree and, at every step, in
+    the round's working matrix, although its focal gradient is not zero."""
     vocab = [tiny_world.cluster_centers[0], tiny_world.cluster_centers[1]]
     labels = bootstrap_labels(vocab, tiny_world, FAST, default_params)
     tree = PromptTree.from_root(normalize(np.sum(np.stack(vocab), axis=0)))
     train_round(tree, labels, tiny_world, FAST, default_params, np.random.default_rng(0))
     expand(tree, 0, FAST, np.random.default_rng(1))
-    frozen_before = tree.nodes[0].embedding.copy()
+    frozen_before = tree.nodes[0].embedding.tobytes()
     labels2 = rebuild_labels(tree, tiny_world, FAST, default_params)
+
+    batch_step, working, pulled = expansion._batch_step, [], []
+
+    def spy(scenes, label_boxes, V, params, config):
+        assert V[0].tobytes() == frozen_before
+        working.append(V)
+        terms, grad = batch_step(scenes, label_boxes, V, params, config)
+        pulled.append(grad[0].any())
+        return terms, grad
+
+    monkeypatch.setattr(expansion, "_batch_step", spy)
     stats = train_round(
         tree, labels2, tiny_world, FAST, default_params, np.random.default_rng(2)
     )
-    assert np.array_equal(tree.nodes[0].embedding, frozen_before)
+    assert any(pulled)
+    assert working[-1][0].tobytes() == frozen_before  # after the last step
+    assert tree.nodes[0].embedding.tobytes() == frozen_before
     # the cohort now feels dispersion
     assert any(b.parent_child != 0.0 for b in stats.epoch_losses)
     for cid in tree.cohort:

@@ -353,13 +353,24 @@ def test_run_artifacts_are_byte_identical_across_reruns(tmp_path):
 
 
 def test_output_directory_protection(tmp_path):
+    """``overwrite`` reuses a directory without removing any file, and the
+    manifest lists only the files this run wrote: the same bytes as in a
+    fresh directory."""
     target = tmp_path / "occupied"
-    target.mkdir()
+    longer = replace(FAST_CONFIG, expansion=replace(FAST_EXPANSION, num_expansions=2, early_stop=False))
+    run_dipex(longer, target)
+    assert (target / "angles_round_3.csv").exists()
     (target / "keep.txt").write_text("data")
     with pytest.raises(FileExistsError, match="--overwrite"):
         run_dipex(FAST_CONFIG, target)
     out, _ = run_dipex(FAST_CONFIG, target, overwrite=True)
     assert (out / "rounds.csv").exists()
+    assert (out / "keep.txt").read_text() == "data"
+    assert (out / "angles_round_3.csv").exists()
+    listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert "keep.txt" not in listed and "angles_round_3.csv" not in listed
+    fresh, _ = run_dipex(FAST_CONFIG, tmp_path / "fresh")
+    assert (out / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
 
 
 def test_prompt_count_sweep(tmp_path):

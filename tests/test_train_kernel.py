@@ -9,13 +9,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dipex.boxes import BBox
-from dipex.detector import DetectorParams, candidate_detections
+from dipex.detector import DetectorParams, candidate_detections, pack_world
 from dipex.expansion import (
     ExpansionConfig,
     PromptTree,
     _batch_step,
+    _label_table,
     _tallies,
-    _round_data,
     assign_responsibility,
     expand,
     train_round,
@@ -91,12 +91,11 @@ def test_batch_step_matches_per_label_reference(tiny_world, small_world, seed, w
     cuts = np.sort(rng.choice(np.arange(1, rows.size), size=min(rows.size - 1, 2), replace=False))
     batches = np.split(rows, cuts) if rng.random() < 0.5 else [rows]
 
-    data = _round_data(world, labels, CONFIG.seed).take(rows)
+    scenes = pack_world(world, CONFIG.seed).take(rows)
+    table = _label_table(labels, ids.size)[rows]
     ends = np.cumsum([batch.size for batch in batches])
-    steps = [
-        _batch_step(data, slice(end - batch.size, end), V, PARAMS, CONFIG)
-        for batch, end in zip(batches, ends)
-    ]
+    spans = [slice(end - batch.size, end) for batch, end in zip(batches, ends)]
+    steps = [_batch_step(scenes.take(b), table[b], V, PARAMS, CONFIG) for b in spans]
     sums = _tallies([terms for terms, _ in steps])
     assert sums.shape == (len(batches), 3)
     sdata = scene_data(world, all_labels(labels), CONFIG.seed)
@@ -175,10 +174,10 @@ def _floats(stats):
     return [x for parts in stats.epoch_losses for x in astuple(parts)] + stats.epoch_norm_error
 
 
-def _matching(data, rows, V):
+def _matching(scenes, label_boxes, V):
     unit = V / np.linalg.norm(V, axis=1, keepdims=True)
-    _, _, scores, boxes = candidate_detections(data.scenes, unit, PARAMS, rows)
-    m = assign_responsibility(data, rows, scores, boxes, CONFIG.label_iou_min)
+    _, _, scores, boxes = candidate_detections(scenes, unit, PARAMS)
+    m = assign_responsibility(label_boxes, scores, boxes, CONFIG.label_iou_min)
     return m.has, m.best_obj, m.responsible
 
 
@@ -187,27 +186,29 @@ def test_batch_gradient_matches_finite_differences(small_world):
     change within the difference step (away from argmax and IoU ties)."""
     rng = np.random.default_rng(2024)
     labels = random_labels(small_world, rng)
-    data = _round_data(small_world, labels, CONFIG.seed)
+    scenes = pack_world(small_world, CONFIG.seed)
+    table = _label_table(labels, len(scenes.size))
     h = 1e-6
     checked = 0
     for _ in range(6):
         V = random_prompts(small_world, rng)
-        rows = rng.permutation(len(data.scenes.size))[:8]
+        rows = rng.permutation(len(scenes.size))[:8]
+        batch = (scenes.take(rows), table[rows])
 
         def loss(W):
-            terms = _batch_step(data, rows, W, PARAMS, CONFIG)[0]
+            terms = _batch_step(*batch, W, PARAMS, CONFIG)[0]
             return _tallies([terms])[0, 0] / max(terms.per_label.size, 1)
 
-        terms, grad = _batch_step(data, rows, V, PARAMS, CONFIG)
+        terms, grad = _batch_step(*batch, V, PARAMS, CONFIG)
         grad = grad / max(terms.per_label.size, 1)
-        here = _matching(data, rows, V)
+        here = _matching(*batch, V)
         for flat in rng.choice(V.size, size=12, replace=False):
             r, c = divmod(int(flat), V.shape[1])
             hi, lo = V.copy(), V.copy()
             hi[r, c] += h
             lo[r, c] -= h
             same = all(
-                all(np.array_equal(a, b) for a, b in zip(here, _matching(data, rows, W)))
+                all(np.array_equal(a, b) for a, b in zip(here, _matching(*batch, W)))
                 for W in (hi, lo)
             )
             if not same:
