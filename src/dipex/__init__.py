@@ -27,6 +27,7 @@ _EXPORTS = {
     "PromptTree": "expansion",
     "RunResult": "expansion",
     "expand": "expansion",
+    "rebuild_labels": "expansion",
     "run": "expansion",
     "select_parent": "expansion",
     "train_round": "expansion",

@@ -10,8 +10,10 @@ Two terms shape a cohort of K child prompts relative to a frozen parent:
 Gradients are taken with respect to the raw vectors, differentiating through
 the explicit normalization inside the cosine; callers re-project onto the
 sphere after each step.  The inner log-sum-exp uses max subtraction so large
-1/tau_c stays finite.  Norms and clipped cosines come from ``geometry``,
-where the sphere arithmetic is written once.
+1/tau_c stays finite.  Both losses check and normalize their cohort in
+``_cohort``, and ``combine`` weights the terms by an ``ExpansionConfig``.
+Norms and clipped cosines come from ``geometry``, where the sphere
+arithmetic is written once.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExpansionConfig
 from .geometry import cosines, normalize, unit_rows
 
 GradientSet = np.ndarray  # (K, d), row k is d(loss)/d(child k)
@@ -40,6 +43,18 @@ class LossBreakdown:
     total: float
 
 
+def _cohort(children: np.ndarray, tau: float, least: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(K, unit rows, row norms) of ``children``, K >= ``least`` rows of a 2-d
+    array (one 1-d child is one row), checked with temperature ``tau`` > 0."""
+    kids = np.atleast_2d(np.asarray(children, dtype=float))
+    if kids.ndim != 2 or kids.shape[0] < least:
+        count = "one child" if least == 1 else f"{least} children"
+        raise ValueError(f"need at least {count}, as the rows of a 2-d array; got shape {kids.shape}")
+    if tau <= 0.0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    return (kids.shape[0], *unit_rows(kids))
+
+
 def parent_child_loss(
     children: np.ndarray, parent: np.ndarray, tau_p: float
 ) -> tuple[float, GradientSet]:
@@ -50,20 +65,10 @@ def parent_child_loss(
     the gradient vanishes (tangentially; the radial part is projected out by
     the caller's renormalization).
     """
-    kids = np.asarray(children, dtype=float)
-    if kids.ndim < 2:
-        kids = kids.reshape(1, -1)
+    k, unit_kids, kid_norms = _cohort(children, tau_p, 1)
     par = np.asarray(parent, dtype=float)
-    if kids.shape[0] < 1:
-        raise ValueError("need at least one child")
-    if kids.shape[1] != par.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: children {kids.shape} vs parent {par.shape}"
-        )
-    if tau_p <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau_p}")
-    k = kids.shape[0]
-    unit_kids, kid_norms = unit_rows(kids)
+    if unit_kids.shape[1:] != par.shape:
+        raise ValueError(f"dimension mismatch: children {unit_kids.shape} vs parent {par.shape}")
     unit_par = normalize(par)
     cos = cosines(unit_kids, unit_par)
     value = float(-np.add.reduce(cos) / (k * tau_p))
@@ -82,13 +87,7 @@ def child_child_loss(children: np.ndarray, tau_c: float) -> tuple[float, Gradien
         grad_k = 1/(K * tau_c) * sum_{j != k} (w_kj + w_jk)
                  * (v_hat_j - cos_kj * v_hat_k) / ||v_k||
     """
-    kids = np.asarray(children, dtype=float)
-    if kids.ndim < 2 or kids.shape[0] < 2:
-        raise ValueError("child_child_loss needs at least two children")
-    if tau_c <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau_c}")
-    k = kids.shape[0]
-    unit, norms = unit_rows(kids)
+    k, unit, norms = _cohort(children, tau_c, 2)
     cos = cosines(unit, unit.T)
     x = cos / tau_c
     x.flat[:: k + 1] = -np.inf  # exclude self-pairs from each row
@@ -115,22 +114,19 @@ def combine(
     bbox: float,
     giou: float,
     cls: float,
-    *,
-    gamma: float,
-    gamma_bbox: float = 5.0,
-    gamma_giou: float = 2.0,
-    gamma_cls: float = 1.0,
+    config: ExpansionConfig,
 ) -> LossBreakdown:
-    """Weighted total of the loss terms, with each term kept for reporting.
+    """Weighted total of the loss terms, with each term kept for reporting;
+    the weights are ``config``'s, as the training gradient's are.
 
     The terms may be floats or equal-length arrays (one entry per batch); the
     total is then taken entry by entry.
     """
     total = (
         parent_child
-        + gamma * child_child
-        + gamma_bbox * bbox
-        + gamma_giou * giou
-        + gamma_cls * cls
+        + config.gamma * child_child
+        + config.gamma_bbox * bbox
+        + config.gamma_giou * giou
+        + config.gamma_cls * cls
     )
     return LossBreakdown(parent_child, child_child, bbox, giou, cls, total)

@@ -187,7 +187,7 @@ def _checked_annotation(i: int, ann, dims: Mapping[int, tuple[int, int]]) -> tup
         raise CocoFormatError(f"annotations[{i}] references unknown image {sid}")
     try:
         x0, y0, x1, y1 = _xyxy(x, y, w, h)
-        area = _number(ann["area"], "area") if "area" in ann else BBox(x0, y0, x1, y1).area
+        area = _number(ann["area"], "area") if "area" in ann else (x1 - x0) * (y1 - y0)
         iscrowd = ann.get("iscrowd", 0)
         if type(iscrowd) is not int or iscrowd not in (0, 1):  # not a bool or a float
             raise CocoFormatError(f"iscrowd must be 0 or 1, got {iscrowd!r}")

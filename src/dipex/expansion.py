@@ -422,10 +422,7 @@ def train_round(
         assigned = np.array([b.per_label.size for b in batches])
         cls, bbox, giou = (_tallies(batches) / np.maximum(assigned, 1)[:, None]).T
         pc, cc = np.array(dispersion).T
-        parts = combine(
-            pc, cc, bbox, giou, cls, gamma=config.gamma, gamma_bbox=config.gamma_bbox,
-            gamma_giou=config.gamma_giou, gamma_cls=config.gamma_cls,
-        )
+        parts = combine(pc, cc, bbox, giou, cls, config)
         stats.epoch_losses.append(LossBreakdown(
             *(float(np.mean(getattr(parts, f.name))) for f in fields(LossBreakdown))
         ))

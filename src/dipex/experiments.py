@@ -44,26 +44,20 @@ if TYPE_CHECKING:
     from .expansion import RunResult
     from .world import World
 
-# The growth stages the drivers call, by the module that defines each.  They
-# are looked up in this module's globals and bound on first use, so that
+# The growth stages the drivers call.  Each is taken from the package's
+# export table, which names its module, and bound here on first use, so that
 # `dipex eval` imports none of the growth modules and `dipex pilot` never
 # imports `expansion`.  perfbench/tracing.py and tests replace them here by
 # name (getattr, then setattr), and a driver keeps a name already bound.
 # Once the benchmark reads the program's own trace (ROADMAP direction 1),
 # these become plain local imports.
-_STAGES = {
-    "run": "expansion",
-    "rebuild_labels": "expansion",
-    "detect_world": "detector",
-    "build_vocabulary": "detector",
-    "generate_world": "world",
-}
+_STAGES = ("run", "rebuild_labels", "detect_world", "build_vocabulary", "generate_world")
 
 
 def __getattr__(name: str):
     if name not in _STAGES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_STAGES[name]}", __package__), name)
+    value = getattr(importlib.import_module(__package__), name)
     globals()[name] = value
     return value
 

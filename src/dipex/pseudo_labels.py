@@ -24,8 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boxes import box_area, box_iou, xyxy_to_xywh
-from .boxes import box_iou as iou  # noqa: F401  (a name perfbench/tracing.py wraps)
+from .boxes import box_area, xyxy_to_xywh
+from .boxes import box_iou as iou  # perfbench/tracing.py counts calls under this name
 
 
 class EmptyPseudoLabels(RuntimeError):
@@ -276,7 +276,7 @@ def _suppress(
         sel = np.minimum.reduceat(np.where(running == top, positions[:n], n), starts)  # first top per group
         picks.append(alive[sel])
         finals.append(running[sel])
-        row = box_iou(live_boxes[sel[seg]], live_boxes)
+        row = iou(live_boxes[sel[seg]], live_boxes)
         row[sel] = 0.0
         hit = np.flatnonzero(row > 0.0)
         # float_power squares with the C library's pow, as Python's ** does;

@@ -340,8 +340,7 @@ def reference_round(tree, labels, world, config, params, rng):
                 pc_value, cc_value = 0.0, 0.0
             breakdowns.append(combine(
                 pc_value, cc_value, tally.bbox_sum / denom, tally.giou_sum / denom,
-                tally.cls_sum / denom, gamma=config.gamma, gamma_bbox=config.gamma_bbox,
-                gamma_giou=config.gamma_giou, gamma_cls=config.gamma_cls,
+                tally.cls_sum / denom, config,
             ))
             total_grad = config.gamma_cls * grad_cls
             if use_dispersion:

@@ -3,6 +3,7 @@ from dataclasses import asdict, astuple
 import numpy as np
 import pytest
 
+from dipex.config import ExpansionConfig
 from dipex.dispersion import child_child_loss, combine, parent_child_loss
 from dipex.geometry import normalize
 
@@ -147,10 +148,30 @@ def test_losses_match_their_reference_bit_for_bit():
             assert got[1].tobytes() == want[1].tobytes()
 
 
+def test_both_losses_check_their_cohort_the_same_way():
+    """One check for every dispersion loss: a 2-d cohort of enough children
+    (none is too few for the pull, one for the push) and a positive
+    temperature; one 1-d child is one row."""
+    e0, e1 = basis(3, 0), basis(3, 1)
+    pull = lambda kids, tau=0.1: parent_child_loss(kids, e0, tau)
+    push = lambda kids, tau=0.1: child_child_loss(kids, tau)
+    for loss, too_few in [(pull, np.zeros((0, 3))), (push, e0)]:
+        with pytest.raises(ValueError, match=r"need at least .*got shape \(2, 2, 3\)"):
+            loss(np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError, match="need at least"):
+            loss(too_few)
+        with pytest.raises(ValueError, match="temperature must be positive, got 0.0"):
+            loss(np.stack([e0, e1]), 0.0)
+    value, grads = pull(e1)
+    want = pull(e1[None, :])
+    assert grads.shape == (1, 3)
+    assert (value, grads.tobytes()) == (want[0], want[1].tobytes())
+
+
 def test_combine_weights_every_term():
     breakdown = combine(
         1.0, 2.0, 3.0, 4.0, 5.0,
-        gamma=0.1, gamma_bbox=5.0, gamma_giou=2.0, gamma_cls=1.0,
+        ExpansionConfig(gamma=0.1, gamma_bbox=5.0, gamma_giou=2.0, gamma_cls=1.0),
     )
     assert breakdown.total == pytest.approx(1.0 + 0.2 + 15.0 + 8.0 + 5.0)
     assert asdict(breakdown) == {
@@ -162,22 +183,26 @@ def test_combine_weights_every_term():
         "total": breakdown.total,
     }
     # each weight scales its own term only
-    assert combine(0.0, 0.0, 0.0, 0.0, 5.0, gamma=0.1, gamma_cls=0.5).total == 2.5
-    assert combine(0.0, 2.0, 0.0, 0.0, 0.0, gamma=3.0).total == 6.0
+    assert combine(0.0, 0.0, 0.0, 0.0, 5.0, ExpansionConfig(gamma=0.1, gamma_cls=0.5)).total == 2.5
+    assert combine(0.0, 2.0, 0.0, 0.0, 0.0, ExpansionConfig(gamma=3.0)).total == 6.0
+    assert combine(0.0, 0.0, 3.0, 0.0, 0.0, ExpansionConfig(gamma_bbox=7.0)).total == 21.0
+    assert combine(0.0, 0.0, 0.0, 4.0, 0.0, ExpansionConfig(gamma_giou=0.25)).total == 1.0
 
 
 def test_combine_over_arrays_matches_each_entry():
     """One call over per-batch arrays gives every batch's scalar result."""
     terms = np.random.default_rng(3).normal(size=(5, 7))
-    weights = dict(gamma=0.3, gamma_bbox=5.0, gamma_giou=2.0, gamma_cls=1.5)
-    whole = np.array(astuple(combine(*terms, **weights)))
+    config = ExpansionConfig(gamma=0.3, gamma_bbox=5.0, gamma_giou=2.0, gamma_cls=1.5)
+    whole = np.array(astuple(combine(*terms, config)))
     for i in range(terms.shape[1]):
-        assert whole[:, i].tolist() == list(astuple(combine(*terms[:, i].tolist(), **weights)))
+        assert whole[:, i].tolist() == list(astuple(combine(*terms[:, i].tolist(), config)))
 
 
 def test_combine_without_gradients():
-    breakdown = combine(0.0, 0.0, 1.0, 0.5, 0.0, gamma=1.0)
+    breakdown = combine(0.0, 0.0, 1.0, 0.5, 0.0, ExpansionConfig(gamma=1.0))
     assert breakdown.total == pytest.approx(5.0 + 1.0)
-    # the value path takes no gradient arguments any more
+    # the value path takes no gradient arguments and no weight keywords
     with pytest.raises(TypeError):
-        combine(0.0, 0.0, 0.0, 0.0, 0.0, gamma=1.0, grad_cls=np.ones((2, 3)))
+        combine(0.0, 0.0, 0.0, 0.0, 0.0, ExpansionConfig(gamma=1.0), grad_cls=np.ones((2, 3)))
+    with pytest.raises(TypeError):
+        combine(0.0, 0.0, 0.0, 0.0, 0.0, gamma=1.0)

@@ -30,6 +30,12 @@ def test_unknown_names_still_raise_attribute_error():
         experiments.no_such_name
 
 
+def test_every_growth_stage_is_the_packages_export():
+    experiments = importlib.import_module("dipex.experiments")
+    for name in experiments._STAGES:
+        assert getattr(experiments, name) is getattr(dipex, name), name
+
+
 def test_config_classes_keep_their_old_homes():
     from dipex import detector, expansion, experiments, pseudo_labels, world
 
