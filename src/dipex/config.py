@@ -109,18 +109,22 @@ class WorldConfig:
         self._validate_fit()
 
     def _validate_fit(self) -> None:
-        cell_w, cell_h = self.cell_size()
-        limit = min(cell_w, cell_h) / math.sqrt(_ASPECT_HI)
-        for cls, frac in zip(("S", "M", "L"), self.size_mix):
-            if frac <= 0.0:
-                continue
-            lo, _ = _SIDE_RANGES[cls]
-            if limit <= lo + 2 * _EDGE_EPS:
+        for (cls, (low, high)), frac in zip(self.side_ranges().items(), self.size_mix):
+            if frac > 0.0 and high <= low:
+                cell_w, cell_h = self.cell_size()
                 raise ValueError(
-                    f"size mix impossible: class {cls} boxes (side >= {lo}) do not "
+                    f"size mix impossible: class {cls} boxes (side >= {_SIDE_RANGES[cls][0]}) do not "
                     f"fit scene cells of {cell_w:.0f}x{cell_h:.0f} "
                     f"({self.width}x{self.height} split for {self.objects_per_scene} objects)"
                 )
+
+    def side_ranges(self) -> dict[str, tuple[float, float]]:
+        """Each size class's (low, high) range of box sides: its sqrt-area
+        range, capped so that a box of the widest aspect ratio fits a scene
+        cell, and kept ``_EDGE_EPS`` inside both ends."""
+        cell_w, cell_h = self.cell_size()
+        limit = min(cell_w, cell_h) / math.sqrt(_ASPECT_HI)
+        return {cls: (lo + _EDGE_EPS, min(hi, limit) - _EDGE_EPS) for cls, (lo, hi) in _SIDE_RANGES.items()}
 
     def grid_shape(self) -> tuple[int, int]:
         cols = math.ceil(math.sqrt(self.objects_per_scene))

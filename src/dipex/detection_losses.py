@@ -1,14 +1,14 @@
 """Detection-side losses: normalized L1 box regression, generalized IoU and
 the sigmoid focal classification loss (with its logit derivative).
 
-The box losses are reported for bookkeeping only; in this artifact the
-detector's localization comes from a non-differentiable noise model, so no
-box gradient ever flows back into prompt embeddings.  Focal loss is the one
-detection term that trains prompts.
+The box losses are reported for bookkeeping only.  The detector's box noise
+does depend on the prompt, through its score, but training does not use
+the box-loss gradient, so focal loss is the one detection term that trains
+prompts.
 
-Every loss takes either single values (one xyxy box, a scalar) and returns a
-float, or arrays of them (xyxy boxes stacked as (..., 4)) and returns an
-array, so training evaluates each once per batch.
+Every loss takes single values (one xyxy box, a scalar) or arrays of them
+(xyxy boxes stacked as (..., 4)) and returns a numpy value of the
+broadcast shape, so training evaluates each once per epoch.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ import numpy as np
 
 from .boxes import box_area, iou_and_union
 from .detector import sigmoid
+
+# Lin et al. 2017's class balance and focusing exponent
+_ALPHA = 0.25
+_GAMMA = 2.0
 
 
 def _warn(message: str, *args) -> None:
@@ -27,21 +31,17 @@ def _warn(message: str, *args) -> None:
     logging.getLogger(__name__).warning(message, *args)
 
 
-def _out(value: np.ndarray) -> float | np.ndarray:
-    return float(value) if value.ndim == 0 else value
-
-
 def l1_box_loss(
     pred: np.ndarray,
     target: np.ndarray,
     image_width: float | np.ndarray,
     image_height: float | np.ndarray,
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Mean absolute difference over (cx, cy, w, h), each normalized by the
     image dimension along its axis (x-like by width, y-like by height).
 
-    Takes two (4,) xyxy boxes (returns a float) or broadcastable (..., 4)
-    xyxy arrays with per-box image sizes (returns an array).
+    Takes two (4,) xyxy boxes or broadcastable (..., 4) xyxy arrays with
+    per-box image sizes.
     """
     width = np.asarray(image_width, dtype=float)
     height = np.asarray(image_height, dtype=float)
@@ -64,16 +64,15 @@ def l1_box_loss(
         + np.abs(pw - tw) / width
         + np.abs(ph - th) / height
     )
-    return _out(total / 4.0)
+    return total / 4.0
 
 
-def giou(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+def giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Generalized IoU in [-1, 1]: IoU minus the hull's excess area fraction.
 
-    Takes two (4,) xyxy boxes (returns a float) or broadcastable (..., 4)
-    xyxy arrays (returns an array).  Two zero-area boxes have no defined
-    hull ratio; that degenerate case gives 0 and is flagged on the module
-    logger.
+    Takes two (4,) xyxy boxes or broadcastable (..., 4) xyxy arrays.  Two
+    zero-area boxes have no defined hull ratio; that degenerate case gives 0
+    and is flagged on the module logger.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     corners = [np.minimum(a[..., :2], b[..., :2]), np.maximum(a[..., 2:], b[..., 2:])]
@@ -83,20 +82,18 @@ def giou(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     if np.any(degenerate):
         _warn("giou: %d degenerate box pair(s) with empty hull", int(np.sum(degenerate)))
     safe_hull = np.where(degenerate, 1.0, hull)
-    return _out(np.where(degenerate, 0.0, iou_val - (hull - union) / safe_hull))
+    return np.where(degenerate, 0.0, iou_val - (hull - union) / safe_hull)
 
 
 def sigmoid_focal_loss(
     logit: float | np.ndarray,
     target: float | np.ndarray,
-    alpha: float = 0.25,
-    gamma_focal: float = 2.0,
-) -> tuple[float | np.ndarray, float | np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Binary sigmoid focal loss and its derivative w.r.t. the logit.
 
     loss = -alpha_t * (1 - p_t)^gamma * log(p_t) with p_t the probability of
-    the true class; gamma_focal = 0 recovers alpha-weighted cross-entropy.
-    Accepts scalars or broadcastable arrays of logits/targets in {0, 1}.
+    the true class, alpha = ``_ALPHA`` and gamma = ``_GAMMA``.  Accepts
+    scalars or broadcastable arrays of logits/targets in {0, 1}.
     Stable for |logit| up to ~1e3 (log-sigmoid via softplus).
     """
     x = np.asarray(logit, dtype=float)
@@ -107,15 +104,13 @@ def sigmoid_focal_loss(
     z = sign * x
     p_t, one_m_p_t = sigmoid(z), sigmoid(-z)
     log_p_t = -np.logaddexp(0.0, -z)  # log(p_t) = -log(1 + exp(-z)), without overflow
-    alpha_t = t * alpha + (1.0 - t) * (1.0 - alpha)
-    focus = one_m_p_t ** gamma_focal
+    alpha_t = t * _ALPHA + (1.0 - t) * (1.0 - _ALPHA)
+    focus = one_m_p_t ** _GAMMA
     loss = -alpha_t * focus * log_p_t
-    dloss = sign * alpha_t * focus * (gamma_focal * p_t * log_p_t - one_m_p_t)
-    if np.isscalar(logit) or (isinstance(logit, (int, float))):
-        return float(loss), float(dloss)
+    dloss = sign * alpha_t * focus * (_GAMMA * p_t * log_p_t - one_m_p_t)
     return loss, dloss
 
 
-def giou_loss(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+def giou_loss(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Standard form used in detection training: 1 - giou, in [0, 2]."""
     return 1.0 - giou(a, b)

@@ -253,7 +253,7 @@ def detect_each(
     world: World,
     prompts: Sequence[tuple[int, np.ndarray]],
     params: DetectorParams,
-    seed: int = 0,
+    seed: int,
 ) -> dict[int, ScoredBoxes]:
     """Each prompt run through the detector alone, keyed by prompt id: what
     one prediction-merging ``detect_world`` call per prompt returns, as one

@@ -45,8 +45,8 @@ class LossBreakdown:
 
 def _cohort(children: np.ndarray, tau: float, least: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(K, unit rows, row norms) of ``children``, K >= ``least`` rows of a 2-d
-    array (one 1-d child is one row), checked with temperature ``tau`` > 0."""
-    kids = np.atleast_2d(np.asarray(children, dtype=float))
+    array, checked with temperature ``tau`` > 0."""
+    kids = np.asarray(children, dtype=float)
     if kids.ndim != 2 or kids.shape[0] < least:
         count = "one child" if least == 1 else f"{least} children"
         raise ValueError(f"need at least {count}, as the rows of a 2-d array; got shape {kids.shape}")

@@ -117,10 +117,6 @@ class GroundTruthSet:
         return box, classes, crowd
 
     @property
-    def num_scenes(self) -> int:
-        return len(self.scene_dims)
-
-    @property
     def num_annotations(self) -> int:
         return self.scene_ids.size
 

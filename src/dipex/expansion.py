@@ -11,8 +11,8 @@ every round trains, and ends with an evaluation.  During a round the fresh
 cohort feels the dispersion pair (attraction to its parent, log-sum-exp
 repulsion among siblings) while every trainable prompt, cohort or not, is
 supervised with focal classification loss against the pseudo-labels.  Box
-losses are tracked for reporting; the simulated detector's box noise is not
-differentiable with respect to the prompts, so they carry no gradient.
+losses are tracked for reporting only: the simulated detector's box noise
+moves with each prompt's score, but training does not use their gradient.
 
 Training works on a whole batch of scenes at once.  A round packs its scenes
 into the detector's dense (scene, object) arrays and scatters the label
@@ -22,7 +22,7 @@ slice plus the same rows of the table.  It takes one pass over its (scene,
 label, prompt, object) grid for the candidate boxes, IoU, responsibility
 matching and focal loss, and one matrix product over its objects for the
 gradient.  The reported losses (the focal sums and the L1 and GIoU box
-losses) carry no gradient, so they are computed once per epoch from what
+losses) are not trained on, so they are computed once per epoch from what
 the batches kept, as arrays with one entry per batch: one weighted total
 over those arrays, then each term's mean over the batches.  The same grid
 and matcher count how many labels each prompt answers for when the next
@@ -46,17 +46,18 @@ import numpy as np
 
 from .boxes import box_iou
 from .detection_losses import giou_loss, l1_box_loss, sigmoid_focal_loss
-from .config import DetectorParams, ExpansionConfig, VocabularyConfig
+from .config import DetectorParams, ExpansionConfig
 from .detector import (
     QueryMode,
     SceneArrays,
-    build_vocabulary,
     candidate_detections,
     detect_each,
     detect_world,
     pack_world,
     unit_prompts,
 )
+# build_vocabulary is unused here; kept because perfbench/tracing.py wraps expansion.build_vocabulary
+from .detector import build_vocabulary  # noqa: F401
 from .dispersion import LossBreakdown, child_child_loss, combine, parent_child_loss
 from .evaluation import DEFAULT_MAX_DETS, EvalSummary, GroundTruthSet, evaluate
 from .geometry import (
@@ -442,8 +443,8 @@ def activation_frequency(
     labels: PseudoLabelSet,
     world: World,
     params: DetectorParams,
-    iou_min: float = 0.5,
-    seed: int = 0,
+    iou_min: float,
+    seed: int,
 ) -> np.ndarray:
     """How many pseudo-labels each prompt answers for over the whole world,
     as an integer array with one entry per prompt: entry i is prompt i.  The
@@ -556,8 +557,8 @@ class RunResult:
 def run(
     world: World,
     config: ExpansionConfig,
-    params: DetectorParams | None = None,
-    vocabulary: Sequence[np.ndarray] | None = None,
+    params: DetectorParams,
+    vocabulary: Sequence[np.ndarray],
     max_dets: Sequence[int] = DEFAULT_MAX_DETS,
 ) -> RunResult:
     """Full growth loop: bootstrap, train, expand until coverage saturates.
@@ -571,9 +572,6 @@ def run(
     the loop exits once the angle clears the threshold or moves less than
     the tolerance between rounds.
     """
-    params = params if params is not None else DetectorParams()
-    if vocabulary is None:
-        vocabulary = build_vocabulary(world, VocabularyConfig(seed=config.seed))
     if not len(vocabulary):
         raise ValueError("empty query vocabulary")
     rng = np.random.default_rng(config.seed)

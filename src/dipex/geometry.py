@@ -98,14 +98,14 @@ def sample_child_rotations(
     parent: UnitVec,
     count: int,
     max_angle: float,
-    rng: np.random.Generator | int | None,
+    rng: np.random.Generator,
 ) -> list[GivensRotation]:
     """Draw ``count`` random plane rotations for spawning children of ``parent``.
 
     Each rotation picks an ordered pair of distinct axes uniformly and an
     angle uniform in [-max_angle, +max_angle].  Axis pairs are sampled
     independently per child and may repeat across children.  Deterministic
-    given an integer seed or a Generator in a known state.
+    given a Generator in a known state.
     """
     d = int(np.asarray(parent).shape[0])
     if d < 2:
@@ -114,11 +114,10 @@ def sample_child_rotations(
         raise ValueError(f"count must be positive, got {count}")
     if not (0.0 <= max_angle <= np.pi):
         raise ValueError(f"max_angle must lie in [0, pi], got {max_angle}")
-    gen = np.random.default_rng(rng)
     rotations = []
     for _ in range(count):
-        i, j = gen.choice(d, size=2, replace=False)
-        angle = gen.uniform(-max_angle, max_angle)
+        i, j = rng.choice(d, size=2, replace=False)
+        angle = rng.uniform(-max_angle, max_angle)
         rotations.append(GivensRotation(int(i), int(j), float(angle)))
     return rotations
 

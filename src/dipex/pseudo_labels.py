@@ -292,9 +292,9 @@ def _suppress(
 
 def build_pseudo_labels(
     sources: Mapping[str, ScoredBoxes],
-    threshold: float = 0.2,
-    sigma: float = 0.5,
-    score_floor: float = 0.001,
+    threshold: float,
+    sigma: float,
+    score_floor: float,
 ) -> PseudoLabelSet:
     """Union scored boxes across sources, suppress duplicates, keep confident ones.
 

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .boxes import BBox
-from .config import _ASPECT_HI, _ASPECT_LO, _EDGE_EPS, _SIDE_RANGES, WorldConfig
+from .config import _ASPECT_HI, _ASPECT_LO, WorldConfig
 # normalize is unused here; kept because perfbench/tracing.py wraps world.normalize
 from .geometry import normalize, unit_rows  # noqa: F401
 
@@ -121,10 +121,7 @@ def generate_world(config: WorldConfig) -> World:
     placed = rng.permutation(total)
     u = rng.random((total, 4))
     cell_w, cell_h = config.cell_size()
-    limit = min(cell_w, cell_h) / math.sqrt(_ASPECT_HI)
-    sides = {
-        cls: (lo + _EDGE_EPS, min(hi, limit) - _EDGE_EPS) for cls, (lo, hi) in _SIDE_RANGES.items()
-    }
+    sides = config.side_ranges()
     low, high = np.array([sides[cls] for cls in size_class[placed].tolist()]).T
     side = low + (high - low) * u[:, 0]
     log_lo, log_hi = math.log(_ASPECT_LO), math.log(_ASPECT_HI)

@@ -23,17 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from dipex.boxes import BBox
+from dipex.config import _ASPECT_HI, _ASPECT_LO, _EDGE_EPS, _SIDE_RANGES
 from dipex.geometry import normalize
-from dipex.world import (
-    _ASPECT_HI,
-    _ASPECT_LO,
-    _EDGE_EPS,
-    _SIDE_RANGES,
-    World,
-    WorldConfig,
-    WorldObject,
-    _size_counts,
-)
+from dipex.world import World, WorldConfig, WorldObject, _size_counts
 
 
 @dataclass(frozen=True)

@@ -76,15 +76,6 @@ def test_focal_frozen_value_at_even_odds():
     assert loss == pytest.approx(0.04332169878499658, abs=1e-12)
 
 
-def test_focal_reduces_to_weighted_cross_entropy_at_gamma_zero():
-    for logit in (-3.0, -0.5, 0.0, 1.2, 4.0):
-        p = 1.0 / (1.0 + math.exp(-logit))
-        loss, _ = sigmoid_focal_loss(logit, 1.0, alpha=0.25, gamma_focal=0.0)
-        assert loss == pytest.approx(-0.25 * math.log(p), abs=1e-9)
-        loss, _ = sigmoid_focal_loss(logit, 0.0, alpha=0.25, gamma_focal=0.0)
-        assert loss == pytest.approx(-0.75 * math.log(1.0 - p), abs=1e-9)
-
-
 def test_focal_downweights_easy_examples():
     easy, _ = sigmoid_focal_loss(6.0, 1.0)
     hard, _ = sigmoid_focal_loss(-6.0, 1.0)
@@ -152,8 +143,6 @@ def test_box_losses_vectorized_match_scalar_formulas(pairs):
     for i, (p, t) in enumerate(pairs):
         assert l1[i] == reference_train.l1_box_loss(p, t, 640.0, 480.0)
         assert g[i] == reference_train.giou_loss(p, t)
-        assert type(l1_box_loss(p.as_tuple(), t.as_tuple(), 640.0, 480.0)) is float
-        assert type(giou_loss(p.as_tuple(), t.as_tuple())) is float
 
 
 def test_box_losses_flag_degenerate_boxes(caplog):

@@ -143,7 +143,7 @@ def test_duplicate_prompt_ids_rejected(small_world, default_params):
         with pytest.raises(ValueError):
             detect_world(small_world, [(1, vec), (1, vec)], mode, default_params)
     with pytest.raises(ValueError):
-        detect_each(small_world, [(1, vec), (1, vec)], default_params)
+        detect_each(small_world, [(1, vec), (1, vec)], default_params, 0)
 
 
 def test_single_prompt_modes_agree(small_world, default_params):

@@ -142,7 +142,7 @@ def test_losses_match_their_reference_bit_for_bit():
         tau = float(rng.uniform(0.01, 1.0))
         for got, want in [
             (parent_child_loss(kids, parent, tau), reference_parent_child(kids, parent, tau)),
-            (parent_child_loss(kids[0], parent, tau), reference_parent_child(kids[0], parent, tau)),
+            (parent_child_loss(kids[:1], parent, tau), reference_parent_child(kids[:1], parent, tau)),
         ] + ([(child_child_loss(kids, tau), reference_child_child(kids, tau))] if k >= 2 else []):
             assert got[0] == want[0]
             assert got[1].tobytes() == want[1].tobytes()
@@ -151,21 +151,19 @@ def test_losses_match_their_reference_bit_for_bit():
 def test_both_losses_check_their_cohort_the_same_way():
     """One check for every dispersion loss: a 2-d cohort of enough children
     (none is too few for the pull, one for the push) and a positive
-    temperature; one 1-d child is one row."""
+    temperature; a 1-d child is not a cohort."""
     e0, e1 = basis(3, 0), basis(3, 1)
     pull = lambda kids, tau=0.1: parent_child_loss(kids, e0, tau)
     push = lambda kids, tau=0.1: child_child_loss(kids, tau)
-    for loss, too_few in [(pull, np.zeros((0, 3))), (push, e0)]:
+    for loss, too_few in [(pull, np.zeros((0, 3))), (push, e0[None, :])]:
         with pytest.raises(ValueError, match=r"need at least .*got shape \(2, 2, 3\)"):
             loss(np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError, match=r"need at least .*got shape \(3,\)"):
+            loss(e1)
         with pytest.raises(ValueError, match="need at least"):
             loss(too_few)
         with pytest.raises(ValueError, match="temperature must be positive, got 0.0"):
             loss(np.stack([e0, e1]), 0.0)
-    value, grads = pull(e1)
-    want = pull(e1[None, :])
-    assert grads.shape == (1, 3)
-    assert (value, grads.tobytes()) == (want[0], want[1].tobytes())
 
 
 def test_combine_weights_every_term():

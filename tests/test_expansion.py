@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dipex.boxes import BBox
-from dipex.detector import DetectorParams, QueryMode, candidate_detections, detect_world, pack_world
+from dipex.detector import (
+    DetectorParams,
+    QueryMode,
+    VocabularyConfig,
+    build_vocabulary,
+    candidate_detections,
+    detect_world,
+    pack_world,
+)
 from dipex import expansion
 from dipex.expansion import (
     EmptyPseudoLabels,
@@ -39,6 +47,12 @@ FAST = ExpansionConfig(
     epochs_per_round=2,
     seed=5,
 )
+
+
+def grow(world, config):
+    """``run`` with default detector settings and the default vocabulary
+    recipe under ``config``'s seed."""
+    return run(world, config, DetectorParams(), build_vocabulary(world, VocabularyConfig(seed=config.seed)))
 
 
 def unit(d, i=0):
@@ -293,14 +307,14 @@ def test_labels_outside_the_world_rejected(tiny_world, default_params):
     tree = PromptTree.from_root(unit(tiny_world.config.dim))
     labels = as_arrays([PseudoLabel(999, BBox(0.0, 0.0, 5.0, 5.0), 0.9, "x")], labels=True)
     with pytest.raises(ValueError, match="outside the world"):
-        activation_frequency(tree, labels, tiny_world, default_params)
+        activation_frequency(tree, labels, tiny_world, default_params, 0.5, 0)
 
 
 def test_activation_frequency_sums_to_total(tiny_world, default_params):
     vocab = [tiny_world.cluster_centers[0], tiny_world.cluster_centers[1]]
     labels = bootstrap_labels(vocab, tiny_world, FAST, default_params)
     tree = PromptTree.from_root(normalize(np.sum(np.stack(vocab), axis=0)))
-    counts = activation_frequency(tree, labels, tiny_world, default_params)
+    counts = activation_frequency(tree, labels, tiny_world, default_params, 0.5, 0)
     assert counts.dtype.kind == "i"
     assert counts.tolist() == [len(labels)]  # single prompt answers for everything
 
@@ -366,7 +380,7 @@ def test_label_passes_match_per_prompt_detection(tiny_world, small_world, seed, 
 
 
 def test_run_grows_expected_tree(tiny_world):
-    result = run(tiny_world, FAST)
+    result = grow(tiny_world, FAST)
     assert len(result.tree.nodes) == 1 + FAST.num_expansions * FAST.num_children
     assert result.tree.round_index == 1 + FAST.num_expansions
     assert len(result.round_stats) == 1 + FAST.num_expansions
@@ -377,7 +391,7 @@ def test_run_grows_expected_tree(tiny_world):
 
 
 def test_run_carries_the_final_trees_detections(tiny_world):
-    result = run(tiny_world, FAST)
+    result = grow(tiny_world, FAST)
     fresh = detect_world(
         tiny_world,
         result.tree.prompt_items(),
@@ -389,8 +403,8 @@ def test_run_carries_the_final_trees_detections(tiny_world):
 
 
 def test_run_is_deterministic(tiny_world):
-    a = run(tiny_world, FAST)
-    b = run(tiny_world, FAST)
+    a = grow(tiny_world, FAST)
+    b = grow(tiny_world, FAST)
     assert a.tree.to_dict() == b.tree.to_dict()
     assert a.mac_report.alpha_max == b.mac_report.alpha_max
     assert [s.ar_at for s in a.eval_summaries] == [s.ar_at for s in b.eval_summaries]
@@ -400,7 +414,7 @@ def test_run_stops_when_mac_clears_the_threshold(tiny_world):
     """MAC reads 25.1 degrees after round 2, so a 1-degree threshold stops
     the run there."""
     config = replace(FAST, num_expansions=3, mac_threshold=math.radians(1.0))
-    result = run(tiny_world, config)
+    result = grow(tiny_world, config)
     assert result.stopped_early
     assert len(result.round_stats) == len(result.eval_summaries) == 2
     assert len(result.activation_history) == 1
@@ -412,7 +426,7 @@ def test_run_stops_when_mac_stalls(tiny_world):
     """MAC moves from 25.1 to 53.7 degrees between rounds 2 and 3, less than
     a 180-degree tolerance, while no MAC reaches a 180-degree threshold."""
     config = replace(FAST, num_expansions=3, mac_threshold=math.pi, mac_tolerance=math.pi)
-    result = run(tiny_world, config)
+    result = grow(tiny_world, config)
     assert result.stopped_early
     assert len(result.mac_report.alpha_max) == 2  # rounds 2 and 3
     assert len(result.round_stats) == len(result.eval_summaries) == 3
@@ -420,7 +434,7 @@ def test_run_stops_when_mac_stalls(tiny_world):
 
 def test_run_with_zero_expansions(tiny_world):
     config = ExpansionConfig(num_expansions=0, epochs_per_round=2, seed=5)
-    result = run(tiny_world, config)
+    result = grow(tiny_world, config)
     assert len(result.tree.nodes) == 1
     assert result.tree.round_index == 1
     assert not result.stopped_early
@@ -465,7 +479,7 @@ def test_growth_loop_invariants(
         seed=seed,
     )
     try:
-        result = run(tiny_world, config)
+        result = grow(tiny_world, config)
     except EmptyPseudoLabels:
         return
     tree = result.tree
@@ -480,7 +494,7 @@ def test_growth_loop_invariants(
         assert all(math.isfinite(v) for loss in stats.epoch_losses for v in astuple(loss))
     assert len(tree.nodes) == 1 + (len(result.round_stats) - 1) * k
     # one expansion fewer is the same run cut short: what it froze stays put
-    shorter = run(tiny_world, replace(config, num_expansions=expansions - 1)).tree
+    shorter = grow(tiny_world, replace(config, num_expansions=expansions - 1)).tree
     for nid in shorter.frozen_ids:
         assert nid in tree.frozen_ids
         assert tree.nodes[nid].embedding.tobytes() == shorter.nodes[nid].embedding.tobytes()
@@ -488,6 +502,6 @@ def test_growth_loop_invariants(
 
 def test_run_rejects_useless_vocabulary(tiny_world):
     with pytest.raises(ValueError):
-        run(tiny_world, FAST, vocabulary=[])
+        run(tiny_world, FAST, DetectorParams(), [])
     with pytest.raises(EmptyPseudoLabels, match="round 1"):
-        run(tiny_world, FAST, vocabulary=[orthogonal_to_world(tiny_world)])
+        run(tiny_world, FAST, DetectorParams(), [orthogonal_to_world(tiny_world)])

@@ -405,6 +405,22 @@ def test_sweep_csvs_match_pinned_sha256(tmp_path):
     assert got == PINNED_SWEEP_CSVS
 
 
+# sha256 of manifest.json, which hashes every other artifact, for
+# `dipex run --seed 0 --config configs/<preset>`
+PINNED_PRESET_MANIFESTS = {
+    "hard.yaml": "ff9bc248bb623ba34f30ab6b2eb0a789caad75308664667ac05da5bf98eda0fe",
+    "world128.yaml": "7d53e1675bc0a7e021c5500229a4011fcd97f8342a0663ac4b046aa113e4a54f",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED_PRESET_MANIFESTS))
+def test_preset_runs_match_pinned_manifest(tmp_path, capsys, preset):
+    config = Path(__file__).resolve().parent.parent / "configs" / preset
+    assert main(["run", "--seed", "0", "--config", str(config), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sha256(tmp_path / "manifest.json") == PINNED_PRESET_MANIFESTS[preset]
+
+
 def test_eval_only_round_trips_run_output(tmp_path):
     out, result = run_dipex(FAST_CONFIG, tmp_path / "run")
     eval_out, summary = run_eval_only(
@@ -437,7 +453,7 @@ def test_eval_only_merges_duplicate_sources(tmp_path):
     # suppression cannot hurt recall here and the doubled copies tie anyway
     assert merged.ar_at[100] == pytest.approx(plain.ar_at[100], abs=1e-9)
     gts = load_coco_ground_truth(out / "ground_truth.json")
-    assert plain.num_scenes == gts.num_scenes
+    assert plain.num_scenes == len(gts.scene_dims)
 
 
 def test_eval_only_manifest_hashes_inputs_and_outputs(tmp_path):

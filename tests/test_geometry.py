@@ -134,8 +134,8 @@ def test_rotation_inverts_with_negated_angle():
 
 def test_sample_child_rotations_deterministic_and_bounded():
     parent = normalize(np.ones(32))
-    a = sample_child_rotations(parent, 9, math.radians(15), rng=77)
-    b = sample_child_rotations(parent, 9, math.radians(15), rng=77)
+    a = sample_child_rotations(parent, 9, math.radians(15), np.random.default_rng(77))
+    b = sample_child_rotations(parent, 9, math.radians(15), np.random.default_rng(77))
     assert a == b
     assert len(a) == 9
     for rot in a:

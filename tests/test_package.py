@@ -2,7 +2,10 @@
 reachable from the modules they used to live in."""
 
 import importlib
+import importlib.util
+import inspect
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +50,21 @@ def test_config_classes_keep_their_old_homes():
     assert experiments.ConfigError is config.ConfigError
     assert expansion.EmptyPseudoLabels is pseudo_labels.EmptyPseudoLabels
 
+
+def test_remaining_default_copies_equal_the_config_defaults():
+    """The parameters that still copy a config default, because the
+    benchmark's scripts or acceptance check 03 omit them, copy it exactly;
+    so do the benchmark's own soft-NMS settings for ``eval --merge``."""
+    from dipex.detector import detect_world
+    from dipex.pseudo_labels import soft_nms
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    )
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    params = config.DetectorParams()
+    nms = inspect.signature(soft_nms).parameters
+    assert (nms["sigma"].default, nms["score_floor"].default) == (params.nms_sigma, params.nms_floor)
+    assert (checks.NMS_SIGMA, checks.NMS_FLOOR) == (params.nms_sigma, params.nms_floor)
+    assert inspect.signature(detect_world).parameters["seed"].default == config.ExpansionConfig().seed

@@ -26,9 +26,10 @@ def unit_box(x, y, side=10.0):
     return BBox(x, y, x + side, y + side)
 
 
-def build(dets_by_source, **kwargs):
+def build(dets_by_source, threshold=0.2, sigma=0.5, score_floor=0.001):
     """build_pseudo_labels over object lists, one ScoredBoxes per source."""
-    return build_pseudo_labels({name: as_arrays(dets) for name, dets in dets_by_source.items()}, **kwargs)
+    sources = {name: as_arrays(dets) for name, dets in dets_by_source.items()}
+    return build_pseudo_labels(sources, threshold, sigma, score_floor)
 
 
 def scene_labels(labels, scene_id):
@@ -297,7 +298,7 @@ def test_build_is_idempotent_on_hand_case():
         Det(0, unit_box(40, 40), 0.21),
     ]
     first = build({"x": dets}, threshold=0.2)
-    again = build_pseudo_labels({"y": first}, threshold=0.2)
+    again = build_pseudo_labels({"y": first}, 0.2, 0.5, 0.001)
     assert [
         (l.scene_id, l.bbox.as_tuple(), l.score) for l in all_labels(first)
     ] == [(l.scene_id, l.bbox.as_tuple(), l.score) for l in all_labels(again)]
@@ -316,7 +317,7 @@ def test_build_is_idempotent_on_hand_case():
 def test_build_idempotent_property(rows):
     dets = [Det(0, unit_box(x, y), round(s, 6)) for x, y, s in rows]
     first = build({"p": dets}, threshold=0.2)
-    again = build_pseudo_labels({"p": first}, threshold=0.2)
+    again = build_pseudo_labels({"p": first}, 0.2, 0.5, 0.001)
     assert [
         (l.bbox.as_tuple(), l.score) for l in all_labels(first)
     ] == [(l.bbox.as_tuple(), l.score) for l in all_labels(again)]
@@ -368,7 +369,7 @@ def test_build_matches_scalar_reference(seed, num_sources, threshold):
     assert got.scene_ids.tolist() == [label.scene_id for label in want]
     assert got.boxes.tobytes() == np.array([l.bbox.as_tuple() for l in want]).reshape(-1, 4).tobytes()
     assert got.scores.tobytes() == np.array([label.score for label in want]).tobytes()
-    again = build_pseudo_labels({"again": got}, threshold=threshold)
+    again = build_pseudo_labels({"again": got}, threshold, 0.5, 0.001)
     for column in ("scene_ids", "scores", "boxes"):
         assert getattr(again, column).tobytes() == getattr(got, column).tobytes()
 

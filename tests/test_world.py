@@ -1,9 +1,11 @@
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dipex.config import _ASPECT_HI, _EDGE_EPS, _SIDE_RANGES
 from dipex.detector import QueryMode, detect_each, detect_world, pack_world
 from dipex.evaluation import GroundTruthSet, evaluate
 from dipex.expansion import ExpansionConfig, PromptTree, bootstrap_labels, train_round
@@ -36,6 +38,37 @@ def test_config_validation():
             height=240,
             size_mix=(0.0, 0.0, 1.0),
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 600),
+    height=st.integers(1, 600),
+    objects_per_scene=st.integers(1, 16),
+    size_mix=st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0.35, 0.4, 0.25), (0.5, 0.5, 0)]),
+)
+def test_config_accepted_exactly_when_every_used_class_has_room(width, height, objects_per_scene, size_mix):
+    """A world config is accepted exactly when every size class with a
+    positive share has a non-empty range of sides: its sqrt-area range, kept
+    ``_EDGE_EPS`` inside both ends, under the side of the widest-aspect box
+    that fits a cell of the scene's grid."""
+    cols = math.ceil(math.sqrt(objects_per_scene))
+    rows = math.ceil(objects_per_scene / cols)
+    cap = min(width / cols, height / rows) / math.sqrt(_ASPECT_HI)
+    used = [share > 0 for share in size_mix]
+    room = all(
+        min(hi, cap) - _EDGE_EPS > lo + _EDGE_EPS for (lo, hi), u in zip(_SIDE_RANGES.values(), used) if u
+    )
+    kwargs = dict(
+        num_clusters=1, objects_per_cluster=objects_per_scene, num_scenes=1,
+        objects_per_scene=objects_per_scene, width=width, height=height, size_mix=size_mix,
+    )
+    if room:
+        ranges = WorldConfig(**kwargs).side_ranges()
+        assert all(high > low for (low, high), u in zip(ranges.values(), used) if u)
+    else:
+        with pytest.raises(ValueError, match="size mix impossible"):
+            WorldConfig(**kwargs)
 
 
 def test_generation_is_deterministic():
@@ -170,7 +203,7 @@ def test_no_package_path_builds_the_object_view(default_params):
     prompts = list(enumerate(world.cluster_centers))
     for mode in QueryMode:
         evaluate(detect_world(world, prompts, mode, default_params), gts)
-    detect_each(world, prompts, default_params)
+    detect_each(world, prompts, default_params, 0)
     config = ExpansionConfig(epochs_per_round=1)
     labels = bootstrap_labels(list(world.cluster_centers), world, config, default_params)
     tree = PromptTree.from_root(normalize(world.cluster_centers.sum(axis=0)))
