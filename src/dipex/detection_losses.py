@@ -8,7 +8,7 @@ prompts.
 
 Every loss takes single values (one xyxy box, a scalar) or arrays of them
 (xyxy boxes stacked as (..., 4)) and returns a numpy value of the
-broadcast shape, so training evaluates each once per epoch.
+broadcast shape, so training evaluates each once per round.
 """
 
 from __future__ import annotations

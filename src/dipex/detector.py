@@ -54,11 +54,7 @@ def overlap_penalty(prompts: Sequence[np.ndarray], params: DetectorParams) -> fl
     (cos angle - cos threshold)).  Equals 1 when no pair is that close."""
     if len(prompts) < 2:
         return 1.0
-    return _overlap_penalty(np.stack([normalize(p) for p in prompts]), params)
-
-
-def _overlap_penalty(unit: np.ndarray, params: DetectorParams) -> float:
-    """``overlap_penalty`` of the prompts whose unit rows are ``unit``."""
+    unit = np.stack([normalize(p) for p in prompts])
     cos = cosines(unit, unit.T)
     cos_ov = math.cos(params.overlap_threshold)
     iu = np.triu_indices(unit.shape[0], k=1)
@@ -199,8 +195,7 @@ def _merge_groups(
     """
     order = _canonical(scores, pids, boxes, groups)
     kept = soft_nms(scores[order], params.nms_sigma, params.nms_floor, boxes[order], groups[order])
-    pick = order[np.array([i for i, _ in kept], dtype=int)]
-    final = np.array([score for _, score in kept])
+    pick, final = order[kept["index"]], kept["score"]
     out = _reported(groups[pick], pids[pick], final, boxes[pick], params)
     return pick[out], final[out]
 
@@ -229,7 +224,7 @@ def detect_world(
     _, _, scores, boxes = candidate_detections(scenes, unit, params)
     valid = (scenes.object_ids >= 0)[:, None, :]
     if mode is QueryMode.QUERY_MERGING:
-        scores = scores * _overlap_penalty(unit, params)
+        scores = scores * overlap_penalty([vec for _, vec in prompts], params)
         tied = scores == scores.max(axis=1, keepdims=True)
         best = np.argmin(np.where(tied, ids[None, :, None], ids.max() + 1), axis=1)
         scores = np.take_along_axis(scores, best[:, None], axis=1)

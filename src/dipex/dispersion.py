@@ -119,8 +119,8 @@ def combine(
     """Weighted total of the loss terms, with each term kept for reporting;
     the weights are ``config``'s, as the training gradient's are.
 
-    The terms may be floats or equal-length arrays (one entry per batch); the
-    total is then taken entry by entry.
+    The terms may be floats or equal-shape arrays (one entry per epoch and
+    batch); the total is then taken entry by entry.
     """
     total = (
         parent_child

@@ -22,12 +22,13 @@ slice plus the same rows of the table.  It takes one pass over its (scene,
 label, prompt, object) grid for the candidate boxes, IoU, responsibility
 matching and focal loss, and one matrix product over its objects for the
 gradient.  The reported losses (the focal sums and the L1 and GIoU box
-losses) are not trained on, so they are computed once per epoch from what
-the batches kept, as arrays with one entry per batch: one weighted total
-over those arrays, then each term's mean over the batches.  The same grid
-and matcher count how many labels each prompt answers for when the next
-parent is picked.  The label passes run the detector once per prompt, each
-on its own candidate grid; labels stay arrays from detector to trainer.
+losses) are not trained on, so they are computed once per round from what
+the batches kept, as arrays with one entry per (epoch, batch): one weighted
+total over those arrays, then each term's mean over an epoch's batches.
+The same grid and matcher count how many labels each prompt answers for
+when the next parent is picked.  The label passes run the detector once per
+prompt, each on its own candidate grid; labels stay arrays from detector to
+trainer.
 
 Growth stops after the configured number of expansions, or earlier when the
 maximum pairwise angle either clears the coverage threshold or stalls between
@@ -267,17 +268,13 @@ def assign_responsibility(
 
 @dataclass
 class _BatchTerms:
-    """What one batch leaves for its epoch's loss bookkeeping.
-
-    ``focal`` holds the batch's focal terms in (scene, label, prompt) order
-    and ``per_label`` the term count of each assigned label, so
-    ``per_label.size`` is the batch's assigned label count.  ``cand``,
-    ``target`` and ``size`` hold, per assigned label in (scene, label)
-    order, its responsible candidate, its box and its scene's size.
+    """What one batch leaves for its round's loss report, per assigned label
+    in (scene, label) order: the sum of its focal terms, so ``focal.size``
+    is the batch's assigned label count, then its responsible candidate,
+    its box and its scene's size.
     """
 
-    focal: np.ndarray      # (terms,)
-    per_label: np.ndarray  # (assigned,)
+    focal: np.ndarray      # (assigned,)
     cand: np.ndarray       # (assigned, 4) xyxy
     target: np.ndarray     # (assigned, 4) xyxy
     size: np.ndarray       # (assigned, 2) width, height
@@ -298,7 +295,8 @@ def _batch_step(
     the prompt's best matched object; labels with no matched candidate have
     no term.  Every prompt's gradient, frozen or not, is summed over its
     terms, and ``train_round`` moves only the trainable rows.  Returns the
-    batch's terms, for ``_tallies`` to sum, and the unnormalized gradient.
+    batch's per-label terms, for ``_tallies`` to sum, and the unnormalized
+    gradient.
 
     A term on prompt p and object o adds c * (emb_o - cos_po * unit_p), with
     c = dfocal * logit_scale / |V_p|.  So the gradient is one matrix product,
@@ -330,27 +328,25 @@ def _batch_step(
     C = np.bincount(p * E.shape[0] + obj, coeff, V.shape[0] * E.shape[0]).reshape(V.shape[0], -1)
     w = np.bincount(p, coeff * cos.take(pair), V.shape[0])
     grad = C @ E - w[:, None] * unit
-    return _BatchTerms(focal, per_label, cand, target, size), grad
+    # every label has at least one term, so no two starts are equal
+    focal = np.add.reduceat(focal, np.cumsum(per_label) - per_label)
+    return _BatchTerms(focal, cand, target, size), grad
 
 
 def _tallies(batches: Sequence[_BatchTerms]) -> np.ndarray:
     """Each batch's focal, L1 and GIoU loss sums as a (batch, 3) array,
-    from the terms of any number of batches.
+    from the terms of any number of batches, such as a whole round's.
 
-    The per-label focal sums and both box losses are computed once over all
-    of them, then summed per batch.
+    Both box losses are computed once over all of them, then every term is
+    summed per batch.
     """
-    per_label = np.concatenate([b.per_label for b in batches])
-    focal = np.concatenate([b.focal for b in batches])
-    cand, target, size = (
-        np.concatenate([getattr(b, name) for b in batches]) for name in ("cand", "target", "size")
+    focal, cand, target, size = (
+        np.concatenate([getattr(b, name) for b in batches]) for name in ("focal", "cand", "target", "size")
     )
-    # every label has at least one term, so no two starts are equal
-    label_losses = np.add.reduceat(focal, np.cumsum(per_label) - per_label)
-    batch = np.repeat(np.arange(len(batches)), [b.per_label.size for b in batches])
+    batch = np.repeat(np.arange(len(batches)), [b.focal.size for b in batches])
     return np.stack([
         np.bincount(batch, v, len(batches))
-        for v in (label_losses, l1_box_loss(cand, target, size[:, 0], size[:, 1]), giou_loss(cand, target))
+        for v in (focal, l1_box_loss(cand, target, size[:, 0], size[:, 1]), giou_loss(cand, target))
     ], axis=1)
 
 
@@ -369,12 +365,12 @@ def train_round(
     order, and each batch is a slice of them.  One ``_batch_step`` call per
     batch gives the focal terms and their gradient over all of the batch's
     (label, matched prompt) pairs.  The loss values are reported, not trained
-    on, so they wait for the end of the epoch: one ``_tallies`` call then
-    gives every batch's focal, L1 and GIoU sums as one (batch, 3) array.
-    Divided by each batch's assigned label count, these and the per-batch
-    dispersion values go through one ``combine`` call, and each term of the
-    epoch's ``LossBreakdown`` is its mean over the batches.  The newest cohort
-    additionally feels attraction to its frozen parent and log-sum-exp
+    on, so they wait for the end of the round: one ``_tallies`` call then
+    gives every batch's focal, L1 and GIoU sums, over all epochs.  Divided by
+    each batch's assigned label count, these and the per-batch dispersion
+    values go through one ``combine`` call as (epoch, batch) arrays, and each
+    term of an epoch's ``LossBreakdown`` is the mean of its row.  The newest
+    cohort additionally feels attraction to its frozen parent and log-sum-exp
     repulsion among siblings; in the root-only round both terms are zero.
     Updates are projected gradient steps on the trainable rows alone:
     subtract, renormalize, with an exact skip when the step is exactly zero so
@@ -394,18 +390,17 @@ def train_round(
     scenes = pack_world(world, config.seed)
     num_scenes = len(scenes.size)
     table = _label_table(labels, num_scenes)
-    stats = RoundStats(epoch_losses=[], epoch_norm_error=[], label_count=len(labels))
-
+    batches: list[_BatchTerms] = []
+    dispersion: list[tuple[float, float]] = []
+    norm_error: list[float] = []
     for _ in range(config.epochs_per_round):
         order = rng.permutation(num_scenes)
         epoch, epoch_labels = scenes.take(order), table[order]
-        batches: list[_BatchTerms] = []
-        dispersion: list[tuple[float, float]] = []
         for start in range(0, num_scenes, config.batch_size):
             b = slice(start, start + config.batch_size)
             terms, grad_cls = _batch_step(epoch.take(b), epoch_labels[b], V, params, config)
             batches.append(terms)
-            grad_cls /= max(terms.per_label.size, 1)
+            grad_cls /= max(terms.focal.size, 1)
             total_grad = config.gamma_cls * grad_cls
             if use_dispersion:
                 cohort = V[cohort_rows]
@@ -419,23 +414,19 @@ def train_round(
             step = config.learning_rate * total_grad
             moved = (step != 0.0).any(axis=1) & row_trainable
             V[moved] = unit_rows(V[moved] - step[moved])[0]
-
-        assigned = np.array([b.per_label.size for b in batches])
-        cls, bbox, giou = (_tallies(batches) / np.maximum(assigned, 1)[:, None]).T
-        pc, cc = np.array(dispersion).T
-        parts = combine(pc, cc, bbox, giou, cls, config)
-        stats.epoch_losses.append(LossBreakdown(
-            *(float(np.mean(getattr(parts, f.name))) for f in fields(LossBreakdown))
-        ))
-        stats.epoch_norm_error.append(
-            float(np.max(np.abs(unit_rows(V[row_trainable])[1] - 1.0)))
-        )
-    stats.assignments_final = int(assigned.sum())  # the last epoch's
-    stats.misses_final = stats.label_count - stats.assignments_final
-
+        norm_error.append(float(np.max(np.abs(unit_rows(V[row_trainable])[1] - 1.0))))
     for nid in np.flatnonzero(row_trainable).tolist():
         tree.nodes[nid] = replace(tree.nodes[nid], embedding=V[nid])
-    return stats
+
+    assigned = np.array([b.focal.size for b in batches]).reshape(config.epochs_per_round, -1)
+    cls, bbox, giou = (_tallies(batches) / np.maximum(assigned, 1).reshape(-1, 1)).T
+    pc, cc = np.array(dispersion).T
+    parts = combine(*(v.reshape(assigned.shape) for v in (pc, cc, bbox, giou, cls)), config)
+    # (epoch, term, batch): each epoch's row of each term, in LossBreakdown's order
+    by_epoch = np.stack([getattr(parts, f.name) for f in fields(LossBreakdown)], axis=1)
+    losses = [LossBreakdown(*(float(np.mean(row)) for row in terms)) for terms in by_epoch]
+    final = int(assigned[-1].sum())  # the last epoch's
+    return RoundStats(losses, norm_error, len(labels), final, len(labels) - final)
 
 
 def activation_frequency(

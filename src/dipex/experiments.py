@@ -382,8 +382,7 @@ def run_eval_only(
         # each scene ranked by (-score, box), ties in file order
         dets = dets.take(np.lexsort((*dets.boxes.T[::-1], -dets.scores, dets.scene_ids)))
         kept = soft_nms(dets.scores, sigma, floor, dets.boxes, dets.scene_ids)
-        pick = np.array([i for i, _ in kept], dtype=int)
-        dets = replace(dets.take(pick), scores=np.array([score for _, score in kept]))
+        dets = replace(dets.take(kept["index"]), scores=kept["score"])
     else:
         dets = dets.take(np.argsort(dets.scene_ids, kind="stable"))
     by_scene = dets.split()

@@ -137,7 +137,7 @@ def soft_nms(
     score_floor: float = 0.001,
     boxes: np.ndarray | None = None,
     groups: np.ndarray | None = None,
-) -> list:
+) -> list | np.ndarray:
     """Gaussian soft-NMS (Bodla et al. 2017) over independent groups: in
     each group, repeatedly select the highest running score (ties to the
     earliest), rescale the rest of that group by exp(-IoU^2 / sigma), and
@@ -145,15 +145,15 @@ def soft_nms(
     ever increases and each group's first selection keeps its score.
 
     Takes scored boxes and returns rescored copies, or a 1-d array of scores
-    with ``boxes``, their (n, 4) xyxy array, and returns (index, score) pairs
-    without building any object.  ``groups`` gives each box a group id (one
-    group when omitted); the result is ordered by group id, then by
-    selection.  Each step selects in every live group at once and computes
-    only the IoU row of each selection against its group's live boxes, so
-    memory stays linear in the box count.  Only overlapping boxes are
-    rescaled (a disjoint pair's factor is exactly 1), with factors from
-    math.exp, so the result is bit for bit that of a one-box-at-a-time loop
-    run group by group.
+    with ``boxes``, their (n, 4) xyxy array, and returns one array with an
+    ``index`` and a ``score`` field per kept box, without building any
+    object.  ``groups`` gives each box a group id (one group when omitted);
+    the result is ordered by group id, then by selection.  Each step selects
+    in every live group at once and computes only the IoU row of each
+    selection against its group's live boxes, so memory stays linear in the
+    box count.  Only overlapping boxes are rescaled (a disjoint pair's factor
+    is exactly 1), with factors from math.exp, so the result is bit for bit
+    that of a one-box-at-a-time loop run group by group.
 
     A box never rescales one it does not overlap, so when some group has at
     least ``_SPLIT_MIN_GROUP`` boxes and no score is negative, every group
@@ -171,7 +171,7 @@ def soft_nms(
         boxes = np.array([d.bbox.as_tuple() for d in dets], dtype=float).reshape(-1, 4)
         scores = np.array([float(d.score) for d in dets])
         kept = soft_nms(scores, sigma, score_floor, boxes, groups)
-        return [dataclasses.replace(dets[i], score=score) for i, score in kept]
+        return [dataclasses.replace(dets[i], score=score) for i, score in kept.tolist()]
     scores = np.asarray(dets, dtype=float)
     if not np.all(np.isfinite(scores)):
         raise ValueError("soft-NMS scores must be finite")
@@ -190,7 +190,7 @@ def soft_nms(
         order = np.lexsort((pick, -final, groups[pick]))
     else:
         order = np.argsort(groups[pick], kind="stable")
-    return list(zip(pick[order].tolist(), final[order].tolist()))
+    return np.rec.fromarrays([pick[order], final[order]], names="index,score")
 
 
 def _parts(
@@ -321,6 +321,6 @@ def build_pseudo_labels(
     order = order[np.r_[True, np.any(key[1:] != key[:-1], axis=1)][: order.size]]
 
     kept = soft_nms(score[order], sigma, max(score_floor, threshold), boxes[order], scene[order])
-    keep = order[np.sort(np.array([i for i, _ in kept], dtype=int))]
+    keep = order[np.sort(kept["index"])]
     meta = {"threshold": threshold, "sigma": sigma, "score_floor": score_floor, "sources": names}
     return PseudoLabelSet(scene[keep], score[keep], boxes[keep], meta)

@@ -34,6 +34,7 @@ from dipex.expansion import (
 from dipex.experiments import ExperimentConfig, _write_json
 from dipex.geometry import mac, normalize
 from dipex.pseudo_labels import build_pseudo_labels
+from dipex.world import WorldConfig, generate_world
 
 import reference_detector as ref
 import reference_world
@@ -294,6 +295,30 @@ def test_train_round_freezes_parent_bytes(tiny_world, default_params, monkeypatc
     assert any(b.parent_child != 0.0 for b in stats.epoch_losses)
     for cid in tree.cohort:
         assert np.linalg.norm(tree.nodes[cid].embedding) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_train_round_reports_each_epoch_from_its_own_batches():
+    """A round's first two epochs report the same bits whether it trains for
+    two epochs or three: the round-end report groups its (epoch, batch)
+    values by epoch exactly, and a later epoch's batches never leak into an
+    earlier one's row."""
+    world = generate_world(WorldConfig())
+    params = DetectorParams()
+    reports = []
+    for epochs in (2, 3):
+        config = replace(ExpansionConfig(), epochs_per_round=epochs)
+        vocab = build_vocabulary(world, VocabularyConfig(seed=config.seed))
+        tree = PromptTree.from_root(normalize(np.sum(np.stack(vocab), axis=0)))
+        expand(tree, 0, config, np.random.default_rng(1))
+        labels = rebuild_labels(tree, world, config, params)
+        stats = train_round(tree, labels, world, config, params, np.random.default_rng(5))
+        assert any(b.parent_child != 0.0 for b in stats.epoch_losses)  # the cohort's terms are in
+        reports.append(stats)
+    two, three = reports
+    assert len(three.epoch_losses) == 3
+    bits = [np.array([astuple(b) for b in s.epoch_losses[:2]]).tobytes() for s in reports]
+    assert bits[0] == bits[1]
+    assert np.array(two.epoch_norm_error).tobytes() == np.array(three.epoch_norm_error[:2]).tobytes()
 
 
 def test_train_round_requires_trainable_prompts(tiny_world, default_params):

@@ -123,7 +123,7 @@ def test_soft_nms_matches_scalar_reference(seed, num_groups, floor, sigma):
     assert np.array([d.score for d in got]).tobytes() == np.array([d.score for d in want]).tobytes()
     boxes = np.array([d.bbox.as_tuple() for d in dets]).reshape(-1, 4)
     pairs = soft_nms(np.array([d.score for d in dets]), sigma, floor, boxes, group)
-    assert pairs == [(d.prompt_id, d.score) for d in want]
+    assert pairs.tolist() == [(d.prompt_id, d.score) for d in want]
     if num_groups == 1:
         assert soft_nms(dets, sigma, floor) == got
 
@@ -232,7 +232,7 @@ def test_soft_nms_non_finite_coordinates_never_cut(monkeypatch):
     with np.errstate(invalid="ignore"):  # inf - inf in the IoU
         cut = soft_nms(scores, 0.5, 0.001, boxes)
         monkeypatch.setattr(pseudo_labels, "_SPLIT_MIN_GROUP", len(boxes) + 1)
-        assert cut == soft_nms(scores, 0.5, 0.001, boxes)
+        assert cut.tolist() == soft_nms(scores, 0.5, 0.001, boxes).tolist()
 
 
 def test_soft_nms_memory_stays_linear():

@@ -102,8 +102,8 @@ def test_batch_step_matches_per_label_reference(tiny_world, small_world, seed, w
     every = np.ones(V.shape[0], dtype=bool)
     for batch, row, (terms, grad) in zip(batches, sums.tolist(), steps):
         want_tally, want_grad = reference_batch(sdata, ids[batch], V, every, PARAMS, CONFIG)
-        assert terms.per_label.size == want_tally.num_assigned
-        if not terms.per_label.size:
+        assert terms.focal.size == want_tally.num_assigned
+        if not terms.focal.size:
             # no term at all, and exactly the all-zero gradient
             assert (terms.focal.size, grad.tobytes()) == (0, np.zeros_like(V).tobytes())
         # The kernel sums each prompt's terms in one matrix product, the
@@ -197,10 +197,10 @@ def test_batch_gradient_matches_finite_differences(small_world):
 
         def loss(W):
             terms = _batch_step(*batch, W, PARAMS, CONFIG)[0]
-            return _tallies([terms])[0, 0] / max(terms.per_label.size, 1)
+            return _tallies([terms])[0, 0] / max(terms.focal.size, 1)
 
         terms, grad = _batch_step(*batch, V, PARAMS, CONFIG)
-        grad = grad / max(terms.per_label.size, 1)
+        grad = grad / max(terms.focal.size, 1)
         here = _matching(*batch, V)
         for flat in rng.choice(V.size, size=12, replace=False):
             r, c = divmod(int(flat), V.shape[1])
