@@ -1,24 +1,28 @@
 #!/usr/bin/env python3
 """Compare two dipex checkouts on one benchmark workload, in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload grow --pairs 10 --seconds 5 --seed 0
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload grow
 
-Each pair runs `perfbench/run.py --trace 0` once in each checkout, the side
-that goes first alternating from pair to pair.  Before every run the
+Each of ten pairs runs `perfbench/run.py --seed 0 --trace 0` once in each
+checkout, for the `run_seconds` that this repository's `BENCHMARK.json` sets,
+the side that goes first alternating from pair to pair.  Before every run the
 checkout's `src/dipex/__pycache__` is deleted, and runs write no bytecode, so
 each one compiles from source as the benchmark does in a fresh checkout.  A
 run whose output checks fail or that reports a failed operation stops the
 script.
 
-For each end-to-end metric of this repository's `BENCHMARK.json` the script
-prints both sides' medians with their quartiles, in how many pairs the change
-was better, and a verdict:
+For each end-to-end metric of `BENCHMARK.json` the script prints both sides'
+medians with their quartiles, in how many pairs the change was better, and a
+verdict, the first of these that holds:
 
+- `regression`: the change's median is worse than the parent's by more than
+  the metric's `bound`, as a fraction of the parent's median;
+- `unresolved`: the parent's own interquartile range is wider than that
+  bound, so these runs cannot show the metric unchanged, and not every
+  change run beat every parent run;
 - `gain`: the change was better in at least nine tenths of the pairs, and
   its median beats the parent's by more than the parent's interquartile
   range;
-- `regression`: the change's median is worse than the parent's by more than
-  the metric's `bound`, as a fraction of the parent's median;
 - `same` otherwise.
 """
 
@@ -34,6 +38,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+SEED = 0
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -52,15 +58,17 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     gap = sign * (median - statistics.median(change))
     if -gap > bound * abs(median):
         return wins, "regression"
+    if q3 - q1 > bound * abs(median) and min(sign * p for p in parent) <= max(sign * c for c in change):
+        return wins, "unresolved"
     if 10 * wins >= 9 * len(parent) and gap > q3 - q1:
         return wins, "gain"
     return wins, "same"
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+def run_side(checkout: Path, workload: str, seconds: float) -> dict[str, float]:
     """One untraced benchmark run in ``checkout``: its end-to-end metrics."""
     shutil.rmtree(checkout / "src" / "dipex" / "__pycache__", ignore_errors=True)
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
             "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
@@ -79,28 +87,23 @@ def main(argv: list[str]) -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=5.0)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for quartiles")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     samples: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            samples[side].append(run_side(sides[side], args.workload, args.seed, args.seconds))
-            print(f"pair {i + 1}/{args.pairs} {side}: {samples[side][-1]}", file=sys.stderr)
+            samples[side].append(run_side(sides[side], args.workload, benchmark["run_seconds"]))
+            print(f"pair {i + 1}/{PAIRS} {side}: {samples[side][-1]}", file=sys.stderr)
 
-    print(f"{args.workload}, {args.pairs} pairs: median [quartiles]")
+    print(f"{args.workload}, {PAIRS} pairs of {benchmark['run_seconds']} s runs: median [quartiles]")
     print(f"{'metric':<12} {'parent':<34} {'change':<34} {'wins':<6} verdict")
-    for m in metrics:
+    for m in benchmark["end_to_end"]:
         parent = [run[m["name"]] for run in samples["parent"]]
         change = [run[m["name"]] for run in samples["change"]]
         wins, word = verdict(parent, change, m["better"], m["bound"])
         cells = ["{1:.4g} [{0:.4g}, {2:.4g}] {3}".format(*quartiles(v), m["unit"]) for v in (parent, change)]
-        print(f"{m['name']:<12} {cells[0]:<34} {cells[1]:<34} {f'{wins}/{args.pairs}':<6} {word}")
+        print(f"{m['name']:<12} {cells[0]:<34} {cells[1]:<34} {f'{wins}/{PAIRS}':<6} {word}")
     return 0
 
 

@@ -18,6 +18,8 @@ def bench_pairs():
 
 
 PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # quartiles 0.9825, 1.00, 1.0175
+# a noisy parent: quartiles 0.6625, 0.775, 0.8875, a spread of 29% of the median
+WIDE = [0.60, 0.95, 0.70, 0.90, 0.65, 0.85, 0.75, 0.80, 0.62, 0.92]
 
 
 def test_quartiles_of_the_parent(bench_pairs):
@@ -47,6 +49,24 @@ def test_quartiles_of_the_parent(bench_pairs):
 )
 def test_verdict_on_fixed_samples(bench_pairs, change, better, bound, want):
     assert bench_pairs.verdict(PARENT, change, better, bound) == want
+
+
+@pytest.mark.parametrize(
+    "change, better, want",
+    [
+        # the parent's spread is wider than the 25% bound: no run length shows these unchanged
+        (list(WIDE), "lower", (0, "unresolved")),
+        ([w - 0.02 for w in WIDE], "lower", (10, "unresolved")),
+        ([w * 1.1 for w in WIDE], "lower", (0, "unresolved")),
+        # ...unless every change run beats every parent run
+        ([w - 0.36 for w in WIDE], "lower", (10, "gain")),
+        ([w + 0.36 for w in WIDE], "higher", (10, "gain")),
+        # a regression beyond the bound is still one
+        ([w * 1.3 for w in WIDE], "lower", (0, "regression")),
+    ],
+)
+def test_verdict_on_a_parent_wider_than_the_bound(bench_pairs, change, better, want):
+    assert bench_pairs.verdict(WIDE, change, better, 0.25) == want
 
 
 def test_a_zero_parent_median_is_never_a_regression_on_equal_values(bench_pairs):
